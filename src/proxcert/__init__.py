@@ -1,9 +1,9 @@
 """proxcert: accelerated proximal gradient solvers with numerical certificates.
 
 Solves composite problems min f(x) + g(x) with ista / apm / mapm / known-mu
-steppers and verifies, iteration by iteration, the energy decrement bounds,
-the prox descent inequality, the inertial iterate identity, and the linear
-and sublinear rate envelopes on concrete traces.
+variants of one step rule and verifies, iteration by iteration, the energy
+decrement bounds, the prox descent inequality, the inertial iterate identity,
+and the linear and sublinear rate envelopes on concrete traces.
 """
 
 from .certificates import (
@@ -63,13 +63,11 @@ from .solvers import (
     IterationRecord,
     SolverConfig,
     SolverState,
-    apm_step,
     constant_momentum,
     gradient_mapping,
-    ista_step,
-    mapm_step,
+    momentum,
     run,
-    strongly_convex_apm_step,
+    step,
 )
 from .traceio import (
     TraceMeta,

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import DataCorruptionError, RejectedInputError
 from .problems import Vector, as_vector
+from .solvers import VARIANTS
 
 CERTIFICATE_NAMES = (
     "energy_nonincreasing",
@@ -235,8 +236,13 @@ def certify_trace(ctx: EnergyContext, trace, variant: str = "mapm") -> list:
     the sublinear envelope starts at k = 1.  apm traces keep the descent and
     inertial checks; ista / strongly_convex_apm traces keep only the descent
     check.  Skipped families are reported once with status "not_applicable".
-    Reports are sorted by (k, name).
+    Reports are sorted by (k, name).  A variant outside solvers.VARIANTS is
+    rejected.
     """
+    if variant not in VARIANTS:
+        raise RejectedInputError(
+            f"unknown variant {variant!r}; valid: {', '.join(VARIANTS)}"
+        )
     trace = list(trace)
     if not trace:
         return []

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 certificate violation, 2 configuration error,
 3 reference unavailable (or unusable).  The environment variable PROXCERT_SEED
-overrides --seed when set.
+overrides --seed when set; seeds stored in a trace or given in --spec are used
+as they are.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .harness import (
     random_quadratic,
     reference_solution,
 )
+from .problems import as_vector
 from .solvers import SolverConfig, run
 from .traceio import TraceMeta, read_trace, write_report, write_trace
 
@@ -36,31 +38,41 @@ PROBLEM_NAMES = ("quadratic", "lasso", "box-quadratic")
 SOLVER_NAMES = ("ista", "apm", "mapm", "strongly-convex-apm")
 
 
+def _require(mapping: dict, key: str, what: str):
+    """mapping[key], or a ConfigurationError naming the missing key."""
+    try:
+        return mapping[key]
+    except KeyError:
+        raise ConfigurationError(f"{what} has no {key!r}") from None
+
+
 def _effective_seed(seed: int) -> int:
+    """--seed, or PROXCERT_SEED when set."""
     env = os.environ.get("PROXCERT_SEED")
-    if env is not None:
-        try:
-            seed = int(env)
-        except ValueError:
-            raise ConfigurationError(f"PROXCERT_SEED must be an integer, got {env!r}")
-    if not 0 <= seed < 2 ** 64:
-        raise ConfigurationError(f"seed must be a 64-bit unsigned integer, got {seed}")
-    return seed
+    if env is None:
+        return seed
+    try:
+        return int(env)
+    except ValueError:
+        raise ConfigurationError(f"PROXCERT_SEED must be an integer, got {env!r}")
 
 
 def build_problem_from_spec(spec: dict):
     """Instantiate a generated problem from its selector dict."""
     name = spec.get("name")
-    seed = _effective_seed(int(spec.get("seed", 0)))
+    seed = int(spec.get("seed", 0))
+    if not 0 <= seed < 2 ** 64:
+        raise ConfigurationError(f"seed must be a 64-bit unsigned integer, got {seed}")
     if name == "quadratic":
-        return random_quadratic(seed, int(spec["dim"]), int(spec.get("cond", 10)))
+        dim = _require(spec, "dim", "problem spec")
+        return random_quadratic(seed, int(dim), int(spec.get("cond", 10)))
     if name == "lasso":
         rows = int(spec.get("rows", spec.get("dim", 20)))
         cols = int(spec.get("cols", rows))
         lam = spec.get("lam")
         return random_lasso(seed, rows, cols, lam=None if lam is None else float(lam))
     if name == "box-quadratic":
-        return random_box_quadratic(seed, int(spec["dim"]))
+        return random_box_quadratic(seed, int(_require(spec, "dim", "problem spec")))
     raise ConfigurationError(
         f"unknown problem {name!r}; valid options: {', '.join(PROBLEM_NAMES)}"
     )
@@ -136,7 +148,7 @@ def cmd_run(args) -> int:
 def _reference_context(args, problem, meta) -> EnergyContext:
     x_star = f_star = None
     if args.x_star is not None:
-        x_star = np.array([float(c) for c in args.x_star.split(",")])
+        x_star = as_vector([float(c) for c in args.x_star.split(",")], problem.dim)
     if args.f_star is not None:
         f_star = args.f_star
     if x_star is None or f_star is None:
@@ -198,14 +210,15 @@ def cmd_compare(args) -> int:
     specs = _specs_from_args(args)
     if len(specs) < 2:
         raise ConfigurationError("compare needs at least two solver specs")
-    problems = [build_problem_from_spec(s["problem"]) for s in specs]
+    problems = [build_problem_from_spec(_require(s, "problem", "compare spec"))
+                for s in specs]
     hashes = {p.content_hash for p in problems}
     if len(hashes) != 1:
         raise ConfigurationError("compare specs name different problems")
     problem = problems[0]
     configs = []
     for spec in specs:
-        solver = spec["solver"]
+        solver = _require(spec, "solver", "compare spec")
         if solver not in SOLVER_NAMES:
             raise ConfigurationError(
                 f"unknown solver {solver!r}; valid options: {', '.join(SOLVER_NAMES)}"

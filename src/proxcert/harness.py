@@ -23,14 +23,7 @@ from .problems import (
     lasso_problem,
     quadratic_problem,
 )
-from .solvers import (
-    SolverConfig,
-    SolverState,
-    gradient_mapping,
-    ista_step,
-    mapm_step,
-    run,
-)
+from .solvers import SolverConfig, SolverState, gradient_mapping, momentum, run, step
 
 # Residual criterion for references: at least 1e3 tighter than any certificate
 # tolerance, so reference error never masquerades as a violation.
@@ -89,9 +82,12 @@ def reference_solution(problem: CompositeProblem,
             problem_hash=problem.content_hash,
         )
 
-    config = SolverConfig(variant="mapm", alpha=3.0, step=s, max_iters=budget)
     x0 = np.zeros(problem.dim)
     state = SolverState(k=0, x=x0, y=x0, f_y=problem.value(x0))
+
+    def advance(config, beta, st):
+        z, _ = gradient_mapping(problem, s, st.x)
+        return step(config, beta, st, z, problem.value(z))
 
     def y_residual(st):
         _, G = gradient_mapping(problem, s, st.y)
@@ -109,9 +105,11 @@ def reference_solution(problem: CompositeProblem,
     best_seen = math.inf
     stalled_chunks = 0
     spent = 0
+    mapm = SolverConfig(variant="mapm", alpha=3.0, step=s)
+    beta = momentum(problem, mapm)
     while spent < budget and stalled_chunks < 80:
         for _ in range(min(25, budget - spent)):
-            state = mapm_step(problem, config, state)
+            state = advance(mapm, beta, state)
             spent += 1
         residual = y_residual(state)
         if criterion_met(state, residual):
@@ -126,10 +124,11 @@ def reference_solution(problem: CompositeProblem,
     # moves y unconditionally and contracts the residual, pushing past the
     # ulp-resolution floor of the acceptance test.
     if not criterion_met(state, residual):
+        ista = SolverConfig(variant="ista", step=s)
         state = SolverState(k=0, x=state.y, y=state.y, f_y=state.f_y)
         while spent < budget:
             for _ in range(min(25, budget - spent)):
-                state = ista_step(problem, s, state)
+                state = advance(ista, None, state)
                 spent += 1
             residual = y_residual(state)
             if criterion_met(state, residual):

@@ -1,17 +1,15 @@
-"""Stepping rules and the run driver.
+"""The shared stepping rule and the run driver.
 
-Four variants over one prox-gradient core:
+From the prox point z_k = prox_{sg}(x_k - s grad f(x_k)), every variant steps
 
-  ista                 y_{k+1} = z_k,  x_{k+1} = y_{k+1}
-  apm                  y_{k+1} = z_k,  x_{k+1} = y_{k+1} + (k/(k+a)) (y_{k+1} - y_k)
-  mapm                 y_{k+1} = z_k if F(z_k) <= F(y_k) else y_k,
-                       x_{k+1} = y_{k+1} + (k/(k+a)) (y_{k+1} - y_k)
-                                 + ((k+a-1)/(k+a)) (z_k - y_{k+1})
-  strongly_convex_apm  apm with constant momentum (1-sqrt(mu/L))/(1+sqrt(mu/L))
+  y_{k+1} = y_k if mapm and F(z_k) > F(y_k), else z_k
+  x_{k+1} = y_{k+1} [+ beta_k (y_{k+1} - y_k)] [+ gamma_k (z_k - y_{k+1})]
 
-where z_k = prox_{sg}(x_k - s grad f(x_k)).  Steppers are pure: state in,
-state out.  F(y_k) is computed once per iteration and cached in the state; the
-mapm acceptance test compares cached values only.
+with beta_k = k/(k+a) for apm and mapm, (1-sqrt(mu/L))/(1+sqrt(mu/L)) for
+strongly_convex_apm and none for ista, and gamma_k = (k+a-1)/(k+a) for mapm
+only.  A missing term is left out, not multiplied by 0.0: adding +0.0 would
+turn the prox's -0.0 coordinates into 0.0.  F(y_k) is computed once per
+iteration and cached in the state; the mapm test compares cached values only.
 """
 
 from __future__ import annotations
@@ -45,7 +43,6 @@ class SolverConfig:
     step: Optional[float] = None
     max_iters: int = 1000
     grad_map_tol: float = 0.0
-    record_certificates: bool = False
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -74,7 +71,6 @@ class SolverState:
     x: Vector
     y: Vector
     f_y: float
-    z: Optional[Vector] = None
 
 
 @dataclass
@@ -86,8 +82,7 @@ class IterationRecord:
     grad_map_norm: float
     gap: Optional[float] = None
     accepted: Optional[bool] = None
-    energy: Optional[float] = None
-    slacks: Optional[dict] = None
+    energy: Optional[float] = None  # unset by run(); kept for the trace column
     x: Optional[Vector] = None
     y: Optional[Vector] = None
     grad_map: Optional[Vector] = None
@@ -117,60 +112,9 @@ def gradient_mapping(problem: CompositeProblem, s: float, x: Vector):
     Both are returned so callers never recompute the prox; G vanishes exactly
     at minimizers of F.
     """
-    if s <= 0.0:
-        raise ConfigurationError(f"step must be > 0, got {s}")
-    L = problem.smooth.lipschitz
-    if L > 0.0 and s * L > 1.0 + _STEP_SLACK:
-        raise ConfigurationError(f"step {s} exceeds 1/L = {1.0 / L}")
+    bind_step(problem, s)
     z = problem.nonsmooth.prox(x - s * problem.smooth.gradient(x), s)
     return z, (x - z) / s
-
-
-def _prox_eval(problem, s, state, prox_eval):
-    """(z, G, F(z)) at state.x, computing only what the caller did not supply."""
-    if prox_eval is not None:
-        return prox_eval
-    z, G = gradient_mapping(problem, s, state.x)
-    return z, G, problem.value(z)
-
-
-def ista_step(problem: CompositeProblem, s: float, state: SolverState,
-              prox_eval=None) -> SolverState:
-    """Unaccelerated baseline: both iterates move to the prox point."""
-    z, _, f_z = _prox_eval(problem, s, state, prox_eval)
-    return SolverState(k=state.k + 1, x=z, y=z, f_y=f_z, z=z)
-
-
-def apm_step(problem: CompositeProblem, config: SolverConfig, state: SolverState,
-             prox_eval=None) -> SolverState:
-    """Accelerated step with momentum k/(k+alpha)."""
-    s = bind_step(problem, config.step)
-    z, _, f_z = _prox_eval(problem, s, state, prox_eval)
-    k, a = state.k, config.alpha
-    y_next = z
-    x_next = y_next + (k / (k + a)) * (y_next - state.y)
-    return SolverState(k=k + 1, x=x_next, y=y_next, f_y=f_z, z=z)
-
-
-def mapm_step(problem: CompositeProblem, config: SolverConfig, state: SolverState,
-              prox_eval=None) -> SolverState:
-    """Monotone accelerated step.
-
-    The prox point is accepted when F(z_k) <= F(y_k) (ties accept), so the
-    cached F(y_k) sequence is nonincreasing by construction.  When every step
-    accepts, the third x-update term is exactly zero and the (x, y) sequences
-    coincide with apm's.
-    """
-    s = bind_step(problem, config.step)
-    z, _, f_z = _prox_eval(problem, s, state, prox_eval)
-    k, a = state.k, config.alpha
-    if f_z <= state.f_y:
-        y_next, f_next = z, f_z
-    else:
-        y_next, f_next = state.y, state.f_y
-    x_next = (y_next + (k / (k + a)) * (y_next - state.y)
-              + ((k + a - 1.0) / (k + a)) * (z - y_next))
-    return SolverState(k=k + 1, x=x_next, y=y_next, f_y=f_next, z=z)
 
 
 def constant_momentum(mu: float, lipschitz: float) -> float:
@@ -184,15 +128,39 @@ def constant_momentum(mu: float, lipschitz: float) -> float:
     return (1.0 - r) / (1.0 + r)
 
 
-def strongly_convex_apm_step(problem: CompositeProblem, s: float,
-                             state: SolverState, prox_eval=None) -> SolverState:
-    """apm-shaped step with the constant known-mu momentum coefficient."""
-    beta = constant_momentum(problem.smooth.strong_convexity,
-                             problem.smooth.lipschitz)
-    z, _, f_z = _prox_eval(problem, s, state, prox_eval)
-    y_next = z
-    x_next = y_next + beta * (y_next - state.y)
-    return SolverState(k=state.k + 1, x=x_next, y=y_next, f_y=f_z, z=z)
+def momentum(problem: CompositeProblem, config: SolverConfig):
+    """beta_k as a function of k, resolved once per run; None for ista."""
+    if config.variant == "ista":
+        return None
+    if config.variant == "strongly_convex_apm":
+        beta = constant_momentum(problem.smooth.strong_convexity,
+                                 problem.smooth.lipschitz)
+        return lambda k: beta
+    a = config.alpha
+    return lambda k: k / (k + a)
+
+
+def step(config: SolverConfig, beta, state: SolverState, z: Vector,
+         f_z: float) -> SolverState:
+    """One iteration of the shared rule from z = z_k and f_z = F(z_k).
+
+    beta is momentum(problem, config).  mapm ties accept, so its cached F(y_k)
+    never increases; while every step accepts, the gamma term is exactly zero
+    and the (x, y) sequences coincide with apm's.
+    """
+    k = state.k
+    monotone = config.variant == "mapm"
+    if monotone and f_z > state.f_y:
+        y, f_y = state.y, state.f_y
+    else:
+        y, f_y = z, f_z
+    x = y
+    if beta is not None:
+        x = x + beta(k) * (y - state.y)
+    if monotone:
+        a = config.alpha
+        x = x + ((k + a - 1.0) / (k + a)) * (z - y)
+    return SolverState(k=k + 1, x=x, y=y, f_y=f_y)
 
 
 def run(problem: CompositeProblem, config: SolverConfig, x0) -> list:
@@ -200,14 +168,11 @@ def run(problem: CompositeProblem, config: SolverConfig, x0) -> list:
 
     Stops after max_iters steps or as soon as ||G_s(x_k)|| <= grad_map_tol.
     A record is emitted for every visited k including k = 0, so a full run of
-    max_iters steps yields max_iters + 1 records.  When record_certificates is
-    set and the problem knows its minimizer and optimum, energies and
-    certificate slacks are filled in afterwards via the certificate engine.
+    max_iters steps yields max_iters + 1 records.
     """
     x0 = as_vector(x0, problem.dim)
     s = bind_step(problem, config.step)
-    if config.variant == "strongly_convex_apm":
-        constant_momentum(problem.smooth.strong_convexity, problem.smooth.lipschitz)
+    beta = momentum(problem, config)
 
     f_star = problem.known_optimum
     state = SolverState(k=0, x=x0, y=x0, f_y=problem.value(x0))
@@ -229,41 +194,5 @@ def run(problem: CompositeProblem, config: SolverConfig, x0) -> list:
         ))
         if gnorm <= config.grad_map_tol or state.k >= config.max_iters:
             break
-        prox_eval = (z, G, f_z)
-        if config.variant == "ista":
-            state = ista_step(problem, s, state, prox_eval)
-        elif config.variant == "apm":
-            state = apm_step(problem, config, state, prox_eval)
-        elif config.variant == "mapm":
-            state = mapm_step(problem, config, state, prox_eval)
-        else:
-            state = strongly_convex_apm_step(problem, s, state, prox_eval)
-
-    if (config.record_certificates and problem.known_minimizer is not None
-            and problem.known_optimum is not None):
-        _fill_certificates(problem, config, s, records)
+        state = step(config, beta, state, z, f_z)
     return records
-
-
-def _fill_certificates(problem, config, s, records):
-    from . import certificates as cert
-
-    ctx = cert.EnergyContext(
-        alpha=config.alpha,
-        s=s,
-        mu=problem.smooth.strong_convexity,
-        lipschitz=problem.smooth.lipschitz,
-        x_star=problem.known_minimizer,
-        f_star=problem.known_optimum,
-    )
-    if config.variant in ("apm", "mapm"):
-        for rec in records:
-            rec.energy = cert.energy(ctx, rec.k, rec.x, rec.y, rec.f_y)
-    reports = cert.certify_trace(ctx, records, variant=config.variant)
-    by_k: dict = {}
-    for rep in reports:
-        if rep.status == "ok":
-            by_k.setdefault(rep.k, {})[rep.name] = rep.slack
-    for rec in records:
-        if rec.k in by_k:
-            rec.slacks = by_k[rec.k]

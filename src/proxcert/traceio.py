@@ -191,6 +191,10 @@ def _read_trace_csv(path):
             )
         reader = csv.reader(fh)
         columns = next(reader)
+        required = _TRACE_COLUMNS + (_ITERATE_COLUMNS if meta.iterates else ())
+        missing = [c for c in required if c not in columns]
+        if missing:
+            raise ConfigurationError(f"trace has no column(s) {', '.join(missing)}")
         records = []
         for row in reader:
             cells = dict(zip(columns, row))
@@ -202,7 +206,7 @@ def _read_trace_csv(path):
                 "accepted": _opt_bool(cells["accepted"]),
                 "energy": _opt_float(cells["energy"]),
             }
-            if "x" in cells:
+            if meta.iterates:
                 fields["f_z"] = _opt_float(cells["f_z"])
                 for key in ("x", "y", "grad_map"):
                     fields[key] = _parse_vector(cells[key]) if cells[key] else None

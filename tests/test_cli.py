@@ -123,6 +123,40 @@ class TestCertifyCommand:
         assert ok_names == {"descent_lemma", "inertial_identity"}
         assert "theorem1_envelope" in na_names and "prop1" in na_names
 
+    def test_env_seed_leaves_trace_seed_alone(self, tmp_path, monkeypatch):
+        trace = tmp_path / "trace.csv"
+        assert run_cli(*quadratic_run_args(trace)) == 0
+        monkeypatch.setenv("PROXCERT_SEED", "7")
+        assert run_cli("certify", "--trace", str(trace),
+                       "--report", str(tmp_path / "r.csv")) == 0
+
+    def test_unknown_variant_exits_2(self, tmp_path, capsys):
+        trace = tmp_path / "trace.csv"
+        assert run_cli(*quadratic_run_args(trace)) == 0
+        trace.write_text(trace.read_text().replace('"variant": "mapm"',
+                                                   '"variant": "bogus"', 1))
+        code = run_cli("certify", "--trace", str(trace),
+                       "--report", str(tmp_path / "r.csv"))
+        assert code == 2
+        assert "bogus" in capsys.readouterr().err
+
+    def test_renamed_column_exits_2(self, tmp_path, capsys):
+        trace = tmp_path / "trace.csv"
+        assert run_cli(*quadratic_run_args(trace)) == 0
+        trace.write_text(trace.read_text().replace("grad_map_norm", "gmn", 1))
+        code = run_cli("certify", "--trace", str(trace),
+                       "--report", str(tmp_path / "r.csv"))
+        assert code == 2
+        assert "grad_map_norm" in capsys.readouterr().err
+
+    def test_x_star_of_wrong_length_exits_2(self, tmp_path, capsys):
+        trace = tmp_path / "trace.csv"
+        assert run_cli(*quadratic_run_args(trace)) == 0
+        code = run_cli("certify", "--trace", str(trace),
+                       "--report", str(tmp_path / "r.csv"), "--x-star", "0,0")
+        assert code == 2
+        assert "expected a vector of dim 5, got 2" in capsys.readouterr().err
+
     def test_mismatched_problem_exits_2(self, tmp_path):
         trace = tmp_path / "trace.csv"
         assert run_cli(*quadratic_run_args(trace)) == 0
@@ -185,6 +219,20 @@ class TestCompareCommand:
                        "--table", str(tmp_path / "t.csv"),
                        "--summary", str(tmp_path / "s.json"))
         assert code == 2
+
+    @pytest.mark.parametrize("spec, missing", [
+        ({"solver": "ista"}, "'problem'"),
+        ({"problem": {"name": "quadratic"}, "solver": "ista"}, "'dim'"),
+        ({"problem": {"name": "quadratic", "dim": 4}}, "'solver'"),
+    ])
+    def test_spec_missing_key_exits_2(self, tmp_path, capsys, spec, missing):
+        other = {"problem": {"name": "quadratic", "dim": 4}, "solver": "mapm"}
+        code = run_cli("compare", "--spec", json.dumps(spec),
+                       "--spec", json.dumps(other),
+                       "--table", str(tmp_path / "t.csv"),
+                       "--summary", str(tmp_path / "s.json"))
+        assert code == 2
+        assert missing in capsys.readouterr().err
 
     def test_jsonl_rows_are_self_describing(self, tmp_path):
         table = tmp_path / "cmp.jsonl"
