@@ -7,13 +7,19 @@ inertial iterate identity, and the linear/sublinear envelopes on the gap.
 Inequalities hold exactly in real arithmetic, so the only slack granted is
 rounding accumulation: 1e-8 * (1 + |lhs| + |rhs|) for inequalities and
 1e-10 * (1 + ||x_k||) for the inertial identity.
+
+Each formula works over the last axis.  Given one record (vectors of shape
+(d,), an int k) it returns Python floats; given a block of n records (vectors
+of shape (n, d), k of shape (n,)) it returns arrays of n values, bit for bit
+the values it gives record by record.  `certify_trace` evaluates every
+certificate once per block.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -30,10 +36,21 @@ CERTIFICATE_NAMES = (
     "theorem1_envelope",
     "theorem2_envelope",
 )
+# k of one record, or the ks of a block; a value for one record, or a block's
+# array of them.
+Index = Union[int, np.ndarray]
+Values = Union[float, np.ndarray]
+
+# Report order within one k.
+_ORDER = tuple(sorted(CERTIFICATE_NAMES))
 
 # Hard floor below which a negative gap means the reference optimum is wrong,
 # not rounding: -1e-9 * (1 + |F*|).
 _GAP_FLOOR = 1e-9
+
+# Each stacked (rows, d) array of a certification block holds about this many
+# bytes, so the engine's memory beyond the trace does not grow with its length.
+_BLOCK_BYTES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -84,51 +101,81 @@ def k_alpha(alpha: float) -> int:
     return int(math.ceil(alpha - 1.0))
 
 
-def phi(ctx: EnergyContext, k: int, x_k: Vector, y_k: Vector) -> Vector:
+def _scalar(value):
+    """A value for one record as a Python float; a block's array as it is."""
+    return float(value) if np.ndim(value) == 0 else value
+
+
+def _column(k):
+    """k shaped to scale vectors along the last axis."""
+    return np.asarray(k)[..., None]
+
+
+def _first(mask, values):
+    """The entry of `values` at the first true entry of `mask`, as a Python scalar."""
+    return np.ravel(values)[np.flatnonzero(mask)[0]].item()
+
+
+def _pow(base, exponent):
+    """base ** exponent with Python floats, entry by entry.
+
+    CPython's float power (libm pow) and numpy's array power differ in the
+    last bit for some entries, so a block must not use the latter.
+    """
+    if np.ndim(base) == 0 and np.ndim(exponent) == 0:
+        return base ** exponent
+    base, exponent = np.broadcast_arrays(base, exponent)
+    return np.array([b ** e for b, e in zip(base.tolist(), exponent.tolist())],
+                    dtype=np.float64).reshape(base.shape)
+
+
+def phi(ctx: EnergyContext, k: Index, x_k: Vector, y_k: Vector) -> Vector:
     """k (x_k - y_k) + (alpha - 1) (x_k - x*)."""
-    return k * (x_k - y_k) + (ctx.alpha - 1.0) * (x_k - ctx.x_star)
+    return _column(k) * (x_k - y_k) + (ctx.alpha - 1.0) * (x_k - ctx.x_star)
 
 
-def theta(ctx: EnergyContext, k: int) -> float:
+def theta(ctx: EnergyContext, k: Index) -> Values:
     """k (k + alpha - 1) s."""
     return k * (k + ctx.alpha - 1.0) * ctx.s
 
 
-def energy(ctx: EnergyContext, k: int, x_k: Vector, y_k: Vector,
-           f_yk: float) -> float:
+def energy(ctx: EnergyContext, k: Index, x_k: Vector, y_k: Vector,
+           f_yk: Values) -> Values:
     """E_k = 1/2 ||phi_k||^2 + theta_k (F(y_k) - F*).
 
     A tiny negative gap is clamped to 0 before multiplying; a gap below
     -1e-9 (1 + |F*|) raises DataCorruptionError since it signals a wrong F*.
     """
     gap = f_yk - ctx.f_star
-    if gap < -_GAP_FLOOR * (1.0 + abs(ctx.f_star)):
+    low = gap < -_GAP_FLOOR * (1.0 + abs(ctx.f_star))
+    if np.any(low):
         raise DataCorruptionError(
-            f"F(y_{k}) = {f_yk} is below the reference optimum {ctx.f_star} "
-            "beyond the numerical floor; the reference looks wrong"
+            f"F(y_{_first(low, k)}) = {_first(low, f_yk)} is below the reference "
+            f"optimum {ctx.f_star} beyond the numerical floor; the reference "
+            "looks wrong"
         )
     p = phi(ctx, k, x_k, y_k)
     th = theta(ctx, k)
     # theta_0 = 0 kills the gap term even when F(y_0) = +inf (infeasible
     # start against an indicator g); 0 * inf must not poison E_0.
-    gap_term = th * max(gap, 0.0) if th > 0.0 else 0.0
-    return 0.5 * float(p @ p) + gap_term
+    gap_term = th * np.where(th > 0.0, np.where(0.0 > gap, 0.0, gap), 0.0)
+    return _scalar(0.5 * np.vecdot(p, p) + gap_term)
 
 
-def prop1_rhs(ctx: EnergyContext, k: int, x_k: Vector, y_k: Vector,
-              G: Vector) -> float:
+def prop1_rhs(ctx: EnergyContext, k: Index, x_k: Vector, y_k: Vector,
+              G: Vector) -> Values:
     """Certified upper bound on the energy decrement E_{k+1} - E_k."""
     a, s, mu, L = ctx.alpha, ctx.s, ctx.mu, ctx.lipschitz
-    sG2 = float(np.sum((s * G) ** 2))
-    xy2 = float(np.sum((x_k - y_k) ** 2))
-    xs2 = float(np.sum((x_k - ctx.x_star) ** 2))
-    return (-(1.0 - s * L) * (k + a - 1.0) ** 2 / 2.0 * sG2
-            - mu * s * k * (k + a - 1.0) / 2.0 * xy2
-            - mu * s * (a - 1.0) * (k + a - 1.0) / 2.0 * xs2)
+    sG2 = np.sum((s * G) ** 2, axis=-1)
+    xy2 = np.sum((x_k - y_k) ** 2, axis=-1)
+    xs2 = np.sum((x_k - ctx.x_star) ** 2, axis=-1)
+    return _scalar(-(1.0 - s * L) * _pow(k + a - 1.0, 2) / 2.0 * sG2
+                   - mu * s * k * (k + a - 1.0) / 2.0 * xy2
+                   - mu * s * (a - 1.0) * (k + a - 1.0) / 2.0 * xs2)
 
 
-def prop2_rhs(ctx: EnergyContext, k: int, x_k: Vector, y_k: Vector, G: Vector,
-              omega: float = 0.5, lam: float = 0.5, sigma: float = 1.0) -> float:
+def prop2_rhs(ctx: EnergyContext, k: Index, x_k: Vector, y_k: Vector, G: Vector,
+              omega: float = 0.5, lam: float = 0.5, sigma: float = 1.0) -> Values:
     """Certified upper bound on E_{k+1} for free parameters omega, lam, sigma > 0.
 
     The defaults reproduce the choice that yields the closed-form linear rate.
@@ -139,14 +186,14 @@ def prop2_rhs(ctx: EnergyContext, k: int, x_k: Vector, y_k: Vector, G: Vector,
     if min(omega, lam, sigma) <= 0.0:
         raise RejectedInputError("omega, lam, sigma must all be > 0")
     a, s, mu, L = ctx.alpha, ctx.s, ctx.mu, ctx.lipschitz
-    sG2 = float(np.sum((s * G) ** 2))
-    xy2 = float(np.sum((x_k - y_k) ** 2))
-    xs2 = float(np.sum((x_k - ctx.x_star) ** 2))
-    return (k ** 2 / 2.0 * (1.0 + omega + lam) * xy2
-            + (a - 1.0) ** 2 / 2.0 * (1.0 + 1.0 / omega + 1.0 / sigma) * xs2
-            + (k + a - 1.0) ** 2 / 2.0
-            * (1.0 + 1.0 / lam + sigma + (1.0 - mu * s * (2.0 - s * L)) / (mu * s))
-            * sG2)
+    sG2 = np.sum((s * G) ** 2, axis=-1)
+    xy2 = np.sum((x_k - y_k) ** 2, axis=-1)
+    xs2 = np.sum((x_k - ctx.x_star) ** 2, axis=-1)
+    return _scalar(k ** 2 / 2.0 * (1.0 + omega + lam) * xy2
+                   + (a - 1.0) ** 2 / 2.0 * (1.0 + 1.0 / omega + 1.0 / sigma) * xs2
+                   + _pow(k + a - 1.0, 2) / 2.0
+                   * (1.0 + 1.0 / lam + sigma + (1.0 - mu * s * (2.0 - s * L)) / (mu * s))
+                   * sG2)
 
 
 def comparison_rho(a: Sequence[float], b: Sequence[float]) -> float:
@@ -170,61 +217,144 @@ def rho_lower_bound(ctx: EnergyContext) -> float:
     return max(min(first, mu * s / 2.0), 0.0)
 
 
-def theorem1_envelope(ctx: EnergyContext, k: int, dist0: float) -> float:
+def theorem1_envelope(ctx: EnergyContext, k: Index, dist0: float) -> Values:
     """Linear-rate gap envelope, defined for k >= k_alpha = ceil(alpha - 1)."""
     ka = k_alpha(ctx.alpha)
-    if k < ka:
-        raise RejectedInputError(f"envelope is asserted from k_alpha = {ka}, got k = {k}")
+    early = np.less(k, ka)
+    if np.any(early):
+        raise RejectedInputError(
+            f"envelope is asserted from k_alpha = {ka}, got k = {_first(early, k)}"
+        )
     rho = rho_lower_bound(ctx)
     a, s = ctx.alpha, ctx.s
-    return ((a - 1.0) ** 2 * dist0 ** 2 / (2.0 * s * k * (k + a - 1.0))
-            * (1.0 + rho) ** (-(k - ka)))
+    return _scalar((a - 1.0) ** 2 * dist0 ** 2 / (2.0 * s * k * (k + a - 1.0))
+                   * _pow(1.0 + rho, -(k - ka)))
 
 
-def theorem2_envelope(ctx: EnergyContext, k: int, dist0: float) -> float:
+def theorem2_envelope(ctx: EnergyContext, k: Index, dist0: float) -> Values:
     """Sublinear gap envelope, valid for merely convex f; defined for k >= 1."""
-    if k < 1:
+    if np.any(np.less(k, 1)):
         raise RejectedInputError("sublinear envelope starts at k = 1")
     a, s = ctx.alpha, ctx.s
-    return (a - 1.0) ** 2 * dist0 ** 2 / (2.0 * s * k * (k + a - 1.0))
+    return _scalar((a - 1.0) ** 2 * dist0 ** 2 / (2.0 * s * k * (k + a - 1.0)))
 
 
 def descent_lemma_sides(s: float, lipschitz: float, mu: float, x: Vector,
-                        y: Vector, G: Vector, f_prox: float, f_y: float):
+                        y: Vector, G: Vector, f_prox: Values, f_y: Values):
     """(lhs, rhs) of the prox descent inequality at (x, y).
 
     lhs = F(x - s G_s(x)); rhs = F(y) + <G_s(x), x - y>
           - s (2 - sL)/2 ||G_s(x)||^2 - mu/2 ||x - y||^2.
     With mu = 0 the inequality covers merely convex f.
     """
-    rhs = (f_y + float(G @ (x - y))
-           - s * (2.0 - s * lipschitz) / 2.0 * float(G @ G)
-           - mu / 2.0 * float(np.sum((x - y) ** 2)))
-    return f_prox, rhs
+    xy = x - y
+    rhs = (f_y + np.vecdot(G, xy)
+           - s * (2.0 - s * lipschitz) / 2.0 * np.vecdot(G, G)
+           - mu / 2.0 * np.sum(xy ** 2, axis=-1))
+    return f_prox, _scalar(rhs)
 
 
-def inertial_residual(alpha: float, s: float, k: int, x_k: Vector, y_k: Vector,
-                      x_next: Vector, y_next: Vector, G: Vector) -> float:
+def inertial_residual(alpha: float, s: float, k: Index, x_k: Vector, y_k: Vector,
+                      x_next: Vector, y_next: Vector, G: Vector) -> Values:
     """Norm of (k+1)(x_{k+1}-y_{k+1}) - k(x_k-y_k) + (a-1)(x_{k+1}-x_k)
     + (k+a-1) s G_s(x_k); zero in exact arithmetic for apm/mapm updates."""
-    r = ((k + 1.0) * (x_next - y_next) - k * (x_k - y_k)
-         + (alpha - 1.0) * (x_next - x_k) + (k + alpha - 1.0) * s * G)
-    return float(np.linalg.norm(r))
+    kc = _column(k)
+    r = ((kc + 1.0) * (x_next - y_next) - kc * (x_k - y_k)
+         + (alpha - 1.0) * (x_next - x_k) + (kc + alpha - 1.0) * s * G)
+    return _scalar(np.sqrt(np.vecdot(r, r)))
 
 
-def _report(k: int, name: str, lhs: float, rhs: float,
-            tol: Optional[float] = None) -> CertificateReport:
-    """Report for the inequality lhs <= rhs at the given (or default) tolerance."""
-    if tol is None:
-        tol = ineq_tolerance(lhs, rhs)
-    passed = bool(lhs <= rhs + tol)
-    return CertificateReport(k=k, name=name, lhs=lhs, rhs=rhs,
-                             slack=rhs - lhs, passed=passed)
+def _block_rows(dim: int) -> int:
+    """Records per certification block for vectors of `dim` coordinates."""
+    return max(1, _BLOCK_BYTES // (8 * dim))
 
 
-def _not_applicable(name: str) -> CertificateReport:
-    return CertificateReport(k=0, name=name, lhs=math.nan, rhs=math.nan,
-                             slack=math.nan, passed=True, status="not_applicable")
+def _stack(records, first_k: int, shape: tuple):
+    """(k, f_y, f_z, x, y, grad_map) of consecutive records as arrays.
+
+    Raises RejectedInputError for a record without iterates and
+    DataCorruptionError, naming the record, for a k out of sequence, a NaN
+    scalar, or a vector whose shape differs from x_0's.
+    """
+    bare = next((r for r in records if r.x is None or r.y is None
+                 or r.grad_map is None or r.f_z is None), None)
+    if bare is not None:
+        raise RejectedInputError(
+            f"record k={bare.k} has no stored iterates; re-run with iterate "
+            "recording enabled"
+        )
+    n = len(records)
+    k = np.fromiter((r.k for r in records), np.int64, n)
+    skipped = k != np.arange(first_k, first_k + n)
+    if np.any(skipped):
+        raise DataCorruptionError(
+            f"trace row {first_k + int(np.argmax(skipped))} has k = "
+            f"{_first(skipped, k)}; k must run 0, 1, 2, ... (a row is missing, "
+            "repeated or out of order)"
+        )
+    scalars = []
+    for name in ("f_y", "f_z", "grad_map_norm"):
+        values = np.fromiter((getattr(r, name) for r in records), np.float64, n)
+        nan = np.isnan(values)
+        if np.any(nan):
+            raise DataCorruptionError(f"record k={_first(nan, k)} has {name} = nan")
+        scalars.append(values)
+    vectors = []
+    for name in ("x", "y", "grad_map"):
+        cells = [getattr(r, name) for r in records]
+        try:
+            stacked = np.stack(cells)
+        except ValueError:  # vectors of different shapes
+            stacked = None
+        if stacked is None or stacked.shape[1:] != shape:
+            i = next(i for i, v in enumerate(cells) if np.shape(v) != shape)
+            raise DataCorruptionError(
+                f"record k={k[i]} has a {name} of shape {np.shape(cells[i])}; "
+                f"x_0 has shape {shape}"
+            )
+        vectors.append(stacked)
+    return (k, *scalars[:2], *vectors)
+
+
+class _Lines:
+    """One block's certificate lines on a (row, name) grid, read in (k, name) order."""
+
+    def __init__(self, k):
+        self.k = k
+        grid = (len(k), len(_ORDER))
+        self.lhs = np.full(grid, np.nan)
+        self.rhs = np.full(grid, np.nan)
+        self.tol = np.full(grid, np.nan)
+        self.present = np.zeros(grid, dtype=bool)
+        self.applies = np.ones(grid, dtype=bool)
+
+    def put(self, name: str, row: int, lhs, rhs, tol=None) -> None:
+        """lhs <= rhs for rows row, row+1, ... at the given (or default) tolerance."""
+        rows = slice(row, row + len(lhs))
+        col = _ORDER.index(name)
+        self.lhs[rows, col] = lhs
+        self.rhs[rows, col] = rhs
+        self.tol[rows, col] = ineq_tolerance(lhs, rhs) if tol is None else tol
+        self.present[rows, col] = True
+
+    def not_applicable(self, name: str) -> None:
+        """One k = 0 line saying that a family does not apply to the trace."""
+        col = _ORDER.index(name)
+        self.present[0, col] = True
+        self.applies[0, col] = False
+
+    def reports(self) -> list:
+        passed = np.where(self.applies, self.lhs <= self.rhs + self.tol, True)
+        slack = self.rhs - self.lhs
+        cells = np.flatnonzero(self.present)
+        rows, cols = np.divmod(cells, len(_ORDER))
+        columns = (self.k[rows].tolist(), cols.tolist(),
+                   self.lhs.ravel()[cells].tolist(), self.rhs.ravel()[cells].tolist(),
+                   slack.ravel()[cells].tolist(), passed.ravel()[cells].tolist(),
+                   self.applies.ravel()[cells].tolist())
+        return [CertificateReport(k, _ORDER[col], lhs, rhs, sl, ok,
+                                  "ok" if applies else "not_applicable")
+                for k, col, lhs, rhs, sl, ok, applies in zip(*columns)]
 
 
 def certify_trace(ctx: EnergyContext, trace, variant: str = "mapm") -> list:
@@ -237,7 +367,11 @@ def certify_trace(ctx: EnergyContext, trace, variant: str = "mapm") -> list:
     inertial checks; ista / strongly_convex_apm traces keep only the descent
     check.  Skipped families are reported once with status "not_applicable".
     Reports are sorted by (k, name).  A variant outside solvers.VARIANTS is
-    rejected.
+    rejected; a trace whose k does not run 0, 1, 2, ..., with a NaN f_y, f_z
+    or grad_map_norm, or with a vector of another shape than x_0 is corrupt.
+
+    Records are certified in blocks of rows, each block sharing one record
+    with the next so that the (k, k+1) certificates cross block edges.
     """
     if variant not in VARIANTS:
         raise RejectedInputError(
@@ -246,66 +380,61 @@ def certify_trace(ctx: EnergyContext, trace, variant: str = "mapm") -> list:
     trace = list(trace)
     if not trace:
         return []
-    for rec in trace:
-        if rec.x is None or rec.y is None or rec.grad_map is None or rec.f_z is None:
-            raise RejectedInputError(
-                f"record k={rec.k} has no stored iterates; re-run with iterate "
-                "recording enabled"
-            )
-    reports = []
     a, s, mu, L = ctx.alpha, ctx.s, ctx.mu, ctx.lipschitz
+    pairs = variant in ("mapm", "apm")
+    mapm = variant == "mapm"
+    ka = k_alpha(a)
+    linear_ok = mu > 0.0 and s * L < 1.0 - 1e-9
 
-    for rec in trace:
-        lhs, rhs = descent_lemma_sides(s, L, mu, rec.x, rec.y, rec.grad_map,
-                                       rec.f_z, rec.f_y)
-        reports.append(_report(rec.k, "descent_lemma", lhs, rhs))
-
-    if variant in ("mapm", "apm"):
-        for prev, nxt in zip(trace, trace[1:]):
-            resid = inertial_residual(a, s, prev.k, prev.x, prev.y, nxt.x,
-                                      nxt.y, prev.grad_map)
-            tol = 1e-10 * (1.0 + float(np.linalg.norm(prev.x)))
-            rep = _report(prev.k, "inertial_identity", resid, 0.0, tol=tol)
-            reports.append(rep)
+    skipped = []
+    if not pairs:
+        skipped.append("inertial_identity")
+    if not mapm:
+        skipped += ["energy_nonincreasing", "prop1", "prop2",
+                    "theorem1_envelope", "theorem2_envelope"]
     else:
-        reports.append(_not_applicable("inertial_identity"))
-
-    if variant == "mapm":
-        energies = [energy(ctx, r.k, r.x, r.y, r.f_y) for r in trace]
-        for i, (prev, nxt) in enumerate(zip(trace, trace[1:])):
-            e_prev, e_next = energies[i], energies[i + 1]
-            reports.append(_report(prev.k, "energy_nonincreasing", e_next, e_prev))
-            reports.append(_report(prev.k, "prop1", e_next - e_prev,
-                                   prop1_rhs(ctx, prev.k, prev.x, prev.y,
-                                             prev.grad_map)))
-            if mu > 0.0:
-                reports.append(_report(prev.k, "prop2", e_next,
-                                       prop2_rhs(ctx, prev.k, prev.x, prev.y,
-                                                 prev.grad_map)))
         if mu <= 0.0:
-            reports.append(_not_applicable("prop2"))
-
-        dist0 = float(np.linalg.norm(trace[0].x - ctx.x_star))
-        linear_ok = mu > 0.0 and s * L < 1.0 - 1e-9
-        ka = k_alpha(a)
-        any_linear = False
-        for rec in trace:
-            gap = rec.f_y - ctx.f_star
-            if linear_ok and rec.k >= ka:
-                reports.append(_report(rec.k, "theorem1_envelope", gap,
-                                       theorem1_envelope(ctx, rec.k, dist0)))
-                any_linear = True
-            if rec.k >= 1:
-                reports.append(_report(rec.k, "theorem2_envelope", gap,
-                                       theorem2_envelope(ctx, rec.k, dist0)))
-        if not any_linear:
-            reports.append(_not_applicable("theorem1_envelope"))
+            skipped.append("prop2")
+        if not (linear_ok and len(trace) - 1 >= ka):
+            skipped.append("theorem1_envelope")
         if len(trace) < 2:
-            reports.append(_not_applicable("theorem2_envelope"))
-    else:
-        for name in ("energy_nonincreasing", "prop1", "prop2",
-                     "theorem1_envelope", "theorem2_envelope"):
-            reports.append(_not_applicable(name))
+            skipped.append("theorem2_envelope")
 
-    reports.sort(key=lambda r: (r.k, r.name))
+    shape = np.shape(trace[0].x)
+    rows = _block_rows(max(1, math.prod(shape)))
+    reports = []
+    for start in range(0, len(trace), rows):
+        stop = min(start + rows, len(trace))
+        k, f_y, f_z, x, y, G = _stack(trace[start:stop + 1], start, shape)
+        m = stop - start  # the block's own rows; row m, if any, starts the next
+        p = len(k) - 1  # rows that have a successor
+        lines = _Lines(k[:m])
+        if start == 0:
+            dist0 = float(np.linalg.norm(x[0] - ctx.x_star))
+            for name in skipped:
+                lines.not_applicable(name)
+
+        lines.put("descent_lemma", 0, *descent_lemma_sides(
+            s, L, mu, x[:m], y[:m], G[:m], f_z[:m], f_y[:m]))
+        if pairs:
+            resid = inertial_residual(a, s, k[:p], x[:p], y[:p], x[1:], y[1:], G[:p])
+            tol = 1e-10 * (1.0 + np.sqrt(np.vecdot(x[:p], x[:p])))
+            lines.put("inertial_identity", 0, resid, 0.0, tol)
+        if mapm:
+            e = energy(ctx, k, x, y, f_y)
+            lines.put("energy_nonincreasing", 0, e[1:], e[:p])
+            lines.put("prop1", 0, e[1:] - e[:p],
+                      prop1_rhs(ctx, k[:p], x[:p], y[:p], G[:p]))
+            if mu > 0.0:
+                lines.put("prop2", 0, e[1:],
+                          prop2_rhs(ctx, k[:p], x[:p], y[:p], G[:p]))
+            gap = f_y[:m] - ctx.f_star
+            if linear_ok:
+                first = max(ka - start, 0)
+                lines.put("theorem1_envelope", first, gap[first:],
+                          theorem1_envelope(ctx, k[first:m], dist0))
+            first = max(1 - start, 0)
+            lines.put("theorem2_envelope", first, gap[first:],
+                      theorem2_envelope(ctx, k[first:m], dist0))
+        reports += lines.reports()
     return reports

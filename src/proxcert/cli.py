@@ -1,9 +1,9 @@
 """Command-line surface: run solvers, certify traces, compare solvers.
 
 Exit codes: 0 success, 1 certificate violation, 2 configuration error,
-3 reference unavailable (or unusable).  The environment variable PROXCERT_SEED
-overrides --seed when set; seeds stored in a trace or given in --spec are used
-as they are.
+3 reference unavailable (or unusable) or corrupt trace data.  The environment
+variable PROXCERT_SEED overrides --seed when set; seeds stored in a trace or
+given in --spec are used as they are.
 """
 
 from __future__ import annotations
@@ -59,6 +59,8 @@ def _effective_seed(seed: int) -> int:
 
 def build_problem_from_spec(spec: dict):
     """Instantiate a generated problem from its selector dict."""
+    if not isinstance(spec, dict):
+        raise ConfigurationError(f"problem spec must be a JSON object, got {spec!r}")
     name = spec.get("name")
     seed = int(spec.get("seed", 0))
     if not 0 <= seed < 2 ** 64:
@@ -197,7 +199,13 @@ def cmd_certify(args) -> int:
 
 def _specs_from_args(args) -> list:
     if args.spec:
-        return [json.loads(s) for s in args.spec]
+        specs = [json.loads(s) for s in args.spec]
+        for position, spec in enumerate(specs, start=1):
+            if not isinstance(spec, dict):
+                raise ConfigurationError(
+                    f"compare --spec #{position} must be a JSON object, got {spec!r}"
+                )
+        return specs
     if not args.solvers:
         raise ConfigurationError("compare needs --spec entries or --solvers")
     problem_spec = _problem_spec_from_args(args)
@@ -352,8 +360,11 @@ def main(argv=None) -> int:
     except (ConfigurationError, RejectedInputError, FitUnavailableError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (ReferenceUnavailableError, DataCorruptionError) as exc:
+    except ReferenceUnavailableError as exc:
         print(f"reference error: {exc}", file=sys.stderr)
+        return 3
+    except DataCorruptionError as exc:
+        print(f"data error: {exc}", file=sys.stderr)
         return 3
     except (OSError, ValueError) as exc:
         # unreadable paths, truncated or non-proxcert files, bad numbers

@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps these onto its exit-code contract: configuration problems exit 2,
-certificate violations exit 1, missing/unusable references exit 3.
+certificate violations exit 1, missing/unusable references and corrupt trace
+data exit 3.
 """
 
 
@@ -18,7 +19,8 @@ class ConfigurationError(ProxCertError, ValueError):
 
 
 class DataCorruptionError(ProxCertError):
-    """A trace is inconsistent with its reference (gap below the numerical floor)."""
+    """A trace is corrupt (missing cells or rows, NaN scalars, vectors of the
+    wrong length) or inconsistent with its reference (gap below the floor)."""
 
 
 class ReferenceUnavailableError(ProxCertError):

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .certificates import CertificateReport
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DataCorruptionError
 from .solvers import IterationRecord
 
 TRACE_MAGIC = "# proxcert-trace v1"
@@ -27,6 +27,8 @@ SCHEMA_VERSION = 1
 _TRACE_COLUMNS = ("k", "f_y", "gap", "grad_map_norm", "accepted", "energy")
 _ITERATE_COLUMNS = ("f_z", "x", "y", "grad_map")
 _REPORT_COLUMNS = ("k", "name", "lhs", "rhs", "slack", "pass", "status")
+# Fields without which a JSON-lines trace row is not a record.
+_REQUIRED_FIELDS = ("k", "f_y", "grad_map_norm")
 
 
 @dataclass
@@ -197,6 +199,13 @@ def _read_trace_csv(path):
             raise ConfigurationError(f"trace has no column(s) {', '.join(missing)}")
         records = []
         for row in reader:
+            if len(row) != len(columns):
+                # the magic and meta lines precede the reader's lines
+                where = f"trace line {reader.line_num + 2} has {len(row)} cells"
+                if len(row) < len(columns):
+                    raise DataCorruptionError(f"{where}; column {columns[len(row)]!r} "
+                                              "is missing")
+                raise DataCorruptionError(f"{where} for {len(columns)} columns")
             cells = dict(zip(columns, row))
             fields = {
                 "k": int(cells["k"]),
@@ -218,8 +227,13 @@ def _read_trace_jsonl(path):
     with open(path) as fh:
         meta = _meta_from_dict(json.loads(fh.readline()))
         records = []
-        for line in fh:
+        for line_no, line in enumerate(fh, start=2):
             fields = json.loads(line)
+            if not isinstance(fields, dict):
+                raise DataCorruptionError(f"trace line {line_no} is not a JSON object")
+            missing = [key for key in _REQUIRED_FIELDS if fields.get(key) is None]
+            if missing:
+                raise DataCorruptionError(f"trace line {line_no} has no {missing[0]!r}")
             for key in ("x", "y", "grad_map"):
                 if fields.get(key) is not None:
                     fields[key] = np.array(fields[key], dtype=np.float64)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from proxcert import (
+    CertificateReport,
     DataCorruptionError,
     EnergyContext,
     RejectedInputError,
@@ -16,6 +17,7 @@ from proxcert import (
     descent_lemma_sides,
     energy,
     gradient_mapping,
+    inertial_residual,
     k_alpha,
     phi,
     prop1_rhs,
@@ -30,6 +32,8 @@ from proxcert import (
     theorem2_envelope,
     theta,
 )
+from proxcert import certificates
+from proxcert.certificates import ineq_tolerance
 
 
 def make_ctx(alpha=3.0, s=0.5, mu=1.0, lipschitz=1.0, x_star=None, f_star=0.0):
@@ -503,3 +507,119 @@ class TestProofChainConsistency:
                 assert rho_k >= bound - 1e-12
                 checked_bound += 1
         assert checked_bound > 100
+
+
+def one_at_a_time(ctx, records, variant):
+    """(k, name) -> (lhs, rhs, tolerance), each formula applied to one record
+    or one (k, k+1) pair at a time."""
+    a, s, mu, big_l = ctx.alpha, ctx.s, ctx.mu, ctx.lipschitz
+    pairs = list(zip(records, records[1:]))
+    lines = {}
+
+    def put(k, name, lhs, rhs, tol=None):
+        lines[k, name] = (lhs, rhs, ineq_tolerance(lhs, rhs) if tol is None else tol)
+
+    for r in records:
+        put(r.k, "descent_lemma",
+            *descent_lemma_sides(s, big_l, mu, r.x, r.y, r.grad_map, r.f_z, r.f_y))
+    if variant in ("apm", "mapm"):
+        for prev, nxt in pairs:
+            put(prev.k, "inertial_identity",
+                inertial_residual(a, s, prev.k, prev.x, prev.y, nxt.x, nxt.y,
+                                  prev.grad_map),
+                0.0, 1e-10 * (1.0 + float(np.linalg.norm(prev.x))))
+    if variant == "mapm":
+        for prev, nxt in pairs:
+            e0 = energy(ctx, prev.k, prev.x, prev.y, prev.f_y)
+            e1 = energy(ctx, nxt.k, nxt.x, nxt.y, nxt.f_y)
+            put(prev.k, "energy_nonincreasing", e1, e0)
+            put(prev.k, "prop1", e1 - e0,
+                prop1_rhs(ctx, prev.k, prev.x, prev.y, prev.grad_map))
+            if mu > 0.0:
+                put(prev.k, "prop2", e1,
+                    prop2_rhs(ctx, prev.k, prev.x, prev.y, prev.grad_map))
+        dist0 = float(np.linalg.norm(records[0].x - ctx.x_star))
+        for r in records:
+            if mu > 0.0 and s * big_l < 1.0 - 1e-9 and r.k >= k_alpha(a):
+                put(r.k, "theorem1_envelope", r.f_y - ctx.f_star,
+                    theorem1_envelope(ctx, r.k, dist0))
+            if r.k >= 1:
+                put(r.k, "theorem2_envelope", r.f_y - ctx.f_star,
+                    theorem2_envelope(ctx, r.k, dist0))
+    return lines
+
+
+def bits(*values):
+    return tuple(float(v).hex() for v in values)
+
+
+class TestBlockedCertification:
+    """Certifying in blocks of records changes no bit of any report line."""
+
+    @pytest.mark.parametrize("variant, problem, alpha, not_applicable", [
+        ("mapm", random_quadratic(5, 5, 100), 3.3, set()),
+        ("mapm", random_lasso(3, 4, 8), 3.0, {"prop2", "theorem1_envelope"}),
+        ("apm", random_quadratic(5, 5, 100), 5.0,
+         {"energy_nonincreasing", "prop1", "prop2", "theorem1_envelope",
+          "theorem2_envelope"}),
+        ("ista", random_quadratic(5, 5, 100), 3.0,
+         {"energy_nonincreasing", "prop1", "prop2", "theorem1_envelope",
+          "theorem2_envelope", "inertial_identity"}),
+    ])
+    def test_small_blocks_match_one_record_at_a_time(self, monkeypatch, variant,
+                                                     problem, alpha,
+                                                     not_applicable):
+        monkeypatch.setattr(certificates, "_BLOCK_BYTES", 8 * problem.dim * 16)
+        assert certificates._block_rows(problem.dim) == 16
+        ctx, records = certified_trace(problem, alpha=alpha, max_iters=52,
+                                       variant=variant)
+        assert len(records) == 53  # blocks of 16, 16, 16 and 5 records
+        self.assert_blocked_equals_one_at_a_time(ctx, records, variant,
+                                                 not_applicable)
+
+    def test_default_blocks_match_one_record_at_a_time(self):
+        problem = random_quadratic(6, 200, 100)
+        rows = certificates._block_rows(problem.dim)
+        ctx, records = certified_trace(problem, max_iters=3 * rows + 10)
+        assert len(records) > 3 * rows and len(records) % rows != 0
+        self.assert_blocked_equals_one_at_a_time(ctx, records, "mapm", set())
+
+    def test_one_record_gives_python_floats(self):
+        ctx, records = certified_trace(random_quadratic(5, 5, 100), max_iters=5)
+        r, n = records[3], records[4]
+        values = [
+            theta(ctx, r.k),
+            energy(ctx, r.k, r.x, r.y, r.f_y),
+            prop1_rhs(ctx, r.k, r.x, r.y, r.grad_map),
+            prop2_rhs(ctx, r.k, r.x, r.y, r.grad_map),
+            descent_lemma_sides(ctx.s, ctx.lipschitz, ctx.mu, r.x, r.y,
+                                r.grad_map, r.f_z, r.f_y)[1],
+            inertial_residual(ctx.alpha, ctx.s, r.k, r.x, r.y, n.x, n.y,
+                              r.grad_map),
+            theorem1_envelope(ctx, r.k, 1.0),
+            theorem2_envelope(ctx, r.k, 1.0),
+        ]
+        assert all(type(v) is float for v in values)
+
+    @staticmethod
+    def assert_blocked_equals_one_at_a_time(ctx, records, variant,
+                                            not_applicable):
+        reports = certify_trace(ctx, records, variant=variant)
+        assert [(r.k, r.name) for r in reports] == sorted((r.k, r.name)
+                                                          for r in reports)
+        for r in reports:
+            assert type(r) is CertificateReport
+            assert type(r.k) is int and type(r.passed) is bool
+            assert all(type(v) is float for v in (r.lhs, r.rhs, r.slack))
+        skipped = [r for r in reports if r.status == "not_applicable"]
+        assert {r.name for r in skipped} == not_applicable
+        for r in skipped:
+            assert r.k == 0 and r.passed and bits(r.lhs, r.rhs, r.slack) == (
+                "nan", "nan", "nan")
+        expected = one_at_a_time(ctx, records, variant)
+        got = {(r.k, r.name): r for r in reports if r.status == "ok"}
+        assert got.keys() == expected.keys()
+        for key, (lhs, rhs, tol) in expected.items():
+            r = got[key]
+            assert bits(r.lhs, r.rhs, r.slack) == bits(lhs, rhs, rhs - lhs), key
+            assert r.passed is (lhs <= rhs + tol), key

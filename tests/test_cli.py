@@ -1,5 +1,6 @@
 """Black-box CLI tests: exit-code contract and file outputs."""
 
+import csv
 import json
 
 import pytest
@@ -186,6 +187,99 @@ class TestCertifyCommand:
         assert code == 2
 
 
+def short_trace(tmp_path, fmt="csv"):
+    """A 20-iteration d5 mapm trace."""
+    trace = tmp_path / f"trace.{fmt}"
+    assert run_cli(*quadratic_run_args(trace, ("--max-iters", "20",
+                                               "--format", fmt))) == 0
+    return trace
+
+
+def edit_csv_rows(trace, edit):
+    """Rewrite a CSV trace's data rows (dicts by column) through `edit`."""
+    lines = trace.read_text().splitlines(keepends=True)
+    header, rows = lines[:2], list(csv.reader(lines[2:]))
+    columns, body = rows[0], [dict(zip(rows[0], row)) for row in rows[1:]]
+    with open(trace, "w", newline="") as fh:
+        fh.writelines(header)
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        for row in edit(body):
+            writer.writerow([row[c] for c in columns if c in row])
+
+
+def certify_cli(trace, tmp_path):
+    return run_cli("certify", "--trace", str(trace),
+                   "--report", str(tmp_path / "r.csv"))
+
+
+class TestCorruptTraceExits3:
+    """Corrupt trace input exits 3 with a message, never 1 ("violation")."""
+
+    def test_deleted_row(self, tmp_path, capsys):
+        trace = short_trace(tmp_path)
+        edit_csv_rows(trace, lambda rows: rows[:7] + rows[8:])
+        assert certify_cli(trace, tmp_path) == 3
+        assert "has k = 8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("column", ["f_y", "f_z", "grad_map_norm"])
+    def test_nan_scalar(self, tmp_path, capsys, column):
+        trace = short_trace(tmp_path)
+
+        def poison(rows):
+            rows[12][column] = "nan"
+            return rows
+        edit_csv_rows(trace, poison)
+        assert certify_cli(trace, tmp_path) == 3
+        assert f"k=12 has {column} = nan" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("column", ["x", "y", "grad_map"])
+    def test_vector_of_wrong_length(self, tmp_path, capsys, column):
+        trace = short_trace(tmp_path)
+
+        def shorten(rows):
+            rows[15][column] = rows[15][column].rsplit(";", 1)[0]
+            return rows
+        edit_csv_rows(trace, shorten)
+        assert certify_cli(trace, tmp_path) == 3
+        assert f"k=15 has a {column} of shape (4,)" in capsys.readouterr().err
+
+    def test_short_csv_row(self, tmp_path, capsys):
+        trace = short_trace(tmp_path)
+
+        def cut(rows):
+            rows[5] = {c: rows[5][c] for c in ("k", "f_y", "gap")}
+            return rows
+        edit_csv_rows(trace, cut)
+        assert certify_cli(trace, tmp_path) == 3
+        err = capsys.readouterr().err
+        assert "trace line 9 has 3 cells" in err and "'grad_map_norm'" in err
+
+    @pytest.mark.parametrize("key", ["k", "f_y", "grad_map_norm", None])
+    def test_jsonl_row_without_field(self, tmp_path, capsys, key):
+        trace = short_trace(tmp_path, "jsonl")
+        lines = trace.read_text().splitlines()
+        row = json.loads(lines[6])
+        if key is None:
+            row = list(row.values())
+        else:
+            del row[key]
+        lines[6] = json.dumps(row)
+        trace.write_text("\n".join(lines) + "\n")
+        assert certify_cli(trace, tmp_path) == 3
+        expected = "is not a JSON object" if key is None else f"has no {key!r}"
+        assert f"trace line 7 {expected}" in capsys.readouterr().err
+
+    def test_infinite_start_objective_stays_legal(self, tmp_path):
+        trace = short_trace(tmp_path)
+
+        def infeasible_start(rows):
+            rows[0]["f_y"] = "inf"
+            return rows
+        edit_csv_rows(trace, infeasible_start)
+        assert certify_cli(trace, tmp_path) == 0
+
+
 class TestCompareCommand:
     def test_three_solvers_table_and_summary(self, tmp_path):
         table = tmp_path / "cmp.csv"
@@ -233,6 +327,18 @@ class TestCompareCommand:
                        "--summary", str(tmp_path / "s.json"))
         assert code == 2
         assert missing in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec, message", [
+        ("[1]", "--spec #1 must be a JSON object"),
+        ('{"problem": [4], "solver": "ista"}', "problem spec must be a JSON object"),
+    ])
+    def test_spec_not_an_object_exits_2(self, tmp_path, capsys, spec, message):
+        other = {"problem": {"name": "quadratic", "dim": 4}, "solver": "mapm"}
+        code = run_cli("compare", "--spec", spec, "--spec", json.dumps(other),
+                       "--table", str(tmp_path / "t.csv"),
+                       "--summary", str(tmp_path / "s.json"))
+        assert code == 2
+        assert message in capsys.readouterr().err
 
     def test_jsonl_rows_are_self_describing(self, tmp_path):
         table = tmp_path / "cmp.jsonl"
