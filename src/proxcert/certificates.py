@@ -274,7 +274,7 @@ def _stack(records, first_k: int, shape: tuple):
 
     Raises RejectedInputError for a record without iterates and
     DataCorruptionError, naming the record, for a k out of sequence, a NaN
-    scalar, or a vector whose shape differs from x_0's.
+    scalar, a vector whose shape differs from x_0's, or a NaN coordinate.
     """
     bare = next((r for r in records if r.x is None or r.y is None
                  or r.grad_map is None or r.f_z is None), None)
@@ -312,6 +312,11 @@ def _stack(records, first_k: int, shape: tuple):
                 f"record k={k[i]} has a {name} of shape {np.shape(cells[i])}; "
                 f"x_0 has shape {shape}"
             )
+        nan = np.isnan(stacked)
+        if nan.any():
+            row = nan.reshape(n, -1).any(axis=1)
+            raise DataCorruptionError(
+                f"record k={_first(row, k)} has a nan coordinate in {name}")
         vectors.append(stacked)
     return (k, *scalars[:2], *vectors)
 
@@ -367,8 +372,9 @@ def certify_trace(ctx: EnergyContext, trace, variant: str = "mapm") -> list:
     inertial checks; ista / strongly_convex_apm traces keep only the descent
     check.  Skipped families are reported once with status "not_applicable".
     Reports are sorted by (k, name).  A variant outside solvers.VARIANTS is
-    rejected; a trace whose k does not run 0, 1, 2, ..., with a NaN f_y, f_z
-    or grad_map_norm, or with a vector of another shape than x_0 is corrupt.
+    rejected; a trace whose k does not run 0, 1, 2, ..., with a NaN f_y, f_z,
+    grad_map_norm or iterate coordinate, or with a vector of another shape
+    than x_0 is corrupt.
 
     Records are certified in blocks of rows, each block sharing one record
     with the next so that the (k, k+1) certificates cross block edges.

@@ -5,11 +5,16 @@ files instead of misreading columns: CSV files start with `# proxcert-trace v1`
 (reports with `# proxcert-report v1`), JSON-lines files with a header object
 carrying schema_version.  All floats are serialized with their shortest
 round-trip decimal representation, so a re-parsed trace certifies identically.
+
+No CSV cell ever needs quoting (numbers, `;`-joined numbers, true/false,
+certificate names and statuses), so rows are written as `,`-joined cells ending
+in CRLF, the bytes `csv.writer`'s default dialect writes, and read by splitting
+on `,`.  Trace rows are read in blocks, each iterate column of a block parsed
+in one `np.loadtxt` call.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import asdict, dataclass
 from typing import Optional
@@ -26,9 +31,14 @@ SCHEMA_VERSION = 1
 
 _TRACE_COLUMNS = ("k", "f_y", "gap", "grad_map_norm", "accepted", "energy")
 _ITERATE_COLUMNS = ("f_z", "x", "y", "grad_map")
+_VECTOR_COLUMNS = ("x", "y", "grad_map")
 _REPORT_COLUMNS = ("k", "name", "lhs", "rhs", "slack", "pass", "status")
 # Fields without which a JSON-lines trace row is not a record.
 _REQUIRED_FIELDS = ("k", "f_y", "grad_map_norm")
+# Characters of CSV trace read per block: about the 128 KB of float64 per
+# iterate column that certification stacks (certificates._BLOCK_BYTES), at
+# about 20 characters per coordinate in each of the three vector columns.
+_BLOCK_TEXT = 1 << 20
 
 
 @dataclass
@@ -59,12 +69,21 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
+def _floats(v) -> list:
+    """A vector's coordinates as Python floats."""
+    return np.asarray(v, dtype=np.float64).tolist()
+
+
 def _fmt_vector(v) -> str:
-    return ";".join(repr(float(c)) for c in v)
+    return "" if v is None else ";".join(map(repr, _floats(v)))
 
 
 def _parse_vector(cell: str) -> np.ndarray:
     return np.array([float(c) for c in cell.split(";")], dtype=np.float64)
+
+
+def _write_row(fh, cells) -> None:
+    fh.write(",".join(cells) + "\r\n")
 
 
 def _opt_float(cell: str) -> Optional[float]:
@@ -107,18 +126,11 @@ def _write_trace_csv(path, meta, records) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(TRACE_MAGIC + "\n")
         fh.write("# meta " + json.dumps(asdict(meta)) + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(columns)
+        _write_row(fh, columns)
         for rec in records:
             fields = _record_fields(rec, meta.iterates)
-            row = []
-            for col in columns:
-                value = fields[col]
-                if col in ("x", "y", "grad_map"):
-                    row.append("" if value is None else _fmt_vector(value))
-                else:
-                    row.append(_fmt(value))
-            writer.writerow(row)
+            _write_row(fh, [_fmt_vector(fields[col]) if col in _VECTOR_COLUMNS
+                            else _fmt(fields[col]) for col in columns])
 
 
 def _write_trace_jsonl(path, meta, records) -> None:
@@ -127,9 +139,9 @@ def _write_trace_jsonl(path, meta, records) -> None:
         fh.write(json.dumps(header) + "\n")
         for rec in records:
             fields = _record_fields(rec, meta.iterates)
-            for key in ("x", "y", "grad_map"):
+            for key in _VECTOR_COLUMNS:
                 if key in fields and fields[key] is not None:
-                    fields[key] = [float(c) for c in fields[key]]
+                    fields[key] = _floats(fields[key])
             for key in ("f_y", "gap", "grad_map_norm", "energy", "f_z"):
                 if key in fields and fields[key] is not None:
                     fields[key] = float(fields[key])
@@ -149,7 +161,7 @@ def read_trace(path):
             )
         return _read_trace_csv(path)
     header = json.loads(first)
-    if header.get("format") != "proxcert-trace":
+    if not isinstance(header, dict) or header.get("format") != "proxcert-trace":
         raise ConfigurationError("file is not a proxcert trace")
     if header.get("schema_version") != SCHEMA_VERSION:
         raise ConfigurationError(
@@ -160,9 +172,14 @@ def read_trace(path):
 
 def _meta_from_dict(d: dict) -> TraceMeta:
     try:
-        return TraceMeta(**{k: d[k] for k in TraceMeta.__dataclass_fields__ if k in d})
+        meta = TraceMeta(**{k: d[k] for k in TraceMeta.__dataclass_fields__ if k in d})
     except TypeError as exc:
         raise ConfigurationError(f"trace metadata is incomplete: {exc}")
+    if meta.dim is not None and (type(meta.dim) is not int or meta.dim < 1):
+        raise ConfigurationError(
+            f"trace metadata dim must be a positive integer, got {meta.dim!r}"
+        )
+    return meta
 
 
 def _record_from_fields(fields: dict) -> IterationRecord:
@@ -180,6 +197,23 @@ def _record_from_fields(fields: dict) -> IterationRecord:
     )
 
 
+def _check_cell_count(what: str, line_no: int, row: list, columns) -> None:
+    if len(row) != len(columns):
+        where = f"{what} line {line_no} has {len(row)} cells"
+        if len(row) < len(columns):
+            raise DataCorruptionError(f"{where}; column {columns[len(row)]!r} is missing")
+        raise DataCorruptionError(f"{where} for {len(columns)} columns")
+
+
+def _check_dim(meta: TraceMeta, line_no: int, k, name: str, v) -> None:
+    """A data error unless vector v has the trace's declared dimension, if any."""
+    if meta.dim is not None and v is not None and np.shape(v) != (meta.dim,):
+        raise DataCorruptionError(
+            f"trace line {line_no}: record k={k} has a {name} of shape "
+            f"{np.shape(v)}; the trace metadata says dim = {meta.dim}"
+        )
+
+
 def _read_trace_csv(path):
     with open(path, newline="") as fh:
         magic = fh.readline().rstrip("\n")
@@ -191,36 +225,57 @@ def _read_trace_csv(path):
             raise ConfigurationError(
                 f"unsupported trace schema_version {meta.schema_version}"
             )
-        reader = csv.reader(fh)
-        columns = next(reader)
+        columns = fh.readline().rstrip("\r\n").split(",")
         required = _TRACE_COLUMNS + (_ITERATE_COLUMNS if meta.iterates else ())
         missing = [c for c in required if c not in columns]
         if missing:
             raise ConfigurationError(f"trace has no column(s) {', '.join(missing)}")
         records = []
-        for row in reader:
-            if len(row) != len(columns):
-                # the magic and meta lines precede the reader's lines
-                where = f"trace line {reader.line_num + 2} has {len(row)} cells"
-                if len(row) < len(columns):
-                    raise DataCorruptionError(f"{where}; column {columns[len(row)]!r} "
-                                              "is missing")
-                raise DataCorruptionError(f"{where} for {len(columns)} columns")
-            cells = dict(zip(columns, row))
-            fields = {
-                "k": int(cells["k"]),
-                "f_y": float(cells["f_y"]),
-                "gap": _opt_float(cells["gap"]),
-                "grad_map_norm": float(cells["grad_map_norm"]),
-                "accepted": _opt_bool(cells["accepted"]),
-                "energy": _opt_float(cells["energy"]),
-            }
-            if meta.iterates:
-                fields["f_z"] = _opt_float(cells["f_z"])
-                for key in ("x", "y", "grad_map"):
-                    fields[key] = _parse_vector(cells[key]) if cells[key] else None
-            records.append(_record_from_fields(fields))
+        line_no = 4  # of the block's first row, after the magic, meta and columns
+        for lines in iter(lambda: fh.readlines(_BLOCK_TEXT), []):
+            records += _csv_block_records(lines, line_no, columns, meta)
+            line_no += len(lines)
     return meta, records
+
+
+def _csv_block_records(lines, first_line: int, columns, meta: TraceMeta) -> list:
+    """IterationRecords of one block of CSV trace rows."""
+    rows = [line.rstrip("\r\n").split(",") for line in lines]
+    for i, row in enumerate(rows):
+        _check_cell_count("trace", first_line + i, row, columns)
+    cells = dict(zip(columns, zip(*rows)))
+    fields = {
+        "k": [int(c) for c in cells["k"]],
+        "f_y": [float(c) for c in cells["f_y"]],
+        "gap": [_opt_float(c) for c in cells["gap"]],
+        "grad_map_norm": [float(c) for c in cells["grad_map_norm"]],
+        "accepted": [_opt_bool(c) for c in cells["accepted"]],
+        "energy": [_opt_float(c) for c in cells["energy"]],
+    }
+    if meta.iterates:
+        fields["f_z"] = [_opt_float(c) for c in cells["f_z"]]
+        for name in _VECTOR_COLUMNS:
+            fields[name] = _parse_vectors(cells[name])
+            for i, (k, v) in enumerate(zip(fields["k"], fields[name])):
+                _check_dim(meta, first_line + i, k, name, v)
+    return [IterationRecord(**dict(zip(fields, values)))
+            for values in zip(*fields.values())]
+
+
+def _parse_vectors(cells) -> list:
+    """One block's cells of a vector column: row views of one parsed array.
+
+    A block with an empty, ragged or non-numeric cell is parsed cell by cell
+    instead (None for an empty cell), so that the parse error or a shape
+    check names the cell's row.
+    """
+    if all(cells):  # loadtxt would skip an empty line
+        try:
+            return list(np.loadtxt(cells, delimiter=";", comments=None,
+                                   dtype=np.float64, ndmin=2))
+        except ValueError:
+            pass
+    return [_parse_vector(c) if c else None for c in cells]
 
 
 def _read_trace_jsonl(path):
@@ -234,9 +289,10 @@ def _read_trace_jsonl(path):
             missing = [key for key in _REQUIRED_FIELDS if fields.get(key) is None]
             if missing:
                 raise DataCorruptionError(f"trace line {line_no} has no {missing[0]!r}")
-            for key in ("x", "y", "grad_map"):
+            for key in _VECTOR_COLUMNS:
                 if fields.get(key) is not None:
                     fields[key] = np.array(fields[key], dtype=np.float64)
+                    _check_dim(meta, line_no, fields["k"], key, fields[key])
             records.append(_record_from_fields(fields))
     return meta, records
 
@@ -246,10 +302,9 @@ def write_report(path, reports, fmt: str = "csv") -> None:
     if fmt == "csv":
         with open(path, "w", newline="") as fh:
             fh.write(REPORT_MAGIC + "\n")
-            writer = csv.writer(fh)
-            writer.writerow(_REPORT_COLUMNS)
+            _write_row(fh, _REPORT_COLUMNS)
             for rep in reports:
-                writer.writerow([
+                _write_row(fh, [
                     str(rep.k), rep.name, _fmt(rep.lhs), _fmt(rep.rhs),
                     _fmt(rep.slack), _fmt(rep.passed), rep.status,
                 ])
@@ -278,31 +333,33 @@ def read_report(path):
     """Parse a report file back into CertificateReport objects."""
     with open(path) as fh:
         first = fh.readline().rstrip("\n")
-        reports = []
+        rows = []
         if first == REPORT_MAGIC:
-            reader = csv.reader(fh)
-            next(reader)  # column header
-            for row in reader:
+            fh.readline()  # column header
+            for line_no, line in enumerate(fh, start=3):
+                row = line.rstrip("\r\n").split(",")
+                _check_cell_count("report", line_no, row, _REPORT_COLUMNS)
                 cells = dict(zip(_REPORT_COLUMNS, row))
-                reports.append(CertificateReport(
-                    k=int(cells["k"]), name=cells["name"],
-                    lhs=_nanfloat(cells["lhs"]), rhs=_nanfloat(cells["rhs"]),
-                    slack=_nanfloat(cells["slack"]),
-                    passed=cells["pass"] == "true", status=cells["status"],
-                ))
-            return reports
-        header = json.loads(first)
-        if header.get("format") != "proxcert-report":
-            raise ConfigurationError("file is not a proxcert report")
-        for line in fh:
-            fields = json.loads(line)
-            reports.append(CertificateReport(
-                k=int(fields["k"]), name=fields["name"],
-                lhs=_nanfloat(fields["lhs"]), rhs=_nanfloat(fields["rhs"]),
-                slack=_nanfloat(fields["slack"]),
-                passed=bool(fields["pass"]), status=fields["status"],
-            ))
-    return reports
+                cells["pass"] = cells["pass"] == "true"
+                rows.append(cells)
+        else:
+            header = json.loads(first)
+            if not isinstance(header, dict) or header.get("format") != "proxcert-report":
+                raise ConfigurationError("file is not a proxcert report")
+            for line_no, line in enumerate(fh, start=2):
+                fields = json.loads(line)
+                if not isinstance(fields, dict):
+                    raise DataCorruptionError(f"report line {line_no} is not a JSON object")
+                missing = [key for key in _REPORT_COLUMNS if key not in fields]
+                if missing:
+                    raise DataCorruptionError(f"report line {line_no} has no {missing[0]!r}")
+                fields["pass"] = bool(fields["pass"])
+                rows.append(fields)
+    return [CertificateReport(
+        k=int(r["k"]), name=r["name"], lhs=_nanfloat(r["lhs"]),
+        rhs=_nanfloat(r["rhs"]), slack=_nanfloat(r["slack"]),
+        passed=r["pass"], status=r["status"],
+    ) for r in rows]
 
 
 def _nanfloat(cell) -> float:

@@ -1,9 +1,15 @@
 """Black-box CLI tests: exit-code contract and file outputs."""
 
+import contextlib
 import csv
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from proxcert.cli import main
 from proxcert.traceio import read_report, read_trace
@@ -270,6 +276,37 @@ class TestCorruptTraceExits3:
         expected = "is not a JSON object" if key is None else f"has no {key!r}"
         assert f"trace line 7 {expected}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("column", ["x", "y", "grad_map"])
+    def test_nan_coordinate(self, tmp_path, capsys, column):
+        trace = short_trace(tmp_path)
+
+        def poison(rows):
+            coords = rows[12][column].split(";")
+            coords[2] = "nan"
+            rows[12][column] = ";".join(coords)
+            return rows
+        edit_csv_rows(trace, poison)
+        assert certify_cli(trace, tmp_path) == 3
+        assert f"k=12 has a nan coordinate in {column}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fmt, line", [("csv", 4), ("jsonl", 2)])
+    def test_vectors_agree_but_not_with_meta_dim(self, tmp_path, capsys, fmt, line):
+        trace = short_trace(tmp_path, fmt)
+        text = trace.read_text()
+        assert text.count('"dim": 5') == 2  # the meta's and the problem spec's
+        trace.write_text(text.replace('"dim": 5', '"dim": 6', 1))
+        assert certify_cli(trace, tmp_path) == 3
+        assert (f"trace line {line}: record k=0 has a x of shape (5,); the trace "
+                "metadata says dim = 6") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dim", ['"5"', "0", "true"])
+    def test_meta_dim_not_a_positive_integer_exits_2(self, tmp_path, capsys, dim):
+        trace = short_trace(tmp_path)
+        text = trace.read_text()
+        trace.write_text(text.replace('"dim": 5', f'"dim": {dim}', 1))
+        assert certify_cli(trace, tmp_path) == 2
+        assert "dim must be a positive integer" in capsys.readouterr().err
+
     def test_infinite_start_objective_stays_legal(self, tmp_path):
         trace = short_trace(tmp_path)
 
@@ -351,3 +388,69 @@ class TestCompareCommand:
         first = json.loads(table.read_text().splitlines()[0])
         assert first["k"] == 0
         assert "gap_apm" in first and "gap_mapm" in first
+
+
+@st.composite
+def mutated_trace(draw, text):
+    """A CSV trace's text with one structural fault: a row dropped (not the
+    last, which leaves a valid shorter trace), duplicated or swapped, cells
+    cut from a row, a ragged vector cell, a coordinate that is not a number
+    or is nan, or a renamed column."""
+    lines = text.splitlines()
+    header, columns = lines[:2], lines[2].split(",")
+    rows = [line.split(",") for line in lines[3:]]
+    n = len(rows)
+    kind = draw(st.sampled_from(["drop", "duplicate", "swap", "cut", "ragged",
+                                 "non_number", "nan", "rename"]))
+    i = draw(st.integers(0, n - 1))
+    if kind == "drop":
+        del rows[draw(st.integers(0, n - 2))]
+    elif kind == "duplicate":
+        rows.insert(i, list(rows[i]))
+    elif kind == "swap":
+        j = draw(st.integers(0, n - 1).filter(lambda j: j != i))
+        rows[i], rows[j] = rows[j], rows[i]
+    elif kind == "cut":
+        rows[i] = rows[i][:draw(st.integers(1, len(columns) - 1))]
+    elif kind == "rename":
+        c = draw(st.integers(0, len(columns) - 1))
+        columns = columns[:c] + ["renamed_" + columns[c]] + columns[c + 1:]
+    else:
+        col = columns.index(draw(st.sampled_from(["x", "y", "grad_map"])))
+        coords = rows[i][col].split(";")
+        j = draw(st.integers(0, len(coords) - 1))
+        if kind == "nan":
+            coords[j] = "nan"
+        elif kind == "non_number":
+            coords[j] = draw(st.sampled_from(["abc", "", "1.0.0", "0x1p3", "1e",
+                                              "--1"]))
+        elif draw(st.booleans()):
+            del coords[j]
+        else:
+            coords.insert(j, coords[j])
+        rows[i][col] = ";".join(coords)
+    return "\n".join(header + [",".join(columns)] + [",".join(r) for r in rows]) + "\n"
+
+
+@pytest.fixture(scope="module")
+def valid_trace_text(tmp_path_factory):
+    return short_trace(tmp_path_factory.mktemp("valid")).read_text()
+
+
+class TestTraceMutationsExit2Or3:
+    """Structurally broken traces exit 2 or 3, never 0 or 1, and never crash."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_mutated_csv_trace(self, valid_trace_text, data):
+        text = data.draw(mutated_trace(valid_trace_text))
+        with tempfile.TemporaryDirectory() as work:
+            trace = Path(work) / "trace.csv"
+            trace.write_text(text)
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                code = run_cli("certify", "--trace", str(trace),
+                               "--report", str(Path(work) / "r.csv"))
+        assert code in (2, 3), err.getvalue()
+        assert "Traceback" not in err.getvalue()

@@ -1,14 +1,25 @@
 """Round-trip tests for the versioned trace and report formats."""
 
+import csv
+import io
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from proxcert import (
     CertificateReport,
     ConfigurationError,
+    DataCorruptionError,
+    EnergyContext,
     SolverConfig,
+    certify_trace,
     random_quadratic,
     run,
+    traceio,
 )
 from proxcert.traceio import (
     SCHEMA_VERSION,
@@ -83,6 +94,14 @@ def test_rejects_foreign_jsonl(tmp_path):
         read_trace(path)
 
 
+@pytest.mark.parametrize("header", ["[1, 2]", "5", '"proxcert-trace"'])
+def test_rejects_jsonl_header_that_is_not_an_object(tmp_path, header):
+    path = tmp_path / "foreign.jsonl"
+    path.write_text(header + "\n")
+    with pytest.raises(ConfigurationError):
+        read_trace(path)
+
+
 def test_rejects_unknown_format_name(tmp_path):
     problem, records = sample_records()
     with pytest.raises(ConfigurationError):
@@ -114,3 +133,167 @@ def test_report_round_trip(tmp_path, fmt):
 
 def test_schema_version_constant():
     assert SCHEMA_VERSION == 1
+
+
+def old_fmt_vector(v):
+    """The vector cell format of the csv-module writer, kept as the oracle."""
+    return ";".join(repr(float(c)) for c in v)
+
+
+# Coordinates where text formatting and parsing could go wrong: signed zero,
+# non-finite values, subnormals and repr's switch to exponent notation
+# (below 1e-4 and from 1e16 on).
+SPECIAL_FLOATS = [0.0, -0.0, float("nan"), float("inf"), float("-inf"),
+                  5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+                  1e-5, 9.999999999999999e-06, 1e-4, 1e16, 9999999999999998.0,
+                  1.7976931348623157e308, 0.1, 1 / 3]
+coordinates = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
+vectors = st.integers(1, 12).flatmap(
+    lambda d: st.lists(st.lists(coordinates, min_size=d, max_size=d),
+                       min_size=1, max_size=6))
+
+
+def bits(v):
+    return np.asarray(v, dtype=np.float64).view(np.int64)
+
+
+class TestCodecExactness:
+    @settings(max_examples=150, deadline=None)
+    @given(rows=vectors)
+    def test_vector_cells_match_the_old_format(self, rows):
+        for row in rows:
+            v = np.array(row, dtype=np.float64)
+            assert traceio._fmt_vector(v) == old_fmt_vector(v)
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=vectors)
+    def test_block_parse_is_bit_exact(self, rows):
+        cells = [traceio._fmt_vector(np.array(row)) for row in rows]
+        parsed = traceio._parse_vectors(cells)
+        assert len(parsed) == len(rows)
+        for cell, row, v in zip(cells, rows, parsed):
+            # the same bits as the cell-by-cell parse of the same text ...
+            assert np.array_equal(bits(v), bits(traceio._parse_vector(cell)))
+            # ... and as the written values, but for nan's sign and payload
+            written = np.array(row, dtype=np.float64)
+            number = ~np.isnan(written)
+            assert np.array_equal(bits(v)[number], bits(written)[number])
+            assert np.array_equal(np.isnan(v), ~number)
+
+    @pytest.mark.parametrize("cells", [
+        ["1.0;2.0", "3.0"],        # ragged
+        ["1.0;2.0", ""],           # empty
+        ["1.0;2.0", "1_0;2.0"],    # float() reads it, loadtxt does not
+    ])
+    def test_block_falls_back_to_the_cell_by_cell_parse(self, cells):
+        parsed = traceio._parse_vectors(cells)
+        assert np.array_equal(parsed[0], [1.0, 2.0])
+        if cells[1]:
+            assert np.array_equal(parsed[1], traceio._parse_vector(cells[1]))
+        else:
+            assert parsed[1] is None
+
+    def test_non_number_raises_value_error(self):
+        with pytest.raises(ValueError):
+            traceio._parse_vectors(["1.0;2.0", "1.0;x"])
+
+
+def csv_module_trace(meta, records):
+    """A CSV trace as the csv module writes it: the byte oracle."""
+    buf = io.StringIO(newline="")
+    buf.write(traceio.TRACE_MAGIC + "\n")
+    buf.write("# meta " + json.dumps(asdict(meta)) + "\n")
+    writer = csv.writer(buf)
+    columns = traceio._TRACE_COLUMNS + traceio._ITERATE_COLUMNS
+    writer.writerow(columns)
+    for rec in records:
+        writer.writerow(
+            ["" if getattr(rec, c) is None else old_fmt_vector(getattr(rec, c))
+             if c in ("x", "y", "grad_map") else traceio._fmt(getattr(rec, c))
+             for c in columns])
+    return buf.getvalue().encode()
+
+
+def csv_module_report(reports):
+    buf = io.StringIO(newline="")
+    buf.write(traceio.REPORT_MAGIC + "\n")
+    writer = csv.writer(buf)
+    writer.writerow(traceio._REPORT_COLUMNS)
+    for rep in reports:
+        writer.writerow([str(rep.k), rep.name, traceio._fmt(rep.lhs),
+                         traceio._fmt(rep.rhs), traceio._fmt(rep.slack),
+                         traceio._fmt(rep.passed), rep.status])
+    return buf.getvalue().encode()
+
+
+def test_csv_trace_bytes_equal_the_csv_module(tmp_path):
+    problem, records = sample_records()
+    records[0].gap = None
+    records[1].accepted = None
+    records[2].f_y = float("inf")
+    records[3].x = np.array([-0.0, float("nan"), 5e-324, 1e16])
+    records[4].grad_map = None
+    meta = sample_meta(problem)
+    path = tmp_path / "trace.csv"
+    write_trace(path, meta, records, "csv")
+    assert path.read_bytes() == csv_module_trace(meta, records)
+
+
+def test_csv_report_bytes_equal_the_csv_module(tmp_path):
+    problem, records = sample_records()
+    ctx = EnergyContext(alpha=3.0, s=0.5 / problem.smooth.lipschitz,
+                        mu=problem.smooth.strong_convexity,
+                        lipschitz=problem.smooth.lipschitz,
+                        x_star=problem.known_minimizer, f_star=problem.known_optimum)
+    reports = certify_trace(ctx, records, variant="mapm")
+    nan = float("nan")
+    reports += [
+        CertificateReport(k=30, name="prop1", lhs=float("inf"), rhs=-1e-5,
+                          slack=float("-inf"), passed=False),
+        CertificateReport(k=0, name="prop2", lhs=nan, rhs=nan, slack=nan,
+                          passed=True, status="not_applicable"),
+    ]
+    path = tmp_path / "report.csv"
+    write_report(path, reports, "csv")
+    assert path.read_bytes() == csv_module_report(reports)
+
+
+class TestCorruptReport:
+    def report_file(self, tmp_path, fmt):
+        path = tmp_path / f"report.{fmt}"
+        write_report(path, [
+            CertificateReport(k=k, name="descent_lemma", lhs=-1.0, rhs=0.0,
+                              slack=1.0, passed=True) for k in range(4)], fmt)
+        return path
+
+    @pytest.mark.parametrize("cut, message", [
+        (3, "report line 4 has 3 cells; column 'rhs' is missing"),
+        (8, "report line 4 has 8 cells for 7 columns"),
+    ])
+    def test_csv_row_of_wrong_width(self, tmp_path, cut, message):
+        path = self.report_file(tmp_path, "csv")
+        lines = path.read_text().splitlines()
+        cells = lines[3].split(",")
+        lines[3] = ",".join(cells[:cut] if cut < len(cells) else cells + ["x"])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataCorruptionError, match=message):
+            read_report(path)
+
+    @pytest.mark.parametrize("key", ["k", "name", "lhs", "rhs", "slack", "pass",
+                                     "status"])
+    def test_jsonl_row_without_field(self, tmp_path, key):
+        path = self.report_file(tmp_path, "jsonl")
+        lines = path.read_text().splitlines()
+        row = json.loads(lines[2])
+        del row[key]
+        lines[2] = json.dumps(row)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataCorruptionError, match=f"report line 3 has no '{key}'"):
+            read_report(path)
+
+    def test_jsonl_row_not_an_object(self, tmp_path):
+        path = self.report_file(tmp_path, "jsonl")
+        with open(path, "a") as fh:
+            fh.write("[1, 2]\n")
+        with pytest.raises(DataCorruptionError, match="report line 6 is not a JSON"):
+            read_report(path)
