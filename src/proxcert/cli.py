@@ -167,12 +167,44 @@ def _reference_context(args, problem, meta) -> EnergyContext:
     )
 
 
+def _check_stop_rule(meta, records) -> None:
+    """The trace ends where run() stops, at max_iters or at the first k whose
+    ||G_k|| <= grad_map_tol, so a trace cut at a row boundary is corrupt."""
+    max_iters, tol = meta.max_iters, meta.grad_map_tol
+    for key, value, types, what in (("max_iters", max_iters, (int,), "an integer"),
+                                    ("grad_map_tol", tol, (int, float), "a number")):
+        if value is None:
+            raise ConfigurationError(f"trace metadata has no {key!r}")
+        if type(value) not in types or not value >= 0:
+            raise ConfigurationError(
+                f"trace metadata {key} must be {what} >= 0, got {value!r}"
+            )
+    if not records:
+        raise DataCorruptionError("trace has no records")
+    gnorm = np.fromiter((r.grad_map_norm for r in records), np.float64, len(records))
+    stops = gnorm <= tol
+    if stops[:-1].any():
+        i = int(np.argmax(stops))
+        raise DataCorruptionError(
+            f"record k={records[i].k} has grad_map_norm {float(gnorm[i])!r} <= "
+            f"grad_map_tol {tol!r}, where the run stops, but is not the last record"
+        )
+    if records[-1].k != max_iters and not stops[-1]:
+        raise DataCorruptionError(
+            f"trace ends at k={records[-1].k} with grad_map_norm "
+            f"{float(gnorm[-1])!r} > grad_map_tol {tol!r}, but a run stops only at "
+            f"max_iters = {max_iters} or at the first grad_map_norm <= grad_map_tol; "
+            "rows are missing from its end"
+        )
+
+
 def cmd_certify(args) -> int:
     meta, records = read_trace(args.trace)
     if not meta.iterates:
         raise ConfigurationError(
             "trace has no stored iterates; re-run with iterate recording enabled"
         )
+    _check_stop_rule(meta, records)
     if args.problem is not None:
         spec = _problem_spec_from_args(args)
     elif meta.problem is not None:

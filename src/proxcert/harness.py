@@ -23,7 +23,16 @@ from .problems import (
     lasso_problem,
     quadratic_problem,
 )
-from .solvers import SolverConfig, SolverState, gradient_mapping, momentum, run, step
+from .solvers import (
+    SolverConfig,
+    SolverState,
+    momentum,
+    norm,
+    prox_gradient,
+    require_finite,
+    run,
+    step,
+)
 
 # Residual criterion for references: at least 1e3 tighter than any certificate
 # tolerance, so reference error never masquerades as a violation.
@@ -73,12 +82,12 @@ def reference_solution(problem: CompositeProblem,
     s = 0.5 / problem.smooth.lipschitz
     if problem.known_minimizer is not None and problem.known_optimum is not None:
         x_star = problem.known_minimizer
-        _, G = gradient_mapping(problem, s, x_star)
+        _, G = prox_gradient(problem, s, x_star)
         return ReferenceSolution(
             x_star=x_star,
             f_star=problem.known_optimum,
             method="closed_form",
-            residual=float(np.linalg.norm(G)),
+            residual=norm(G),
             problem_hash=problem.content_hash,
         )
 
@@ -86,12 +95,13 @@ def reference_solution(problem: CompositeProblem,
     state = SolverState(k=0, x=x0, y=x0, f_y=problem.value(x0))
 
     def advance(config, beta, st):
-        z, _ = gradient_mapping(problem, s, st.x)
-        return step(config, beta, st, z, problem.value(z))
+        z, _ = prox_gradient(problem, s, st.x)
+        return step(config, beta, st, z,
+                    require_finite(st.k, "F(z_k)", problem.value(z)))
 
     def y_residual(st):
-        _, G = gradient_mapping(problem, s, st.y)
-        return float(np.linalg.norm(G))
+        _, G = prox_gradient(problem, s, st.y)
+        return require_finite(st.k, "||G(y_k)||", norm(G))
 
     def criterion_met(st, resid):
         return resid <= 0.5 * _REFERENCE_TOL * (1.0 + float(np.linalg.norm(st.y)))

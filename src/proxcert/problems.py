@@ -4,6 +4,12 @@ A problem is min F(x) = f(x) + g(x) over real coordinate vectors, with f convex
 and L-smooth (optionally mu-strongly convex) and g convex with a cheap proximal
 operator.  Oracles are plain callables bundled in frozen dataclasses; problem
 objects are immutable and safe to share between concurrent runs.
+
+Oracle callables assume finite float64 vectors of the problem's dimension and
+do not check their arguments: they run once or twice per solver iteration.
+Validation happens at the boundary instead: problem construction checks the
+defining data, `solvers.run` checks x_0 and the step once at entry, and the
+public `prox_l1`, `prox_box` and `prox_zero` check every call.
 """
 
 from __future__ import annotations
@@ -66,6 +72,8 @@ class ProxOracle:
     """Oracle for the nonsmooth term g: value (may be +inf) and prox.
 
     prox(v, t) returns argmin_u { g(u) + ||u - v||^2 / (2 t) } for t > 0.
+    Both callables assume a finite float64 vector of the problem's dimension
+    and t > 0; they are not re-checked on each call.
     """
 
     value: Callable[[Vector], float]
@@ -124,21 +132,29 @@ class CompositeProblem:
 # Proximal operators and regularizers
 # ---------------------------------------------------------------------------
 
+def _soft_threshold(v: Vector, t: float) -> Vector:
+    return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+
+
 def prox_l1(v: Vector, t: float) -> Vector:
     """Coordinatewise soft threshold: sign(v_i) * max(|v_i| - t, 0)."""
     if t <= 0:
         raise RejectedInputError(f"threshold t must be > 0, got {t}")
-    v = as_vector(v)
-    return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+    return _soft_threshold(as_vector(v), t)
+
+
+def _box_bounds(lo, hi, dim: Optional[int] = None):
+    lo = as_vector(lo, dim)
+    hi = as_vector(hi, lo.size)
+    if np.any(lo > hi):
+        raise RejectedInputError("box bounds must satisfy lo <= hi coordinatewise")
+    return lo, hi
 
 
 def prox_box(v: Vector, lo, hi) -> Vector:
     """Clamp v into [lo, hi] coordinatewise (prox of the box indicator)."""
     v = as_vector(v)
-    lo = as_vector(lo, v.size)
-    hi = as_vector(hi, v.size)
-    if np.any(lo > hi):
-        raise RejectedInputError("box bounds must satisfy lo <= hi coordinatewise")
+    lo, hi = _box_bounds(lo, hi, v.size)
     return np.clip(v, lo, hi)
 
 
@@ -154,27 +170,24 @@ def l1_regularizer(lam: float) -> ProxOracle:
     if lam <= 0:
         raise RejectedInputError(f"l1 weight must be > 0, got {lam}")
     return ProxOracle(
-        value=lambda x: lam * float(np.sum(np.abs(x))),
-        prox=lambda v, t: prox_l1(v, t * lam),
+        value=lambda x: lam * float(np.abs(x).sum()),
+        prox=lambda v, t: _soft_threshold(v, t * lam),
     )
 
 
 def box_regularizer(lo, hi) -> ProxOracle:
     """Indicator of the box [lo, hi]: 0 inside, +inf outside; prox is the clamp."""
-    lo = as_vector(lo)
-    hi = as_vector(hi, lo.size)
-    if np.any(lo > hi):
-        raise RejectedInputError("box bounds must satisfy lo <= hi coordinatewise")
+    lo, hi = _box_bounds(lo, hi)
 
     def value(x: Vector) -> float:
-        return 0.0 if bool(np.all(x >= lo) and np.all(x <= hi)) else math.inf
+        return 0.0 if (x >= lo).all() and (x <= hi).all() else math.inf
 
-    return ProxOracle(value=value, prox=lambda v, t: prox_box(v, lo, hi))
+    return ProxOracle(value=value, prox=lambda v, t: np.clip(v, lo, hi))
 
 
 def zero_regularizer() -> ProxOracle:
     """g = 0; reduces the proximal step to a plain gradient step."""
-    return ProxOracle(value=lambda x: 0.0, prox=prox_zero)
+    return ProxOracle(value=lambda x: 0.0, prox=lambda v, t: v)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +311,7 @@ def lasso_problem(A, b, lam: float) -> CompositeProblem:
         lam_min = float(np.linalg.eigvalsh(gram)[0])
         mu = lam_min if lam_min > _EIG_TOL * (1.0 + lipschitz) else 0.0
     smooth = SmoothOracle(
-        value=lambda x: 0.5 * float(np.sum((A @ x - b) ** 2)),
+        value=lambda x: 0.5 * float(((A @ x - b) ** 2).sum()),
         gradient=lambda x: A.T @ (A @ x - b),
         lipschitz=max(lipschitz, mu),
         strong_convexity=mu,

@@ -18,9 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
-from .errors import ConfigurationError
+from .errors import ConfigurationError, RejectedInputError
 from .problems import CompositeProblem, Vector, as_vector
 
 VARIANTS = ("ista", "apm", "mapm", "strongly_convex_apm")
@@ -110,11 +108,35 @@ def gradient_mapping(problem: CompositeProblem, s: float, x: Vector):
     """Return (z, G) with z = prox_{sg}(x - s grad f(x)) and G = (x - z)/s.
 
     Both are returned so callers never recompute the prox; G vanishes exactly
-    at minimizers of F.
+    at minimizers of F.  Checks s and x on every call.
     """
     bind_step(problem, s)
+    return prox_gradient(problem, s, as_vector(x, problem.dim))
+
+
+def prox_gradient(problem: CompositeProblem, s: float, x: Vector):
+    """gradient_mapping for a step already bound to the problem and a valid x."""
     z = problem.nonsmooth.prox(x - s * problem.smooth.gradient(x), s)
     return z, (x - z) / s
+
+
+def norm(v: Vector) -> float:
+    """||v||_2 as np.linalg.norm computes it for a 1-D vector, bit for bit."""
+    return math.sqrt(float(v.dot(v)))
+
+
+def require_finite(k: int, name: str, value: float) -> float:
+    """value, or RejectedInputError naming k if it is NaN or infinite.
+
+    Oracles do not check what they return, so one scalar test per iteration
+    stops a run whose oracle produced a NaN or an overflow.
+    """
+    if not math.isfinite(value):
+        raise RejectedInputError(
+            f"iteration k={k}: {name} = {value!r}; an oracle of the problem "
+            "returned a non-finite value"
+        )
+    return value
 
 
 def constant_momentum(mu: float, lipschitz: float) -> float:
@@ -168,7 +190,9 @@ def run(problem: CompositeProblem, config: SolverConfig, x0) -> list:
 
     Stops after max_iters steps or as soon as ||G_s(x_k)|| <= grad_map_tol.
     A record is emitted for every visited k including k = 0, so a full run of
-    max_iters steps yields max_iters + 1 records.
+    max_iters steps yields max_iters + 1 records.  x_0 and the step are
+    checked here, once; a non-finite F(z_k) or ||G_k|| raises
+    RejectedInputError naming k.
     """
     x0 = as_vector(x0, problem.dim)
     s = bind_step(problem, config.step)
@@ -178,11 +202,12 @@ def run(problem: CompositeProblem, config: SolverConfig, x0) -> list:
     state = SolverState(k=0, x=x0, y=x0, f_y=problem.value(x0))
     records = []
     while True:
-        z, G = gradient_mapping(problem, s, state.x)
-        f_z = problem.value(z)
-        gnorm = float(np.linalg.norm(G))
+        k = state.k
+        z, G = prox_gradient(problem, s, state.x)
+        f_z = require_finite(k, "F(z_k)", problem.value(z))
+        gnorm = require_finite(k, "||G_k||", norm(G))
         records.append(IterationRecord(
-            k=state.k,
+            k=k,
             f_y=state.f_y,
             grad_map_norm=gnorm,
             gap=(state.f_y - f_star) if f_star is not None else None,
@@ -192,7 +217,7 @@ def run(problem: CompositeProblem, config: SolverConfig, x0) -> list:
             grad_map=G,
             f_z=f_z,
         ))
-        if gnorm <= config.grad_map_tol or state.k >= config.max_iters:
+        if gnorm <= config.grad_map_tol or k >= config.max_iters:
             break
         state = step(config, beta, state, z, f_z)
     return records

@@ -173,6 +173,14 @@ class TestCertifyCommand:
                        "--seed", "2")
         assert code == 2
 
+    def test_early_stop_by_grad_map_tol_certifies(self, tmp_path):
+        trace = tmp_path / "trace.csv"
+        assert run_cli(*quadratic_run_args(trace, ("--grad-map-tol", "1e-6"))) == 0
+        _, records = read_trace(trace)
+        assert len(records) < 201 and records[-1].grad_map_norm <= 1e-6
+        assert run_cli("certify", "--trace", str(trace),
+                       "--report", str(tmp_path / "r.csv")) == 0
+
     def test_trace_without_iterates_exits_2(self, tmp_path):
         trace = tmp_path / "bare.csv"
         assert run_cli(*quadratic_run_args(trace, ("--no-iterates",))) == 0
@@ -307,6 +315,38 @@ class TestCorruptTraceExits3:
         assert certify_cli(trace, tmp_path) == 2
         assert "dim must be a positive integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dropped, message", [
+        (3, "trace ends at k=17 with grad_map_norm"),
+        (21, "trace has no records"),
+    ])
+    def test_dropped_last_rows(self, tmp_path, capsys, dropped, message):
+        trace = short_trace(tmp_path)
+        edit_csv_rows(trace, lambda rows: rows[:-dropped])
+        assert certify_cli(trace, tmp_path) == 3
+        assert message in capsys.readouterr().err
+
+    def test_earlier_record_meets_stop_rule(self, tmp_path, capsys):
+        trace = short_trace(tmp_path)
+
+        def stop_early(rows):
+            rows[10]["grad_map_norm"] = "0.0"
+            return rows
+        edit_csv_rows(trace, stop_early)
+        assert certify_cli(trace, tmp_path) == 3
+        assert ("record k=10 has grad_map_norm 0.0 <= grad_map_tol 0.0"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("key", ["max_iters", "grad_map_tol"])
+    def test_meta_without_stop_rule_key_exits_2(self, tmp_path, capsys, key):
+        trace = short_trace(tmp_path)
+        lines = trace.read_text().splitlines(keepends=True)
+        meta = json.loads(lines[1][len("# meta "):])
+        del meta[key]
+        lines[1] = "# meta " + json.dumps(meta) + "\n"
+        trace.write_text("".join(lines))
+        assert certify_cli(trace, tmp_path) == 2
+        assert f"trace metadata has no {key!r}" in capsys.readouterr().err
+
     def test_infinite_start_objective_stays_legal(self, tmp_path):
         trace = short_trace(tmp_path)
 
@@ -392,19 +432,22 @@ class TestCompareCommand:
 
 @st.composite
 def mutated_trace(draw, text):
-    """A CSV trace's text with one structural fault: a row dropped (not the
-    last, which leaves a valid shorter trace), duplicated or swapped, cells
-    cut from a row, a ragged vector cell, a coordinate that is not a number
-    or is nan, or a renamed column."""
+    """A CSV trace's text with one structural fault: a row dropped,
+    duplicated or swapped, the last 1 to n - 1 rows dropped (a run stops only
+    at max_iters or at the grad_map_tol test, so a shorter trace is not
+    valid), cells cut from a row, a ragged vector cell, a coordinate that is
+    not a number or is nan, or a renamed column."""
     lines = text.splitlines()
     header, columns = lines[:2], lines[2].split(",")
     rows = [line.split(",") for line in lines[3:]]
     n = len(rows)
-    kind = draw(st.sampled_from(["drop", "duplicate", "swap", "cut", "ragged",
-                                 "non_number", "nan", "rename"]))
+    kind = draw(st.sampled_from(["drop", "duplicate", "swap", "truncate", "cut",
+                                 "ragged", "non_number", "nan", "rename"]))
     i = draw(st.integers(0, n - 1))
     if kind == "drop":
         del rows[draw(st.integers(0, n - 2))]
+    elif kind == "truncate":
+        del rows[n - draw(st.integers(1, n - 1)):]
     elif kind == "duplicate":
         rows.insert(i, list(rows[i]))
     elif kind == "swap":

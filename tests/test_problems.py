@@ -133,6 +133,27 @@ class TestProxOperators:
         assert np.array_equal(prox_zero(np.zeros(3), 1.0), np.zeros(3))
 
 
+def prox_box_of_half_width(v, t):
+    """prox_box on [-t, t]^d; a negative t gives crossed bounds."""
+    return prox_box(v, -t * np.ones_like(v), t * np.ones_like(v))
+
+
+# The public proxes validate every call; the oracles a problem holds do not.
+PUBLIC_PROX_CASES = [
+    (prox, v, t)
+    for prox in (prox_l1, prox_zero, prox_box_of_half_width)
+    for v, t in (([1.0, math.nan], 1.0), ([math.inf, 0.0], 1.0),
+                 ([1.0, -2.0], -1.0))
+] + [(prox, [1.0, -2.0], 0.0) for prox in (prox_l1, prox_zero)]
+
+
+@pytest.mark.parametrize("prox, v, t", PUBLIC_PROX_CASES,
+                         ids=lambda c: getattr(c, "__name__", repr(c)))
+def test_public_prox_rejects_non_finite_input_and_bad_t(prox, v, t):
+    with pytest.raises(RejectedInputError):
+        prox(np.array(v), t)
+
+
 def _registered_prox_oracles():
     return [
         ("l1", l1_regularizer(0.8)),

@@ -1,11 +1,15 @@
 """Stepper and driver tests for the solvers module."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from proxcert import (
     CompositeProblem,
     ConfigurationError,
+    ProxCertError,
+    RejectedInputError,
     SolverConfig,
     SolverState,
     constant_momentum,
@@ -16,6 +20,7 @@ from proxcert import (
     lasso_problem,
     momentum,
     quadratic_problem,
+    random_box_quadratic,
     random_lasso,
     random_quadratic,
     reference_solution,
@@ -23,6 +28,7 @@ from proxcert import (
     run,
     step,
 )
+from proxcert.solvers import VARIANTS
 
 
 def scalar_l1_problem():
@@ -68,6 +74,12 @@ class TestGradientMapping:
         p = quadratic_problem(np.eye(2), np.zeros(2))
         with pytest.raises(ConfigurationError):
             gradient_mapping(p, 2.0, np.zeros(2))
+
+    @pytest.mark.parametrize("x", [[np.nan, 0.0], [0.0, np.inf], [0.0, 0.0, 0.0]])
+    def test_rejects_a_bad_point(self, x):
+        p = quadratic_problem(np.eye(2), np.zeros(2))
+        with pytest.raises(RejectedInputError):
+            gradient_mapping(p, 0.5, np.array(x))
 
 
 class TestIstaStep:
@@ -315,3 +327,85 @@ class TestTraceIdentities:
                 lhs, rhs = descent_lemma_sides(s, big_l, mu, x, y, big_g,
                                                p.value(z), p.value(y))
                 assert lhs <= rhs + 1e-8 * (1 + abs(lhs) + abs(rhs))
+
+
+def checked_run(problem, config, x0):
+    """run() rebuilt from the public, validating gradient_mapping, step and
+    np.linalg.norm: the per-iteration checks that run() leaves out."""
+    beta = momentum(problem, config)
+    state = SolverState(k=0, x=x0, y=x0, f_y=problem.value(x0))
+    rows = []
+    while True:
+        z, big_g = gradient_mapping(problem, config.step, state.x)
+        f_z = problem.value(z)
+        gnorm = float(np.linalg.norm(big_g))
+        rows.append((state.k, state.f_y, gnorm, f_z, state.x, state.y, big_g))
+        if gnorm <= config.grad_map_tol or state.k >= config.max_iters:
+            return rows
+        state = step(config, beta, state, z, f_z)
+
+
+def bits(v):
+    return np.asarray(v, dtype=np.float64).view(np.int64)
+
+
+IDENTITY_PROBLEMS = [
+    random_quadratic(5, 2, 10),
+    random_quadratic(6, 20, 100),
+    random_lasso(7, 20, 20),
+    random_lasso(8, 20, 40),
+    random_box_quadratic(9, 20),
+]
+
+
+class TestRunBitIdentity:
+    @pytest.mark.parametrize("problem", IDENTITY_PROBLEMS, ids=lambda p: p.name)
+    def test_run_equals_the_checked_loop(self, problem):
+        variants = [v for v in VARIANTS if v != "strongly_convex_apm"
+                    or problem.smooth.strong_convexity > 0.0]
+        x0 = np.zeros(problem.dim)
+        for variant in variants:
+            config = SolverConfig(variant=variant, step=1.0 / problem.smooth.lipschitz,
+                                  max_iters=100)
+            records = run(problem, config, x0)
+            expected = checked_run(problem, config, x0)
+            assert len(records) == len(expected)
+            for rec, (k, f_y, gnorm, f_z, x, y, big_g) in zip(records, expected):
+                assert (rec.k, rec.f_y, rec.grad_map_norm, rec.f_z) == (k, f_y, gnorm, f_z)
+                for got, want in ((rec.x, x), (rec.y, y), (rec.grad_map, big_g)):
+                    assert np.array_equal(bits(got), bits(want)), (variant, k)
+
+
+def gradient_turning_nan(problem, after_calls):
+    """The problem with a gradient that returns NaN from call `after_calls` on,
+    and without a known reference, so that reference_solution iterates."""
+    calls = [0]
+    gradient = problem.smooth.gradient
+
+    def poisoned(x):
+        calls[0] += 1
+        g = gradient(x)
+        return g * np.nan if calls[0] > after_calls else g
+
+    smooth = dataclasses.replace(problem.smooth, gradient=poisoned)
+    return CompositeProblem(smooth=smooth, nonsmooth=problem.nonsmooth, dim=problem.dim)
+
+
+class TestNonFiniteOracleOutput:
+    @pytest.mark.parametrize("problem", [random_quadratic(1, 5, 10),
+                                         random_lasso(2, 10, 20)],
+                             ids=lambda p: p.name)
+    def test_run_raises_naming_k(self, problem):
+        bad = gradient_turning_nan(problem, after_calls=30)
+        with pytest.raises(RejectedInputError, match="iteration k=30"):
+            run(bad, SolverConfig(variant="mapm", max_iters=100), np.zeros(bad.dim))
+
+    @pytest.mark.parametrize("problem", [random_quadratic(1, 5, 10),
+                                         random_lasso(2, 10, 20)],
+                             ids=lambda p: p.name)
+    # Call 26 is the first residual check, after 25 steps; call 30 is a step.
+    @pytest.mark.parametrize("after_calls", [25, 30])
+    def test_reference_raises(self, problem, after_calls):
+        bad = gradient_turning_nan(problem, after_calls)
+        with pytest.raises(ProxCertError):
+            reference_solution(bad)
