@@ -9,7 +9,9 @@ Oracle callables assume finite float64 vectors of the problem's dimension and
 do not check their arguments: they run once or twice per solver iteration.
 Validation happens at the boundary instead: problem construction checks the
 defining data, `solvers.run` checks x_0 and the step once at entry, and the
-public `prox_l1`, `prox_box` and `prox_zero` check every call.
+public `prox_l1`, `prox_box` and `prox_zero` check every call.  The one
+exception is `box_regularizer`'s prox, which rejects a non-finite point: its
+clamp would otherwise turn an infinite gradient step into a finite iterate.
 """
 
 from __future__ import annotations
@@ -182,7 +184,16 @@ def box_regularizer(lo, hi) -> ProxOracle:
     def value(x: Vector) -> float:
         return 0.0 if (x >= lo).all() and (x <= hi).all() else math.inf
 
-    return ProxOracle(value=value, prox=lambda v, t: np.clip(v, lo, hi))
+    def prox(v: Vector, t: float) -> Vector:
+        # The clamp would map an infinite gradient step back into the box,
+        # where no later check could see it.
+        if not np.isfinite(v).all():
+            raise RejectedInputError("box prox got a non-finite point: the "
+                                     "gradient step overflowed or an oracle "
+                                     "returned inf or nan")
+        return np.clip(v, lo, hi)
+
+    return ProxOracle(value=value, prox=prox)
 
 
 def zero_regularizer() -> ProxOracle:

@@ -11,11 +11,20 @@ certificate names and statuses), so rows are written as `,`-joined cells ending
 in CRLF, the bytes `csv.writer`'s default dialect writes, and read by splitting
 on `,`.  Trace rows are read in blocks, each iterate column of a block parsed
 in one `np.loadtxt` call.
+
+Trace rows are written in spans of about `_SPAN_COORDS` numbers, each span
+turned into bytes by one call of the format's row encoder.  A trace of two or
+more spans is encoded by forked worker processes, one per available core, and
+written in order; the encoder is the same either way, so the bytes do not
+depend on the number of cores.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import os
+import sys
 from dataclasses import asdict, dataclass
 from typing import Optional
 
@@ -35,10 +44,16 @@ _VECTOR_COLUMNS = ("x", "y", "grad_map")
 _REPORT_COLUMNS = ("k", "name", "lhs", "rhs", "slack", "pass", "status")
 # Fields without which a JSON-lines trace row is not a record.
 _REQUIRED_FIELDS = ("k", "f_y", "grad_map_norm")
+# Scalar fields of a JSON-lines trace row that must hold JSON numbers.
+_NUMBER_FIELDS = ("f_y", "f_z", "grad_map_norm", "gap")
 # Characters of CSV trace read per block: about the 128 KB of float64 per
 # iterate column that certification stacks (certificates._BLOCK_BYTES), at
 # about 20 characters per coordinate in each of the three vector columns.
 _BLOCK_TEXT = 1 << 20
+# Numbers (scalar cells and vector coordinates) per span of trace rows that
+# one encoder call formats; a trace of two or more spans is formatted on every
+# available core.
+_SPAN_COORDS = 1 << 14
 
 
 @dataclass
@@ -97,11 +112,18 @@ def _opt_bool(cell: str) -> Optional[bool]:
 def write_trace(path, meta: TraceMeta, records, fmt: str = "csv") -> None:
     """Write one row per IterationRecord; iterates included per meta.iterates."""
     if fmt == "csv":
-        _write_trace_csv(path, meta, records)
+        columns = _TRACE_COLUMNS + (_ITERATE_COLUMNS if meta.iterates else ())
+        header = (f"{TRACE_MAGIC}\n# meta {json.dumps(asdict(meta))}\n"
+                  f"{','.join(columns)}\r\n")
+        encode = _csv_rows
     elif fmt == "jsonl":
-        _write_trace_jsonl(path, meta, records)
+        header = json.dumps({"format": "proxcert-trace", **asdict(meta)}) + "\n"
+        encode = _jsonl_rows
     else:
         raise ConfigurationError(f"unknown trace format {fmt!r}; valid: csv, jsonl")
+    with open(path, "wb") as fh:
+        fh.write(header.encode())
+        _write_rows(fh, encode, list(records), meta.iterates)
 
 
 def _record_fields(rec: IterationRecord, iterates: bool) -> dict:
@@ -121,33 +143,97 @@ def _record_fields(rec: IterationRecord, iterates: bool) -> dict:
     return fields
 
 
-def _write_trace_csv(path, meta, records) -> None:
-    columns = _TRACE_COLUMNS + (_ITERATE_COLUMNS if meta.iterates else ())
-    with open(path, "w", newline="") as fh:
-        fh.write(TRACE_MAGIC + "\n")
-        fh.write("# meta " + json.dumps(asdict(meta)) + "\n")
-        _write_row(fh, columns)
-        for rec in records:
-            fields = _record_fields(rec, meta.iterates)
-            _write_row(fh, [_fmt_vector(fields[col]) if col in _VECTOR_COLUMNS
-                            else _fmt(fields[col]) for col in columns])
+def _csv_rows(records, iterates: bool) -> bytes:
+    """CSV trace rows of records, each ending in CRLF."""
+    columns = _TRACE_COLUMNS + (_ITERATE_COLUMNS if iterates else ())
+    rows = []
+    for rec in records:
+        fields = _record_fields(rec, iterates)
+        rows.append(",".join([_fmt_vector(fields[col]) if col in _VECTOR_COLUMNS
+                              else _fmt(fields[col]) for col in columns]) + "\r\n")
+    return "".join(rows).encode()
 
 
-def _write_trace_jsonl(path, meta, records) -> None:
-    with open(path, "w") as fh:
-        header = {"format": "proxcert-trace", **asdict(meta)}
-        fh.write(json.dumps(header) + "\n")
-        for rec in records:
-            fields = _record_fields(rec, meta.iterates)
-            for key in _VECTOR_COLUMNS:
-                if key in fields and fields[key] is not None:
-                    fields[key] = _floats(fields[key])
-            for key in ("f_y", "gap", "grad_map_norm", "energy", "f_z"):
-                if key in fields and fields[key] is not None:
-                    fields[key] = float(fields[key])
-            if fields.get("accepted") is not None:
-                fields["accepted"] = bool(fields["accepted"])
-            fh.write(json.dumps(fields) + "\n")
+def _jsonl_rows(records, iterates: bool) -> bytes:
+    """JSON-lines trace rows of records, one object per line."""
+    rows = []
+    for rec in records:
+        fields = _record_fields(rec, iterates)
+        for key in _VECTOR_COLUMNS:
+            if key in fields and fields[key] is not None:
+                fields[key] = _floats(fields[key])
+        for key in ("f_y", "gap", "grad_map_norm", "energy", "f_z"):
+            if key in fields and fields[key] is not None:
+                fields[key] = float(fields[key])
+        if fields.get("accepted") is not None:
+            fields["accepted"] = bool(fields["accepted"])
+        rows.append(json.dumps(fields) + "\n")
+    return "".join(rows).encode()
+
+
+def _write_rows(fh, encode, records: list, iterates: bool) -> None:
+    """Write encode(span, iterates) for consecutive spans of the records.
+
+    With two or more spans and more than one core, forked workers encode the
+    spans and the parent writes each chunk in order as it arrives.  Workers
+    read the records they inherit, so only (start, stop) pairs and encoded
+    bytes cross between processes.  Both paths call the same encoder, so the
+    bytes do not depend on the path.
+    """
+    span = _span_rows(records, iterates)
+    spans = [(start, start + span) for start in range(0, len(records), span)]
+    workers = min(_cores(), len(spans))
+    if workers < 2:
+        for start, stop in spans:
+            fh.write(encode(records[start:stop], iterates))
+        return
+    import multiprocessing  # only here: reading a trace never starts a pool
+
+    pool = multiprocessing.get_context("fork").Pool(
+        workers, _adopt_job, (encode, records, iterates))
+    try:
+        for chunk in pool.imap(_encode_span, spans):
+            fh.write(chunk)
+        pool.close()
+    except BaseException:
+        pool.terminate()
+        raise
+    finally:
+        pool.join()
+
+
+def _span_rows(records: list, iterates: bool) -> int:
+    """Rows per span: about _SPAN_COORDS numbers, counted on the first row."""
+    width = len(_TRACE_COLUMNS)
+    if iterates and records:
+        width += 1 + len(_VECTOR_COLUMNS) * np.size(records[0].x)
+    return max(1, _SPAN_COORDS // width)
+
+
+def _cores() -> int:
+    """Cores this process may run on; 1 where fork or the affinity call is
+    missing, and in a daemonic process (a pool's worker), which may not start
+    processes of its own."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    started_by = sys.modules.get("multiprocessing")  # imported in any worker
+    if started_by is not None and started_by.current_process().daemon:
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+_job = None  # (encode, records, iterates) in a trace writer's worker process
+
+
+def _adopt_job(*job) -> None:
+    global _job
+    _job = job
+
+
+def _encode_span(span) -> bytes:
+    encode, records, iterates = _job
+    start, stop = span
+    return encode(records[start:stop], iterates)
 
 
 def read_trace(path):
@@ -179,7 +265,18 @@ def _meta_from_dict(d: dict) -> TraceMeta:
         raise ConfigurationError(
             f"trace metadata dim must be a positive integer, got {meta.dim!r}"
         )
+    for key in ("alpha", "step"):
+        value = getattr(meta, key)
+        if not _is_number(value) or not math.isfinite(value):
+            raise ConfigurationError(
+                f"trace metadata {key} must be a finite number, got {value!r}"
+            )
     return meta
+
+
+def _is_number(value) -> bool:
+    """A JSON number: an int or a float, not a bool."""
+    return type(value) in (int, float)
 
 
 def _record_from_fields(fields: dict) -> IterationRecord:
@@ -289,12 +386,35 @@ def _read_trace_jsonl(path):
             missing = [key for key in _REQUIRED_FIELDS if fields.get(key) is None]
             if missing:
                 raise DataCorruptionError(f"trace line {line_no} has no {missing[0]!r}")
+            _check_json_numbers(line_no, fields)
             for key in _VECTOR_COLUMNS:
                 if fields.get(key) is not None:
                     fields[key] = np.array(fields[key], dtype=np.float64)
                     _check_dim(meta, line_no, fields["k"], key, fields[key])
             records.append(_record_from_fields(fields))
     return meta, records
+
+
+def _check_json_numbers(line_no: int, fields: dict) -> None:
+    """A data error unless a JSON-lines row's numeric fields hold JSON numbers
+    (not bools, strings or lists), the optional ones null or numbers."""
+    if type(fields["k"]) is not int:
+        raise DataCorruptionError(
+            f"trace line {line_no}: field 'k' must be an integer, got {fields['k']!r}"
+        )
+    for key in _NUMBER_FIELDS:
+        value = fields.get(key)
+        if value is not None and not _is_number(value):
+            raise DataCorruptionError(
+                f"trace line {line_no}: field {key!r} must be a number, got {value!r}"
+            )
+    for key in _VECTOR_COLUMNS:
+        value = fields.get(key)
+        if value is not None and not (isinstance(value, list)
+                                      and set(map(type, value)) <= {int, float}):
+            raise DataCorruptionError(
+                f"trace line {line_no}: field {key!r} must be a list of numbers"
+            )
 
 
 def write_report(path, reports, fmt: str = "csv") -> None:

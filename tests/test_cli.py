@@ -347,6 +347,56 @@ class TestCorruptTraceExits3:
         assert certify_cli(trace, tmp_path) == 2
         assert f"trace metadata has no {key!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @pytest.mark.parametrize("key, value", [
+        ("step", "abc"), ("step", None), ("alpha", None), ("alpha", "x"),
+        ("alpha", True), ("step", float("inf")),
+    ])
+    def test_meta_alpha_or_step_not_a_number_exits_2(self, tmp_path, capsys, fmt,
+                                                      key, value):
+        trace = short_trace(tmp_path, fmt)
+        lines = trace.read_text().splitlines(keepends=True)
+        i, prefix = (1, "# meta ") if fmt == "csv" else (0, "")
+        meta = json.loads(lines[i][len(prefix):])
+        meta[key] = value
+        lines[i] = prefix + json.dumps(meta) + "\n"
+        trace.write_text("".join(lines))
+        assert certify_cli(trace, tmp_path) == 2
+        assert (f"trace metadata {key} must be a finite number, got {value!r}"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("key, value, expected", [
+        ("f_y", True, "must be a number, got True"),
+        ("f_z", "1", "must be a number, got '1'"),
+        ("grad_map_norm", "1", "must be a number, got '1'"),
+        ("gap", False, "must be a number, got False"),
+        ("k", True, "must be an integer, got True"),
+        ("x", "1.0", "must be a list of numbers"),
+        ("y", [[0.0]] * 5, "must be a list of numbers"),
+    ])
+    def test_jsonl_field_not_a_number(self, tmp_path, capsys, key, value, expected):
+        trace = short_trace(tmp_path, "jsonl")
+        lines = trace.read_text().splitlines()
+        row = json.loads(lines[6])
+        row[key] = value
+        lines[6] = json.dumps(row)
+        trace.write_text("\n".join(lines) + "\n")
+        assert certify_cli(trace, tmp_path) == 3
+        assert f"trace line 7: field {key!r} {expected}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("column", ["x", "y", "grad_map"])
+    @pytest.mark.parametrize("entry", [True, "0.5", None])
+    def test_jsonl_vector_entry_not_a_number(self, tmp_path, capsys, column, entry):
+        trace = short_trace(tmp_path, "jsonl")
+        lines = trace.read_text().splitlines()
+        row = json.loads(lines[6])
+        row[column][2] = entry
+        lines[6] = json.dumps(row)
+        trace.write_text("\n".join(lines) + "\n")
+        assert certify_cli(trace, tmp_path) == 3
+        assert (f"trace line 7: field {column!r} must be a list of numbers"
+                in capsys.readouterr().err)
+
     def test_infinite_start_objective_stays_legal(self, tmp_path):
         trace = short_trace(tmp_path)
 

@@ -376,16 +376,17 @@ class TestRunBitIdentity:
                     assert np.array_equal(bits(got), bits(want)), (variant, k)
 
 
-def gradient_turning_nan(problem, after_calls):
-    """The problem with a gradient that returns NaN from call `after_calls` on,
-    and without a known reference, so that reference_solution iterates."""
+def gradient_turning(problem, after_calls, factor=np.nan):
+    """The problem with a gradient multiplied by `factor` (NaN or inf) from call
+    `after_calls` on, and without a known reference, so that
+    reference_solution iterates."""
     calls = [0]
     gradient = problem.smooth.gradient
 
     def poisoned(x):
         calls[0] += 1
         g = gradient(x)
-        return g * np.nan if calls[0] > after_calls else g
+        return g * factor if calls[0] > after_calls else g
 
     smooth = dataclasses.replace(problem.smooth, gradient=poisoned)
     return CompositeProblem(smooth=smooth, nonsmooth=problem.nonsmooth, dim=problem.dim)
@@ -396,7 +397,7 @@ class TestNonFiniteOracleOutput:
                                          random_lasso(2, 10, 20)],
                              ids=lambda p: p.name)
     def test_run_raises_naming_k(self, problem):
-        bad = gradient_turning_nan(problem, after_calls=30)
+        bad = gradient_turning(problem, after_calls=30)
         with pytest.raises(RejectedInputError, match="iteration k=30"):
             run(bad, SolverConfig(variant="mapm", max_iters=100), np.zeros(bad.dim))
 
@@ -406,6 +407,14 @@ class TestNonFiniteOracleOutput:
     # Call 26 is the first residual check, after 25 steps; call 30 is a step.
     @pytest.mark.parametrize("after_calls", [25, 30])
     def test_reference_raises(self, problem, after_calls):
-        bad = gradient_turning_nan(problem, after_calls)
+        bad = gradient_turning(problem, after_calls)
         with pytest.raises(ProxCertError):
             reference_solution(bad)
+
+    def test_box_prox_rejects_an_infinite_gradient_step(self):
+        # The clamp of the box prox would turn the infinite step into a
+        # finite iterate, and the run into a finite, silent trace.
+        bad = gradient_turning(random_box_quadratic(1, 5), after_calls=10,
+                               factor=np.inf)
+        with pytest.raises(RejectedInputError, match="box prox got a non-finite"):
+            run(bad, SolverConfig(variant="mapm", max_iters=50), np.zeros(bad.dim))

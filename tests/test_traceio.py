@@ -1,9 +1,16 @@
 """Round-trip tests for the versioned trace and report formats."""
 
+import contextlib
 import csv
 import io
 import json
+import multiprocessing
+import multiprocessing.pool
+import os
+import subprocess
+import sys
 from dataclasses import asdict
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +28,7 @@ from proxcert import (
     run,
     traceio,
 )
+from proxcert.solvers import IterationRecord
 from proxcert.traceio import (
     SCHEMA_VERSION,
     TraceMeta,
@@ -204,7 +212,8 @@ def csv_module_trace(meta, records):
     buf.write(traceio.TRACE_MAGIC + "\n")
     buf.write("# meta " + json.dumps(asdict(meta)) + "\n")
     writer = csv.writer(buf)
-    columns = traceio._TRACE_COLUMNS + traceio._ITERATE_COLUMNS
+    columns = traceio._TRACE_COLUMNS + (traceio._ITERATE_COLUMNS if meta.iterates
+                                        else ())
     writer.writerow(columns)
     for rec in records:
         writer.writerow(
@@ -297,3 +306,126 @@ class TestCorruptReport:
             fh.write("[1, 2]\n")
         with pytest.raises(DataCorruptionError, match="report line 6 is not a JSON"):
             read_report(path)
+
+
+def json_dumps_trace(meta, records):
+    """A JSON-lines trace as json.dumps writes it row by row: the byte oracle."""
+    def opt(value, convert):
+        return None if value is None else convert(value)
+
+    def floats(v):
+        return [float(c) for c in v]
+
+    lines = [json.dumps({"format": "proxcert-trace", **asdict(meta)})]
+    for rec in records:
+        row = {"k": rec.k, "f_y": float(rec.f_y), "gap": opt(rec.gap, float),
+               "grad_map_norm": float(rec.grad_map_norm),
+               "accepted": opt(rec.accepted, bool), "energy": opt(rec.energy, float)}
+        if meta.iterates:
+            row.update(f_z=opt(rec.f_z, float), x=opt(rec.x, floats),
+                       y=opt(rec.y, floats), grad_map=opt(rec.grad_map, floats))
+        lines.append(json.dumps(row))
+    return "".join(line + "\n" for line in lines).encode()
+
+
+ORACLES = {"csv": csv_module_trace, "jsonl": json_dumps_trace}
+
+
+@contextlib.contextmanager
+def many_spans():
+    """Spans of one row each, encoded by a pool of three workers on any
+    machine; yields a spy on the pool's context factory."""
+    with mock.patch.object(traceio, "_SPAN_COORDS", 1), \
+            mock.patch.object(traceio, "_cores", lambda: 3), \
+            mock.patch("multiprocessing.get_context",
+                       wraps=multiprocessing.get_context) as get_context:
+        yield get_context
+
+
+@st.composite
+def traces(draw):
+    """IterationRecords of 1-12 rows with 1-6 coordinates per vector."""
+    d = draw(st.integers(1, 6))
+    vector = st.lists(coordinates, min_size=d, max_size=d).map(np.array)
+    return [IterationRecord(k=k, f_y=draw(coordinates),
+                            grad_map_norm=draw(coordinates),
+                            gap=draw(st.none() | coordinates),
+                            accepted=draw(st.none() | st.booleans()),
+                            x=draw(vector), y=draw(vector),
+                            grad_map=draw(vector), f_z=draw(coordinates))
+            for k in range(draw(st.integers(1, 12)))]
+
+
+class TestParallelWriter:
+    """Trace rows formatted span by span on forked workers."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(records=traces())
+    def test_bytes_equal_the_references(self, tmp_path_factory, records):
+        problem = random_quadratic(3, 4, 100)
+        meta = sample_meta(problem)
+        path = tmp_path_factory.mktemp("trace")
+        for fmt, oracle in ORACLES.items():
+            with many_spans() as get_context:
+                write_trace(path / f"trace.{fmt}", meta, records, fmt)
+            assert (path / f"trace.{fmt}").read_bytes() == oracle(meta, records)
+            if len(records) > 1:
+                get_context.assert_called_once_with("fork")
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @pytest.mark.parametrize("dim", [5, 20])
+    @pytest.mark.parametrize("iterates", [True, False])
+    def test_solver_traces_in_many_chunks(self, tmp_path, fmt, dim, iterates):
+        problem = random_quadratic(3, dim, 100)
+        records = run(problem, SolverConfig(variant="mapm", max_iters=60),
+                      np.zeros(dim))
+        meta = sample_meta(problem, iterates)
+        with many_spans() as get_context:
+            write_trace(tmp_path / "many", meta, records, fmt)
+        get_context.assert_called_once_with("fork")
+        write_trace(tmp_path / "one", meta, records, fmt)
+        assert (tmp_path / "many").read_bytes() == (tmp_path / "one").read_bytes()
+        assert (tmp_path / "many").read_bytes() == ORACLES[fmt](meta, records)
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_worker_exception_reaches_the_caller(self, tmp_path, fmt):
+        problem, records = sample_records()
+        records[17].f_y = "not a number"
+        with many_spans(), pytest.raises(ValueError) as raised:
+            write_trace(tmp_path / "trace", sample_meta(problem), records, fmt)
+        assert type(raised.value) is ValueError
+        assert isinstance(raised.value.__cause__, multiprocessing.pool.RemoteTraceback)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_single_span_trace_starts_no_pool(self, tmp_path, fmt):
+        problem, records = sample_records()
+        meta = sample_meta(problem)
+        with mock.patch.object(traceio, "_cores", lambda: 2), \
+                mock.patch("multiprocessing.get_context",
+                           side_effect=AssertionError("a pool was started")):
+            write_trace(tmp_path / "trace", meta, records, fmt)
+        assert (tmp_path / "trace").read_bytes() == ORACLES[fmt](meta, records)
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_write_inside_a_pool_worker(self, tmp_path, fmt):
+        # A daemonic pool worker may not start processes, so it writes alone.
+        problem, records = sample_records()
+        meta = sample_meta(problem)
+        with mock.patch.object(traceio, "_SPAN_COORDS", 1), \
+                multiprocessing.get_context("fork").Pool(1) as pool:
+            pool.apply(write_trace, (tmp_path / "trace", meta, records, fmt))
+            pool.close()
+            pool.join()
+        assert (tmp_path / "trace").read_bytes() == ORACLES[fmt](meta, records)
+
+    def test_reading_a_trace_does_not_import_multiprocessing(self, tmp_path):
+        problem, records = sample_records()
+        write_trace(tmp_path / "trace.csv", sample_meta(problem), records, "csv")
+        code = ("import sys; from proxcert.cli import main; "
+                f"assert main(['certify', '--trace', {str(tmp_path / 'trace.csv')!r}, "
+                f"'--report', {str(tmp_path / 'report.csv')!r}]) == 0; "
+                "assert 'multiprocessing' not in sys.modules")
+        src = os.path.dirname(os.path.dirname(traceio.__file__))
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       env={**os.environ, "PYTHONPATH": src})
