@@ -6,6 +6,14 @@ files instead of misreading columns: CSV files start with `# proxcert-trace v1`
 carrying schema_version.  All floats are serialized with their shortest
 round-trip decimal representation, so a re-parsed trace certifies identically.
 
+One table, `_COLUMN_KINDS`, lists the trace columns in file order and gives
+each its kind: `int`, `float`, `opt_float`, `opt_bool` or `vector`.  A kind
+says once how its values are written as CSV cells and JSON values and how
+each is read back and checked; the writers and readers of both formats loop
+over the table.  A cell or JSON value that is not of its column's kind (or a
+required one that is missing) is a data error naming the line and the column,
+which `certify` reports with exit 3.
+
 No CSV cell ever needs quoting (numbers, `;`-joined numbers, true/false,
 certificate names and statuses), so rows are written as `,`-joined cells ending
 in CRLF, the bytes `csv.writer`'s default dialect writes, and read by splitting
@@ -26,7 +34,8 @@ import math
 import os
 import sys
 from dataclasses import asdict, dataclass
-from typing import Optional
+from operator import attrgetter
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -38,14 +47,7 @@ TRACE_MAGIC = "# proxcert-trace v1"
 REPORT_MAGIC = "# proxcert-report v1"
 SCHEMA_VERSION = 1
 
-_TRACE_COLUMNS = ("k", "f_y", "gap", "grad_map_norm", "accepted", "energy")
-_ITERATE_COLUMNS = ("f_z", "x", "y", "grad_map")
-_VECTOR_COLUMNS = ("x", "y", "grad_map")
 _REPORT_COLUMNS = ("k", "name", "lhs", "rhs", "slack", "pass", "status")
-# Fields without which a JSON-lines trace row is not a record.
-_REQUIRED_FIELDS = ("k", "f_y", "grad_map_norm")
-# Scalar fields of a JSON-lines trace row that must hold JSON numbers.
-_NUMBER_FIELDS = ("f_y", "f_z", "grad_map_norm", "gap")
 # Characters of CSV trace read per block: about the 128 KB of float64 per
 # iterate column that certification stacks (certificates._BLOCK_BYTES), at
 # about 20 characters per coordinate in each of the three vector columns.
@@ -97,24 +99,77 @@ def _parse_vector(cell: str) -> np.ndarray:
     return np.array([float(c) for c in cell.split(";")], dtype=np.float64)
 
 
-def _write_row(fh, cells) -> None:
-    fh.write(",".join(cells) + "\r\n")
+def _parse_vectors(cells) -> list:
+    """One block's cells of a vector column: row views of one parsed array.
+
+    A block with an empty, ragged or non-numeric cell is parsed cell by cell
+    instead (None for an empty cell), so that the parse error or a shape
+    check names the cell's row.
+    """
+    if all(cells):  # loadtxt would skip an empty line
+        try:
+            return list(np.loadtxt(cells, delimiter=";", comments=None,
+                                   dtype=np.float64, ndmin=2))
+        except ValueError:
+            pass
+    return [_parse_vector(c) if c else None for c in cells]
 
 
-def _opt_float(cell: str) -> Optional[float]:
-    return None if cell == "" else float(cell)
+def _is_number(value) -> bool:
+    """A JSON number: an int or a float, not a bool."""
+    return type(value) in (int, float)
 
 
-def _opt_bool(cell: str) -> Optional[bool]:
-    return None if cell == "" else cell == "true"
+class _Kind(NamedTuple):
+    """How the values of one kind of trace column are written and read."""
+
+    what: str  # what a value of the kind is, for error messages
+    optional: bool  # may be None: an empty CSV cell, a JSON null or no key
+    text: Callable  # value -> CSV cell
+    parse: Callable  # a block's CSV cells -> values; ValueError or KeyError
+    to_json: Callable  # value other than None -> JSON value
+    is_json: Callable  # JSON value other than null -> whether it is of the kind
+    from_json: Callable = lambda value: value  # JSON value of the kind -> value
+
+
+_CSV_BOOLS = {"true": True, "false": False}
+_INT = _Kind("an integer", False, _fmt, lambda cells: [int(c) for c in cells],
+             int, lambda value: type(value) is int)
+_FLOAT = _Kind("a number", False, _fmt, lambda cells: [float(c) for c in cells],
+               float, _is_number)
+_OPT_FLOAT = _Kind("a number", True, _fmt,
+                   lambda cells: [float(c) if c else None for c in cells],
+                   float, _is_number)
+_OPT_BOOL = _Kind("true or false", True, _fmt,
+                  lambda cells: [_CSV_BOOLS[c] if c else None for c in cells],
+                  bool, lambda value: type(value) is bool)
+_VECTOR = _Kind("a list of numbers", True, _fmt_vector, _parse_vectors, _floats,
+                lambda value: (isinstance(value, list)
+                               and set(map(type, value)) <= {int, float}),
+                lambda value: np.array(value, dtype=np.float64))
+
+# Every trace column, in file order, with the kind of its values; each names
+# an IterationRecord field.  The last four, the iterate columns, are written
+# only when meta.iterates is set.
+_COLUMN_KINDS = {
+    "k": _INT, "f_y": _FLOAT, "gap": _OPT_FLOAT, "grad_map_norm": _FLOAT,
+    "accepted": _OPT_BOOL, "energy": _OPT_FLOAT,
+    "f_z": _OPT_FLOAT, "x": _VECTOR, "y": _VECTOR, "grad_map": _VECTOR,
+}
+_TRACE_COLUMNS = tuple(_COLUMN_KINDS)[:-4]
+_ITERATE_COLUMNS = tuple(_COLUMN_KINDS)[-4:]
+
+
+def _columns(iterates: bool) -> tuple:
+    """The names of a trace's columns, in file order."""
+    return _TRACE_COLUMNS + _ITERATE_COLUMNS if iterates else _TRACE_COLUMNS
 
 
 def write_trace(path, meta: TraceMeta, records, fmt: str = "csv") -> None:
     """Write one row per IterationRecord; iterates included per meta.iterates."""
     if fmt == "csv":
-        columns = _TRACE_COLUMNS + (_ITERATE_COLUMNS if meta.iterates else ())
         header = (f"{TRACE_MAGIC}\n# meta {json.dumps(asdict(meta))}\n"
-                  f"{','.join(columns)}\r\n")
+                  f"{','.join(_columns(meta.iterates))}\r\n")
         encode = _csv_rows
     elif fmt == "jsonl":
         header = json.dumps({"format": "proxcert-trace", **asdict(meta)}) + "\n"
@@ -126,48 +181,27 @@ def write_trace(path, meta: TraceMeta, records, fmt: str = "csv") -> None:
         _write_rows(fh, encode, list(records), meta.iterates)
 
 
-def _record_fields(rec: IterationRecord, iterates: bool) -> dict:
-    fields = {
-        "k": rec.k,
-        "f_y": rec.f_y,
-        "gap": rec.gap,
-        "grad_map_norm": rec.grad_map_norm,
-        "accepted": rec.accepted,
-        "energy": rec.energy,
-    }
-    if iterates:
-        fields["f_z"] = rec.f_z
-        fields["x"] = rec.x
-        fields["y"] = rec.y
-        fields["grad_map"] = rec.grad_map
-    return fields
-
-
 def _csv_rows(records, iterates: bool) -> bytes:
     """CSV trace rows of records, each ending in CRLF."""
-    columns = _TRACE_COLUMNS + (_ITERATE_COLUMNS if iterates else ())
+    columns = _columns(iterates)
+    values = attrgetter(*columns)
+    texts = [_COLUMN_KINDS[name].text for name in columns]
     rows = []
     for rec in records:
-        fields = _record_fields(rec, iterates)
-        rows.append(",".join([_fmt_vector(fields[col]) if col in _VECTOR_COLUMNS
-                              else _fmt(fields[col]) for col in columns]) + "\r\n")
+        rows.append(",".join([text(v) for text, v in zip(texts, values(rec))]) + "\r\n")
     return "".join(rows).encode()
 
 
 def _jsonl_rows(records, iterates: bool) -> bytes:
     """JSON-lines trace rows of records, one object per line."""
+    columns = _columns(iterates)
+    values = attrgetter(*columns)
+    to_json = [_COLUMN_KINDS[name].to_json for name in columns]
     rows = []
     for rec in records:
-        fields = _record_fields(rec, iterates)
-        for key in _VECTOR_COLUMNS:
-            if key in fields and fields[key] is not None:
-                fields[key] = _floats(fields[key])
-        for key in ("f_y", "gap", "grad_map_norm", "energy", "f_z"):
-            if key in fields and fields[key] is not None:
-                fields[key] = float(fields[key])
-        if fields.get("accepted") is not None:
-            fields["accepted"] = bool(fields["accepted"])
-        rows.append(json.dumps(fields) + "\n")
+        row = {name: None if v is None else convert(v)
+               for name, convert, v in zip(columns, to_json, values(rec))}
+        rows.append(json.dumps(row) + "\n")
     return "".join(rows).encode()
 
 
@@ -204,9 +238,9 @@ def _write_rows(fh, encode, records: list, iterates: bool) -> None:
 
 def _span_rows(records: list, iterates: bool) -> int:
     """Rows per span: about _SPAN_COORDS numbers, counted on the first row."""
-    width = len(_TRACE_COLUMNS)
-    if iterates and records:
-        width += 1 + len(_VECTOR_COLUMNS) * np.size(records[0].x)
+    if not records:
+        return 1
+    width = sum(np.size(getattr(records[0], name)) for name in _columns(iterates))
     return max(1, _SPAN_COORDS // width)
 
 
@@ -238,22 +272,37 @@ def _encode_span(span) -> bytes:
 
 def read_trace(path):
     """Parse a trace file (either format); returns (TraceMeta, records)."""
-    with open(path) as fh:
+    with open(path, newline="") as fh:
         first = fh.readline().rstrip("\n")
-    if first.startswith("#"):
+        if not first.startswith("#"):
+            header = json.loads(first)
+            if not isinstance(header, dict) or header.get("format") != "proxcert-trace":
+                raise ConfigurationError("file is not a proxcert trace")
+            if header.get("schema_version") != SCHEMA_VERSION:  # before other keys
+                raise ConfigurationError(
+                    f"unsupported trace schema_version {header.get('schema_version')!r}")
+            return _read_trace_jsonl(fh, _meta_from_dict(header))
         if first != TRACE_MAGIC:
             raise ConfigurationError(
                 f"unsupported trace header {first!r}; expected {TRACE_MAGIC!r}"
             )
-        return _read_trace_csv(path)
-    header = json.loads(first)
-    if not isinstance(header, dict) or header.get("format") != "proxcert-trace":
-        raise ConfigurationError("file is not a proxcert trace")
-    if header.get("schema_version") != SCHEMA_VERSION:
-        raise ConfigurationError(
-            f"unsupported trace schema_version {header.get('schema_version')}"
-        )
-    return _read_trace_jsonl(path)
+        meta_line = fh.readline().rstrip("\n")
+        if not meta_line.startswith("# meta "):
+            raise ConfigurationError("malformed trace file header")
+        return _read_trace_csv(fh, _meta_from_dict(json.loads(meta_line[len("# meta "):])))
+
+
+# Trace metadata checks: key, what its value must be, and the test; a key the
+# metadata may leave out passes None.
+_META_RULES = (
+    ("alpha", "a finite number", lambda v: _is_number(v) and math.isfinite(v)),
+    ("step", "a finite number", lambda v: _is_number(v) and math.isfinite(v)),
+    ("dim", "a positive integer", lambda v: v is None or type(v) is int and v >= 1),
+    ("max_iters", "an integer >= 0", lambda v: v is None or type(v) is int and v >= 0),
+    ("grad_map_tol", "a number >= 0", lambda v: v is None or _is_number(v) and v >= 0),
+    ("iterates", "true or false", lambda v: type(v) is bool),
+    ("schema_version", str(SCHEMA_VERSION), lambda v: v == SCHEMA_VERSION),
+)
 
 
 def _meta_from_dict(d: dict) -> TraceMeta:
@@ -261,37 +310,13 @@ def _meta_from_dict(d: dict) -> TraceMeta:
         meta = TraceMeta(**{k: d[k] for k in TraceMeta.__dataclass_fields__ if k in d})
     except TypeError as exc:
         raise ConfigurationError(f"trace metadata is incomplete: {exc}")
-    if meta.dim is not None and (type(meta.dim) is not int or meta.dim < 1):
-        raise ConfigurationError(
-            f"trace metadata dim must be a positive integer, got {meta.dim!r}"
-        )
-    for key in ("alpha", "step"):
+    for key, what, valid in _META_RULES:
         value = getattr(meta, key)
-        if not _is_number(value) or not math.isfinite(value):
+        if not valid(value):
             raise ConfigurationError(
-                f"trace metadata {key} must be a finite number, got {value!r}"
+                f"trace metadata {key} must be {what}, got {value!r}"
             )
     return meta
-
-
-def _is_number(value) -> bool:
-    """A JSON number: an int or a float, not a bool."""
-    return type(value) in (int, float)
-
-
-def _record_from_fields(fields: dict) -> IterationRecord:
-    return IterationRecord(
-        k=int(fields["k"]),
-        f_y=fields["f_y"],
-        grad_map_norm=fields["grad_map_norm"],
-        gap=fields.get("gap"),
-        accepted=fields.get("accepted"),
-        energy=fields.get("energy"),
-        x=fields.get("x"),
-        y=fields.get("y"),
-        grad_map=fields.get("grad_map"),
-        f_z=fields.get("f_z"),
-    )
 
 
 def _check_cell_count(what: str, line_no: int, row: list, columns) -> None:
@@ -302,119 +327,90 @@ def _check_cell_count(what: str, line_no: int, row: list, columns) -> None:
         raise DataCorruptionError(f"{where} for {len(columns)} columns")
 
 
-def _check_dim(meta: TraceMeta, line_no: int, k, name: str, v) -> None:
-    """A data error unless vector v has the trace's declared dimension, if any."""
-    if meta.dim is not None and v is not None and np.shape(v) != (meta.dim,):
-        raise DataCorruptionError(
-            f"trace line {line_no}: record k={k} has a {name} of shape "
-            f"{np.shape(v)}; the trace metadata says dim = {meta.dim}"
-        )
+def _bad_field(where: str, name: str, what: str, value) -> DataCorruptionError:
+    """The data error for a field holding a value that is not `what`; a long
+    value is cut to its first 80 characters."""
+    return DataCorruptionError(f"{where}: field {name!r} must be {what}, got {value!r:.80}")
 
 
-def _read_trace_csv(path):
-    with open(path, newline="") as fh:
-        magic = fh.readline().rstrip("\n")
-        meta_line = fh.readline().rstrip("\n")
-        if magic != TRACE_MAGIC or not meta_line.startswith("# meta "):
-            raise ConfigurationError("malformed trace file header")
-        meta = _meta_from_dict(json.loads(meta_line[len("# meta "):]))
-        if meta.schema_version != SCHEMA_VERSION:
-            raise ConfigurationError(
-                f"unsupported trace schema_version {meta.schema_version}"
+def _check_dim(meta: TraceMeta, line_no: int, rec: IterationRecord) -> None:
+    """A data error unless rec's vectors have the trace's declared dimension, if any."""
+    for name, kind in _COLUMN_KINDS.items():
+        v = getattr(rec, name)
+        if (kind is _VECTOR and v is not None and meta.dim is not None
+                and np.shape(v) != (meta.dim,)):
+            raise DataCorruptionError(
+                f"trace line {line_no}: record k={rec.k} has a {name} of shape "
+                f"{np.shape(v)}; the trace metadata says dim = {meta.dim}"
             )
-        columns = fh.readline().rstrip("\r\n").split(",")
-        required = _TRACE_COLUMNS + (_ITERATE_COLUMNS if meta.iterates else ())
-        missing = [c for c in required if c not in columns]
-        if missing:
-            raise ConfigurationError(f"trace has no column(s) {', '.join(missing)}")
-        records = []
-        line_no = 4  # of the block's first row, after the magic, meta and columns
-        for lines in iter(lambda: fh.readlines(_BLOCK_TEXT), []):
-            records += _csv_block_records(lines, line_no, columns, meta)
-            line_no += len(lines)
+
+
+def _read_trace_csv(fh, meta: TraceMeta):
+    """The records of a CSV trace whose magic and meta lines fh has read."""
+    columns = fh.readline().rstrip("\r\n").split(",")
+    missing = [c for c in _columns(meta.iterates) if c not in columns]
+    if missing:
+        raise ConfigurationError(f"trace has no column(s) {', '.join(missing)}")
+    records = []
+    line_no = 4  # of the block's first row, after the magic, meta and columns
+    for lines in iter(lambda: fh.readlines(_BLOCK_TEXT), []):
+        records += _csv_block_records(lines, line_no, columns, meta)
+        line_no += len(lines)
     return meta, records
 
 
 def _csv_block_records(lines, first_line: int, columns, meta: TraceMeta) -> list:
-    """IterationRecords of one block of CSV trace rows."""
+    """IterationRecords of one block of CSV trace rows, each column of the
+    block parsed by one call of its kind."""
     rows = [line.rstrip("\r\n").split(",") for line in lines]
     for i, row in enumerate(rows):
         _check_cell_count("trace", first_line + i, row, columns)
     cells = dict(zip(columns, zip(*rows)))
-    fields = {
-        "k": [int(c) for c in cells["k"]],
-        "f_y": [float(c) for c in cells["f_y"]],
-        "gap": [_opt_float(c) for c in cells["gap"]],
-        "grad_map_norm": [float(c) for c in cells["grad_map_norm"]],
-        "accepted": [_opt_bool(c) for c in cells["accepted"]],
-        "energy": [_opt_float(c) for c in cells["energy"]],
-    }
-    if meta.iterates:
-        fields["f_z"] = [_opt_float(c) for c in cells["f_z"]]
-        for name in _VECTOR_COLUMNS:
-            fields[name] = _parse_vectors(cells[name])
-            for i, (k, v) in enumerate(zip(fields["k"], fields[name])):
-                _check_dim(meta, first_line + i, k, name, v)
-    return [IterationRecord(**dict(zip(fields, values)))
-            for values in zip(*fields.values())]
+    fields = {name: _csv_column(name, cells[name], first_line)
+              for name in _columns(meta.iterates)}
+    records = [IterationRecord(**dict(zip(fields, values)))
+               for values in zip(*fields.values())]
+    for line_no, rec in enumerate(records, start=first_line):
+        _check_dim(meta, line_no, rec)
+    return records
 
 
-def _parse_vectors(cells) -> list:
-    """One block's cells of a vector column: row views of one parsed array.
+def _csv_column(name: str, cells, first_line: int) -> list:
+    """The values of one column's cells in a block of CSV rows; a data error
+    names the line of the first cell that is not of the column's kind."""
+    kind = _COLUMN_KINDS[name]
+    try:
+        return kind.parse(cells)
+    except (ValueError, KeyError):
+        for line_no, cell in enumerate(cells, start=first_line):
+            try:
+                kind.parse([cell])
+            except (ValueError, KeyError):
+                raise _bad_field(f"trace line {line_no}", name, kind.what, cell) from None
+        raise
 
-    A block with an empty, ragged or non-numeric cell is parsed cell by cell
-    instead (None for an empty cell), so that the parse error or a shape
-    check names the cell's row.
-    """
-    if all(cells):  # loadtxt would skip an empty line
-        try:
-            return list(np.loadtxt(cells, delimiter=";", comments=None,
-                                   dtype=np.float64, ndmin=2))
-        except ValueError:
-            pass
-    return [_parse_vector(c) if c else None for c in cells]
 
-
-def _read_trace_jsonl(path):
-    with open(path) as fh:
-        meta = _meta_from_dict(json.loads(fh.readline()))
-        records = []
-        for line_no, line in enumerate(fh, start=2):
-            fields = json.loads(line)
-            if not isinstance(fields, dict):
-                raise DataCorruptionError(f"trace line {line_no} is not a JSON object")
-            missing = [key for key in _REQUIRED_FIELDS if fields.get(key) is None]
-            if missing:
-                raise DataCorruptionError(f"trace line {line_no} has no {missing[0]!r}")
-            _check_json_numbers(line_no, fields)
-            for key in _VECTOR_COLUMNS:
-                if fields.get(key) is not None:
-                    fields[key] = np.array(fields[key], dtype=np.float64)
-                    _check_dim(meta, line_no, fields["k"], key, fields[key])
-            records.append(_record_from_fields(fields))
+def _read_trace_jsonl(fh, meta: TraceMeta):
+    """The records of a JSON-lines trace whose header line fh has read."""
+    records = []
+    for line_no, line in enumerate(fh, start=2):
+        row = json.loads(line)
+        if not isinstance(row, dict):
+            raise DataCorruptionError(f"trace line {line_no} is not a JSON object")
+        fields = {}
+        for name, kind in _COLUMN_KINDS.items():
+            value = row.get(name)
+            if value is None:
+                if not kind.optional:
+                    raise DataCorruptionError(f"trace line {line_no} has no {name!r}")
+            elif kind.is_json(value):
+                value = kind.from_json(value)
+            else:
+                raise _bad_field(f"trace line {line_no}", name, kind.what, value)
+            fields[name] = value
+        records.append(IterationRecord(**fields))
+        _check_dim(meta, line_no, records[-1])
     return meta, records
-
-
-def _check_json_numbers(line_no: int, fields: dict) -> None:
-    """A data error unless a JSON-lines row's numeric fields hold JSON numbers
-    (not bools, strings or lists), the optional ones null or numbers."""
-    if type(fields["k"]) is not int:
-        raise DataCorruptionError(
-            f"trace line {line_no}: field 'k' must be an integer, got {fields['k']!r}"
-        )
-    for key in _NUMBER_FIELDS:
-        value = fields.get(key)
-        if value is not None and not _is_number(value):
-            raise DataCorruptionError(
-                f"trace line {line_no}: field {key!r} must be a number, got {value!r}"
-            )
-    for key in _VECTOR_COLUMNS:
-        value = fields.get(key)
-        if value is not None and not (isinstance(value, list)
-                                      and set(map(type, value)) <= {int, float}):
-            raise DataCorruptionError(
-                f"trace line {line_no}: field {key!r} must be a list of numbers"
-            )
 
 
 def write_report(path, reports, fmt: str = "csv") -> None:
@@ -422,12 +418,10 @@ def write_report(path, reports, fmt: str = "csv") -> None:
     if fmt == "csv":
         with open(path, "w", newline="") as fh:
             fh.write(REPORT_MAGIC + "\n")
-            _write_row(fh, _REPORT_COLUMNS)
+            fh.write(",".join(_REPORT_COLUMNS) + "\r\n")
             for rep in reports:
-                _write_row(fh, [
-                    str(rep.k), rep.name, _fmt(rep.lhs), _fmt(rep.rhs),
-                    _fmt(rep.slack), _fmt(rep.passed), rep.status,
-                ])
+                fh.write(",".join([str(rep.k), rep.name, _fmt(rep.lhs), _fmt(rep.rhs),
+                                   _fmt(rep.slack), _fmt(rep.passed), rep.status]) + "\r\n")
     elif fmt == "jsonl":
         with open(path, "w") as fh:
             fh.write(json.dumps({"format": "proxcert-report",
@@ -460,8 +454,8 @@ def read_report(path):
                 row = line.rstrip("\r\n").split(",")
                 _check_cell_count("report", line_no, row, _REPORT_COLUMNS)
                 cells = dict(zip(_REPORT_COLUMNS, row))
-                cells["pass"] = cells["pass"] == "true"
-                rows.append(cells)
+                cells["pass"] = _CSV_BOOLS.get(cells["pass"], cells["pass"])
+                rows.append((line_no, cells))
         else:
             header = json.loads(first)
             if not isinstance(header, dict) or header.get("format") != "proxcert-report":
@@ -473,13 +467,17 @@ def read_report(path):
                 missing = [key for key in _REPORT_COLUMNS if key not in fields]
                 if missing:
                     raise DataCorruptionError(f"report line {line_no} has no {missing[0]!r}")
-                fields["pass"] = bool(fields["pass"])
-                rows.append(fields)
-    return [CertificateReport(
-        k=int(r["k"]), name=r["name"], lhs=_nanfloat(r["lhs"]),
-        rhs=_nanfloat(r["rhs"]), slack=_nanfloat(r["slack"]),
-        passed=r["pass"], status=r["status"],
-    ) for r in rows]
+                rows.append((line_no, fields))
+    reports = []
+    for line_no, r in rows:  # a pass cell read from CSV is a bool if true or false
+        if type(r["pass"]) is not bool:
+            raise _bad_field(f"report line {line_no}", "pass", "true or false", r["pass"])
+        reports.append(CertificateReport(
+            k=int(r["k"]), name=r["name"], lhs=_nanfloat(r["lhs"]),
+            rhs=_nanfloat(r["rhs"]), slack=_nanfloat(r["slack"]),
+            passed=r["pass"], status=r["status"],
+        ))
+    return reports
 
 
 def _nanfloat(cell) -> float:

@@ -397,6 +397,65 @@ class TestCorruptTraceExits3:
         assert (f"trace line 7: field {column!r} must be a list of numbers"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("column, cell, what", [
+        ("k", "1.5", "an integer"),
+        ("f_y", "abc", "a number"),
+        ("gap", "abc", "a number"),
+        ("grad_map_norm", "", "a number"),
+        ("accepted", "maybe", "true or false"),
+        ("energy", "abc", "a number"),
+        ("f_z", "1.0.0", "a number"),
+        ("x", "abc", "a list of numbers"),
+    ])
+    def test_malformed_csv_cell(self, tmp_path, capsys, column, cell, what):
+        trace = short_trace(tmp_path)
+
+        def corrupt(rows):
+            if column == "x":  # one coordinate of the vector
+                coords = rows[12][column].split(";")
+                coords[2] = cell
+                rows[12][column] = ";".join(coords)
+            else:
+                rows[12][column] = cell
+            return rows
+        edit_csv_rows(trace, corrupt)
+        assert certify_cli(trace, tmp_path) == 3
+        assert (f"trace line 16: field {column!r} must be {what}, got"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("value", ["maybe", "true", 1, 0.0, [True]])
+    def test_jsonl_accepted_not_a_bool(self, tmp_path, capsys, value):
+        trace = short_trace(tmp_path, "jsonl")
+        lines = trace.read_text().splitlines()
+        row = json.loads(lines[6])
+        row["accepted"] = value
+        lines[6] = json.dumps(row)
+        trace.write_text("\n".join(lines) + "\n")
+        assert certify_cli(trace, tmp_path) == 3
+        assert (f"trace line 7: field 'accepted' must be true or false, got {value!r}"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @pytest.mark.parametrize("key, value, what", [
+        ("max_iters", "20", "an integer >= 0"),
+        ("max_iters", -1, "an integer >= 0"),
+        ("max_iters", 2.5, "an integer >= 0"),
+        ("grad_map_tol", "x", "a number >= 0"),
+        ("iterates", "false", "true or false"),
+    ])
+    def test_meta_value_of_wrong_type_exits_2(self, tmp_path, capsys, fmt, key,
+                                              value, what):
+        trace = short_trace(tmp_path, fmt)
+        lines = trace.read_text().splitlines(keepends=True)
+        i, prefix = (1, "# meta ") if fmt == "csv" else (0, "")
+        meta = json.loads(lines[i][len(prefix):])
+        meta[key] = value
+        lines[i] = prefix + json.dumps(meta) + "\n"
+        trace.write_text("".join(lines))
+        assert certify_cli(trace, tmp_path) == 2
+        assert (f"trace metadata {key} must be {what}, got {value!r}"
+                in capsys.readouterr().err)
+
     def test_infinite_start_objective_stays_legal(self, tmp_path):
         trace = short_trace(tmp_path)
 

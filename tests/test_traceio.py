@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import multiprocessing
@@ -267,6 +268,29 @@ def test_csv_report_bytes_equal_the_csv_module(tmp_path):
     assert path.read_bytes() == csv_module_report(reports)
 
 
+def test_column_table_names_every_record_field_in_file_order():
+    # A record field added without a column would silently drop out of traces.
+    kinds = traceio._COLUMN_KINDS
+    assert set(kinds) == {f.name for f in dataclasses.fields(IterationRecord)}
+    assert traceio._TRACE_COLUMNS + traceio._ITERATE_COLUMNS == tuple(kinds)
+
+
+@pytest.mark.parametrize("block_text", [1, 1 << 20])
+def test_malformed_csv_cell_names_its_line_in_any_block(tmp_path, block_text):
+    problem, records = sample_records()
+    path = tmp_path / "trace.csv"
+    write_trace(path, sample_meta(problem), records, "csv")
+    lines = path.read_text().splitlines(keepends=True)
+    cells = lines[20].split(",")
+    cells[traceio._TRACE_COLUMNS.index("f_y")] = "abc"
+    lines[20] = ",".join(cells)
+    path.write_text("".join(lines))
+    with mock.patch.object(traceio, "_BLOCK_TEXT", block_text), \
+            pytest.raises(DataCorruptionError,
+                          match="trace line 21: field 'f_y' must be a number, got 'abc'"):
+        read_trace(path)
+
+
 class TestCorruptReport:
     def report_file(self, tmp_path, fmt):
         path = tmp_path / f"report.{fmt}"
@@ -298,6 +322,30 @@ class TestCorruptReport:
         lines[2] = json.dumps(row)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataCorruptionError, match=f"report line 3 has no '{key}'"):
+            read_report(path)
+
+    @pytest.mark.parametrize("cell", ["yes", "True", "1", ""])
+    def test_csv_pass_not_true_or_false(self, tmp_path, cell):
+        path = self.report_file(tmp_path, "csv")
+        lines = path.read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[traceio._REPORT_COLUMNS.index("pass")] = cell
+        lines[3] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataCorruptionError, match="report line 4: field 'pass' "
+                                                      "must be true or false"):
+            read_report(path)
+
+    @pytest.mark.parametrize("value", ["false", "true", 1, 0, None])
+    def test_jsonl_pass_not_a_bool(self, tmp_path, value):
+        path = self.report_file(tmp_path, "jsonl")
+        lines = path.read_text().splitlines()
+        row = json.loads(lines[2])
+        row["pass"] = value
+        lines[2] = json.dumps(row)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataCorruptionError, match="report line 3: field 'pass' "
+                                                      "must be true or false"):
             read_report(path)
 
     def test_jsonl_row_not_an_object(self, tmp_path):
