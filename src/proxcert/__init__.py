@@ -8,6 +8,7 @@ and the linear and sublinear rate envelopes on concrete traces.
 
 from .certificates import (
     CertificateReport,
+    CertificateTable,
     EnergyContext,
     certify_trace,
     comparison_rho,

@@ -13,12 +13,19 @@ Each formula works over the last axis.  Given one record (vectors of shape
 of shape (n, d), k of shape (n,)) it returns arrays of n values, bit for bit
 the values it gives record by record.  `certify_trace` evaluates every
 certificate once per block.
+
+`certify_trace` returns a `CertificateTable`: one array per column (`k`, the
+certificate name's index, `lhs`, `rhs`, `slack`, `passed`, `applies`), one
+entry per line in (k, name) order.  A verdict reads the columns (the first
+violation is the first true entry of `applies & ~passed`); iterating the table
+yields one `CertificateReport` per line, built only when asked for.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from itertools import starmap
 from typing import Sequence, Union
 
 import numpy as np
@@ -89,6 +96,84 @@ class CertificateReport:
     slack: float
     passed: bool
     status: str = "ok"  # "ok" | "not_applicable"
+
+
+# Rows that iterating or writing a table turns into Python values at a time.
+# A chunk's values and cell strings, about 0.5 KB per row, are what writing a
+# report holds beyond the table.
+_CHUNK_ROWS = 1 << 10
+
+
+@dataclass(frozen=True, eq=False)
+class CertificateTable:
+    """Certificate lines as columns, one array each, in (k, name) order.
+
+    `k` is int64, `name` an index into NAMES, `lhs`, `rhs` and `slack` float64,
+    `passed` and `applies` bool; a line's status is STATUSES[applies].
+    Iterating yields the lines as CertificateReport rows of Python values
+    (int, str, float, bool).
+    """
+
+    k: np.ndarray
+    name: np.ndarray
+    lhs: np.ndarray
+    rhs: np.ndarray
+    slack: np.ndarray
+    passed: np.ndarray
+    applies: np.ndarray
+
+    NAMES = _ORDER
+    STATUSES = ("not_applicable", "ok")
+    _DTYPES = (np.int64, np.int64, np.float64, np.float64, np.float64, bool, bool)
+
+    def __post_init__(self):
+        for field, column, dtype in zip(fields(self), self._columns(), self._DTYPES):
+            object.__setattr__(self, field.name, np.asarray(column, dtype))
+
+    @classmethod
+    def from_rows(cls, rows) -> "CertificateTable":
+        """The table of CertificateReport rows, in their order.
+
+        A row whose name is not a certificate's, or whose status is not one of
+        STATUSES, is rejected.
+        """
+        rows = list(rows)
+        bad = next((r for r in rows
+                    if r.name not in cls.NAMES or r.status not in cls.STATUSES), None)
+        if bad is not None:
+            raise RejectedInputError(
+                f"{bad!r}: the name must be a certificate's and the status one "
+                f"of {', '.join(cls.STATUSES)}")
+        return cls([r.k for r in rows], [cls.NAMES.index(r.name) for r in rows],
+                   [r.lhs for r in rows], [r.rhs for r in rows],
+                   [r.slack for r in rows], [r.passed for r in rows],
+                   [r.status == "ok" for r in rows])
+
+    def _columns(self) -> tuple:
+        """The seven columns, in the order of the fields."""
+        return (self.k, self.name, self.lhs, self.rhs, self.slack, self.passed,
+                self.applies)
+
+    def chunks(self):
+        """The columns as lists of Python values, _CHUNK_ROWS rows at a time."""
+        for start in range(0, len(self), _CHUNK_ROWS):
+            yield [column[start:start + _CHUNK_ROWS].tolist()
+                   for column in self._columns()]
+
+    def __len__(self) -> int:
+        return len(self.k)
+
+    def __iter__(self):
+        for columns in self.chunks():
+            yield from starmap(self._report, zip(*columns))
+
+    def row(self, i: int) -> CertificateReport:
+        """Line i as a CertificateReport."""
+        return self._report(*(column[i].item() for column in self._columns()))
+
+    def _report(self, k, name, lhs, rhs, slack, passed, applies) -> CertificateReport:
+        return CertificateReport(k, self.NAMES[name], lhs, rhs, slack, passed,
+                                 self.STATUSES[applies])
 
 
 def ineq_tolerance(lhs: float, rhs: float) -> float:
@@ -303,7 +388,7 @@ def _stack(records, first_k: int, shape: tuple):
     for name in ("x", "y", "grad_map"):
         cells = [getattr(r, name) for r in records]
         try:
-            stacked = np.stack(cells)
+            stacked = np.array(cells)
         except ValueError:  # vectors of different shapes
             stacked = None
         if stacked is None or stacked.shape[1:] != shape:
@@ -348,21 +433,18 @@ class _Lines:
         self.present[0, col] = True
         self.applies[0, col] = False
 
-    def reports(self) -> list:
+    def columns(self) -> tuple:
+        """The present lines' table columns, in (k, name) order."""
         passed = np.where(self.applies, self.lhs <= self.rhs + self.tol, True)
-        slack = self.rhs - self.lhs
         cells = np.flatnonzero(self.present)
-        rows, cols = np.divmod(cells, len(_ORDER))
-        columns = (self.k[rows].tolist(), cols.tolist(),
-                   self.lhs.ravel()[cells].tolist(), self.rhs.ravel()[cells].tolist(),
-                   slack.ravel()[cells].tolist(), passed.ravel()[cells].tolist(),
-                   self.applies.ravel()[cells].tolist())
-        return [CertificateReport(k, _ORDER[col], lhs, rhs, sl, ok,
-                                  "ok" if applies else "not_applicable")
-                for k, col, lhs, rhs, sl, ok, applies in zip(*columns)]
+        rows, names = np.divmod(cells, len(_ORDER))
+        lhs, rhs = self.lhs.ravel()[cells], self.rhs.ravel()[cells]
+        return (self.k[rows], names, lhs, rhs, rhs - lhs, passed.ravel()[cells],
+                self.applies.ravel()[cells])
 
 
-def certify_trace(ctx: EnergyContext, trace, variant: str = "mapm") -> list:
+def certify_trace(ctx: EnergyContext, trace,
+                  variant: str = "mapm") -> CertificateTable:
     """Evaluate every applicable certificate on a recorded trace.
 
     The trace must carry iterates (x, y, grad_map, f_z per record).  For mapm
@@ -371,7 +453,7 @@ def certify_trace(ctx: EnergyContext, trace, variant: str = "mapm") -> list:
     the sublinear envelope starts at k = 1.  apm traces keep the descent and
     inertial checks; ista / strongly_convex_apm traces keep only the descent
     check.  Skipped families are reported once with status "not_applicable".
-    Reports are sorted by (k, name).  A variant outside solvers.VARIANTS is
+    Lines are sorted by (k, name).  A variant outside solvers.VARIANTS is
     rejected; a trace whose k does not run 0, 1, 2, ..., with a NaN f_y, f_z,
     grad_map_norm or iterate coordinate, or with a vector of another shape
     than x_0 is corrupt.
@@ -385,7 +467,7 @@ def certify_trace(ctx: EnergyContext, trace, variant: str = "mapm") -> list:
         )
     trace = list(trace)
     if not trace:
-        return []
+        return CertificateTable.from_rows([])
     a, s, mu, L = ctx.alpha, ctx.s, ctx.mu, ctx.lipschitz
     pairs = variant in ("mapm", "apm")
     mapm = variant == "mapm"
@@ -408,7 +490,7 @@ def certify_trace(ctx: EnergyContext, trace, variant: str = "mapm") -> list:
 
     shape = np.shape(trace[0].x)
     rows = _block_rows(max(1, math.prod(shape)))
-    reports = []
+    blocks = []
     for start in range(0, len(trace), rows):
         stop = min(start + rows, len(trace))
         k, f_y, f_z, x, y, G = _stack(trace[start:stop + 1], start, shape)
@@ -442,5 +524,5 @@ def certify_trace(ctx: EnergyContext, trace, variant: str = "mapm") -> list:
             first = max(1 - start, 0)
             lines.put("theorem2_envelope", first, gap[first:],
                       theorem2_envelope(ctx, k[first:m], dist0))
-        reports += lines.reports()
-    return reports
+        blocks.append(lines.columns())
+    return CertificateTable(*map(np.concatenate, zip(*blocks)))

@@ -212,12 +212,12 @@ def cmd_certify(args) -> int:
             "trace was produced on a different problem (content hash mismatch)"
         )
     ctx = _reference_context(args, problem, meta)
-    reports = certify_trace(ctx, records, variant=meta.variant)
-    write_report(args.report, reports, args.format)
-    failures = [r for r in reports if r.status == "ok" and not r.passed]
-    print(f"wrote {len(reports)} certificate lines to {args.report}")
-    if failures:
-        worst = failures[0]
+    table = certify_trace(ctx, records, variant=meta.variant)
+    write_report(args.report, table, args.format)
+    print(f"wrote {len(table)} certificate lines to {args.report}")
+    violations = np.flatnonzero(table.applies & ~table.passed)
+    if violations.size:
+        worst = table.row(violations[0])
         print(f"FIRST VIOLATION at k={worst.k} name={worst.name} "
               f"lhs={worst.lhs!r} rhs={worst.rhs!r}")
         return 1

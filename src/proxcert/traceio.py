@@ -12,7 +12,11 @@ says once how its values are written as CSV cells and JSON values and how
 each is read back and checked; the writers and readers of both formats loop
 over the table.  A cell or JSON value that is not of its column's kind (or a
 required one that is missing) is a data error naming the line and the column,
-which `certify` reports with exit 3.
+which `certify` reports with exit 3.  A second table, `_REPORT_KINDS`, does
+the same for the report columns, whose values are a `CertificateTable`'s:
+`write_report` formats each column of the table at once, and `read_report`
+parses each column and checks it by its kind.  A JSON-lines row of either
+file that is not a JSON object is a data error naming its line.
 
 No CSV cell ever needs quoting (numbers, `;`-joined numbers, true/false,
 certificate names and statuses), so rows are written as `,`-joined cells ending
@@ -39,7 +43,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .certificates import CertificateReport
+from .certificates import CertificateTable
 from .errors import ConfigurationError, DataCorruptionError
 from .solvers import IterationRecord
 
@@ -47,7 +51,6 @@ TRACE_MAGIC = "# proxcert-trace v1"
 REPORT_MAGIC = "# proxcert-report v1"
 SCHEMA_VERSION = 1
 
-_REPORT_COLUMNS = ("k", "name", "lhs", "rhs", "slack", "pass", "status")
 # Characters of CSV trace read per block: about the 128 KB of float64 per
 # iterate column that certification stacks (certificates._BLOCK_BYTES), at
 # about 20 characters per coordinate in each of the three vector columns.
@@ -121,7 +124,7 @@ def _is_number(value) -> bool:
 
 
 class _Kind(NamedTuple):
-    """How the values of one kind of trace column are written and read."""
+    """How the values of one kind of trace or report column are written and read."""
 
     what: str  # what a value of the kind is, for error messages
     optional: bool  # may be None: an empty CSV cell, a JSON null or no key
@@ -132,9 +135,21 @@ class _Kind(NamedTuple):
     from_json: Callable = lambda value: value  # JSON value of the kind -> value
 
 
+def _is_int64(value) -> bool:
+    """An int that fits in int64, as certification stores k (not a bool)."""
+    return type(value) is int and -2 ** 63 <= value < 2 ** 63
+
+
+def _parse_int64(cell: str) -> int:
+    value = int(cell)
+    if not _is_int64(value):
+        raise ValueError(f"{cell!r} does not fit in 64 bits")
+    return value
+
+
 _CSV_BOOLS = {"true": True, "false": False}
-_INT = _Kind("an integer", False, _fmt, lambda cells: [int(c) for c in cells],
-             int, lambda value: type(value) is int)
+_INT = _Kind("an integer", False, _fmt, lambda cells: list(map(_parse_int64, cells)),
+             int, _is_int64)
 _FLOAT = _Kind("a number", False, _fmt, lambda cells: [float(c) for c in cells],
                float, _is_number)
 _OPT_FLOAT = _Kind("a number", True, _fmt,
@@ -158,6 +173,41 @@ _COLUMN_KINDS = {
 }
 _TRACE_COLUMNS = tuple(_COLUMN_KINDS)[:-4]
 _ITERATE_COLUMNS = tuple(_COLUMN_KINDS)[-4:]
+
+
+def _json_float(x: float):
+    """x, or null if x is not finite: JSON has no NaN or infinity."""
+    return x if math.isfinite(x) else None
+
+
+def _choice(what: str, choices: tuple) -> _Kind:
+    """The kind of an index into `choices`, written as the string it picks."""
+    return _Kind(what, False, choices.__getitem__,
+                 lambda cells: [choices.index(c) for c in cells],
+                 choices.__getitem__, lambda value: value in choices, choices.index)
+
+
+_NAN = float("nan")
+_BOOL = _Kind("true or false", False, _fmt,
+              lambda cells: [_CSV_BOOLS[c] for c in cells],
+              bool, lambda value: type(value) is bool)
+_REPORT_FLOAT = _Kind("a number", True, repr,
+                      lambda cells: [float(c) if c else _NAN for c in cells],
+                      _json_float, _is_number)
+_NAME = _choice("a certificate name", CertificateTable.NAMES)
+_STATUS = _choice("ok or not_applicable", CertificateTable.STATUSES)
+
+# Every report column, in file order, with the kind of its values, which are
+# those of the CertificateTable column in the same place: `name` holds an
+# index into NAMES and `status` an index into STATUSES (whether the line
+# applies).  lhs, rhs and slack hold Python floats, which `repr` writes as `_fmt`
+# does; NaN is written as `nan` in CSV and, like an infinity, as null in JSON
+# lines, and an empty cell or a null reads as NaN.
+_REPORT_KINDS = {
+    "k": _INT, "name": _NAME, "lhs": _REPORT_FLOAT, "rhs": _REPORT_FLOAT,
+    "slack": _REPORT_FLOAT, "pass": _BOOL, "status": _STATUS,
+}
+_REPORT_COLUMNS = tuple(_REPORT_KINDS)
 
 
 def _columns(iterates: bool) -> tuple:
@@ -366,7 +416,8 @@ def _csv_block_records(lines, first_line: int, columns, meta: TraceMeta) -> list
     for i, row in enumerate(rows):
         _check_cell_count("trace", first_line + i, row, columns)
     cells = dict(zip(columns, zip(*rows)))
-    fields = {name: _csv_column(name, cells[name], first_line)
+    fields = {name: _csv_column("trace", name, _COLUMN_KINDS[name], cells[name],
+                                first_line)
               for name in _columns(meta.iterates)}
     records = [IterationRecord(**dict(zip(fields, values)))
                for values in zip(*fields.values())]
@@ -375,10 +426,10 @@ def _csv_block_records(lines, first_line: int, columns, meta: TraceMeta) -> list
     return records
 
 
-def _csv_column(name: str, cells, first_line: int) -> list:
-    """The values of one column's cells in a block of CSV rows; a data error
-    names the line of the first cell that is not of the column's kind."""
-    kind = _COLUMN_KINDS[name]
+def _csv_column(what: str, name: str, kind: _Kind, cells, first_line: int) -> list:
+    """The values of one column's cells in a block of CSV rows of a trace or a
+    report (`what`); a data error names the line of the first cell that is not
+    of the column's kind."""
     try:
         return kind.parse(cells)
     except (ValueError, KeyError):
@@ -386,17 +437,27 @@ def _csv_column(name: str, cells, first_line: int) -> list:
             try:
                 kind.parse([cell])
             except (ValueError, KeyError):
-                raise _bad_field(f"trace line {line_no}", name, kind.what, cell) from None
+                raise _bad_field(f"{what} line {line_no}", name, kind.what, cell) from None
         raise
+
+
+def _json_object(what: str, line_no: int, line: str) -> dict:
+    """One JSON-lines row of a trace or a report (`what`) as a dict; a data
+    error names the line of a row that is not a JSON object."""
+    try:
+        row = json.loads(line)
+    except ValueError as exc:
+        raise DataCorruptionError(f"{what} line {line_no} is not JSON: {exc}") from None
+    if not isinstance(row, dict):
+        raise DataCorruptionError(f"{what} line {line_no} is not a JSON object")
+    return row
 
 
 def _read_trace_jsonl(fh, meta: TraceMeta):
     """The records of a JSON-lines trace whose header line fh has read."""
     records = []
     for line_no, line in enumerate(fh, start=2):
-        row = json.loads(line)
-        if not isinstance(row, dict):
-            raise DataCorruptionError(f"trace line {line_no} is not a JSON object")
+        row = _json_object("trace", line_no, line)
         fields = {}
         for name, kind in _COLUMN_KINDS.items():
             value = row.get(name)
@@ -414,73 +475,85 @@ def _read_trace_jsonl(fh, meta: TraceMeta):
 
 
 def write_report(path, reports, fmt: str = "csv") -> None:
-    """Write one line per (k, name) certificate result."""
+    """Write one line per (k, name) certificate result.
+
+    `reports` is a CertificateTable, or CertificateReport rows, which are
+    tabulated first, so that both are written by the same column encoder.
+    """
     if fmt == "csv":
-        with open(path, "w", newline="") as fh:
-            fh.write(REPORT_MAGIC + "\n")
-            fh.write(",".join(_REPORT_COLUMNS) + "\r\n")
-            for rep in reports:
-                fh.write(",".join([str(rep.k), rep.name, _fmt(rep.lhs), _fmt(rep.rhs),
-                                   _fmt(rep.slack), _fmt(rep.passed), rep.status]) + "\r\n")
+        header = f"{REPORT_MAGIC}\n{','.join(_REPORT_COLUMNS)}\r\n"
+        encode = _csv_report_rows
     elif fmt == "jsonl":
-        with open(path, "w") as fh:
-            fh.write(json.dumps({"format": "proxcert-report",
-                                 "schema_version": SCHEMA_VERSION}) + "\n")
-            for rep in reports:
-                fh.write(json.dumps({
-                    "k": rep.k, "name": rep.name,
-                    "lhs": _json_float(rep.lhs), "rhs": _json_float(rep.rhs),
-                    "slack": _json_float(rep.slack),
-                    "pass": bool(rep.passed), "status": rep.status,
-                }) + "\n")
+        header = json.dumps({"format": "proxcert-report",
+                             "schema_version": SCHEMA_VERSION}) + "\n"
+        encode = _jsonl_report_rows
     else:
         raise ConfigurationError(f"unknown report format {fmt!r}; valid: csv, jsonl")
+    if not isinstance(reports, CertificateTable):
+        reports = CertificateTable.from_rows(reports)
+    with open(path, "w", newline="") as fh:
+        fh.write(header)
+        for columns in reports.chunks():
+            fh.write(encode(columns))
 
 
-def _json_float(x: float):
-    # JSON has no NaN/inf literals; not-applicable rows carry null instead.
-    x = float(x)
-    return x if np.isfinite(x) else None
+def _csv_report_rows(columns) -> str:
+    """CSV report rows of a table's columns of Python values, each ending in CRLF."""
+    cells = [list(map(kind.text, values))
+             for kind, values in zip(_REPORT_KINDS.values(), columns)]
+    return "".join([",".join(row) + "\r\n" for row in zip(*cells)])
 
 
-def read_report(path):
-    """Parse a report file back into CertificateReport objects."""
+def _jsonl_report_rows(columns) -> str:
+    """JSON-lines report rows of a table's columns of Python values."""
+    values = [list(map(kind.to_json, column))
+              for kind, column in zip(_REPORT_KINDS.values(), columns)]
+    return "".join([json.dumps(dict(zip(_REPORT_COLUMNS, row))) + "\n"
+                    for row in zip(*values)])
+
+
+def read_report(path) -> list:
+    """Parse a report file back into CertificateReport rows."""
     with open(path) as fh:
         first = fh.readline().rstrip("\n")
-        rows = []
         if first == REPORT_MAGIC:
             fh.readline()  # column header
-            for line_no, line in enumerate(fh, start=3):
-                row = line.rstrip("\r\n").split(",")
-                _check_cell_count("report", line_no, row, _REPORT_COLUMNS)
-                cells = dict(zip(_REPORT_COLUMNS, row))
-                cells["pass"] = _CSV_BOOLS.get(cells["pass"], cells["pass"])
-                rows.append((line_no, cells))
+            columns = _csv_report_columns(fh.readlines(), 3)
         else:
             header = json.loads(first)
             if not isinstance(header, dict) or header.get("format") != "proxcert-report":
                 raise ConfigurationError("file is not a proxcert report")
-            for line_no, line in enumerate(fh, start=2):
-                fields = json.loads(line)
-                if not isinstance(fields, dict):
-                    raise DataCorruptionError(f"report line {line_no} is not a JSON object")
-                missing = [key for key in _REPORT_COLUMNS if key not in fields]
-                if missing:
-                    raise DataCorruptionError(f"report line {line_no} has no {missing[0]!r}")
-                rows.append((line_no, fields))
-    reports = []
-    for line_no, r in rows:  # a pass cell read from CSV is a bool if true or false
-        if type(r["pass"]) is not bool:
-            raise _bad_field(f"report line {line_no}", "pass", "true or false", r["pass"])
-        reports.append(CertificateReport(
-            k=int(r["k"]), name=r["name"], lhs=_nanfloat(r["lhs"]),
-            rhs=_nanfloat(r["rhs"]), slack=_nanfloat(r["slack"]),
-            passed=r["pass"], status=r["status"],
-        ))
-    return reports
+            columns = _jsonl_report_columns(fh, 2)
+    return list(CertificateTable(*columns)) if columns else []
 
 
-def _nanfloat(cell) -> float:
-    if cell is None or cell == "":
-        return float("nan")
-    return float(cell)
+def _csv_report_columns(lines: list, first_line: int) -> list:
+    """Each report column's values in CSV report rows, parsed by its kind;
+    no columns if there are no rows."""
+    rows = [line.rstrip("\r\n").split(",") for line in lines]
+    for line_no, row in enumerate(rows, start=first_line):
+        _check_cell_count("report", line_no, row, _REPORT_COLUMNS)
+    return [_csv_column("report", name, kind, column, first_line)
+            for (name, kind), column in zip(_REPORT_KINDS.items(), zip(*rows))]
+
+
+def _jsonl_report_columns(fh, first_line: int) -> list:
+    """Each report column's values in JSON-lines report rows, checked by its
+    kind; no columns if there are no rows."""
+    rows = []
+    for line_no, line in enumerate(fh, start=first_line):
+        row = _json_object("report", line_no, line)
+        values = []
+        for name, kind in _REPORT_KINDS.items():
+            if name not in row:
+                raise DataCorruptionError(f"report line {line_no} has no {name!r}")
+            value = row[name]
+            if value is None and kind.optional:
+                value = _NAN  # lhs, rhs and slack: JSON has no NaN
+            elif kind.is_json(value):
+                value = kind.from_json(value)
+            else:
+                raise _bad_field(f"report line {line_no}", name, kind.what, value)
+            values.append(value)
+        rows.append(values)
+    return list(zip(*rows))

@@ -108,6 +108,33 @@ class TestCertifyCommand:
         assert code == 1
         assert "FIRST VIOLATION" in capsys.readouterr().out
 
+    @staticmethod
+    def assert_first_violation_is_the_reports(out, report):
+        first = next(r for r in read_report(report)
+                     if r.status == "ok" and not r.passed)
+        assert (f"FIRST VIOLATION at k={first.k} name={first.name} "
+                f"lhs={first.lhs!r} rhs={first.rhs!r}\n") in out
+
+    def test_first_violation_of_a_low_f_star_is_the_reports(self, tmp_path, capsys):
+        trace, report = tmp_path / "trace.csv", tmp_path / "r.csv"
+        assert run_cli(*quadratic_run_args(trace)) == 0
+        assert run_cli("certify", "--trace", str(trace), "--report", str(report),
+                       "--f-star", "-100.0") == 1
+        self.assert_first_violation_is_the_reports(capsys.readouterr().out, report)
+
+    def test_first_violation_of_a_raised_f_y_is_the_reports(self, tmp_path, capsys):
+        trace, report = short_trace(tmp_path), tmp_path / "r.csv"
+
+        def raise_f_y(rows):
+            rows[10]["f_y"] = repr(float(rows[10]["f_y"]) + 1e-3)
+            return rows
+        edit_csv_rows(trace, raise_f_y)
+        assert run_cli("certify", "--trace", str(trace),
+                       "--report", str(report)) == 1
+        out = capsys.readouterr().out
+        assert "name=energy_nonincreasing" in out
+        self.assert_first_violation_is_the_reports(out, report)
+
     def test_f_star_too_high_exits_3(self, tmp_path):
         trace = tmp_path / "trace.csv"
         assert run_cli(*quadratic_run_args(trace)) == 0
@@ -283,6 +310,34 @@ class TestCorruptTraceExits3:
         assert certify_cli(trace, tmp_path) == 3
         expected = "is not a JSON object" if key is None else f"has no {key!r}"
         assert f"trace line 7 {expected}" in capsys.readouterr().err
+
+    def test_jsonl_trace_cut_inside_its_last_row(self, tmp_path, capsys):
+        trace = short_trace(tmp_path, "jsonl")
+        trace.write_bytes(trace.read_bytes()[:-40])
+        assert certify_cli(trace, tmp_path) == 3
+        assert "trace line 22 is not JSON: " in capsys.readouterr().err
+
+    def test_jsonl_middle_row_not_json(self, tmp_path, capsys):
+        trace = short_trace(tmp_path, "jsonl")
+        lines = trace.read_text().splitlines()
+        lines[6] = lines[6].replace('"k": 5', '"k" 5')
+        trace.write_text("\n".join(lines) + "\n")
+        assert certify_cli(trace, tmp_path) == 3
+        assert "trace line 7 is not JSON: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fmt, line", [("csv", 4), ("jsonl", 2)])
+    def test_k_beyond_64_bits(self, tmp_path, capsys, fmt, line):
+        trace = short_trace(tmp_path, fmt)
+        if fmt == "csv":
+            edit_csv_rows(trace, lambda rows: [{**rows[0], "k": str(2 ** 64)}]
+                          + rows[1:])
+        else:
+            lines = trace.read_text().splitlines()
+            lines[1] = lines[1].replace('"k": 0', f'"k": {2 ** 64}', 1)
+            trace.write_text("\n".join(lines) + "\n")
+        assert certify_cli(trace, tmp_path) == 3
+        assert (f"trace line {line}: field 'k' must be an integer, got "
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("column", ["x", "y", "grad_map"])
     def test_nan_coordinate(self, tmp_path, capsys, column):

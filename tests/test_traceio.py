@@ -8,6 +8,7 @@ import json
 import multiprocessing
 import multiprocessing.pool
 import os
+import re
 import subprocess
 import sys
 from dataclasses import asdict
@@ -20,9 +21,11 @@ from hypothesis import strategies as st
 
 from proxcert import (
     CertificateReport,
+    CertificateTable,
     ConfigurationError,
     DataCorruptionError,
     EnergyContext,
+    RejectedInputError,
     SolverConfig,
     certify_trace,
     random_quadratic,
@@ -255,9 +258,8 @@ def test_csv_report_bytes_equal_the_csv_module(tmp_path):
                         mu=problem.smooth.strong_convexity,
                         lipschitz=problem.smooth.lipschitz,
                         x_star=problem.known_minimizer, f_star=problem.known_optimum)
-    reports = certify_trace(ctx, records, variant="mapm")
     nan = float("nan")
-    reports += [
+    reports = list(certify_trace(ctx, records, variant="mapm")) + [
         CertificateReport(k=30, name="prop1", lhs=float("inf"), rhs=-1e-5,
                           slack=float("-inf"), passed=False),
         CertificateReport(k=0, name="prop2", lhs=nan, rhs=nan, slack=nan,
@@ -266,6 +268,132 @@ def test_csv_report_bytes_equal_the_csv_module(tmp_path):
     path = tmp_path / "report.csv"
     write_report(path, reports, "csv")
     assert path.read_bytes() == csv_module_report(reports)
+
+
+def json_dumps_report(reports):
+    """A JSON-lines report as json.dumps writes it row by row: the byte oracle."""
+    def finite(x):
+        return x if np.isfinite(x) else None
+
+    lines = [json.dumps({"format": "proxcert-report", "schema_version": 1})]
+    for rep in reports:
+        lines.append(json.dumps({
+            "k": rep.k, "name": rep.name, "lhs": finite(rep.lhs),
+            "rhs": finite(rep.rhs), "slack": finite(rep.slack),
+            "pass": bool(rep.passed), "status": rep.status}))
+    return ("\n".join(lines) + "\n").encode()
+
+
+REPORT_ORACLES = {"csv": csv_module_report, "jsonl": json_dumps_report}
+
+
+def table_of(problem, variant, x0=None, edit=None, max_iters=30):
+    """The certificate table of a variant's run on a problem; `edit` may change
+    the records first."""
+    s = 0.5 / problem.smooth.lipschitz
+    records = run(problem, SolverConfig(variant=variant, step=s, max_iters=max_iters),
+                  np.zeros(problem.dim) if x0 is None else x0)
+    if edit is not None:
+        edit(records)
+    ctx = EnergyContext(alpha=3.0, s=s, mu=problem.smooth.strong_convexity,
+                        lipschitz=problem.smooth.lipschitz,
+                        x_star=problem.known_minimizer, f_star=problem.known_optimum)
+    return certify_trace(ctx, records, variant=variant)
+
+
+def infeasible_box_problem():
+    from proxcert import attach_reference, box_quadratic_problem, reference_solution
+    rng = np.random.default_rng(3)
+    q_mat, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    q = (q_mat * np.geomspace(0.1, 1.0, 4)) @ q_mat.T
+    q = 0.5 * (q + q.T)
+    p = box_quadratic_problem(q, q @ rng.uniform(-1, 1, 4),
+                              -0.5 * np.ones(4), 0.5 * np.ones(4))
+    return attach_reference(p, reference_solution(p))
+
+
+def raise_f_z(records):
+    records[5].f_z = float("inf")
+
+
+class TestCertificateTable:
+    @pytest.fixture(scope="class")
+    def tables(self):
+        quad = random_quadratic(3, 4, 100)
+        box = infeasible_box_problem()
+        return {
+            "apm": table_of(quad, "apm"),  # not_applicable lines: nan cells
+            "ista": table_of(quad, "ista"),
+            "infeasible start": table_of(box, "mapm", x0=np.full(4, 3.0)),  # +inf
+            "f_z of inf": table_of(quad, "mapm", edit=raise_f_z),  # -inf slack
+        }
+
+    def test_cells_cover_nan_and_both_infinities(self, tables):
+        rows = [r for table in tables.values() for r in table]
+        assert any(r.status == "not_applicable" for r in rows)
+        assert any(np.isnan(r.lhs) for r in rows)
+        assert any(r.rhs == float("inf") for r in rows)
+        assert any(r.slack == float("-inf") for r in rows)
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @pytest.mark.parametrize("case", ["apm", "ista", "infeasible start", "f_z of inf"])
+    def test_table_and_rows_write_the_oracle_bytes(self, tmp_path, tables, fmt, case):
+        table = tables[case]
+        write_report(tmp_path / "table", table, fmt)
+        write_report(tmp_path / "rows", list(table), fmt)
+        expected = REPORT_ORACLES[fmt](list(table))
+        assert (tmp_path / "table").read_bytes() == expected
+        assert (tmp_path / "rows").read_bytes() == expected
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_any_chunk_size_gives_the_same_rows_and_bytes(self, tmp_path, tables,
+                                                          fmt, chunk):
+        from proxcert import certificates
+        table = tables["apm"]
+        rows = list(table)
+        with mock.patch.object(certificates, "_CHUNK_ROWS", chunk):
+            assert list(map(repr, table)) == list(map(repr, rows))  # nan != nan
+            write_report(tmp_path / "r", table, fmt)
+        assert (tmp_path / "r").read_bytes() == REPORT_ORACLES[fmt](rows)
+
+    def test_len_is_the_row_count(self, tables):
+        for table in tables.values():
+            assert len(table) == len(list(table)) == len(table.k) > 0
+
+    def test_rows_are_python_values(self, tables):
+        table = tables["f_z of inf"]
+        for i, r in enumerate(table):
+            assert type(r) is CertificateReport
+            assert [type(v) for v in dataclasses.astuple(r)] == [
+                int, str, float, float, float, bool, str]
+            if i < 20:
+                assert repr(table.row(i)) == repr(r)
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_empty_trace_writes_a_header_only_report(self, tmp_path, fmt):
+        table = table_of(random_quadratic(3, 4, 100), "mapm", edit=list.clear)
+        assert isinstance(table, CertificateTable) and len(table) == 0
+        assert list(table) == []
+        path = tmp_path / f"report.{fmt}"
+        write_report(path, table, fmt)
+        assert path.read_bytes() == REPORT_ORACLES[fmt]([])
+        assert read_report(path) == []
+
+    @pytest.mark.parametrize("field, value", [("name", "prop3"), ("status", "skipped")])
+    def test_rows_of_unknown_name_or_status_are_rejected(self, tmp_path, field, value):
+        row = CertificateReport(k=0, name="prop1", lhs=0.0, rhs=1.0, slack=1.0,
+                                passed=True)
+        setattr(row, field, value)
+        with pytest.raises(RejectedInputError, match=repr(value)):
+            write_report(tmp_path / "r.csv", [row], "csv")
+
+    def test_report_columns_are_the_table_fields_in_order(self):
+        fields = [f.name for f in dataclasses.fields(CertificateTable)]
+        assert len(traceio._REPORT_KINDS) == len(fields) == len(
+            CertificateTable._DTYPES)
+        assert [c.replace("pass", "passed").replace("status", "applies")
+                for c in traceio._REPORT_COLUMNS] == fields
 
 
 def test_column_table_names_every_record_field_in_file_order():
@@ -354,6 +482,73 @@ class TestCorruptReport:
             fh.write("[1, 2]\n")
         with pytest.raises(DataCorruptionError, match="report line 6 is not a JSON"):
             read_report(path)
+
+    def test_jsonl_row_not_json(self, tmp_path):
+        path = self.report_file(tmp_path, "jsonl")
+        text = path.read_text()
+        path.write_text(text[:-20])
+        with pytest.raises(DataCorruptionError, match="report line 5 is not JSON: "):
+            read_report(path)
+
+    @pytest.mark.parametrize("column, cell, what", [
+        ("k", "1.5", "an integer"),
+        ("k", "", "an integer"),
+        ("k", str(2 ** 63), "an integer"),
+        ("lhs", "abc", "a number"),
+        ("rhs", "true", "a number"),
+        ("slack", "1.0.0", "a number"),
+        ("name", "prop3", "a certificate name"),
+        ("status", "skipped", "ok or not_applicable"),
+    ])
+    def test_csv_cell_not_of_its_kind(self, tmp_path, column, cell, what):
+        path = self.report_file(tmp_path, "csv")
+        lines = path.read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[traceio._REPORT_COLUMNS.index(column)] = cell
+        lines[3] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataCorruptionError, match=re.escape(
+                f"report line 4: field {column!r} must be {what}, got {cell!r}")):
+            read_report(path)
+
+    @pytest.mark.parametrize("column, value, what", [
+        ("k", 1.5, "an integer"),
+        ("k", True, "an integer"),
+        ("k", -2 ** 63 - 1, "an integer"),
+        ("k", None, "an integer"),
+        ("lhs", True, "a number"),
+        ("rhs", "1.0", "a number"),
+        ("slack", [1.0], "a number"),
+        ("name", "prop3", "a certificate name"),
+        ("name", 1, "a certificate name"),
+        ("status", None, "ok or not_applicable"),
+    ])
+    def test_jsonl_value_not_of_its_kind(self, tmp_path, column, value, what):
+        path = self.report_file(tmp_path, "jsonl")
+        lines = path.read_text().splitlines()
+        row = json.loads(lines[2])
+        row[column] = value
+        lines[2] = json.dumps(row)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataCorruptionError, match=re.escape(
+                f"report line 3: field {column!r} must be {what}, got {value!r}")):
+            read_report(path)
+
+    @pytest.mark.parametrize("fmt, empty", [("csv", ""), ("jsonl", None)])
+    def test_empty_number_reads_as_nan(self, tmp_path, fmt, empty):
+        path = self.report_file(tmp_path, fmt)
+        lines = path.read_text().splitlines()
+        if fmt == "csv":
+            cells = lines[3].split(",")
+            cells[2:5] = [empty] * 3
+            lines[3] = ",".join(cells)
+        else:
+            row = json.loads(lines[2])
+            row.update(lhs=empty, rhs=empty, slack=empty)
+            lines[2] = json.dumps(row)
+        path.write_text("\n".join(lines) + "\n")
+        rep = read_report(path)[1]
+        assert all(type(v) is float and np.isnan(v) for v in (rep.lhs, rep.rhs, rep.slack))
 
 
 def json_dumps_trace(meta, records):
