@@ -32,7 +32,7 @@ from .harness import (
 )
 from .problems import as_vector
 from .solvers import SolverConfig, run
-from .traceio import TraceMeta, read_trace, write_report, write_trace
+from .traceio import TraceMeta, read_trace, write_comparison, write_report, write_trace
 
 PROBLEM_NAMES = ("quadratic", "lasso", "box-quadratic")
 SOLVER_NAMES = ("ista", "apm", "mapm", "strongly-convex-apm")
@@ -269,7 +269,7 @@ def cmd_compare(args) -> int:
         ))
     comparison = compare_solvers(problem, configs, np.zeros(problem.dim),
                                  budget=args.ref_budget)
-    _write_comparison_table(args.table, comparison, args.format)
+    write_comparison(args.table, comparison, args.format)
     summary = {
         "rho_hat": {label: (fit.rho_hat if fit else None)
                     for label, fit in comparison.fits.items()},
@@ -286,28 +286,6 @@ def cmd_compare(args) -> int:
         fh.write("\n")
     print(f"wrote comparison table to {args.table} and summary to {args.summary}")
     return 0
-
-
-def _write_comparison_table(path, comparison, fmt: str) -> None:
-    if fmt == "csv":
-        with open(path, "w") as fh:
-            fh.write(",".join(["k"] + [f"gap_{l}" for l in comparison.labels]) + "\n")
-            for i, k in enumerate(comparison.ks):
-                cells = [str(k)]
-                for label in comparison.labels:
-                    gap = comparison.gaps[label][i]
-                    cells.append("" if gap is None else repr(float(gap)))
-                fh.write(",".join(cells) + "\n")
-    elif fmt == "jsonl":
-        with open(path, "w") as fh:
-            for i, k in enumerate(comparison.ks):
-                row = {"k": k}
-                for label in comparison.labels:
-                    gap = comparison.gaps[label][i]
-                    row[f"gap_{label}"] = None if gap is None else float(gap)
-                fh.write(json.dumps(row) + "\n")
-    else:
-        raise ConfigurationError(f"unknown table format {fmt!r}; valid: csv, jsonl")
 
 
 def _add_problem_flags(parser, required: bool) -> None:

@@ -276,36 +276,13 @@ def box_quadratic_problem(Q, b, lo, hi) -> CompositeProblem:
     )
 
 
-def _power_iteration_lmax(M: np.ndarray, rel_tol: float = 1e-10,
-                          max_iters: int = 10_000) -> float:
-    """Largest eigenvalue of a symmetric PSD matrix by power iteration.
-
-    Deterministic: the start vector comes from a fixed-seed PCG64 stream, so the
-    estimate is reproducible bit-for-bit on a given platform.
-    """
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(M.shape[0])
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(max_iters):
-        w = M @ v
-        nrm = float(np.linalg.norm(w))
-        if nrm == 0.0:
-            return 0.0
-        v = w / nrm
-        lam_new = float(v @ (M @ v))
-        if abs(lam_new - lam) <= rel_tol * max(abs(lam_new), 1e-300):
-            return lam_new
-        lam = lam_new
-    return lam
-
-
 def lasso_problem(A, b, lam: float) -> CompositeProblem:
     """f(x) = 1/2 ||Ax - b||^2 with g(x) = lam * ||x||_1.
 
-    L = lambda_max(A'A) via power iteration; mu = lambda_min(A'A), which is 0
-    whenever A has a nontrivial null space.  Reference fields are left unset
-    (the harness computes them by a long run).
+    L = lambda_max of the smaller Gram matrix (A'A, or AA' when A is fat) and
+    mu = lambda_min(A'A), both by eigvalsh; mu is 0 whenever A has a
+    nontrivial null space.  Reference fields are left unset (the harness
+    computes them by a long run).
     """
     if lam <= 0:
         raise RejectedInputError(f"lasso weight lam must be > 0, got {lam}")
@@ -314,17 +291,13 @@ def lasso_problem(A, b, lam: float) -> CompositeProblem:
         raise RejectedInputError(f"A must be a matrix, got shape {A.shape}")
     m, n = A.shape
     b = as_vector(b, m)
-    gram = A.T @ A
-    lipschitz = _power_iteration_lmax(gram)
-    if m < n:
-        mu = 0.0
-    else:
-        lam_min = float(np.linalg.eigvalsh(gram)[0])
-        mu = lam_min if lam_min > _EIG_TOL * (1.0 + lipschitz) else 0.0
+    eigs = np.linalg.eigvalsh(A @ A.T if m < n else A.T @ A)
+    lipschitz, lam_min = float(eigs[-1]), float(eigs[0])
+    mu = lam_min if m >= n and lam_min > _EIG_TOL * (1.0 + lipschitz) else 0.0
     smooth = SmoothOracle(
         value=lambda x: 0.5 * float(((A @ x - b) ** 2).sum()),
         gradient=lambda x: A.T @ (A @ x - b),
-        lipschitz=max(lipschitz, mu),
+        lipschitz=lipschitz,
         strong_convexity=mu,
     )
     return CompositeProblem(

@@ -1,31 +1,30 @@
-"""Trace and report file formats (CSV and JSON lines).
+"""File formats: traces, certificate reports and the compare table.
 
-Both formats are versioned so the certificate engine refuses incompatible
-files instead of misreading columns: CSV files start with `# proxcert-trace v1`
-(reports with `# proxcert-report v1`), JSON-lines files with a header object
-carrying schema_version.  All floats are serialized with their shortest
-round-trip decimal representation, so a re-parsed trace certifies identically.
+Each file is a table of columns in CSV or JSON lines.  Traces and reports are
+versioned so the certificate engine refuses incompatible files instead of
+misreading columns: CSV files start with `# proxcert-trace v1` (reports with
+`# proxcert-report v1`), JSON-lines files with a header object carrying
+schema_version.  Floats are written as their shortest round-trip decimals, so
+a re-parsed trace certifies identically.
 
-One table, `_COLUMN_KINDS`, lists the trace columns in file order and gives
-each its kind: `int`, `float`, `opt_float`, `opt_bool` or `vector`.  A kind
-says once how its values are written as CSV cells and JSON values and how
-each is read back and checked; the writers and readers of both formats loop
-over the table.  A cell or JSON value that is not of its column's kind (or a
-required one that is missing) is a data error naming the line and the column,
-which `certify` reports with exit 3.  A second table, `_REPORT_KINDS`, does
-the same for the report columns, whose values are a `CertificateTable`'s:
-`write_report` formats each column of the table at once, and `read_report`
-parses each column and checks it by its kind.  A JSON-lines row of either
-file that is not a JSON object is a data error naming its line.
+Each column has a kind, which says once how its values are written as CSV
+cells and JSON values and how each is read back and checked.  `_COLUMN_KINDS`
+lists the trace columns in file order with their kinds and `_REPORT_KINDS`
+the report columns; the compare table (only written) is `k` and a gap per
+solver.  `_csv_lines` and `_jsonl_lines` encode columns of values as rows, and
+`_csv_blocks` and `_jsonl_blocks` decode blocks of rows back into columns, for
+all three files.  A CSV cell must be the writer's text for its value and a
+JSON-lines row must have every column as a key; a missing value, one not of
+its column's kind or a row that is not a JSON object is a data error naming
+the line (and the column), which `certify` reports with exit 3.
 
 No CSV cell ever needs quoting (numbers, `;`-joined numbers, true/false,
-certificate names and statuses), so rows are written as `,`-joined cells ending
-in CRLF, the bytes `csv.writer`'s default dialect writes, and read by splitting
-on `,`.  Trace rows are read in blocks, each iterate column of a block parsed
-in one `np.loadtxt` call.
+certificate names and statuses), so rows are `,`-joined cells ending in CRLF,
+the bytes `csv.writer`'s default dialect writes, read by splitting on `,`;
+each iterate column of a block is parsed in one `np.loadtxt` call.
 
-Trace rows are written in spans of about `_SPAN_COORDS` numbers, each span
-turned into bytes by one call of the format's row encoder.  A trace of two or
+Trace rows are written in spans of about `_SPAN_COORDS` numbers, each span's
+records gathered into columns and encoded by one call.  A trace of two or
 more spans is encoded by forked worker processes, one per available core, and
 written in order; the encoder is the same either way, so the bytes do not
 depend on the number of cores.
@@ -51,9 +50,9 @@ TRACE_MAGIC = "# proxcert-trace v1"
 REPORT_MAGIC = "# proxcert-report v1"
 SCHEMA_VERSION = 1
 
-# Characters of CSV trace read per block: about the 128 KB of float64 per
+# Characters of a file read per block: about the 128 KB of float64 per
 # iterate column that certification stacks (certificates._BLOCK_BYTES), at
-# about 20 characters per coordinate in each of the three vector columns.
+# about 20 characters per coordinate in each of a trace's three vector columns.
 _BLOCK_TEXT = 1 << 20
 # Numbers (scalar cells and vector coordinates) per span of trace rows that
 # one encoder call formats; a trace of two or more spans is formatted on every
@@ -98,8 +97,17 @@ def _fmt_vector(v) -> str:
     return "" if v is None else ";".join(map(repr, _floats(v)))
 
 
+def _exact_float(cell: str) -> float:
+    """The float of a cell that is the writer's text for it: its shortest
+    round-trip decimal, so `1_0`, ` 1.5` or `1.50` is a ValueError."""
+    value = float(cell)
+    if repr(value) != cell:
+        raise ValueError(f"{cell!r} is not the shortest text of {value!r}")
+    return value
+
+
 def _parse_vector(cell: str) -> np.ndarray:
-    return np.array([float(c) for c in cell.split(";")], dtype=np.float64)
+    return np.array([_exact_float(c) for c in cell.split(";")], dtype=np.float64)
 
 
 def _parse_vectors(cells) -> list:
@@ -124,15 +132,16 @@ def _is_number(value) -> bool:
 
 
 class _Kind(NamedTuple):
-    """How the values of one kind of trace or report column are written and read."""
+    """How the values of one kind of column are written and read."""
 
     what: str  # what a value of the kind is, for error messages
-    optional: bool  # may be None: an empty CSV cell, a JSON null or no key
+    optional: bool  # may be empty: an empty CSV cell or a JSON null
     text: Callable  # value -> CSV cell
     parse: Callable  # a block's CSV cells -> values; ValueError or KeyError
     to_json: Callable  # value other than None -> JSON value
     is_json: Callable  # JSON value other than null -> whether it is of the kind
     from_json: Callable = lambda value: value  # JSON value of the kind -> value
+    null: object = None  # what a JSON null of an optional kind reads as
 
 
 def _is_int64(value) -> bool:
@@ -142,18 +151,18 @@ def _is_int64(value) -> bool:
 
 def _parse_int64(cell: str) -> int:
     value = int(cell)
-    if not _is_int64(value):
-        raise ValueError(f"{cell!r} does not fit in 64 bits")
+    if str(value) != cell or not _is_int64(value):
+        raise ValueError(f"{cell!r} is not the text of a 64-bit integer")
     return value
 
 
 _CSV_BOOLS = {"true": True, "false": False}
 _INT = _Kind("an integer", False, _fmt, lambda cells: list(map(_parse_int64, cells)),
              int, _is_int64)
-_FLOAT = _Kind("a number", False, _fmt, lambda cells: [float(c) for c in cells],
+_FLOAT = _Kind("a number", False, _fmt, lambda cells: list(map(_exact_float, cells)),
                float, _is_number)
 _OPT_FLOAT = _Kind("a number", True, _fmt,
-                   lambda cells: [float(c) if c else None for c in cells],
+                   lambda cells: [_exact_float(c) if c else None for c in cells],
                    float, _is_number)
 _OPT_BOOL = _Kind("true or false", True, _fmt,
                   lambda cells: [_CSV_BOOLS[c] if c else None for c in cells],
@@ -192,8 +201,8 @@ _BOOL = _Kind("true or false", False, _fmt,
               lambda cells: [_CSV_BOOLS[c] for c in cells],
               bool, lambda value: type(value) is bool)
 _REPORT_FLOAT = _Kind("a number", True, repr,
-                      lambda cells: [float(c) if c else _NAN for c in cells],
-                      _json_float, _is_number)
+                      lambda cells: [_exact_float(c) if c else _NAN for c in cells],
+                      _json_float, _is_number, null=_NAN)
 _NAME = _choice("a certificate name", CertificateTable.NAMES)
 _STATUS = _choice("ok or not_applicable", CertificateTable.STATUSES)
 
@@ -215,53 +224,56 @@ def _columns(iterates: bool) -> tuple:
     return _TRACE_COLUMNS + _ITERATE_COLUMNS if iterates else _TRACE_COLUMNS
 
 
+def _csv_lines(names, kinds, columns) -> str:
+    """CSV rows of columns of values, each cell written by its column's kind
+    and each row ending in CRLF.  `names` is unused: a CSV file names its
+    columns once, in its header."""
+    cells = [list(map(kind.text, column)) for kind, column in zip(kinds, columns)]
+    return "".join([",".join(row) + "\r\n" for row in zip(*cells)])
+
+
+def _jsonl_lines(names, kinds, columns) -> str:
+    """JSON-lines rows of columns of values, one object per row keyed by
+    `names`; None is written as null."""
+    values = [[None if v is None else kind.to_json(v) for v in column]
+              for kind, column in zip(kinds, columns)]
+    return "".join([json.dumps(dict(zip(names, row))) + "\n" for row in zip(*values)])
+
+
+def _encoder(what: str, fmt: str) -> Callable:
+    """The row encoder of format `fmt` for a file of kind `what`."""
+    if fmt not in ("csv", "jsonl"):
+        raise ConfigurationError(f"unknown {what} format {fmt!r}; valid: csv, jsonl")
+    return _csv_lines if fmt == "csv" else _jsonl_lines
+
+
 def write_trace(path, meta: TraceMeta, records, fmt: str = "csv") -> None:
     """Write one row per IterationRecord; iterates included per meta.iterates."""
+    encode = _encoder("trace", fmt)
     if fmt == "csv":
         header = (f"{TRACE_MAGIC}\n# meta {json.dumps(asdict(meta))}\n"
                   f"{','.join(_columns(meta.iterates))}\r\n")
-        encode = _csv_rows
-    elif fmt == "jsonl":
-        header = json.dumps({"format": "proxcert-trace", **asdict(meta)}) + "\n"
-        encode = _jsonl_rows
     else:
-        raise ConfigurationError(f"unknown trace format {fmt!r}; valid: csv, jsonl")
+        header = json.dumps({"format": "proxcert-trace", **asdict(meta)}) + "\n"
     with open(path, "wb") as fh:
         fh.write(header.encode())
         _write_rows(fh, encode, list(records), meta.iterates)
 
 
-def _csv_rows(records, iterates: bool) -> bytes:
-    """CSV trace rows of records, each ending in CRLF."""
-    columns = _columns(iterates)
-    values = attrgetter(*columns)
-    texts = [_COLUMN_KINDS[name].text for name in columns]
-    rows = []
-    for rec in records:
-        rows.append(",".join([text(v) for text, v in zip(texts, values(rec))]) + "\r\n")
-    return "".join(rows).encode()
-
-
-def _jsonl_rows(records, iterates: bool) -> bytes:
-    """JSON-lines trace rows of records, one object per line."""
-    columns = _columns(iterates)
-    values = attrgetter(*columns)
-    to_json = [_COLUMN_KINDS[name].to_json for name in columns]
-    rows = []
-    for rec in records:
-        row = {name: None if v is None else convert(v)
-               for name, convert, v in zip(columns, to_json, values(rec))}
-        rows.append(json.dumps(row) + "\n")
-    return "".join(rows).encode()
+def _span_bytes(encode, records, iterates: bool) -> bytes:
+    """The trace rows of records, their fields gathered into columns first."""
+    names = _columns(iterates)
+    columns = list(zip(*map(attrgetter(*names), records)))
+    return encode(names, [_COLUMN_KINDS[name] for name in names], columns).encode()
 
 
 def _write_rows(fh, encode, records: list, iterates: bool) -> None:
-    """Write encode(span, iterates) for consecutive spans of the records.
+    """Write the rows of consecutive spans of the records.
 
     With two or more spans and more than one core, forked workers encode the
     spans and the parent writes each chunk in order as it arrives.  Workers
     read the records they inherit, so only (start, stop) pairs and encoded
-    bytes cross between processes.  Both paths call the same encoder, so the
+    bytes cross between processes.  Both paths call `_span_bytes`, so the
     bytes do not depend on the path.
     """
     span = _span_rows(records, iterates)
@@ -269,7 +281,7 @@ def _write_rows(fh, encode, records: list, iterates: bool) -> None:
     workers = min(_cores(), len(spans))
     if workers < 2:
         for start, stop in spans:
-            fh.write(encode(records[start:stop], iterates))
+            fh.write(_span_bytes(encode, records[start:stop], iterates))
         return
     import multiprocessing  # only here: reading a trace never starts a pool
 
@@ -316,8 +328,7 @@ def _adopt_job(*job) -> None:
 
 def _encode_span(span) -> bytes:
     encode, records, iterates = _job
-    start, stop = span
-    return encode(records[start:stop], iterates)
+    return _span_bytes(encode, records[slice(*span)], iterates)
 
 
 def read_trace(path):
@@ -331,15 +342,27 @@ def read_trace(path):
             if header.get("schema_version") != SCHEMA_VERSION:  # before other keys
                 raise ConfigurationError(
                     f"unsupported trace schema_version {header.get('schema_version')!r}")
-            return _read_trace_jsonl(fh, _meta_from_dict(header))
-        if first != TRACE_MAGIC:
-            raise ConfigurationError(
-                f"unsupported trace header {first!r}; expected {TRACE_MAGIC!r}"
-            )
-        meta_line = fh.readline().rstrip("\n")
-        if not meta_line.startswith("# meta "):
-            raise ConfigurationError("malformed trace file header")
-        return _read_trace_csv(fh, _meta_from_dict(json.loads(meta_line[len("# meta "):])))
+            meta = _meta_from_dict(header)
+            decode, first_line = _jsonl_blocks, 2
+        else:
+            if first != TRACE_MAGIC:
+                raise ConfigurationError(
+                    f"unsupported trace header {first!r}; expected {TRACE_MAGIC!r}"
+                )
+            meta_line = fh.readline().rstrip("\n")
+            if not meta_line.startswith("# meta "):
+                raise ConfigurationError("malformed trace file header")
+            meta = _meta_from_dict(json.loads(meta_line[len("# meta "):]))
+            decode, first_line = _csv_blocks, 3
+        kinds = {name: _COLUMN_KINDS[name] for name in _columns(meta.iterates)}
+        records = []
+        for first_line, fields in decode("trace", fh, first_line, kinds):
+            block = [IterationRecord(**dict(zip(fields, values)))
+                     for values in zip(*fields.values())]
+            for line_no, rec in enumerate(block, start=first_line):
+                _check_dim(meta, line_no, rec)
+            records += block
+    return meta, records
 
 
 # Trace metadata checks: key, what its value must be, and the test; a key the
@@ -369,14 +392,6 @@ def _meta_from_dict(d: dict) -> TraceMeta:
     return meta
 
 
-def _check_cell_count(what: str, line_no: int, row: list, columns) -> None:
-    if len(row) != len(columns):
-        where = f"{what} line {line_no} has {len(row)} cells"
-        if len(row) < len(columns):
-            raise DataCorruptionError(f"{where}; column {columns[len(row)]!r} is missing")
-        raise DataCorruptionError(f"{where} for {len(columns)} columns")
-
-
 def _bad_field(where: str, name: str, what: str, value) -> DataCorruptionError:
     """The data error for a field holding a value that is not `what`; a long
     value is cut to its first 80 characters."""
@@ -395,35 +410,38 @@ def _check_dim(meta: TraceMeta, line_no: int, rec: IterationRecord) -> None:
             )
 
 
-def _read_trace_csv(fh, meta: TraceMeta):
-    """The records of a CSV trace whose magic and meta lines fh has read."""
-    columns = fh.readline().rstrip("\r\n").split(",")
-    missing = [c for c in _columns(meta.iterates) if c not in columns]
+def _csv_blocks(what: str, fh, first_line: int, kinds: dict):
+    """(number of its first line, {name: values}) for each block of the CSV
+    rows of a trace or a report (`what`), for each column in `kinds`.
+
+    fh is at the file's column header, line `first_line`, which must name
+    every column in `kinds`; other columns are not read.  Each column of a
+    block is parsed by one call of its kind.
+    """
+    names = fh.readline().rstrip("\r\n").split(",")
+    missing = [name for name in kinds if name not in names]
     if missing:
-        raise ConfigurationError(f"trace has no column(s) {', '.join(missing)}")
-    records = []
-    line_no = 4  # of the block's first row, after the magic, meta and columns
+        raise ConfigurationError(f"{what} has no column(s) {', '.join(missing)}")
+    first_line += 1
     for lines in iter(lambda: fh.readlines(_BLOCK_TEXT), []):
-        records += _csv_block_records(lines, line_no, columns, meta)
-        line_no += len(lines)
-    return meta, records
+        yield first_line, _csv_block(what, lines, first_line, names, kinds)
+        first_line += len(lines)
 
 
-def _csv_block_records(lines, first_line: int, columns, meta: TraceMeta) -> list:
-    """IterationRecords of one block of CSV trace rows, each column of the
-    block parsed by one call of its kind."""
+def _csv_block(what: str, lines: list, first_line: int, names: list, kinds: dict):
+    """{name: values} of one block of CSV rows.  A function of its own, so
+    that the block's split cells are freed before the next block is read."""
     rows = [line.rstrip("\r\n").split(",") for line in lines]
-    for i, row in enumerate(rows):
-        _check_cell_count("trace", first_line + i, row, columns)
-    cells = dict(zip(columns, zip(*rows)))
-    fields = {name: _csv_column("trace", name, _COLUMN_KINDS[name], cells[name],
-                                first_line)
-              for name in _columns(meta.iterates)}
-    records = [IterationRecord(**dict(zip(fields, values)))
-               for values in zip(*fields.values())]
-    for line_no, rec in enumerate(records, start=first_line):
-        _check_dim(meta, line_no, rec)
-    return records
+    for line_no, row in enumerate(rows, start=first_line):
+        if len(row) != len(names):
+            where = f"{what} line {line_no} has {len(row)} cells"
+            if len(row) < len(names):
+                raise DataCorruptionError(
+                    f"{where}; column {names[len(row)]!r} is missing")
+            raise DataCorruptionError(f"{where} for {len(names)} columns")
+    cells = dict(zip(names, zip(*rows)))
+    return {name: _csv_column(what, name, kind, cells[name], first_line)
+            for name, kind in kinds.items()}
 
 
 def _csv_column(what: str, name: str, kind: _Kind, cells, first_line: int) -> list:
@@ -441,6 +459,32 @@ def _csv_column(what: str, name: str, kind: _Kind, cells, first_line: int) -> li
         raise
 
 
+def _jsonl_blocks(what: str, fh, first_line: int, kinds: dict):
+    """(number of its first line, {name: values}) for each block of the
+    JSON-lines rows of a trace or a report (`what`), from line `first_line`.
+
+    Each row must be a JSON object with a key for every column in `kinds`;
+    other keys are not read.  A null of an optional kind reads as its `null`.
+    """
+    for lines in iter(lambda: fh.readlines(_BLOCK_TEXT), []):
+        columns = {name: [] for name in kinds}
+        for line_no, line in enumerate(lines, start=first_line):
+            row = _json_object(what, line_no, line)
+            for name, kind in kinds.items():
+                if name not in row:
+                    raise DataCorruptionError(f"{what} line {line_no} has no {name!r}")
+                value = row[name]
+                if value is None and kind.optional:
+                    value = kind.null
+                elif kind.is_json(value):
+                    value = kind.from_json(value)
+                else:
+                    raise _bad_field(f"{what} line {line_no}", name, kind.what, value)
+                columns[name].append(value)
+        yield first_line, columns
+        first_line += len(lines)
+
+
 def _json_object(what: str, line_no: int, line: str) -> dict:
     """One JSON-lines row of a trace or a report (`what`) as a dict; a data
     error names the line of a row that is not a JSON object."""
@@ -453,63 +497,25 @@ def _json_object(what: str, line_no: int, line: str) -> dict:
     return row
 
 
-def _read_trace_jsonl(fh, meta: TraceMeta):
-    """The records of a JSON-lines trace whose header line fh has read."""
-    records = []
-    for line_no, line in enumerate(fh, start=2):
-        row = _json_object("trace", line_no, line)
-        fields = {}
-        for name, kind in _COLUMN_KINDS.items():
-            value = row.get(name)
-            if value is None:
-                if not kind.optional:
-                    raise DataCorruptionError(f"trace line {line_no} has no {name!r}")
-            elif kind.is_json(value):
-                value = kind.from_json(value)
-            else:
-                raise _bad_field(f"trace line {line_no}", name, kind.what, value)
-            fields[name] = value
-        records.append(IterationRecord(**fields))
-        _check_dim(meta, line_no, records[-1])
-    return meta, records
-
-
 def write_report(path, reports, fmt: str = "csv") -> None:
     """Write one line per (k, name) certificate result.
 
     `reports` is a CertificateTable, or CertificateReport rows, which are
     tabulated first, so that both are written by the same column encoder.
     """
+    encode = _encoder("report", fmt)
     if fmt == "csv":
         header = f"{REPORT_MAGIC}\n{','.join(_REPORT_COLUMNS)}\r\n"
-        encode = _csv_report_rows
-    elif fmt == "jsonl":
+    else:
         header = json.dumps({"format": "proxcert-report",
                              "schema_version": SCHEMA_VERSION}) + "\n"
-        encode = _jsonl_report_rows
-    else:
-        raise ConfigurationError(f"unknown report format {fmt!r}; valid: csv, jsonl")
     if not isinstance(reports, CertificateTable):
         reports = CertificateTable.from_rows(reports)
+    kinds = tuple(_REPORT_KINDS.values())
     with open(path, "w", newline="") as fh:
         fh.write(header)
         for columns in reports.chunks():
-            fh.write(encode(columns))
-
-
-def _csv_report_rows(columns) -> str:
-    """CSV report rows of a table's columns of Python values, each ending in CRLF."""
-    cells = [list(map(kind.text, values))
-             for kind, values in zip(_REPORT_KINDS.values(), columns)]
-    return "".join([",".join(row) + "\r\n" for row in zip(*cells)])
-
-
-def _jsonl_report_rows(columns) -> str:
-    """JSON-lines report rows of a table's columns of Python values."""
-    values = [list(map(kind.to_json, column))
-              for kind, column in zip(_REPORT_KINDS.values(), columns)]
-    return "".join([json.dumps(dict(zip(_REPORT_COLUMNS, row))) + "\n"
-                    for row in zip(*values)])
+            fh.write(encode(_REPORT_COLUMNS, kinds, columns))
 
 
 def read_report(path) -> list:
@@ -517,43 +523,24 @@ def read_report(path) -> list:
     with open(path) as fh:
         first = fh.readline().rstrip("\n")
         if first == REPORT_MAGIC:
-            fh.readline()  # column header
-            columns = _csv_report_columns(fh.readlines(), 3)
+            blocks = _csv_blocks("report", fh, 2, _REPORT_KINDS)
         else:
             header = json.loads(first)
             if not isinstance(header, dict) or header.get("format") != "proxcert-report":
                 raise ConfigurationError("file is not a proxcert report")
-            columns = _jsonl_report_columns(fh, 2)
-    return list(CertificateTable(*columns)) if columns else []
+            blocks = _jsonl_blocks("report", fh, 2, _REPORT_KINDS)
+        tables = [CertificateTable(*block.values()) for _, block in blocks]
+    return [row for table in tables for row in table]
 
 
-def _csv_report_columns(lines: list, first_line: int) -> list:
-    """Each report column's values in CSV report rows, parsed by its kind;
-    no columns if there are no rows."""
-    rows = [line.rstrip("\r\n").split(",") for line in lines]
-    for line_no, row in enumerate(rows, start=first_line):
-        _check_cell_count("report", line_no, row, _REPORT_COLUMNS)
-    return [_csv_column("report", name, kind, column, first_line)
-            for (name, kind), column in zip(_REPORT_KINDS.items(), zip(*rows))]
-
-
-def _jsonl_report_columns(fh, first_line: int) -> list:
-    """Each report column's values in JSON-lines report rows, checked by its
-    kind; no columns if there are no rows."""
-    rows = []
-    for line_no, line in enumerate(fh, start=first_line):
-        row = _json_object("report", line_no, line)
-        values = []
-        for name, kind in _REPORT_KINDS.items():
-            if name not in row:
-                raise DataCorruptionError(f"report line {line_no} has no {name!r}")
-            value = row[name]
-            if value is None and kind.optional:
-                value = _NAN  # lhs, rhs and slack: JSON has no NaN
-            elif kind.is_json(value):
-                value = kind.from_json(value)
-            else:
-                raise _bad_field(f"report line {line_no}", name, kind.what, value)
-            values.append(value)
-        rows.append(values)
-    return list(zip(*rows))
+def write_comparison(path, comparison, fmt: str = "csv") -> None:
+    """Write a SolverComparison's gap table: `k`, then a `gap_<label>` column
+    per solver, empty (null) past the iteration where that solver stopped."""
+    encode = _encoder("table", fmt)
+    names = ["k"] + [f"gap_{label}" for label in comparison.labels]
+    kinds = [_INT] + [_OPT_FLOAT] * len(comparison.labels)
+    columns = [comparison.ks] + [comparison.gaps[label] for label in comparison.labels]
+    with open(path, "w", newline="") as fh:
+        if fmt == "csv":
+            fh.write(",".join(names) + "\r\n")
+        fh.write(encode(names, kinds, columns))

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from proxcert import cli
 from proxcert.cli import main
 from proxcert.traceio import read_report, read_trace
 
@@ -478,6 +479,22 @@ class TestCorruptTraceExits3:
         assert (f"trace line 16: field {column!r} must be {what}, got"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("column, cell, what", [
+        ("f_y", "1_0", "a number"),
+        ("k", "1_0", "an integer"),
+        ("grad_map_norm", " 1.5", "a number"),
+        ("x", "1_0", "a list of numbers"),
+    ])
+    def test_csv_cell_that_is_not_the_writers_text(self, tmp_path, capsys, column,
+                                                   cell, what):
+        # float() and int() read these cells, but no writer emits them
+        self.test_malformed_csv_cell(tmp_path, capsys, column, cell, what)
+
+    @pytest.mark.parametrize("key", ["gap", "accepted", "energy", "f_z"])
+    def test_jsonl_row_without_optional_field(self, tmp_path, capsys, key):
+        # the writer gives every row each key, null where the value is empty
+        self.test_jsonl_row_without_field(tmp_path, capsys, key)
+
     @pytest.mark.parametrize("value", ["maybe", "true", 1, 0.0, [True]])
     def test_jsonl_accepted_not_a_bool(self, tmp_path, capsys, value):
         trace = short_trace(tmp_path, "jsonl")
@@ -592,6 +609,53 @@ class TestCompareCommand:
         first = json.loads(table.read_text().splitlines()[0])
         assert first["k"] == 0
         assert "gap_apm" in first and "gap_mapm" in first
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_table_bytes_equal_the_csv_and_json_oracles(self, tmp_path,
+                                                         monkeypatch, fmt):
+        comparisons, original = [], cli.compare_solvers
+
+        def compare_solvers(*args, **kwargs):
+            comparisons.append(original(*args, **kwargs))
+            return comparisons[-1]
+        monkeypatch.setattr(cli, "compare_solvers", compare_solvers)
+        table = tmp_path / f"cmp.{fmt}"
+        # the tolerance stops the solvers at different k: blank cells
+        code = run_cli("compare", "--problem", "quadratic", "--cond", "100",
+                       "--dim", "10", "--seed", "1", "--solvers", "ista,apm,mapm",
+                       "--max-iters", "300", "--grad-map-tol", "1e-3",
+                       "--format", fmt, "--table", str(table),
+                       "--summary", str(tmp_path / "s.json"))
+        assert code == 0
+        comparison = comparisons[0]
+        assert any(None in gaps for gaps in comparison.gaps.values())
+        assert table.read_bytes() == TABLE_ORACLES[fmt](comparison)
+
+
+def csv_module_table(comparison):
+    """A compare table as csv.writer writes it: the byte oracle."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["k"] + [f"gap_{label}" for label in comparison.labels])
+    for i, k in enumerate(comparison.ks):
+        gaps = [comparison.gaps[label][i] for label in comparison.labels]
+        writer.writerow([k] + ["" if g is None else repr(float(g)) for g in gaps])
+    return buf.getvalue().encode()
+
+
+def json_dumps_table(comparison):
+    """A compare table as json.dumps writes it row by row: the byte oracle."""
+    lines = []
+    for i, k in enumerate(comparison.ks):
+        row = {"k": k}
+        for label in comparison.labels:
+            gap = comparison.gaps[label][i]
+            row[f"gap_{label}"] = None if gap is None else float(gap)
+        lines.append(json.dumps(row) + "\n")
+    return "".join(lines).encode()
+
+
+TABLE_ORACLES = {"csv": csv_module_table, "jsonl": json_dumps_table}
 
 
 @st.composite

@@ -99,6 +99,15 @@ class TestLassoProblem:
         lam_max = float(np.linalg.eigvalsh(a.T @ a)[-1])
         assert p.smooth.lipschitz == pytest.approx(lam_max, rel=1e-9)
 
+    @pytest.mark.parametrize("rows, cols", [(30, 30), (40, 80), (200, 400)])
+    def test_lipschitz_is_the_top_eigenvalue(self, rows, cols):
+        # A power iteration's Rayleigh quotient stays below L, so a step of
+        # 1/L from it breaks s <= 1/L; L must be the eigenvalue itself.
+        a = np.random.default_rng(rows).standard_normal((rows, cols))
+        p = lasso_problem(a, np.ones(rows), 0.1)
+        lam_max = float(np.linalg.eigvalsh(a.T @ a)[-1])
+        assert abs(p.smooth.lipschitz - lam_max) <= 1e-12 * lam_max
+
 
 class TestProxOperators:
     def test_prox_l1_against_grid_oracle(self):

@@ -195,9 +195,13 @@ class TestCodecExactness:
     @pytest.mark.parametrize("cells", [
         ["1.0;2.0", "3.0"],        # ragged
         ["1.0;2.0", ""],           # empty
-        ["1.0;2.0", "1_0;2.0"],    # float() reads it, loadtxt does not
+        ["1.0;2.0", "1_0;2.0"],    # float() reads it, but it is not the writer's text
     ])
     def test_block_falls_back_to_the_cell_by_cell_parse(self, cells):
+        if cells[1] == "1_0;2.0":
+            with pytest.raises(ValueError, match="'1_0'"):
+                traceio._parse_vectors(cells)
+            return
         parsed = traceio._parse_vectors(cells)
         assert np.array_equal(parsed[0], [1.0, 2.0])
         if cells[1]:
@@ -208,6 +212,18 @@ class TestCodecExactness:
     def test_non_number_raises_value_error(self):
         with pytest.raises(ValueError):
             traceio._parse_vectors(["1.0;2.0", "1.0;x"])
+
+    @pytest.mark.parametrize("kind, cells, other_spellings", [
+        (traceio._FLOAT, ["10.0", "1e-05", "-0.0", "inf", "-inf", "nan"],
+         ["1_0", " 1.5", "1.50", "1e1", "+1.0", "10", "NaN", "-nan", "Infinity"]),
+        (traceio._INT, ["0", "17", "-3"], ["1_0", "+1", "01", " 1", "-0", "1 "]),
+    ], ids=["float", "int"])
+    def test_scalar_cells_must_be_the_writers_text(self, kind, cells, other_spellings):
+        values = kind.parse(cells)
+        assert [kind.text(v) for v in values] == cells
+        for cell in other_spellings:
+            with pytest.raises(ValueError):
+                kind.parse([cell])
 
 
 def csv_module_trace(meta, records):
@@ -534,6 +550,15 @@ class TestCorruptReport:
                 f"report line 3: field {column!r} must be {what}, got {value!r}")):
             read_report(path)
 
+    def test_csv_header_without_a_column(self, tmp_path):
+        path = self.report_file(tmp_path, "csv")
+        lines = path.read_text().splitlines()
+        lines[1] = lines[1].replace(",slack", "")
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigurationError, match=re.escape(
+                "report has no column(s) slack")):
+            read_report(path)
+
     @pytest.mark.parametrize("fmt, empty", [("csv", ""), ("jsonl", None)])
     def test_empty_number_reads_as_nan(self, tmp_path, fmt, empty):
         path = self.report_file(tmp_path, fmt)
@@ -549,6 +574,51 @@ class TestCorruptReport:
         path.write_text("\n".join(lines) + "\n")
         rep = read_report(path)[1]
         assert all(type(v) is float and np.isnan(v) for v in (rep.lhs, rep.rhs, rep.slack))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_report_read_in_many_blocks_is_the_one_block_read(tmp_path, fmt):
+    table = table_of(random_quadratic(3, 4, 100), "mapm")
+    path = tmp_path / f"report.{fmt}"
+    write_report(path, table, fmt)
+    assert len(path.read_text()) > 20 * 200
+    whole = read_report(path)
+    with mock.patch.object(traceio, "_BLOCK_TEXT", 200):
+        blocks = read_report(path)
+    assert list(map(repr, blocks)) == list(map(repr, whole)) == list(map(repr, table))
+
+
+@pytest.mark.parametrize("block_text", [1, 300, 1 << 20])
+def test_jsonl_trace_read_in_blocks(tmp_path, block_text):
+    problem, records = sample_records()
+    path = tmp_path / "trace.jsonl"
+    write_trace(path, sample_meta(problem), records, "jsonl")
+    _, whole = read_trace(path)
+    with mock.patch.object(traceio, "_BLOCK_TEXT", block_text):
+        _, blocks = read_trace(path)
+        assert list(map(repr, blocks)) == list(map(repr, whole))
+        lines = path.read_text().splitlines()
+        row = json.loads(lines[20])
+        row["f_y"] = "abc"
+        lines[20] = json.dumps(row)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataCorruptionError,
+                           match="trace line 21: field 'f_y' must be a number"):
+            read_trace(path)
+
+
+def test_jsonl_trace_without_iterates_ignores_iterate_keys(tmp_path):
+    problem, records = sample_records()
+    path = tmp_path / "bare.jsonl"
+    write_trace(path, sample_meta(problem, iterates=False), records, "jsonl")
+    lines = path.read_text().splitlines()
+    row = json.loads(lines[5])
+    row.update(x="not a vector", f_z=True)
+    lines[5] = json.dumps(row)
+    path.write_text("\n".join(lines) + "\n")
+    _, back = read_trace(path)
+    assert back[4].x is None and back[4].f_z is None
+    assert back[4].f_y == records[4].f_y
 
 
 def json_dumps_trace(meta, records):
