@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import DataCorruptionError, RejectedInputError
 from .problems import Vector, as_vector
-from .solvers import VARIANTS
+from .solvers import _STEP_SLACK, VARIANTS
 
 CERTIFICATE_NAMES = (
     "energy_nonincreasing",
@@ -74,7 +74,7 @@ class EnergyContext:
     def __post_init__(self):
         if not self.alpha >= 3.0:
             raise RejectedInputError(f"alpha must be >= 3, got {self.alpha}")
-        if not (self.s > 0.0 and self.s * self.lipschitz <= 1.0 + 1e-12):
+        if not (self.s > 0.0 and self.s * self.lipschitz <= 1.0 + _STEP_SLACK):
             raise RejectedInputError(
                 f"need 0 < s <= 1/L, got s={self.s}, L={self.lipschitz}"
             )

@@ -1,5 +1,8 @@
 """Reference solutions, reproducible problem suites, and rate fitting.
 
+A long-run reference consumes `solvers.iterate`, the one driver loop, in two
+phases with their own stop rules: mapm from 0, then an ista polish.
+
 Randomness everywhere comes from numpy's default_rng (PCG64) seeded with the
 caller's 64-bit seed, so generated problems and traces are reproducible
 bit-for-bit on a given platform.
@@ -18,21 +21,13 @@ from .errors import FitUnavailableError, ReferenceUnavailableError, RejectedInpu
 from .problems import (
     CompositeProblem,
     Vector,
-    as_vector,
     box_quadratic_problem,
     lasso_problem,
-    quadratic_problem,
-)
-from .solvers import (
-    SolverConfig,
-    SolverState,
-    momentum,
     norm,
     prox_gradient,
-    require_finite,
-    run,
-    step,
+    quadratic_problem,
 )
+from .solvers import SolverConfig, iterate, require_finite, run
 
 # Residual criterion for references: at least 1e3 tighter than any certificate
 # tolerance, so reference error never masquerades as a violation.
@@ -91,58 +86,19 @@ def reference_solution(problem: CompositeProblem,
             problem_hash=problem.content_hash,
         )
 
-    x0 = np.zeros(problem.dim)
-    state = SolverState(k=0, x=x0, y=x0, f_y=problem.value(x0))
-
-    def advance(config, beta, st):
-        z, _ = prox_gradient(problem, s, st.x)
-        return step(config, beta, st, z,
-                    require_finite(st.k, "F(z_k)", problem.value(z)))
-
-    def y_residual(st):
-        _, G = prox_gradient(problem, s, st.y)
-        return require_finite(st.k, "||G(y_k)||", norm(G))
-
-    def criterion_met(st, resid):
-        return resid <= 0.5 * _REFERENCE_TOL * (1.0 + float(np.linalg.norm(st.y)))
-
-    # Phase 1: monotone accelerated run, checking the reference criterion at
-    # the candidate y_k every chunk.  The value-based acceptance test cannot
-    # resolve objective improvements below one ulp of F*, so y can freeze
-    # with its residual still above the criterion; a long stretch without
-    # improvement ends the phase.
-    residual = math.inf
-    best_seen = math.inf
-    stalled_chunks = 0
-    spent = 0
+    # Phase 1: monotone accelerated run from 0.  Its value-based acceptance
+    # test cannot resolve improvements below one ulp of F*, so y can freeze
+    # above the criterion; 80 checks in a row without improvement end it.
     mapm = SolverConfig(variant="mapm", alpha=3.0, step=s)
-    beta = momentum(problem, mapm)
-    while spent < budget and stalled_chunks < 80:
-        for _ in range(min(25, budget - spent)):
-            state = advance(mapm, beta, state)
-            spent += 1
-        residual = y_residual(state)
-        if criterion_met(state, residual):
-            break
-        if residual < 0.98 * best_seen:
-            best_seen = residual
-            stalled_chunks = 0
-        else:
-            stalled_chunks += 1
+    state, residual, met = _reference_phase(problem, mapm, np.zeros(problem.dim),
+                                            budget, patience=80)
 
-    # Phase 2: plain proximal-gradient polish from the stalled y.  Each step
-    # moves y unconditionally and contracts the residual, pushing past the
-    # ulp-resolution floor of the acceptance test.
-    if not criterion_met(state, residual):
+    # Phase 2: plain proximal-gradient polish from the stalled y, which moves y
+    # every step and pushes the residual past the acceptance test's ulp floor.
+    if not met and state.k < budget:
         ista = SolverConfig(variant="ista", step=s)
-        state = SolverState(k=0, x=state.y, y=state.y, f_y=state.f_y)
-        while spent < budget:
-            for _ in range(min(25, budget - spent)):
-                state = advance(ista, None, state)
-                spent += 1
-            residual = y_residual(state)
-            if criterion_met(state, residual):
-                break
+        state, residual, _ = _reference_phase(problem, ista, state.y,
+                                              budget - state.k, patience=math.inf)
 
     if residual > _REFERENCE_TOL * (1.0 + float(np.linalg.norm(state.y))):
         raise ReferenceUnavailableError(
@@ -151,6 +107,30 @@ def reference_solution(problem: CompositeProblem,
         )
     return ReferenceSolution(x_star=state.y, f_star=state.f_y, method="long_run",
                              residual=residual, problem_hash=problem.content_hash)
+
+
+def _reference_phase(problem: CompositeProblem, config: SolverConfig, x0,
+                     budget: int, patience: float):
+    """Iterate until ||G(y_k)||, checked every 25 steps and at k = budget, meets
+    the criterion, or the budget or `patience` checks in a row without a 2%
+    improvement run out; return (state, residual, criterion met)."""
+    best_seen = math.inf
+    stalled_checks = 0
+    for state, _, _, _ in iterate(problem, config, x0):
+        if state.k < budget and (state.k == 0 or state.k % 25 != 0):
+            continue
+        _, G = prox_gradient(problem, config.step, state.y)
+        residual = require_finite(state.k, "||G(y_k)||", norm(G))
+        met = residual <= 0.5 * _REFERENCE_TOL * (1.0 + float(np.linalg.norm(state.y)))
+        if met or state.k == budget:
+            return state, residual, met
+        if residual < 0.98 * best_seen:
+            best_seen = residual
+            stalled_checks = 0
+        else:
+            stalled_checks += 1
+            if stalled_checks == patience:
+                return state, residual, False
 
 
 def attach_reference(problem: CompositeProblem,
@@ -352,13 +332,10 @@ def compare_solvers(problem: CompositeProblem, configs: Sequence[SolverConfig],
     f_star = problem.known_optimum
 
     labels = []
-    for config in configs:
-        label = config.variant
-        if label in labels:
-            label = f"{label}#{labels.count(config.variant) + 1}"
-        labels.append(label)
+    for i, config in enumerate(configs):
+        n = [c.variant for c in configs[:i + 1]].count(config.variant)
+        labels.append(config.variant if n == 1 else f"{config.variant}#{n}")
 
-    x0 = as_vector(x0, problem.dim)
     columns, fits = {}, {}
     length = 0
     for label, config in zip(labels, configs):

@@ -8,7 +8,7 @@ objects are immutable and safe to share between concurrent runs.
 Oracle callables assume finite float64 vectors of the problem's dimension and
 do not check their arguments: they run once or twice per solver iteration.
 Validation happens at the boundary instead: problem construction checks the
-defining data, `solvers.run` checks x_0 and the step once at entry, and the
+defining data, `solvers.iterate` checks x_0 and the step once at entry, and the
 public `prox_l1`, `prox_box` and `prox_zero` check every call.  The one
 exception is `box_regularizer`'s prox, which rejects a non-finite point: its
 clamp would otherwise turn an infinite gradient step into a finite iterate.
@@ -100,8 +100,9 @@ class CompositeProblem:
         if self.known_minimizer is not None:
             x_star = as_vector(self.known_minimizer, self.dim)
             object.__setattr__(self, "known_minimizer", x_star)
-            scale = 1.0 + float(np.linalg.norm(x_star))
-            if self._grad_map_norm(x_star) > 1e-8 * scale:
+            s = 0.5 / self.smooth.lipschitz if self.smooth.lipschitz > 0 else 1.0
+            _, G = prox_gradient(self, s, x_star)
+            if norm(G) > 1e-8 * (1.0 + norm(x_star)):
                 raise RejectedInputError(
                     "known_minimizer fails the gradient-mapping fixed-point check"
                 )
@@ -122,12 +123,16 @@ class CompositeProblem:
             self, known_minimizer=as_vector(x_star, self.dim), known_optimum=float(f_star)
         )
 
-    def _grad_map_norm(self, x: Vector) -> float:
-        # Gradient-mapping norm at the canonical step 1/(2L); inlined to keep
-        # this module free of a dependency on the solvers module.
-        s = 0.5 / self.smooth.lipschitz if self.smooth.lipschitz > 0 else 1.0
-        z = self.nonsmooth.prox(x - s * self.smooth.gradient(x), s)
-        return float(np.linalg.norm(x - z)) / s
+
+def prox_gradient(problem: CompositeProblem, s: float, x: Vector):
+    """(z, G) with z = prox_{sg}(x - s grad f(x)) and G = (x - z)/s, unchecked."""
+    z = problem.nonsmooth.prox(x - s * problem.smooth.gradient(x), s)
+    return z, (x - z) / s
+
+
+def norm(v: Vector) -> float:
+    """||v||_2 as np.linalg.norm computes it for a 1-D vector, bit for bit."""
+    return math.sqrt(float(v.dot(v)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""The shared stepping rule and the run driver.
+"""The shared stepping rule and the one driver loop.
 
 From the prox point z_k = prox_{sg}(x_k - s grad f(x_k)), every variant steps
 
@@ -10,6 +10,9 @@ strongly_convex_apm and none for ista, and gamma_k = (k+a-1)/(k+a) for mapm
 only.  A missing term is left out, not multiplied by 0.0: adding +0.0 would
 turn the prox's -0.0 coordinates into 0.0.  F(y_k) is computed once per
 iteration and cached in the state; the mapm test compares cached values only.
+
+`iterate` is the one loop that applies the rule.  Its consumers bring their
+own stop rules: `run`, and both phases of `harness.reference_solution`.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ConfigurationError, RejectedInputError
-from .problems import CompositeProblem, Vector, as_vector
+from .problems import CompositeProblem, Vector, as_vector, norm, prox_gradient
 
 VARIANTS = ("ista", "apm", "mapm", "strongly_convex_apm")
 
@@ -32,8 +35,8 @@ class SolverConfig:
     """Run configuration.
 
     step=None selects the canonical default s = 1/(2L) at run start.  alpha is
-    ignored by ista and strongly_convex_apm; it must be >= 3 for the
-    accelerated variants.
+    ignored by ista and strongly_convex_apm; it must be finite and >= 3 for
+    the accelerated variants.
     """
 
     variant: str
@@ -47,15 +50,15 @@ class SolverConfig:
             raise ConfigurationError(
                 f"unknown variant {self.variant!r}; valid: {', '.join(VARIANTS)}"
             )
-        if self.variant in ("apm", "mapm") and not self.alpha >= 3.0:
+        if self.variant in ("apm", "mapm") and not 3.0 <= self.alpha < math.inf:
             raise ConfigurationError(
-                f"alpha must be >= 3 for {self.variant}, got {self.alpha}"
+                f"alpha must be finite and >= 3 for {self.variant}, got {self.alpha}"
             )
         if self.step is not None and not self.step > 0.0:
             raise ConfigurationError(f"step must be > 0, got {self.step}")
         if self.max_iters < 0:
             raise ConfigurationError(f"max_iters must be >= 0, got {self.max_iters}")
-        if self.grad_map_tol < 0.0:
+        if not self.grad_map_tol >= 0.0:
             raise ConfigurationError(
                 f"grad_map_tol must be >= 0, got {self.grad_map_tol}"
             )
@@ -112,17 +115,6 @@ def gradient_mapping(problem: CompositeProblem, s: float, x: Vector):
     """
     bind_step(problem, s)
     return prox_gradient(problem, s, as_vector(x, problem.dim))
-
-
-def prox_gradient(problem: CompositeProblem, s: float, x: Vector):
-    """gradient_mapping for a step already bound to the problem and a valid x."""
-    z = problem.nonsmooth.prox(x - s * problem.smooth.gradient(x), s)
-    return z, (x - z) / s
-
-
-def norm(v: Vector) -> float:
-    """||v||_2 as np.linalg.norm computes it for a 1-D vector, bit for bit."""
-    return math.sqrt(float(v.dot(v)))
 
 
 def require_finite(k: int, name: str, value: float) -> float:
@@ -185,26 +177,35 @@ def step(config: SolverConfig, beta, state: SolverState, z: Vector,
     return SolverState(k=k + 1, x=x, y=y, f_y=f_y)
 
 
+def iterate(problem: CompositeProblem, config: SolverConfig, x0):
+    """Yield (state_k, z_k, G_k, F(z_k)) for k = 0, 1, ... from x_0 = y_0.
+
+    Steps to state k+1 when resumed; never stops.  x_0 and the step are
+    checked once; a non-finite F(z_k) raises RejectedInputError naming k.
+    """
+    x0 = as_vector(x0, problem.dim)
+    s = bind_step(problem, config.step)
+    beta = momentum(problem, config)
+    state = SolverState(k=0, x=x0, y=x0, f_y=problem.value(x0))
+    while True:
+        z, G = prox_gradient(problem, s, state.x)
+        f_z = require_finite(state.k, "F(z_k)", problem.value(z))
+        yield state, z, G, f_z
+        state = step(config, beta, state, z, f_z)
+
+
 def run(problem: CompositeProblem, config: SolverConfig, x0) -> list:
     """Drive a solver from x_0 = y_0 and return one IterationRecord per k.
 
     Stops after max_iters steps or as soon as ||G_s(x_k)|| <= grad_map_tol.
     A record is emitted for every visited k including k = 0, so a full run of
-    max_iters steps yields max_iters + 1 records.  x_0 and the step are
-    checked here, once; a non-finite F(z_k) or ||G_k|| raises
-    RejectedInputError naming k.
+    max_iters steps yields max_iters + 1 records.  Beyond iterate's checks, a
+    non-finite ||G_k|| raises RejectedInputError naming k.
     """
-    x0 = as_vector(x0, problem.dim)
-    s = bind_step(problem, config.step)
-    beta = momentum(problem, config)
-
     f_star = problem.known_optimum
-    state = SolverState(k=0, x=x0, y=x0, f_y=problem.value(x0))
     records = []
-    while True:
+    for state, _, G, f_z in iterate(problem, config, x0):
         k = state.k
-        z, G = prox_gradient(problem, s, state.x)
-        f_z = require_finite(k, "F(z_k)", problem.value(z))
         gnorm = require_finite(k, "||G_k||", norm(G))
         records.append(IterationRecord(
             k=k,
@@ -218,6 +219,4 @@ def run(problem: CompositeProblem, config: SolverConfig, x0) -> list:
             f_z=f_z,
         ))
         if gnorm <= config.grad_map_tol or k >= config.max_iters:
-            break
-        state = step(config, beta, state, z, f_z)
-    return records
+            return records

@@ -67,6 +67,24 @@ class TestRunCommand:
         assert code == 2
         assert "quadratic" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [("--grad-map-tol", "nan"),
+                                             ("--alpha", "inf")])
+    def test_nan_tolerance_or_infinite_alpha_exits_2(self, tmp_path, capsys,
+                                                     flag, value):
+        out = tmp_path / "t.csv"
+        # the last --alpha wins over quadratic_run_args' own
+        assert run_cli(*quadratic_run_args(out, (flag, value))) == 2
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_infinite_tolerance_stops_at_k0_and_certifies(self, tmp_path):
+        trace = tmp_path / "t.csv"
+        assert run_cli(*quadratic_run_args(trace, ("--grad-map-tol", "inf"))) == 0
+        _, records = read_trace(trace)
+        assert [r.k for r in records] == [0]
+        assert run_cli("certify", "--trace", str(trace),
+                       "--report", str(tmp_path / "r.csv")) == 0
+
     def test_determinism_same_seed_identical_bytes(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         assert run_cli(*quadratic_run_args(out1)) == 0
@@ -545,6 +563,19 @@ class TestCompareCommand:
         data = json.loads(summary.read_text())
         assert set(data["rho_hat"]) == {"ista", "apm", "mapm"}
         assert "rho_lower_bound" in data and "sqrt_mu_over_L" in data
+
+    def test_repeated_variant_gets_numbered_columns(self, tmp_path):
+        table = tmp_path / "cmp.csv"
+        summary = tmp_path / "cmp.json"
+        code = run_cli("compare", "--problem", "quadratic", "--dim", "5",
+                       "--seed", "1", "--solvers", "mapm,apm,mapm,mapm",
+                       "--max-iters", "5", "--table", str(table),
+                       "--summary", str(summary))
+        assert code == 0
+        header = table.read_text().splitlines()[0]
+        assert header == "k,gap_mapm,gap_apm,gap_mapm#2,gap_mapm#3"
+        assert set(json.loads(summary.read_text())["rho_hat"]) == {
+            "mapm", "apm", "mapm#2", "mapm#3"}
 
     def test_single_spec_exits_2(self, tmp_path):
         code = run_cli("compare", "--problem", "quadratic", "--dim", "4",

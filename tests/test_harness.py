@@ -188,3 +188,12 @@ class TestCompareSolvers:
                    SolverConfig(variant="mapm", alpha=4.0, max_iters=50)]
         cmp_ = compare_solvers(p, configs, np.zeros(p.dim))
         assert len(set(cmp_.labels)) == 2
+
+    def test_third_repeat_of_a_variant_gets_its_own_label(self):
+        p = random_quadratic(1, 4, 10)
+        configs = [SolverConfig(variant="mapm", alpha=a, max_iters=50)
+                   for a in (3.0, 4.0, 5.0)]
+        cmp_ = compare_solvers(p, configs, np.zeros(p.dim))
+        assert cmp_.labels == ["mapm", "mapm#2", "mapm#3"]
+        columns = [tuple(cmp_.gaps[label]) for label in cmp_.labels]
+        assert len(set(columns)) == 3

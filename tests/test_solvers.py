@@ -1,6 +1,7 @@
 """Stepper and driver tests for the solvers module."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from proxcert import (
     CompositeProblem,
     ConfigurationError,
-    ProxCertError,
+    ReferenceUnavailableError,
     RejectedInputError,
     SolverConfig,
     SolverState,
@@ -151,6 +152,12 @@ class TestApmStep:
             SolverConfig(variant="apm", alpha=2.5)
         with pytest.raises(ConfigurationError):
             SolverConfig(variant="mapm", alpha=2.9)
+
+    @pytest.mark.parametrize("field, value", [("alpha", np.inf),
+                                              ("grad_map_tol", np.nan)])
+    def test_infinite_alpha_or_nan_tolerance_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            SolverConfig(variant="mapm", **{field: value})
 
     def test_classical_sublinear_envelope(self):
         # F(y_k) - F* <= (alpha-1)^2 d0^2 / (2 s (k+1)^2), factor 1.01 slack.
@@ -376,6 +383,87 @@ class TestRunBitIdentity:
                     assert np.array_equal(bits(got), bits(want)), (variant, k)
 
 
+def checked_reference(problem, budget):
+    """reference_solution's long run rebuilt in chunks of 25 steps from the
+    public, validating gradient_mapping and step.  Returns (x*, F*, residual),
+    or the text of the ReferenceUnavailableError it should raise."""
+    s = 0.5 / problem.smooth.lipschitz
+
+    def advance(config, state, steps):
+        beta = momentum(problem, config)
+        for _ in range(steps):
+            z, _ = gradient_mapping(problem, s, state.x)
+            state = step(config, beta, state, z, problem.value(z))
+        return state
+
+    def y_residual(state):
+        _, big_g = gradient_mapping(problem, s, state.y)
+        return float(np.linalg.norm(big_g))
+
+    def met(state, residual, tol=0.5 * 1e-12):
+        return residual <= tol * (1.0 + float(np.linalg.norm(state.y)))
+
+    x0 = np.zeros(problem.dim)
+    state = SolverState(k=0, x=x0, y=x0, f_y=problem.value(x0))
+    mapm = SolverConfig(variant="mapm", alpha=3.0, step=s)
+    best, stalled, spent = np.inf, 0, 0
+    while spent < budget and stalled < 80:
+        steps = min(25, budget - spent)
+        state, spent = advance(mapm, state, steps), spent + steps
+        residual = y_residual(state)
+        if met(state, residual):
+            break
+        if residual < 0.98 * best:
+            best, stalled = residual, 0
+        else:
+            stalled += 1
+    if not met(state, residual):
+        ista = SolverConfig(variant="ista", step=s)
+        state = SolverState(k=0, x=state.y, y=state.y, f_y=state.f_y)
+        while spent < budget:
+            steps = min(25, budget - spent)
+            state, spent = advance(ista, state, steps), spent + steps
+            residual = y_residual(state)
+            if met(state, residual):
+                break
+    if not met(state, residual, tol=1e-12):
+        return (f"budget {budget} exhausted with residual {residual:.3e}; "
+                "certificates needing F* must be skipped")
+    return state.y, state.f_y, residual
+
+
+def without_reference(problem):
+    return CompositeProblem(smooth=problem.smooth, nonsmooth=problem.nonsmooth,
+                            dim=problem.dim, name=f"{problem.name}-no-reference")
+
+
+REFERENCE_PROBLEMS = [
+    random_lasso(7, 20, 20),
+    random_lasso(21, 15, 30),
+    random_box_quadratic(1, 5),
+    dataclasses.replace(lasso_problem(np.eye(2), [3.0, 0.5], 1.0), name="lasso-eye2"),
+    # mapm stalls at k = 3725, so the ista polish runs, and at budget 6010
+    # it exhausts the budget between two multiples of 25.
+    without_reference(random_quadratic(0, 2, 1000)),
+]
+
+
+class TestReferenceBitIdentity:
+    @pytest.mark.parametrize("budget", [100_000, 1000, 1010, 6010])
+    @pytest.mark.parametrize("problem", REFERENCE_PROBLEMS, ids=lambda p: p.name)
+    def test_reference_equals_the_checked_phases(self, problem, budget):
+        expected = checked_reference(problem, budget)
+        if isinstance(expected, str):
+            with pytest.raises(ReferenceUnavailableError) as info:
+                reference_solution(problem, budget)
+            assert str(info.value) == expected
+            return
+        ref = reference_solution(problem, budget)
+        x_star, f_star, residual = expected
+        assert np.array_equal(bits(ref.x_star), bits(x_star))
+        assert (ref.f_star, ref.residual, ref.method) == (f_star, residual, "long_run")
+
+
 def gradient_turning(problem, after_calls, factor=np.nan):
     """The problem with a gradient multiplied by `factor` (NaN or inf) from call
     `after_calls` on, and without a known reference, so that
@@ -404,11 +492,16 @@ class TestNonFiniteOracleOutput:
     @pytest.mark.parametrize("problem", [random_quadratic(1, 5, 10),
                                          random_lasso(2, 10, 20)],
                              ids=lambda p: p.name)
-    # Call 26 is the first residual check, after 25 steps; call 30 is a step.
-    @pytest.mark.parametrize("after_calls", [25, 30])
-    def test_reference_raises(self, problem, after_calls):
+    # Calls 1-25 are the steps k = 0..24.  Call 26 computes z_25 and F(z_25),
+    # call 27 the first residual check at y_25; call 31 computes z_29.
+    @pytest.mark.parametrize("after_calls, message", [
+        (25, "iteration k=25: F(z_k) = nan"),
+        (26, "iteration k=25: ||G(y_k)|| = nan"),
+        (30, "iteration k=29: F(z_k) = nan"),
+    ], ids=["25", "26", "30"])
+    def test_reference_raises(self, problem, after_calls, message):
         bad = gradient_turning(problem, after_calls)
-        with pytest.raises(ProxCertError):
+        with pytest.raises(RejectedInputError, match=re.escape(message)):
             reference_solution(bad)
 
     def test_box_prox_rejects_an_infinite_gradient_step(self):
