@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import DataCorruptionError, RejectedInputError
 from .problems import Vector, as_vector
-from .solvers import _STEP_SLACK, VARIANTS
+from .solvers import bind_step, check_setting
 
 CERTIFICATE_NAMES = (
     "energy_nonincreasing",
@@ -62,7 +62,8 @@ _BLOCK_BYTES = 1 << 17
 
 @dataclass(frozen=True)
 class EnergyContext:
-    """Constants the energy-based certificates need."""
+    """Constants the energy-based certificates need; alpha and s meet the run's
+    rules (solvers.SETTING_RULES and bind_step), else RejectedInputError."""
 
     alpha: float
     s: float
@@ -72,12 +73,9 @@ class EnergyContext:
     f_star: float
 
     def __post_init__(self):
-        if not self.alpha >= 3.0:
-            raise RejectedInputError(f"alpha must be >= 3, got {self.alpha}")
-        if not (self.s > 0.0 and self.s * self.lipschitz <= 1.0 + _STEP_SLACK):
-            raise RejectedInputError(
-                f"need 0 < s <= 1/L, got s={self.s}, L={self.lipschitz}"
-            )
+        check_setting("alpha", self.alpha, RejectedInputError)
+        check_setting("step", self.s, RejectedInputError)
+        bind_step(self.lipschitz, self.s, RejectedInputError)
         if not self.lipschitz >= self.mu >= 0.0:
             raise RejectedInputError(
                 f"need L >= mu >= 0, got L={self.lipschitz}, mu={self.mu}"
@@ -461,10 +459,7 @@ def certify_trace(ctx: EnergyContext, trace,
     Records are certified in blocks of rows, each block sharing one record
     with the next so that the (k, k+1) certificates cross block edges.
     """
-    if variant not in VARIANTS:
-        raise RejectedInputError(
-            f"unknown variant {variant!r}; valid: {', '.join(VARIANTS)}"
-        )
+    check_setting("variant", variant, RejectedInputError)
     trace = list(trace)
     if not trace:
         return CertificateTable.from_rows([])

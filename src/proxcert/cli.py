@@ -4,6 +4,10 @@ Exit codes: 0 success, 1 certificate violation, 2 configuration error,
 3 reference unavailable (or unusable) or corrupt trace data.  The environment
 variable PROXCERT_SEED overrides --seed when set; seeds stored in a trace or
 given in --spec are used as they are.
+
+`_run_from_spec` turns a run spec (a `compare --spec` object, or one that `run`
+and `compare --solvers` build from flags) into a problem and a `SolverConfig`;
+`certify` builds its `SolverConfig` from the trace metadata `read_trace` checked.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -31,19 +36,21 @@ from .harness import (
     reference_solution,
 )
 from .problems import as_vector
-from .solvers import SolverConfig, run
+from .solvers import SETTING_RULES, SolverConfig, run
 from .traceio import TraceMeta, read_trace, write_comparison, write_report, write_trace
 
 PROBLEM_NAMES = ("quadratic", "lasso", "box-quadratic")
 SOLVER_NAMES = ("ista", "apm", "mapm", "strongly-convex-apm")
+# A run spec's keys, all required; `compare --spec` defaults the last four.
+RUN_SPEC_KEYS = ("problem", "solver", "alpha", "step_mode", "max_iters", "grad_map_tol")
 
 
 def _require(mapping: dict, key: str, what: str):
-    """mapping[key], or a ConfigurationError naming the missing key."""
-    try:
-        return mapping[key]
-    except KeyError:
-        raise ConfigurationError(f"{what} has no {key!r}") from None
+    """mapping[key], or a ConfigurationError naming the key if missing or null."""
+    value = mapping.get(key)
+    if value is None:
+        raise ConfigurationError(f"{what} has no {key!r}")
+    return value
 
 
 def _effective_seed(seed: int) -> int:
@@ -103,7 +110,7 @@ def resolve_step(step_mode: str, lipschitz: float) -> float:
         return 0.5 / lipschitz
     if step_mode == "inverse-L":
         return 1.0 / lipschitz
-    if step_mode.startswith("explicit:"):
+    if isinstance(step_mode, str) and step_mode.startswith("explicit:"):
         try:
             return float(step_mode.split(":", 1)[1])
         except ValueError:
@@ -114,40 +121,45 @@ def resolve_step(step_mode: str, lipschitz: float) -> float:
     )
 
 
-def _solver_config(args, s: float) -> SolverConfig:
-    return SolverConfig(
-        variant=args.solver.replace("-", "_"),
-        alpha=args.alpha,
-        step=s,
-        max_iters=args.max_iters,
-        grad_map_tol=args.grad_map_tol,
-    )
+def _run_from_spec(spec: dict, what: str):
+    """(problem, SolverConfig) of a run spec, which has every key of
+    RUN_SPEC_KEYS and no other; `what` names the spec in errors."""
+    unknown = ", ".join(repr(key) for key in spec if key not in RUN_SPEC_KEYS)
+    if unknown:
+        raise ConfigurationError(
+            f"{what} has unknown key(s) {unknown}; valid: {', '.join(RUN_SPEC_KEYS)}")
+    problem_spec, solver, alpha, step_mode, max_iters, grad_map_tol = [
+        _require(spec, key, what) for key in RUN_SPEC_KEYS]
+    if solver not in SOLVER_NAMES:
+        raise ConfigurationError(
+            f"unknown solver {solver!r}; valid options: {', '.join(SOLVER_NAMES)}"
+        )
+    problem = build_problem_from_spec(problem_spec)
+    step = resolve_step(step_mode, problem.smooth.lipschitz)
+    variant = solver.replace("-", "_")
+    return problem, SolverConfig(variant, alpha, step, max_iters, grad_map_tol)
+
+
+def _spec_from_flags(args, solver: str) -> dict:
+    """The run spec of the problem and solver flags, for one solver."""
+    return {"problem": _problem_spec_from_args(args), "solver": solver,
+            "alpha": args.alpha, "step_mode": args.step_mode,
+            "max_iters": args.max_iters, "grad_map_tol": args.grad_map_tol}
 
 
 def cmd_run(args) -> int:
-    spec = _problem_spec_from_args(args)
-    problem = build_problem_from_spec(spec)
-    s = resolve_step(args.step_mode, problem.smooth.lipschitz)
-    config = _solver_config(args, s)
+    spec = _spec_from_flags(args, args.solver)
+    problem, config = _run_from_spec(spec, "run")
     records = run(problem, config, np.zeros(problem.dim))
-    meta = TraceMeta(
-        variant=config.variant,
-        alpha=config.alpha,
-        step=s,
-        problem_hash=problem.content_hash,
-        dim=problem.dim,
-        max_iters=config.max_iters,
-        grad_map_tol=config.grad_map_tol,
-        seed=spec["seed"],
-        iterates=not args.no_iterates,
-        problem=spec,
-    )
+    meta = TraceMeta(**asdict(config), problem_hash=problem.content_hash,
+                     dim=problem.dim, seed=spec["problem"]["seed"],
+                     iterates=not args.no_iterates, problem=spec["problem"])
     write_trace(args.out, meta, records, args.format)
     print(f"wrote {len(records)} records to {args.out}")
     return 0
 
 
-def _reference_context(args, problem, meta) -> EnergyContext:
+def _reference_context(args, problem, config) -> EnergyContext:
     x_star = f_star = None
     if args.x_star is not None:
         x_star = as_vector([float(c) for c in args.x_star.split(",")], problem.dim)
@@ -158,8 +170,8 @@ def _reference_context(args, problem, meta) -> EnergyContext:
         x_star = ref.x_star if x_star is None else x_star
         f_star = ref.f_star if f_star is None else f_star
     return EnergyContext(
-        alpha=meta.alpha,
-        s=meta.step,
+        alpha=config.alpha,
+        s=config.step,
         mu=problem.smooth.strong_convexity,
         lipschitz=problem.smooth.lipschitz,
         x_star=x_star,
@@ -167,29 +179,24 @@ def _reference_context(args, problem, meta) -> EnergyContext:
     )
 
 
-def _check_stop_rule(meta, records) -> None:
-    """The trace ends where run() stops, at max_iters or at the first k whose
-    ||G_k|| <= grad_map_tol, so a trace cut at a row boundary is corrupt."""
-    max_iters, tol = meta.max_iters, meta.grad_map_tol
-    for key, value in (("max_iters", max_iters), ("grad_map_tol", tol)):
-        if value is None:
-            raise ConfigurationError(f"trace metadata has no {key!r}")
+def _check_stop_rule(config, records) -> None:
+    """A data error unless the trace ends at the first record where config.stops."""
     if not records:
         raise DataCorruptionError("trace has no records")
+    k = np.fromiter((r.k for r in records), np.int64, len(records))
     gnorm = np.fromiter((r.grad_map_norm for r in records), np.float64, len(records))
-    stops = gnorm <= tol
-    if stops[:-1].any():
-        i = int(np.argmax(stops))
+    stops = config.stops(k, gnorm)
+    settings = f"max_iters = {config.max_iters}, grad_map_tol = {config.grad_map_tol!r}"
+    if not stops.any():
         raise DataCorruptionError(
-            f"record k={records[i].k} has grad_map_norm {float(gnorm[i])!r} <= "
-            f"grad_map_tol {tol!r}, where the run stops, but is not the last record"
+            f"trace ends at k={k[-1]} with grad_map_norm {float(gnorm[-1])!r}, "
+            f"where a run with {settings} goes on; rows are missing from its end"
         )
-    if records[-1].k != max_iters and not stops[-1]:
+    i = int(np.argmax(stops))
+    if i < len(records) - 1:
         raise DataCorruptionError(
-            f"trace ends at k={records[-1].k} with grad_map_norm "
-            f"{float(gnorm[-1])!r} > grad_map_tol {tol!r}, but a run stops only at "
-            f"max_iters = {max_iters} or at the first grad_map_norm <= grad_map_tol; "
-            "rows are missing from its end"
+            f"a run with {settings} stops at record k={k[i]} (grad_map_norm "
+            f"{float(gnorm[i])!r}), but the trace goes on past it"
         )
 
 
@@ -199,7 +206,9 @@ def cmd_certify(args) -> int:
         raise ConfigurationError(
             "trace has no stored iterates; re-run with iterate recording enabled"
         )
-    _check_stop_rule(meta, records)
+    config = SolverConfig(**{key: _require(vars(meta), key, "trace metadata")
+                             for key in SETTING_RULES})
+    _check_stop_rule(config, records)
     if args.problem is not None:
         spec = _problem_spec_from_args(args)
     elif meta.problem is not None:
@@ -211,8 +220,8 @@ def cmd_certify(args) -> int:
         raise ConfigurationError(
             "trace was produced on a different problem (content hash mismatch)"
         )
-    ctx = _reference_context(args, problem, meta)
-    table = certify_trace(ctx, records, variant=meta.variant)
+    ctx = _reference_context(args, problem, config)
+    table = certify_trace(ctx, records, variant=config.variant)
     write_report(args.report, table, args.format)
     print(f"wrote {len(table)} certificate lines to {args.report}")
     violations = np.flatnonzero(table.applies & ~table.passed)
@@ -232,41 +241,22 @@ def _specs_from_args(args) -> list:
                 raise ConfigurationError(
                     f"compare --spec #{position} must be a JSON object, got {spec!r}"
                 )
-        return specs
+        defaults = {"alpha": 3.0, "step_mode": "half-inverse-L",
+                    "max_iters": args.max_iters, "grad_map_tol": args.grad_map_tol}
+        return [{**defaults, **spec} for spec in specs]
     if not args.solvers:
         raise ConfigurationError("compare needs --spec entries or --solvers")
-    problem_spec = _problem_spec_from_args(args)
-    return [{"problem": problem_spec, "solver": name, "alpha": args.alpha,
-             "step_mode": args.step_mode}
-            for name in args.solvers.split(",") if name]
+    return [_spec_from_flags(args, name) for name in args.solvers.split(",") if name]
 
 
 def cmd_compare(args) -> int:
     specs = _specs_from_args(args)
     if len(specs) < 2:
         raise ConfigurationError("compare needs at least two solver specs")
-    problems = [build_problem_from_spec(_require(s, "problem", "compare spec"))
-                for s in specs]
-    hashes = {p.content_hash for p in problems}
-    if len(hashes) != 1:
+    problems, configs = zip(*[_run_from_spec(s, "compare spec") for s in specs])
+    if len({p.content_hash for p in problems}) != 1:
         raise ConfigurationError("compare specs name different problems")
     problem = problems[0]
-    configs = []
-    for spec in specs:
-        solver = _require(spec, "solver", "compare spec")
-        if solver not in SOLVER_NAMES:
-            raise ConfigurationError(
-                f"unknown solver {solver!r}; valid options: {', '.join(SOLVER_NAMES)}"
-            )
-        s = resolve_step(spec.get("step_mode", "half-inverse-L"),
-                         problem.smooth.lipschitz)
-        configs.append(SolverConfig(
-            variant=solver.replace("-", "_"),
-            alpha=float(spec.get("alpha", 3.0)),
-            step=s,
-            max_iters=int(spec.get("max_iters", args.max_iters)),
-            grad_map_tol=args.grad_map_tol,
-        ))
     comparison = compare_solvers(problem, configs, np.zeros(problem.dim),
                                  budget=args.ref_budget)
     write_comparison(args.table, comparison, args.format)

@@ -27,7 +27,7 @@ from .problems import (
     prox_gradient,
     quadratic_problem,
 )
-from .solvers import SolverConfig, iterate, require_finite, run
+from .solvers import SolverConfig, bind_step, iterate, require_finite, run
 
 # Residual criterion for references: at least 1e3 tighter than any certificate
 # tolerance, so reference error never masquerades as a violation.
@@ -72,9 +72,7 @@ def reference_solution(problem: CompositeProblem,
     """
     if budget < 1000:
         raise RejectedInputError(f"budget must be >= 1000, got {budget}")
-    if problem.smooth.lipschitz <= 0.0:
-        raise RejectedInputError("reference protocol needs L > 0")
-    s = 0.5 / problem.smooth.lipschitz
+    s = bind_step(problem.smooth.lipschitz, None, RejectedInputError)  # 1/(2L)
     if problem.known_minimizer is not None and problem.known_optimum is not None:
         x_star = problem.known_minimizer
         _, G = prox_gradient(problem, s, x_star)
@@ -349,9 +347,8 @@ def compare_solvers(problem: CompositeProblem, configs: Sequence[SolverConfig],
             fits[label] = None
 
     mu, L = problem.smooth.strong_convexity, problem.smooth.lipschitz
-    s = 0.5 / L
     rho = rho_lower_bound(EnergyContext(
-        alpha=3.0, s=s, mu=mu, lipschitz=L,
+        alpha=3.0, s=bind_step(L, None), mu=mu, lipschitz=L,
         x_star=problem.known_minimizer, f_star=f_star,
     ))
     padded = {label: gaps + [None] * (length - len(gaps))

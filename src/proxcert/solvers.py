@@ -13,12 +13,17 @@ iteration and cached in the state; the mapm test compares cached values only.
 
 `iterate` is the one loop that applies the rule.  Its consumers bring their
 own stop rules: `run`, and both phases of `harness.reference_solution`.
+
+The run contract is written here once: `SETTING_RULES` (each setting's rule),
+`bind_step` (s <= 1/L) and `SolverConfig.stops` (the stop rule of `run`, `certify`).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from numbers import Integral, Real
 from typing import Optional
 
 from .errors import ConfigurationError, RejectedInputError
@@ -30,13 +35,39 @@ VARIANTS = ("ista", "apm", "mapm", "strongly_convex_apm")
 _STEP_SLACK = 1e-12
 
 
+def is_number(value, kind=Real) -> bool:
+    """A number of `kind` (Python's or numpy's), not a bool."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+# An int above the largest float compares as finite but overflows float().
+_FLOAT_MAX = sys.float_info.max
+
+# Each run setting: what it must be for the certificates to hold, and the test.
+SETTING_RULES = {
+    "variant": (f"one of {', '.join(VARIANTS)}", lambda v: v in VARIANTS),
+    "alpha": ("a finite number >= 3", lambda v: is_number(v) and 3 <= v <= _FLOAT_MAX),
+    "step": ("a finite number > 0", lambda v: is_number(v) and 0 < v <= _FLOAT_MAX),
+    "max_iters": ("an integer >= 0", lambda v: is_number(v, Integral) and v >= 0),
+    "grad_map_tol": ("a number >= 0", lambda v: is_number(v)
+                     and (0 <= v <= _FLOAT_MAX or v == math.inf)),
+}
+
+
+def check_setting(name: str, value, error=ConfigurationError) -> None:
+    """Raise `error` naming the run setting `name` unless `value` meets its rule."""
+    what, valid = SETTING_RULES[name]
+    if not valid(value):
+        raise error(f"{name} must be {what}, got {value!r}")
+
+
 @dataclass
 class SolverConfig:
-    """Run configuration.
+    """Run configuration, each field checked by its SETTING_RULES rule.
 
-    step=None selects the canonical default s = 1/(2L) at run start.  alpha is
-    ignored by ista and strongly_convex_apm; it must be finite and >= 3 for
-    the accelerated variants.
+    step=None selects the canonical default s = 1/(2L) at run start.  alpha
+    must be finite and >= 3 for every variant, though only apm and mapm use
+    it.  Numbers are stored as floats, max_iters as an int.
     """
 
     variant: str
@@ -46,22 +77,16 @@ class SolverConfig:
     grad_map_tol: float = 0.0
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ConfigurationError(
-                f"unknown variant {self.variant!r}; valid: {', '.join(VARIANTS)}"
-            )
-        if self.variant in ("apm", "mapm") and not 3.0 <= self.alpha < math.inf:
-            raise ConfigurationError(
-                f"alpha must be finite and >= 3 for {self.variant}, got {self.alpha}"
-            )
-        if self.step is not None and not self.step > 0.0:
-            raise ConfigurationError(f"step must be > 0, got {self.step}")
-        if self.max_iters < 0:
-            raise ConfigurationError(f"max_iters must be >= 0, got {self.max_iters}")
-        if not self.grad_map_tol >= 0.0:
-            raise ConfigurationError(
-                f"grad_map_tol must be >= 0, got {self.grad_map_tol}"
-            )
+        for name in SETTING_RULES:
+            if not (name == "step" and self.step is None):
+                check_setting(name, getattr(self, name))
+        self.alpha, self.grad_map_tol = float(self.alpha), float(self.grad_map_tol)
+        self.max_iters = int(self.max_iters)
+        self.step = None if self.step is None else float(self.step)
+
+    def stops(self, k, grad_map_norm):
+        """Whether a run stops at record k; `|` serves scalars and arrays alike."""
+        return (k >= self.max_iters) | (grad_map_norm <= self.grad_map_tol)
 
 
 @dataclass
@@ -90,19 +115,17 @@ class IterationRecord:
     f_z: Optional[float] = None
 
 
-def bind_step(problem: CompositeProblem, step: Optional[float]) -> float:
-    """Resolve the step size against the problem's L and enforce 0 < s <= 1/L."""
-    L = problem.smooth.lipschitz
+def bind_step(lipschitz: float, step: Optional[float], error=ConfigurationError):
+    """Resolve the step size against L; `error` unless 0 < s <= 1/L."""
     if step is None:
-        if L <= 0.0:
-            raise ConfigurationError("cannot default the step size when L = 0")
-        return 0.5 / L
+        if lipschitz <= 0.0:
+            raise error("cannot default the step size when L = 0")
+        return 0.5 / lipschitz
+    check_setting("step", step, error)
     s = float(step)
-    if s <= 0.0:
-        raise ConfigurationError(f"step must be > 0, got {s}")
-    if L > 0.0 and s * L > 1.0 + _STEP_SLACK:
-        raise ConfigurationError(
-            f"step {s} exceeds 1/L = {1.0 / L} (certificates assume s <= 1/L)"
+    if lipschitz > 0.0 and s * lipschitz > 1.0 + _STEP_SLACK:
+        raise error(
+            f"step {s} exceeds 1/L = {1.0 / lipschitz} (certificates assume s <= 1/L)"
         )
     return s
 
@@ -113,7 +136,7 @@ def gradient_mapping(problem: CompositeProblem, s: float, x: Vector):
     Both are returned so callers never recompute the prox; G vanishes exactly
     at minimizers of F.  Checks s and x on every call.
     """
-    bind_step(problem, s)
+    bind_step(problem.smooth.lipschitz, s)
     return prox_gradient(problem, s, as_vector(x, problem.dim))
 
 
@@ -184,7 +207,7 @@ def iterate(problem: CompositeProblem, config: SolverConfig, x0):
     checked once; a non-finite F(z_k) raises RejectedInputError naming k.
     """
     x0 = as_vector(x0, problem.dim)
-    s = bind_step(problem, config.step)
+    s = bind_step(problem.smooth.lipschitz, config.step)
     beta = momentum(problem, config)
     state = SolverState(k=0, x=x0, y=x0, f_y=problem.value(x0))
     while True:
@@ -197,7 +220,8 @@ def iterate(problem: CompositeProblem, config: SolverConfig, x0):
 def run(problem: CompositeProblem, config: SolverConfig, x0) -> list:
     """Drive a solver from x_0 = y_0 and return one IterationRecord per k.
 
-    Stops after max_iters steps or as soon as ||G_s(x_k)|| <= grad_map_tol.
+    Stops where config.stops says: after max_iters steps or as soon as
+    ||G_s(x_k)|| <= grad_map_tol.
     A record is emitted for every visited k including k = 0, so a full run of
     max_iters steps yields max_iters + 1 records.  Beyond iterate's checks, a
     non-finite ||G_k|| raises RejectedInputError naming k.
@@ -218,5 +242,5 @@ def run(problem: CompositeProblem, config: SolverConfig, x0) -> list:
             grad_map=G,
             f_z=f_z,
         ))
-        if gnorm <= config.grad_map_tol or k >= config.max_iters:
+        if config.stops(k, gnorm):
             return records

@@ -44,7 +44,7 @@ import numpy as np
 
 from .certificates import CertificateTable
 from .errors import ConfigurationError, DataCorruptionError
-from .solvers import IterationRecord
+from .solvers import SETTING_RULES, IterationRecord, is_number
 
 TRACE_MAGIC = "# proxcert-trace v1"
 REPORT_MAGIC = "# proxcert-report v1"
@@ -126,11 +126,6 @@ def _parse_vectors(cells) -> list:
     return [_parse_vector(c) if c else None for c in cells]
 
 
-def _is_number(value) -> bool:
-    """A JSON number: an int or a float, not a bool."""
-    return type(value) in (int, float)
-
-
 class _Kind(NamedTuple):
     """How the values of one kind of column are written and read."""
 
@@ -160,10 +155,10 @@ _CSV_BOOLS = {"true": True, "false": False}
 _INT = _Kind("an integer", False, _fmt, lambda cells: list(map(_parse_int64, cells)),
              int, _is_int64)
 _FLOAT = _Kind("a number", False, _fmt, lambda cells: list(map(_exact_float, cells)),
-               float, _is_number)
+               float, is_number)
 _OPT_FLOAT = _Kind("a number", True, _fmt,
                    lambda cells: [_exact_float(c) if c else None for c in cells],
-                   float, _is_number)
+                   float, is_number)
 _OPT_BOOL = _Kind("true or false", True, _fmt,
                   lambda cells: [_CSV_BOOLS[c] if c else None for c in cells],
                   bool, lambda value: type(value) is bool)
@@ -202,7 +197,7 @@ _BOOL = _Kind("true or false", False, _fmt,
               bool, lambda value: type(value) is bool)
 _REPORT_FLOAT = _Kind("a number", True, repr,
                       lambda cells: [_exact_float(c) if c else _NAN for c in cells],
-                      _json_float, _is_number, null=_NAN)
+                      _json_float, is_number, null=_NAN)
 _NAME = _choice("a certificate name", CertificateTable.NAMES)
 _STATUS = _choice("ok or not_applicable", CertificateTable.STATUSES)
 
@@ -365,27 +360,25 @@ def read_trace(path):
     return meta, records
 
 
-# Trace metadata checks: key, what its value must be, and the test; a key the
-# metadata may leave out passes None.
-_META_RULES = (
-    ("alpha", "a finite number", lambda v: _is_number(v) and math.isfinite(v)),
-    ("step", "a finite number", lambda v: _is_number(v) and math.isfinite(v)),
-    ("dim", "a positive integer", lambda v: v is None or type(v) is int and v >= 1),
-    ("max_iters", "an integer >= 0", lambda v: v is None or type(v) is int and v >= 0),
-    ("grad_map_tol", "a number >= 0", lambda v: v is None or _is_number(v) and v >= 0),
-    ("iterates", "true or false", lambda v: type(v) is bool),
-    ("schema_version", str(SCHEMA_VERSION), lambda v: v == SCHEMA_VERSION),
-)
+# Trace metadata checks: key, what its value must be, and the test (the run
+# settings' from solvers.SETTING_RULES); None passes where the field defaults to it.
+_META_RULES = {
+    **SETTING_RULES,
+    "dim": ("a positive integer", lambda v: type(v) is int and v >= 1),
+    "iterates": ("true or false", lambda v: type(v) is bool),
+    "schema_version": (str(SCHEMA_VERSION), lambda v: v == SCHEMA_VERSION),
+}
 
 
 def _meta_from_dict(d: dict) -> TraceMeta:
+    fields = TraceMeta.__dataclass_fields__
     try:
-        meta = TraceMeta(**{k: d[k] for k in TraceMeta.__dataclass_fields__ if k in d})
+        meta = TraceMeta(**{k: d[k] for k in fields if k in d})
     except TypeError as exc:
         raise ConfigurationError(f"trace metadata is incomplete: {exc}")
-    for key, what, valid in _META_RULES:
+    for key, (what, valid) in _META_RULES.items():
         value = getattr(meta, key)
-        if not valid(value):
+        if not (valid(value) or value is None and fields[key].default is None):
             raise ConfigurationError(
                 f"trace metadata {key} must be {what}, got {value!r}"
             )

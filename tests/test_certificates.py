@@ -410,6 +410,17 @@ class TestCertifyTrace:
                 if a.status == "ok":
                     assert a.lhs == b.lhs and a.rhs == b.rhs and a.slack == b.slack
 
+    @pytest.mark.parametrize("alpha", [float("inf"), float("nan"), 2.0])
+    def test_rejects_alpha_outside_the_run_rules(self, alpha):
+        # alpha = inf passed `alpha >= 3` and certify_trace raised OverflowError
+        p = random_quadratic(1, 5, 10)
+        records = run(p, SolverConfig(variant="mapm", max_iters=20), np.zeros(5))
+        with pytest.raises(RejectedInputError, match="alpha must be"):
+            certify_trace(EnergyContext(
+                alpha=alpha, s=0.5 / p.smooth.lipschitz,
+                mu=p.smooth.strong_convexity, lipschitz=p.smooth.lipschitz,
+                x_star=p.known_minimizer, f_star=p.known_optimum), records)
+
     def test_rejects_trace_without_iterates(self):
         p = random_quadratic(4, 3, 10)
         records = run(p, SolverConfig(variant="mapm", max_iters=5), np.zeros(3))

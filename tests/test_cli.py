@@ -67,13 +67,16 @@ class TestRunCommand:
         assert code == 2
         assert "quadratic" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag, value", [("--grad-map-tol", "nan"),
-                                             ("--alpha", "inf")])
+    @pytest.mark.parametrize("solver, flag, value", [
+        ("mapm", "--grad-map-tol", "nan"), ("mapm", "--alpha", "inf"),
+        # alpha >= 3 holds for every variant; 1e400 parses as inf
+        ("ista", "--alpha", "2"), ("ista", "--alpha", "1e400"),
+    ])
     def test_nan_tolerance_or_infinite_alpha_exits_2(self, tmp_path, capsys,
-                                                     flag, value):
+                                                     solver, flag, value):
         out = tmp_path / "t.csv"
-        # the last --alpha wins over quadratic_run_args' own
-        assert run_cli(*quadratic_run_args(out, (flag, value))) == 2
+        # the last --alpha and --solver win over quadratic_run_args' own
+        assert run_cli(*quadratic_run_args(out, (flag, value, "--solver", solver))) == 2
         assert flag[2:].replace("-", "_") in capsys.readouterr().err
         assert not out.exists()
 
@@ -403,16 +406,27 @@ class TestCorruptTraceExits3:
         assert certify_cli(trace, tmp_path) == 3
         assert message in capsys.readouterr().err
 
-    def test_earlier_record_meets_stop_rule(self, tmp_path, capsys):
+    @pytest.mark.parametrize("edit, k", [("grad_map_norm", 10), ("max_iters", 15)])
+    def test_earlier_record_meets_stop_rule(self, tmp_path, capsys, edit, k):
+        # a record before the last meets grad_map_tol, or rows go on past max_iters
         trace = short_trace(tmp_path)
-
-        def stop_early(rows):
-            rows[10]["grad_map_norm"] = "0.0"
-            return rows
-        edit_csv_rows(trace, stop_early)
+        max_iters = 20
+        if edit == "max_iters":
+            max_iters = k
+            trace.write_text(trace.read_text().replace('"max_iters": 20',
+                                                       f'"max_iters": {k}', 1))
+        else:
+            def stop_early(rows):
+                rows[k]["grad_map_norm"] = "0.0"
+                return rows
+            edit_csv_rows(trace, stop_early)
+        gnorm = read_trace(trace)[1][k].grad_map_norm
         assert certify_cli(trace, tmp_path) == 3
-        assert ("record k=10 has grad_map_norm 0.0 <= grad_map_tol 0.0"
-                in capsys.readouterr().err)
+        err = capsys.readouterr().err
+        assert (f"a run with max_iters = {max_iters}, grad_map_tol = 0.0 stops at "
+                f"record k={k} (grad_map_norm {gnorm!r}), but the trace goes on past it"
+                in err)
+        assert "rows are missing" not in err
 
     @pytest.mark.parametrize("key", ["max_iters", "grad_map_tol"])
     def test_meta_without_stop_rule_key_exits_2(self, tmp_path, capsys, key):
@@ -440,7 +454,8 @@ class TestCorruptTraceExits3:
         lines[i] = prefix + json.dumps(meta) + "\n"
         trace.write_text("".join(lines))
         assert certify_cli(trace, tmp_path) == 2
-        assert (f"trace metadata {key} must be a finite number, got {value!r}"
+        bound = {"alpha": ">= 3", "step": "> 0"}[key]
+        assert (f"trace metadata {key} must be a finite number {bound}, got {value!r}"
                 in capsys.readouterr().err)
 
     @pytest.mark.parametrize("key, value, expected", [
@@ -600,6 +615,17 @@ class TestCompareCommand:
         ({"solver": "ista"}, "'problem'"),
         ({"problem": {"name": "quadratic"}, "solver": "ista"}, "'dim'"),
         ({"problem": {"name": "quadratic", "dim": 4}}, "'solver'"),
+        # a null reads as missing: int(None) and float(None) raised TypeError
+        ({"problem": {"name": "quadratic", "dim": None}, "solver": "ista"}, "'dim'"),
+        ({"problem": {"name": "quadratic", "dim": 4}, "solver": "ista",
+          "alpha": None}, "has no 'alpha'"),
+        # a key the spec may not have, and max_iters values that are not ints
+        ({"problem": {"name": "quadratic", "dim": 4}, "solver": "ista",
+          "max_iter": 3}, "unknown key(s) 'max_iter'"),
+        ({"problem": {"name": "quadratic", "dim": 4}, "solver": "ista",
+          "max_iters": 2.5}, "max_iters must be an integer >= 0, got 2.5"),
+        ({"problem": {"name": "quadratic", "dim": 4}, "solver": "ista",
+          "max_iters": "3"}, "max_iters must be an integer >= 0, got '3'"),
     ])
     def test_spec_missing_key_exits_2(self, tmp_path, capsys, spec, missing):
         other = {"problem": {"name": "quadratic", "dim": 4}, "solver": "mapm"}
@@ -635,8 +661,10 @@ class TestCompareCommand:
         assert "gap_apm" in first and "gap_mapm" in first
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @pytest.mark.parametrize("source, rows", [("flags", 207), ("spec", 66)])
     def test_table_bytes_equal_the_csv_and_json_oracles(self, tmp_path,
-                                                         monkeypatch, fmt):
+                                                         monkeypatch, fmt,
+                                                         source, rows):
         comparisons, original = [], cli.compare_solvers
 
         def compare_solvers(*args, **kwargs):
@@ -645,15 +673,80 @@ class TestCompareCommand:
         monkeypatch.setattr(cli, "compare_solvers", compare_solvers)
         table = tmp_path / f"cmp.{fmt}"
         # the tolerance stops the solvers at different k: blank cells
-        code = run_cli("compare", "--problem", "quadratic", "--cond", "100",
-                       "--dim", "10", "--seed", "1", "--solvers", "ista,apm,mapm",
-                       "--max-iters", "300", "--grad-map-tol", "1e-3",
-                       "--format", fmt, "--table", str(table),
+        if source == "flags":
+            runs = ("--problem", "quadratic", "--cond", "100", "--dim", "10",
+                    "--seed", "1", "--solvers", "ista,apm,mapm",
+                    "--max-iters", "300", "--grad-map-tol", "1e-3")
+        else:  # without its tolerance, ista's 400 iterations give 401 rows
+            runs = [arg for solver in ("ista", "mapm") for arg in (
+                "--spec", json.dumps({"problem": {"name": "quadratic", "dim": 5},
+                                      "solver": solver, "max_iters": 400,
+                                      "grad_map_tol": 1e-3}))]
+        code = run_cli("compare", *runs, "--format", fmt, "--table", str(table),
                        "--summary", str(tmp_path / "s.json"))
         assert code == 0
         comparison = comparisons[0]
+        assert len(comparison.ks) == rows
         assert any(None in gaps for gaps in comparison.gaps.values())
         assert table.read_bytes() == TABLE_ORACLES[fmt](comparison)
+
+
+# Run settings that break the run contract, each with the setting it breaks.
+# 10 ** 400 is an int that a JSON file can hold and a float cannot.
+BAD_SETTINGS = [("alpha", 2.0), ("alpha", float("inf")), ("alpha", float("nan")),
+                ("alpha", 10 ** 400), ("max_iters", -1), ("max_iters", 2.5),
+                ("grad_map_tol", -1.0), ("grad_map_tol", float("nan")),
+                ("grad_map_tol", 10 ** 400), ("step", 0.0), ("step", 10 ** 400)]
+
+
+def setting_id(value):
+    """A short test id for 10 ** 400; pytest's own for the other values."""
+    return "1e400-int" if value == 10 ** 400 else None
+
+
+class TestBadRunSettingsExit2:
+    """A bad run setting exits 2 naming it, whether it comes from `run`'s
+    flags, a `compare --spec` or a trace's metadata."""
+
+    # argparse refuses 2.5 for an int flag, and reads a 10 ** 400 tolerance as
+    # inf, which is legal
+    @pytest.mark.parametrize("field, value", [
+        case for case in BAD_SETTINGS
+        if case not in (("max_iters", 2.5), ("grad_map_tol", 10 ** 400))], ids=setting_id)
+    def test_run_flags(self, tmp_path, capsys, field, value):
+        if field == "step":
+            flag, text = "--step-mode", f"explicit:{value!r}"
+        else:
+            flag, text = "--" + field.replace("_", "-"), repr(value)
+        out = tmp_path / "t.csv"
+        assert run_cli(*quadratic_run_args(out, (f"{flag}={text}",))) == 2
+        assert f"{field} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field, value", BAD_SETTINGS, ids=setting_id)
+    def test_compare_spec(self, tmp_path, capsys, field, value):
+        good = {"problem": {"name": "quadratic", "dim": 4}, "solver": "mapm"}
+        bad = {**good, field: value}
+        if field == "step":
+            bad = {**good, "step_mode": f"explicit:{value!r}"}
+        code = run_cli("compare", "--spec", json.dumps(good), "--spec", json.dumps(bad),
+                       "--table", str(tmp_path / "t.csv"),
+                       "--summary", str(tmp_path / "s.json"))
+        assert code == 2
+        assert f"{field} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @pytest.mark.parametrize("field, value", BAD_SETTINGS, ids=setting_id)
+    def test_trace_metadata(self, tmp_path, capsys, fmt, field, value):
+        trace = short_trace(tmp_path, fmt)
+        lines = trace.read_text().splitlines(keepends=True)
+        i, prefix = (1, "# meta ") if fmt == "csv" else (0, "")
+        meta = json.loads(lines[i][len(prefix):])
+        meta[field] = value
+        lines[i] = prefix + json.dumps(meta) + "\n"
+        trace.write_text("".join(lines))
+        assert certify_cli(trace, tmp_path) == 2
+        assert f"trace metadata {field} must be" in capsys.readouterr().err
 
 
 def csv_module_table(comparison):
