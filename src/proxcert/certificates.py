@@ -30,9 +30,9 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import DataCorruptionError, RejectedInputError
+from .errors import _FLOAT_MAX, DataCorruptionError, RejectedInputError, check_setting
 from .problems import Vector, as_vector
-from .solvers import bind_step, check_setting
+from .solvers import bind_step
 
 CERTIFICATE_NAMES = (
     "energy_nonincreasing",
@@ -63,7 +63,7 @@ _BLOCK_BYTES = 1 << 17
 @dataclass(frozen=True)
 class EnergyContext:
     """Constants the energy-based certificates need; alpha and s meet the run's
-    rules (solvers.SETTING_RULES and bind_step), else RejectedInputError."""
+    rules (SETTING_RULES and bind_step) and f_star is finite, else RejectedInputError."""
 
     alpha: float
     s: float
@@ -76,6 +76,8 @@ class EnergyContext:
         check_setting("alpha", self.alpha, RejectedInputError)
         check_setting("step", self.s, RejectedInputError)
         bind_step(self.lipschitz, self.s, RejectedInputError)
+        if not -_FLOAT_MAX <= self.f_star <= _FLOAT_MAX:
+            raise RejectedInputError(f"f_star must be a finite number, got {self.f_star!r}")
         if not self.lipschitz >= self.mu >= 0.0:
             raise RejectedInputError(
                 f"need L >= mu >= 0, got L={self.lipschitz}, mu={self.mu}"
@@ -451,7 +453,7 @@ def certify_trace(ctx: EnergyContext, trace,
     the sublinear envelope starts at k = 1.  apm traces keep the descent and
     inertial checks; ista / strongly_convex_apm traces keep only the descent
     check.  Skipped families are reported once with status "not_applicable".
-    Lines are sorted by (k, name).  A variant outside solvers.VARIANTS is
+    Lines are sorted by (k, name).  A variant outside errors.VARIANTS is
     rejected; a trace whose k does not run 0, 1, 2, ..., with a NaN f_y, f_z,
     grad_map_norm or iterate coordinate, or with a vector of another shape
     than x_0 is corrupt.

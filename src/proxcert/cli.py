@@ -1,13 +1,12 @@
 """Command-line surface: run solvers, certify traces, compare solvers.
 
 Exit codes: 0 success, 1 certificate violation, 2 configuration error,
-3 reference unavailable (or unusable) or corrupt trace data.  The environment
-variable PROXCERT_SEED overrides --seed when set; seeds stored in a trace or
-given in --spec are used as they are.
+3 reference unavailable (or unusable) or corrupt trace data.  PROXCERT_SEED
+overrides --seed when set; seeds stored in a trace or given in --spec are kept.
 
-`_run_from_spec` turns a run spec (a `compare --spec` object, or one that `run`
-and `compare --solvers` build from flags) into a problem and a `SolverConfig`;
-`certify` builds its `SolverConfig` from the trace metadata `read_trace` checked.
+`_run_from_spec` turns a run spec (a `compare --spec` object, or one built from
+flags) into a problem and a `SolverConfig`.  Every problem spec (flags, a run
+spec's, a trace's) reaches its generator, which checks it, through FAMILIES.
 """
 
 from __future__ import annotations
@@ -22,6 +21,7 @@ import numpy as np
 
 from .certificates import EnergyContext, certify_trace
 from .errors import (
+    SETTING_RULES,
     ConfigurationError,
     DataCorruptionError,
     FitUnavailableError,
@@ -36,13 +36,20 @@ from .harness import (
     reference_solution,
 )
 from .problems import as_vector
-from .solvers import SETTING_RULES, SolverConfig, run
+from .solvers import SolverConfig, run
 from .traceio import TraceMeta, read_trace, write_comparison, write_report, write_trace
 
-PROBLEM_NAMES = ("quadratic", "lasso", "box-quadratic")
 SOLVER_NAMES = ("ista", "apm", "mapm", "strongly-convex-apm")
 # A run spec's keys, all required; `compare --spec` defaults the last four.
 RUN_SPEC_KEYS = ("problem", "solver", "alpha", "step_mode", "max_iters", "grad_map_tol")
+# Each problem family: its generator, and its spec keys (its parameters) with their
+# defaults: `...` for none, or another key's name for its value.
+FAMILIES = {
+    "quadratic": (random_quadratic, {"seed": 0, "dim": ..., "cond": 10}),
+    "lasso": (random_lasso, {"seed": 0, "rows": 20, "cols": "rows", "lam": None}),
+    "box-quadratic": (random_box_quadratic, {"seed": 0, "dim": ...}),
+}
+ALIASES = {"rows": "dim"}  # a lasso spec may give its rows as `dim`
 
 
 def _require(mapping: dict, key: str, what: str):
@@ -65,41 +72,39 @@ def _effective_seed(seed: int) -> int:
 
 
 def build_problem_from_spec(spec: dict):
-    """Instantiate a generated problem from its selector dict."""
+    """Instantiate a generated problem from its spec (see FAMILIES)."""
     if not isinstance(spec, dict):
         raise ConfigurationError(f"problem spec must be a JSON object, got {spec!r}")
     name = spec.get("name")
-    seed = int(spec.get("seed", 0))
-    if not 0 <= seed < 2 ** 64:
-        raise ConfigurationError(f"seed must be a 64-bit unsigned integer, got {seed}")
-    if name == "quadratic":
-        dim = _require(spec, "dim", "problem spec")
-        return random_quadratic(seed, int(dim), int(spec.get("cond", 10)))
-    if name == "lasso":
-        rows = int(spec.get("rows", spec.get("dim", 20)))
-        cols = int(spec.get("cols", rows))
-        lam = spec.get("lam")
-        return random_lasso(seed, rows, cols, lam=None if lam is None else float(lam))
-    if name == "box-quadratic":
-        return random_box_quadratic(seed, int(_require(spec, "dim", "problem spec")))
-    raise ConfigurationError(
-        f"unknown problem {name!r}; valid options: {', '.join(PROBLEM_NAMES)}"
-    )
+    if not isinstance(name, str) or name not in FAMILIES:
+        raise ConfigurationError(
+            f"unknown problem {name!r}; valid options: {', '.join(FAMILIES)}")
+    generator, keys = FAMILIES[name]
+    valid = ["name", *keys] + [ALIASES[key] for key in keys if key in ALIASES]
+    unknown = ", ".join(repr(key) for key in spec if key not in valid)
+    if unknown:
+        raise ConfigurationError(
+            f"problem spec has unknown key(s) {unknown}; valid: {', '.join(valid)}")
+    return generator(**_problem_args(keys, spec))
+
+
+def _problem_args(keys: dict, given: dict) -> dict:
+    """Each of a family's `keys` with its value in `given`, else its alias's,
+    else its default; a None (a JSON null) is absent, and no value is coerced."""
+    given = {key: value for key, value in given.items() if value is not None}
+    args = {}
+    for key, default in keys.items():
+        default = args[default] if isinstance(default, str) else default
+        args[key] = given.get(key, given.get(ALIASES.get(key), default))
+        if args[key] is ...:
+            raise ConfigurationError(f"problem spec has no {key!r}")
+    return args
 
 
 def _problem_spec_from_args(args) -> dict:
-    spec = {"name": args.problem, "seed": _effective_seed(args.seed)}
-    if args.problem == "quadratic":
-        spec.update(dim=args.dim, cond=args.cond)
-    elif args.problem == "lasso":
-        rows = args.rows if args.rows is not None else args.dim
-        cols = args.cols if args.cols is not None else rows
-        spec.update(rows=rows, cols=cols)
-        if args.lam is not None:
-            spec["lam"] = args.lam
-    else:
-        spec.update(dim=args.dim)
-    return spec
+    flags = {**vars(args), "seed": _effective_seed(args.seed)}
+    values = _problem_args(FAMILIES[args.problem][1], flags)
+    return {"name": args.problem, **{k: v for k, v in values.items() if v is not None}}
 
 
 def resolve_step(step_mode: str, lipschitz: float) -> float:
@@ -244,8 +249,8 @@ def _specs_from_args(args) -> list:
         defaults = {"alpha": 3.0, "step_mode": "half-inverse-L",
                     "max_iters": args.max_iters, "grad_map_tol": args.grad_map_tol}
         return [{**defaults, **spec} for spec in specs]
-    if not args.solvers:
-        raise ConfigurationError("compare needs --spec entries or --solvers")
+    if not args.solvers or args.problem is None:
+        raise ConfigurationError("compare needs --spec, or --solvers with --problem")
     return [_spec_from_flags(args, name) for name in args.solvers.split(",") if name]
 
 
@@ -279,7 +284,7 @@ def cmd_compare(args) -> int:
 
 
 def _add_problem_flags(parser, required: bool) -> None:
-    parser.add_argument("--problem", choices=PROBLEM_NAMES, required=required,
+    parser.add_argument("--problem", choices=FAMILIES, required=required,
                         help="generated problem family")
     parser.add_argument("--dim", type=int, default=20)
     parser.add_argument("--cond", type=int, default=10,

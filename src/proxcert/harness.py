@@ -3,9 +3,9 @@
 A long-run reference consumes `solvers.iterate`, the one driver loop, in two
 phases with their own stop rules: mapm from 0, then an ista polish.
 
-Randomness everywhere comes from numpy's default_rng (PCG64) seeded with the
-caller's 64-bit seed, so generated problems and traces are reproducible
-bit-for-bit on a given platform.
+Generators check their parameters by errors.PROBLEM_RULES and draw from numpy's
+default_rng (PCG64) seeded with the caller's 64-bit seed, so generated problems
+and traces are reproducible bit-for-bit on a given platform.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .certificates import EnergyContext, rho_lower_bound
-from .errors import FitUnavailableError, ReferenceUnavailableError, RejectedInputError
+from .errors import (FitUnavailableError, ReferenceUnavailableError, RejectedInputError,
+                     check_setting)
 from .problems import (
     CompositeProblem,
     Vector,
@@ -34,10 +35,10 @@ from .solvers import SolverConfig, bind_step, iterate, require_finite, run
 _REFERENCE_TOL = 1e-12
 
 
-def _rng(seed: int) -> np.random.Generator:
-    """PCG64 stream from a 64-bit unsigned seed."""
-    if not 0 <= int(seed) < 2 ** 64:
-        raise RejectedInputError(f"seed must be a 64-bit unsigned integer, got {seed}")
+def _rng(seed: int, **params) -> np.random.Generator:
+    """PCG64 stream from `seed`, once seed and `params` meet their rules."""
+    for name, value in {"seed": seed, **params}.items():
+        check_setting(name, value, RejectedInputError)
     return np.random.default_rng(np.uint64(seed))
 
 
@@ -280,7 +281,7 @@ def generate_suite(seed: int) -> list:
 
 def random_quadratic(seed: int, dim: int, cond: int) -> CompositeProblem:
     """One seeded strongly convex quadratic with the given condition number."""
-    rng = _rng(seed)
+    rng = _rng(seed, dim=dim, cond=cond)
     return _suite_quadratic(rng, dim, cond, f"quadratic-d{dim}-c{cond}-s{seed}")
 
 
@@ -290,13 +291,15 @@ def random_lasso(seed: int, rows: int, cols: int,
 
     lam=None keeps the default 0.1 * ||A'b||_inf choice.
     """
-    rng = _rng(seed)
+    rng = _rng(seed, rows=rows, cols=cols)
+    if cols < rows:
+        raise RejectedInputError(f"cols must be >= rows = {rows}, got {cols}")
     return _suite_lasso(rng, rows, cols, f"lasso-{rows}x{cols}-s{seed}", lam=lam)
 
 
 def random_box_quadratic(seed: int, dim: int) -> CompositeProblem:
     """One seeded box-constrained strongly convex quadratic."""
-    rng = _rng(seed)
+    rng = _rng(seed, dim=dim)
     return _suite_box_quadratic(rng, dim, f"box-quadratic-d{dim}-s{seed}")
 
 

@@ -25,7 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import RejectedInputError
+from .errors import RejectedInputError, check_setting
 
 Vector = NDArray[np.float64]
 
@@ -95,8 +95,7 @@ class CompositeProblem:
     name: Optional[str] = None
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise RejectedInputError(f"dim must be >= 1, got {self.dim}")
+        check_setting("dim", self.dim, RejectedInputError)
         if self.known_minimizer is not None:
             x_star = as_vector(self.known_minimizer, self.dim)
             object.__setattr__(self, "known_minimizer", x_star)
@@ -173,9 +172,8 @@ def prox_zero(v: Vector, t: float) -> Vector:
 
 
 def l1_regularizer(lam: float) -> ProxOracle:
-    """g(x) = lam * ||x||_1 with its soft-threshold prox."""
-    if lam <= 0:
-        raise RejectedInputError(f"l1 weight must be > 0, got {lam}")
+    """g(x) = lam * ||x||_1 with its soft-threshold prox; lam meets its rule."""
+    check_setting("lam", lam, RejectedInputError)
     return ProxOracle(
         value=lambda x: lam * float(np.abs(x).sum()),
         prox=lambda v, t: _soft_threshold(v, t * lam),
@@ -289,8 +287,7 @@ def lasso_problem(A, b, lam: float) -> CompositeProblem:
     nontrivial null space.  Reference fields are left unset (the harness
     computes them by a long run).
     """
-    if lam <= 0:
-        raise RejectedInputError(f"lasso weight lam must be > 0, got {lam}")
+    nonsmooth = l1_regularizer(lam)  # checks lam
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2:
         raise RejectedInputError(f"A must be a matrix, got shape {A.shape}")
@@ -307,7 +304,7 @@ def lasso_problem(A, b, lam: float) -> CompositeProblem:
     )
     return CompositeProblem(
         smooth=smooth,
-        nonsmooth=l1_regularizer(lam),
+        nonsmooth=nonsmooth,
         dim=n,
         content_hash=_content_hash("lasso", A, b, np.array([lam])),
     )

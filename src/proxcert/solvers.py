@@ -14,51 +14,21 @@ iteration and cached in the state; the mapm test compares cached values only.
 `iterate` is the one loop that applies the rule.  Its consumers bring their
 own stop rules: `run`, and both phases of `harness.reference_solution`.
 
-The run contract is written here once: `SETTING_RULES` (each setting's rule),
+The run contract is written once: `errors.SETTING_RULES` (each setting's rule),
 `bind_step` (s <= 1/L) and `SolverConfig.stops` (the stop rule of `run`, `certify`).
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
-from numbers import Integral, Real
 from typing import Optional
 
-from .errors import ConfigurationError, RejectedInputError
+from .errors import SETTING_RULES, ConfigurationError, RejectedInputError, check_setting
 from .problems import CompositeProblem, Vector, as_vector, norm, prox_gradient
-
-VARIANTS = ("ista", "apm", "mapm", "strongly_convex_apm")
 
 # Allows s = 1/L computed in floats to pass the s <= 1/L bound.
 _STEP_SLACK = 1e-12
-
-
-def is_number(value, kind=Real) -> bool:
-    """A number of `kind` (Python's or numpy's), not a bool."""
-    return isinstance(value, kind) and not isinstance(value, bool)
-
-
-# An int above the largest float compares as finite but overflows float().
-_FLOAT_MAX = sys.float_info.max
-
-# Each run setting: what it must be for the certificates to hold, and the test.
-SETTING_RULES = {
-    "variant": (f"one of {', '.join(VARIANTS)}", lambda v: v in VARIANTS),
-    "alpha": ("a finite number >= 3", lambda v: is_number(v) and 3 <= v <= _FLOAT_MAX),
-    "step": ("a finite number > 0", lambda v: is_number(v) and 0 < v <= _FLOAT_MAX),
-    "max_iters": ("an integer >= 0", lambda v: is_number(v, Integral) and v >= 0),
-    "grad_map_tol": ("a number >= 0", lambda v: is_number(v)
-                     and (0 <= v <= _FLOAT_MAX or v == math.inf)),
-}
-
-
-def check_setting(name: str, value, error=ConfigurationError) -> None:
-    """Raise `error` naming the run setting `name` unless `value` meets its rule."""
-    what, valid = SETTING_RULES[name]
-    if not valid(value):
-        raise error(f"{name} must be {what}, got {value!r}")
 
 
 @dataclass

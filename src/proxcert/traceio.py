@@ -43,8 +43,9 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .certificates import CertificateTable
-from .errors import ConfigurationError, DataCorruptionError
-from .solvers import SETTING_RULES, IterationRecord, is_number
+from .errors import (_FLOAT_MAX, PROBLEM_RULES, SETTING_RULES, ConfigurationError,
+                     DataCorruptionError)
+from .solvers import IterationRecord
 
 TRACE_MAGIC = "# proxcert-trace v1"
 REPORT_MAGIC = "# proxcert-report v1"
@@ -154,17 +155,19 @@ def _parse_int64(cell: str) -> int:
 _CSV_BOOLS = {"true": True, "false": False}
 _INT = _Kind("an integer", False, _fmt, lambda cells: list(map(_parse_int64, cells)),
              int, _is_int64)
+# A JSON number is a float, or an int that float() takes (one in the float range).
 _FLOAT = _Kind("a number", False, _fmt, lambda cells: list(map(_exact_float, cells)),
-               float, is_number)
+               float, lambda value: type(value) is float
+               or type(value) is int and abs(value) <= _FLOAT_MAX)
 _OPT_FLOAT = _Kind("a number", True, _fmt,
                    lambda cells: [_exact_float(c) if c else None for c in cells],
-                   float, is_number)
+                   float, _FLOAT.is_json)
 _OPT_BOOL = _Kind("true or false", True, _fmt,
                   lambda cells: [_CSV_BOOLS[c] if c else None for c in cells],
                   bool, lambda value: type(value) is bool)
 _VECTOR = _Kind("a list of numbers", True, _fmt_vector, _parse_vectors, _floats,
                 lambda value: (isinstance(value, list)
-                               and set(map(type, value)) <= {int, float}),
+                               and all(map(_FLOAT.is_json, value))),
                 lambda value: np.array(value, dtype=np.float64))
 
 # Every trace column, in file order, with the kind of its values; each names
@@ -197,7 +200,7 @@ _BOOL = _Kind("true or false", False, _fmt,
               bool, lambda value: type(value) is bool)
 _REPORT_FLOAT = _Kind("a number", True, repr,
                       lambda cells: [_exact_float(c) if c else _NAN for c in cells],
-                      _json_float, is_number, null=_NAN)
+                      _json_float, _FLOAT.is_json, null=_NAN)
 _NAME = _choice("a certificate name", CertificateTable.NAMES)
 _STATUS = _choice("ok or not_applicable", CertificateTable.STATUSES)
 
@@ -361,10 +364,10 @@ def read_trace(path):
 
 
 # Trace metadata checks: key, what its value must be, and the test (the run
-# settings' from solvers.SETTING_RULES); None passes where the field defaults to it.
+# settings' and dim's, from errors); None passes where the field defaults to it.
 _META_RULES = {
     **SETTING_RULES,
-    "dim": ("a positive integer", lambda v: type(v) is int and v >= 1),
+    "dim": PROBLEM_RULES["dim"],
     "iterates": ("true or false", lambda v: type(v) is bool),
     "schema_version": (str(SCHEMA_VERSION), lambda v: v == SCHEMA_VERSION),
 }

@@ -410,16 +410,26 @@ class TestCertifyTrace:
                 if a.status == "ok":
                     assert a.lhs == b.lhs and a.rhs == b.rhs and a.slack == b.slack
 
-    @pytest.mark.parametrize("alpha", [float("inf"), float("nan"), 2.0])
-    def test_rejects_alpha_outside_the_run_rules(self, alpha):
-        # alpha = inf passed `alpha >= 3` and certify_trace raised OverflowError
+    @pytest.mark.parametrize("field, value, message", [
+        ("alpha", float("inf"), "alpha must be"),
+        ("alpha", float("nan"), "alpha must be"),
+        ("alpha", 2.0, "alpha must be"),
+        ("f_star", float("nan"), "f_star must be a finite number"),
+        ("f_star", float("inf"), "f_star must be a finite number"),
+        ("f_star", float("-inf"), "f_star must be a finite number"),
+        ("f_star", 10 ** 400, "f_star must be a finite number"),
+    ], ids=["alpha-inf", "alpha-nan", "alpha-2.0", "f_star-nan", "f_star-inf",
+            "f_star--inf", "f_star-1e400-int"])
+    def test_rejects_alpha_or_f_star_outside_their_rules(self, field, value, message):
+        # alpha = inf passed `alpha >= 3` and certify_trace raised OverflowError;
+        # a verdict against a NaN or infinite F* reported violations
         p = random_quadratic(1, 5, 10)
         records = run(p, SolverConfig(variant="mapm", max_iters=20), np.zeros(5))
-        with pytest.raises(RejectedInputError, match="alpha must be"):
-            certify_trace(EnergyContext(
-                alpha=alpha, s=0.5 / p.smooth.lipschitz,
-                mu=p.smooth.strong_convexity, lipschitz=p.smooth.lipschitz,
-                x_star=p.known_minimizer, f_star=p.known_optimum), records)
+        context = dict(alpha=3.0, s=0.5 / p.smooth.lipschitz,
+                       mu=p.smooth.strong_convexity, lipschitz=p.smooth.lipschitz,
+                       x_star=p.known_minimizer, f_star=p.known_optimum)
+        with pytest.raises(RejectedInputError, match=message):
+            certify_trace(EnergyContext(**{**context, field: value}), records)
 
     def test_rejects_trace_without_iterates(self):
         p = random_quadratic(4, 3, 10)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from proxcert import cli
+from proxcert import cli, random_lasso, random_quadratic
 from proxcert.cli import main
 from proxcert.traceio import read_report, read_trace
 
@@ -164,6 +164,18 @@ class TestCertifyCommand:
                        "--report", str(tmp_path / "r.csv"), "--f-star", "100.0")
         assert code == 3
 
+    @pytest.mark.parametrize("f_star", ["nan", "inf", "-inf"])
+    def test_f_star_not_finite_exits_2(self, tmp_path, capsys, f_star):
+        # a verdict needs a number: these printed FIRST VIOLATION and exited 1
+        trace, report = tmp_path / "trace.csv", tmp_path / "r.csv"
+        assert run_cli(*quadratic_run_args(trace)) == 0
+        code = run_cli("certify", "--trace", str(trace), "--report", str(report),
+                       f"--f-star={f_star}")
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert f"f_star must be a finite number, got {float(f_star)!r}" in err
+        assert "FIRST VIOLATION" not in out and not report.exists()
+
     def test_apm_trace_reports_not_applicable(self, tmp_path):
         trace = tmp_path / "apm.csv"
         code = run_cli("run", "--problem", "quadratic", "--cond", "10",
@@ -248,6 +260,15 @@ class TestCertifyCommand:
         code = run_cli("certify", "--trace", str(trace),
                        "--report", str(tmp_path / "r.csv"))
         assert code == 2
+
+
+# An int that a JSON file can hold and a float cannot.
+BIG_INT = 10 ** 400
+
+
+def setting_id(value):
+    """A short test id for 10 ** 400; pytest's own for the other values."""
+    return "1e400-int" if value == BIG_INT else None
 
 
 def short_trace(tmp_path, fmt="csv"):
@@ -466,7 +487,10 @@ class TestCorruptTraceExits3:
         ("k", True, "must be an integer, got True"),
         ("x", "1.0", "must be a list of numbers"),
         ("y", [[0.0]] * 5, "must be a list of numbers"),
-    ])
+        # an int too large for a float: it ended in an OverflowError traceback
+        *[(key, BIG_INT, "must be a number, got 1000000000")
+          for key in ("f_y", "gap", "grad_map_norm", "energy", "f_z")],
+    ], ids=setting_id)
     def test_jsonl_field_not_a_number(self, tmp_path, capsys, key, value, expected):
         trace = short_trace(tmp_path, "jsonl")
         lines = trace.read_text().splitlines()
@@ -478,7 +502,7 @@ class TestCorruptTraceExits3:
         assert f"trace line 7: field {key!r} {expected}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("column", ["x", "y", "grad_map"])
-    @pytest.mark.parametrize("entry", [True, "0.5", None])
+    @pytest.mark.parametrize("entry", [True, "0.5", None, BIG_INT], ids=setting_id)
     def test_jsonl_vector_entry_not_a_number(self, tmp_path, capsys, column, entry):
         trace = short_trace(tmp_path, "jsonl")
         lines = trace.read_text().splitlines()
@@ -599,6 +623,15 @@ class TestCompareCommand:
                        "--summary", str(tmp_path / "s.json"))
         assert code == 2
 
+    def test_solvers_without_problem_exits_2(self, tmp_path, capsys):
+        # the flags' problem spec looked up FAMILIES[None]: a KeyError traceback
+        code = run_cli("compare", "--solvers", "ista,mapm",
+                       "--table", str(tmp_path / "t.csv"),
+                       "--summary", str(tmp_path / "s.json"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--solvers with --problem" in err and "Traceback" not in err
+
     def test_mismatched_problems_exit_2(self, tmp_path):
         spec1 = json.dumps({"problem": {"name": "quadratic", "dim": 4,
                                         "cond": 10, "seed": 1},
@@ -692,16 +725,10 @@ class TestCompareCommand:
 
 
 # Run settings that break the run contract, each with the setting it breaks.
-# 10 ** 400 is an int that a JSON file can hold and a float cannot.
 BAD_SETTINGS = [("alpha", 2.0), ("alpha", float("inf")), ("alpha", float("nan")),
-                ("alpha", 10 ** 400), ("max_iters", -1), ("max_iters", 2.5),
+                ("alpha", BIG_INT), ("max_iters", -1), ("max_iters", 2.5),
                 ("grad_map_tol", -1.0), ("grad_map_tol", float("nan")),
-                ("grad_map_tol", 10 ** 400), ("step", 0.0), ("step", 10 ** 400)]
-
-
-def setting_id(value):
-    """A short test id for 10 ** 400; pytest's own for the other values."""
-    return "1e400-int" if value == 10 ** 400 else None
+                ("grad_map_tol", BIG_INT), ("step", 0.0), ("step", BIG_INT)]
 
 
 class TestBadRunSettingsExit2:
@@ -712,7 +739,7 @@ class TestBadRunSettingsExit2:
     # inf, which is legal
     @pytest.mark.parametrize("field, value", [
         case for case in BAD_SETTINGS
-        if case not in (("max_iters", 2.5), ("grad_map_tol", 10 ** 400))], ids=setting_id)
+        if case not in (("max_iters", 2.5), ("grad_map_tol", BIG_INT))], ids=setting_id)
     def test_run_flags(self, tmp_path, capsys, field, value):
         if field == "step":
             flag, text = "--step-mode", f"explicit:{value!r}"
@@ -747,6 +774,125 @@ class TestBadRunSettingsExit2:
         trace.write_text("".join(lines))
         assert certify_cli(trace, tmp_path) == 2
         assert f"trace metadata {field} must be" in capsys.readouterr().err
+
+
+# Problem specs that break a generator parameter's rule, or name a key that is
+# none of their family's, each with the start of the error that names the key.
+BAD_PROBLEM_PARAMS = [
+    ({"name": "quadratic", "dim": 3, "cond": 0}, "cond must be a positive integer, got 0"),
+    ({"name": "quadratic", "dim": 0}, "dim must be a positive integer, got 0"),
+    ({"name": "quadratic", "dim": 4.9}, "dim must be a positive integer, got 4.9"),
+    ({"name": "quadratic", "dim": True}, "dim must be a positive integer, got True"),
+    ({"name": "quadratic", "dim": 3, "seed": -1}, "seed must be an integer in [0, 2**64)"),
+    ({"name": "quadratic", "dim": 3, "seed": True},
+     "seed must be an integer in [0, 2**64)"),
+    ({"name": "quadratic", "dim": 3, "seed": 2 ** 64},
+     "seed must be an integer in [0, 2**64)"),
+    ({"name": "lasso", "rows": 5, "cols": 3}, "cols must be >= rows = 5, got 3"),
+    ({"name": "lasso", "rows": 3, "lam": float("nan")},
+     "lam must be a finite number > 0, got nan"),
+    ({"name": "lasso", "rows": 3, "lam": float("inf")},
+     "lam must be a finite number > 0, got inf"),
+    ({"name": "lasso", "rows": 3, "lam": 0}, "lam must be a finite number > 0, got 0"),
+    ({"name": "lasso", "rows": 3, "lam": "0.5"},
+     "lam must be a finite number > 0, got '0.5'"),
+    ({"name": "quadratic", "dim": 3, "dimm": 7}, "problem spec has unknown key(s) 'dimm'"),
+]
+PROBLEM_FLAG_TYPES = {"dim": int, "cond": int, "rows": int, "cols": int, "seed": int,
+                      "lam": float}
+
+
+def problem_spec_ids(cases):
+    """Test ids naming each case's spec keys, other than `name`, and values."""
+    return ["-".join(f"{key}={value!r}" for key, value in spec.items() if key != "name")
+            for spec, _ in cases]
+
+
+def problem_flags(spec):
+    """The problem flags that carry `spec`, or None where argparse cannot: an
+    unknown key, or a value that is not of its flag's type."""
+    flags = ["--problem", spec["name"]]
+    for key, value in spec.items():
+        if key != "name":
+            kind = PROBLEM_FLAG_TYPES.get(key)
+            if kind is None or type(value) not in (kind, int):
+                return None
+            flags += [f"--{key}", repr(value)]
+    return flags
+
+
+class TestBadProblemParamsExit2:
+    """A problem spec that breaks a generator parameter's rule exits 2 naming
+    the key, with no traceback, whether it comes from `run`'s flags, a
+    `compare --spec` or the problem spec a trace carries."""
+
+    FLAG_CASES = [case for case in BAD_PROBLEM_PARAMS if problem_flags(case[0])]
+
+    @pytest.mark.parametrize("spec, message", FLAG_CASES, ids=problem_spec_ids(FLAG_CASES))
+    def test_run_flags(self, tmp_path, capsys, spec, message):
+        out = tmp_path / "t.csv"
+        code = run_cli("run", *problem_flags(spec), "--solver", "mapm",
+                       "--max-iters", "5", "--out", str(out))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spec, message", BAD_PROBLEM_PARAMS,
+                             ids=problem_spec_ids(BAD_PROBLEM_PARAMS))
+    def test_compare_spec(self, tmp_path, capsys, spec, message):
+        specs = [arg for solver in ("ista", "mapm") for arg in (
+            "--spec", json.dumps({"problem": spec, "solver": solver}))]
+        code = run_cli("compare", *specs, "--table", str(tmp_path / "t.csv"),
+                       "--summary", str(tmp_path / "s.json"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("spec, message", BAD_PROBLEM_PARAMS,
+                             ids=problem_spec_ids(BAD_PROBLEM_PARAMS))
+    def test_trace_problem_spec(self, tmp_path, capsys, spec, message):
+        trace = short_trace(tmp_path)
+        lines = trace.read_text().splitlines(keepends=True)
+        meta = json.loads(lines[1][len("# meta "):])
+        meta["problem"] = spec
+        lines[1] = "# meta " + json.dumps(meta) + "\n"
+        trace.write_text("".join(lines))
+        assert certify_cli(trace, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+    def test_null_is_an_absent_key(self, tmp_path):
+        # a null cond ended in a TypeError traceback; it takes cond's default
+        build = cli.build_problem_from_spec
+        assert (build({"name": "quadratic", "dim": 4, "cond": None}).content_hash
+                == build({"name": "quadratic", "dim": 4}).content_hash
+                == random_quadratic(0, 4, 10).content_hash)
+        specs = [json.dumps({"problem": problem, "solver": "mapm", "max_iters": 20})
+                 for problem in ({"name": "quadratic", "dim": 4, "cond": None},
+                                 {"name": "quadratic", "dim": 4})]
+        assert run_cli("compare", "--spec", specs[0], "--spec", specs[1],
+                       "--table", str(tmp_path / "t.csv"),
+                       "--summary", str(tmp_path / "s.json")) == 0
+
+
+class TestBenchmarkProblemSpecs:
+    """The problem specs and flags the benchmark builds its problems from
+    (`bench/run.py`) build the generator's own problem."""
+
+    @pytest.mark.parametrize("spec, direct", [
+        ({"name": "quadratic", "dim": 6, "cond": 100, "seed": 101},
+         lambda: random_quadratic(101, 6, 100)),
+        ({"name": "lasso", "rows": 4, "cols": 8, "seed": 101},
+         lambda: random_lasso(101, 4, 8)),
+    ], ids=["quadratic", "lasso"])
+    def test_spec_and_flags_build_the_generators_problem(self, spec, direct):
+        flags = ["run", *problem_flags(spec), "--solver", "mapm", "--out", "t.csv"]
+        from_flags = cli._problem_spec_from_args(cli.build_parser().parse_args(flags))
+        assert from_flags == spec
+        expected = direct().content_hash
+        assert cli.build_problem_from_spec(spec).content_hash == expected
+        assert cli.build_problem_from_spec(from_flags).content_hash == expected
 
 
 def csv_module_table(comparison):

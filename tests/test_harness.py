@@ -16,6 +16,7 @@ from proxcert import (
     generate_suite,
     lasso_problem,
     quadratic_problem,
+    random_box_quadratic,
     random_lasso,
     random_quadratic,
     reference_solution,
@@ -144,6 +145,27 @@ class TestGenerateSuite:
         fat = [p for p in suite if p.name and p.name.startswith("lasso-fat")]
         assert len(fat) == 3
         assert all(p.smooth.strong_convexity == 0.0 for p in fat)
+
+
+class TestGeneratorsApplyTheProblemRules:
+    """Each generator checks its parameters by their rules, whoever calls it."""
+
+    @pytest.mark.parametrize("generate, message", [
+        # seed 2.7 built seed 2's problem under the name "...-s2.7"
+        (lambda: random_quadratic(2.7, 4, 10), "seed must be an integer in [0, 2**64)"),
+        (lambda: random_quadratic(1, True, 10), "dim must be a positive integer, got True"),
+        (lambda: random_quadratic(1, 4, 0), "cond must be a positive integer, got 0"),
+        (lambda: random_lasso(1, 3, 3, lam="0.5"), "lam must be a finite number > 0"),
+        (lambda: random_lasso(1, 5, 3), "cols must be >= rows = 5, got 3"),
+        (lambda: random_box_quadratic(1, 0), "dim must be a positive integer, got 0"),
+        (lambda: generate_suite(-1), "seed must be an integer in [0, 2**64), got -1"),
+        (lambda: generate_suite(2 ** 64), "seed must be an integer in [0, 2**64)"),
+    ], ids=["quadratic-seed", "quadratic-dim", "quadratic-cond", "lasso-lam",
+            "lasso-cols", "box-dim", "suite-seed", "suite-seed-2**64"])
+    def test_rejects_a_parameter_outside_its_rule(self, generate, message):
+        with pytest.raises(RejectedInputError) as info:
+            generate()
+        assert message in str(info.value)
 
 
 class TestCompareSolvers:

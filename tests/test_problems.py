@@ -92,6 +92,12 @@ class TestLassoProblem:
         with pytest.raises(RejectedInputError):
             lasso_problem(np.eye(2), np.zeros(2), 0.0)
 
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), "0.5", True])
+    def test_rejects_lam_outside_its_rule(self, lam):
+        # nan and inf passed `lam > 0`; a run then failed at k = 0
+        with pytest.raises(RejectedInputError, match="lam must be a finite number > 0"):
+            lasso_problem(np.eye(2), np.zeros(2), lam)
+
     # A power iteration's Rayleigh quotient stays below L, so a step of 1/L
     # from it breaks s <= 1/L; L must be the eigenvalue itself.
     @pytest.mark.parametrize("rows, cols", [(12, 7), (30, 30), (40, 80), (200, 400)])

@@ -29,7 +29,7 @@ from proxcert import (
     run,
     step,
 )
-from proxcert.solvers import VARIANTS
+from proxcert.errors import VARIANTS
 
 
 def scalar_l1_problem():

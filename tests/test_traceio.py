@@ -537,7 +537,11 @@ class TestCorruptReport:
         ("name", "prop3", "a certificate name"),
         ("name", 1, "a certificate name"),
         ("status", None, "ok or not_applicable"),
-    ])
+        # an int that a JSON file can hold and a float cannot
+        ("lhs", 10 ** 400, "a number"),
+        ("rhs", 10 ** 400, "a number"),
+        ("slack", 10 ** 400, "a number"),
+    ], ids=lambda value: "1e400-int" if value == 10 ** 400 else None)
     def test_jsonl_value_not_of_its_kind(self, tmp_path, column, value, what):
         path = self.report_file(tmp_path, "jsonl")
         lines = path.read_text().splitlines()
@@ -545,8 +549,9 @@ class TestCorruptReport:
         row[column] = value
         lines[2] = json.dumps(row)
         path.write_text("\n".join(lines) + "\n")
+        # the message cuts a value's text at 80 characters
         with pytest.raises(DataCorruptionError, match=re.escape(
-                f"report line 3: field {column!r} must be {what}, got {value!r}")):
+                f"report line 3: field {column!r} must be {what}, got {value!r:.80}")):
             read_report(path)
 
     def test_csv_header_without_a_column(self, tmp_path):
