@@ -359,7 +359,7 @@ def _stack(records, first_k: int, shape: tuple):
 
     Raises RejectedInputError for a record without iterates and
     DataCorruptionError, naming the record, for a k out of sequence, a NaN
-    scalar, a vector whose shape differs from x_0's, or a NaN coordinate.
+    scalar, a vector whose shape is not `shape` (x*'s), or a NaN coordinate.
     """
     bare = next((r for r in records if r.x is None or r.y is None
                  or r.grad_map is None or r.f_z is None), None)
@@ -395,7 +395,7 @@ def _stack(records, first_k: int, shape: tuple):
             i = next(i for i, v in enumerate(cells) if np.shape(v) != shape)
             raise DataCorruptionError(
                 f"record k={k[i]} has a {name} of shape {np.shape(cells[i])}; "
-                f"x_0 has shape {shape}"
+                f"the problem's vectors have shape {shape}"
             )
         nan = np.isnan(stacked)
         if nan.any():
@@ -456,7 +456,7 @@ def certify_trace(ctx: EnergyContext, trace,
     Lines are sorted by (k, name).  A variant outside errors.VARIANTS is
     rejected; a trace whose k does not run 0, 1, 2, ..., with a NaN f_y, f_z,
     grad_map_norm or iterate coordinate, or with a vector of another shape
-    than x_0 is corrupt.
+    than the problem's (ctx.x_star's) is corrupt.
 
     Records are certified in blocks of rows, each block sharing one record
     with the next so that the (k, k+1) certificates cross block edges.
@@ -485,8 +485,8 @@ def certify_trace(ctx: EnergyContext, trace,
         if len(trace) < 2:
             skipped.append("theorem2_envelope")
 
-    shape = np.shape(trace[0].x)
-    rows = _block_rows(max(1, math.prod(shape)))
+    shape = ctx.x_star.shape
+    rows = _block_rows(ctx.x_star.size)
     blocks = []
     for start in range(0, len(trace), rows):
         stop = min(start + rows, len(trace))

@@ -21,7 +21,7 @@ import numpy as np
 
 from .certificates import EnergyContext, certify_trace
 from .errors import (
-    SETTING_RULES,
+    PROBLEM_RULES,
     ConfigurationError,
     DataCorruptionError,
     FitUnavailableError,
@@ -43,11 +43,11 @@ SOLVER_NAMES = ("ista", "apm", "mapm", "strongly-convex-apm")
 # A run spec's keys, all required; `compare --spec` defaults the last four.
 RUN_SPEC_KEYS = ("problem", "solver", "alpha", "step_mode", "max_iters", "grad_map_tol")
 # Each problem family: its generator, and its spec keys (its parameters) with their
-# defaults: `...` for none, or another key's name for its value.
+# defaults, or another key's name for its value.  The problem flags have no defaults.
 FAMILIES = {
-    "quadratic": (random_quadratic, {"seed": 0, "dim": ..., "cond": 10}),
+    "quadratic": (random_quadratic, {"seed": 0, "dim": 20, "cond": 10}),
     "lasso": (random_lasso, {"seed": 0, "rows": 20, "cols": "rows", "lam": None}),
-    "box-quadratic": (random_box_quadratic, {"seed": 0, "dim": ...}),
+    "box-quadratic": (random_box_quadratic, {"seed": 0, "dim": 20}),
 }
 ALIASES = {"rows": "dim"}  # a lasso spec may give its rows as `dim`
 
@@ -60,8 +60,8 @@ def _require(mapping: dict, key: str, what: str):
     return value
 
 
-def _effective_seed(seed: int) -> int:
-    """--seed, or PROXCERT_SEED when set."""
+def _effective_seed(seed):
+    """--seed (None if not given), or PROXCERT_SEED when set."""
     env = os.environ.get("PROXCERT_SEED")
     if env is None:
         return seed
@@ -73,6 +73,15 @@ def _effective_seed(seed: int) -> int:
 
 def build_problem_from_spec(spec: dict):
     """Instantiate a generated problem from its spec (see FAMILIES)."""
+    generator, args = _problem_args(spec)
+    return generator(**args)
+
+
+def _problem_args(spec: dict):
+    """(generator, arguments) of a problem spec: each of its family's keys with
+    its value in the spec, else its alias's, else its default.  A key that is
+    not the family's (an alias is, without its key) is refused; a None (a JSON
+    null) is absent, and no value is coerced."""
     if not isinstance(spec, dict):
         raise ConfigurationError(f"problem spec must be a JSON object, got {spec!r}")
     name = spec.get("name")
@@ -80,30 +89,24 @@ def build_problem_from_spec(spec: dict):
         raise ConfigurationError(
             f"unknown problem {name!r}; valid options: {', '.join(FAMILIES)}")
     generator, keys = FAMILIES[name]
-    valid = ["name", *keys] + [ALIASES[key] for key in keys if key in ALIASES]
-    unknown = ", ".join(repr(key) for key in spec if key not in valid)
+    given = {key: value for key, value in spec.items() if value is not None}
+    valid = ["name", *keys] + [ALIASES[key] for key in keys
+                               if key in ALIASES and key not in given]
+    unknown = ", ".join(repr(key) for key in given if key not in valid)
     if unknown:
         raise ConfigurationError(
             f"problem spec has unknown key(s) {unknown}; valid: {', '.join(valid)}")
-    return generator(**_problem_args(keys, spec))
-
-
-def _problem_args(keys: dict, given: dict) -> dict:
-    """Each of a family's `keys` with its value in `given`, else its alias's,
-    else its default; a None (a JSON null) is absent, and no value is coerced."""
-    given = {key: value for key, value in given.items() if value is not None}
     args = {}
     for key, default in keys.items():
         default = args[default] if isinstance(default, str) else default
         args[key] = given.get(key, given.get(ALIASES.get(key), default))
-        if args[key] is ...:
-            raise ConfigurationError(f"problem spec has no {key!r}")
-    return args
+    return generator, args
 
 
 def _problem_spec_from_args(args) -> dict:
-    flags = {**vars(args), "seed": _effective_seed(args.seed)}
-    values = _problem_args(FAMILIES[args.problem][1], flags)
+    flags = {key: getattr(args, key) for key in PROBLEM_RULES}  # None if not given
+    flags.update(name=args.problem, seed=_effective_seed(args.seed))
+    values = _problem_args(flags)[1]
     return {"name": args.problem, **{k: v for k, v in values.items() if v is not None}}
 
 
@@ -157,7 +160,6 @@ def cmd_run(args) -> int:
     problem, config = _run_from_spec(spec, "run")
     records = run(problem, config, np.zeros(problem.dim))
     meta = TraceMeta(**asdict(config), problem_hash=problem.content_hash,
-                     dim=problem.dim, seed=spec["problem"]["seed"],
                      iterates=not args.no_iterates, problem=spec["problem"])
     write_trace(args.out, meta, records, args.format)
     print(f"wrote {len(records)} records to {args.out}")
@@ -211,8 +213,7 @@ def cmd_certify(args) -> int:
         raise ConfigurationError(
             "trace has no stored iterates; re-run with iterate recording enabled"
         )
-    config = SolverConfig(**{key: _require(vars(meta), key, "trace metadata")
-                             for key in SETTING_RULES})
+    config = meta.config()
     _check_stop_rule(config, records)
     if args.problem is not None:
         spec = _problem_spec_from_args(args)
@@ -286,13 +287,12 @@ def cmd_compare(args) -> int:
 def _add_problem_flags(parser, required: bool) -> None:
     parser.add_argument("--problem", choices=FAMILIES, required=required,
                         help="generated problem family")
-    parser.add_argument("--dim", type=int, default=20)
-    parser.add_argument("--cond", type=int, default=10,
-                        help="condition number (quadratic families)")
-    parser.add_argument("--rows", type=int, default=None, help="lasso rows")
-    parser.add_argument("--cols", type=int, default=None, help="lasso cols")
-    parser.add_argument("--lam", type=float, default=None, help="lasso l1 weight")
-    parser.add_argument("--seed", type=int, default=0,
+    parser.add_argument("--dim", type=int, help="dimension (quadratic families)")
+    parser.add_argument("--cond", type=int, help="condition number (quadratic)")
+    parser.add_argument("--rows", type=int, help="lasso rows")
+    parser.add_argument("--cols", type=int, help="lasso cols")
+    parser.add_argument("--lam", type=float, help="lasso l1 weight")
+    parser.add_argument("--seed", type=int,
                         help="64-bit generator seed (PROXCERT_SEED overrides)")
 
 

@@ -43,9 +43,9 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .certificates import CertificateTable
-from .errors import (_FLOAT_MAX, PROBLEM_RULES, SETTING_RULES, ConfigurationError,
-                     DataCorruptionError)
-from .solvers import IterationRecord
+from .errors import (_FLOAT_MAX, SETTING_RULES, ConfigurationError, DataCorruptionError,
+                     RejectedInputError, check_setting)
+from .solvers import IterationRecord, SolverConfig
 
 TRACE_MAGIC = "# proxcert-trace v1"
 REPORT_MAGIC = "# proxcert-report v1"
@@ -63,19 +63,27 @@ _SPAN_COORDS = 1 << 14
 
 @dataclass
 class TraceMeta:
-    """Run metadata a trace file carries alongside its rows."""
+    """Run metadata a trace file carries alongside its rows: the run's settings,
+    which `config` checks, and its problem (spec and content hash)."""
 
-    variant: str
-    alpha: float
-    step: float
+    variant: Optional[str] = None
+    alpha: Optional[float] = None
+    step: Optional[float] = None
     problem_hash: Optional[str] = None
-    dim: Optional[int] = None
     max_iters: Optional[int] = None
     grad_map_tol: Optional[float] = None
-    seed: Optional[int] = None
     iterates: bool = True
     problem: Optional[dict] = None
     schema_version: int = SCHEMA_VERSION
+
+    def config(self) -> SolverConfig:
+        """The run's SolverConfig; a setting that is None (null or missing) or
+        breaks its rule is a ConfigurationError `trace metadata <key> must be ...`."""
+        try:
+            check_setting("step", self.step)  # None would be a run's default step
+            return SolverConfig(**{key: getattr(self, key) for key in SETTING_RULES})
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"trace metadata {exc}") from None
 
 
 def _fmt(value) -> str:
@@ -95,7 +103,7 @@ def _floats(v) -> list:
 
 
 def _fmt_vector(v) -> str:
-    return "" if v is None else ";".join(map(repr, _floats(v)))
+    return ";".join(map(repr, _floats(v)))
 
 
 def _exact_float(cell: str) -> float:
@@ -115,8 +123,8 @@ def _parse_vectors(cells) -> list:
     """One block's cells of a vector column: row views of one parsed array.
 
     A block with an empty, ragged or non-numeric cell is parsed cell by cell
-    instead (None for an empty cell), so that the parse error or a shape
-    check names the cell's row.
+    instead, so that the parse error (an empty cell's too) or the shape check
+    of certification names the cell's row.
     """
     if all(cells):  # loadtxt would skip an empty line
         try:
@@ -124,7 +132,7 @@ def _parse_vectors(cells) -> list:
                                    dtype=np.float64, ndmin=2))
         except ValueError:
             pass
-    return [_parse_vector(c) if c else None for c in cells]
+    return list(map(_parse_vector, cells))
 
 
 class _Kind(NamedTuple):
@@ -165,18 +173,18 @@ _OPT_FLOAT = _Kind("a number", True, _fmt,
 _OPT_BOOL = _Kind("true or false", True, _fmt,
                   lambda cells: [_CSV_BOOLS[c] if c else None for c in cells],
                   bool, lambda value: type(value) is bool)
-_VECTOR = _Kind("a list of numbers", True, _fmt_vector, _parse_vectors, _floats,
+_VECTOR = _Kind("a list of numbers", False, _fmt_vector, _parse_vectors, _floats,
                 lambda value: (isinstance(value, list)
                                and all(map(_FLOAT.is_json, value))),
                 lambda value: np.array(value, dtype=np.float64))
 
 # Every trace column, in file order, with the kind of its values; each names
 # an IterationRecord field.  The last four, the iterate columns, are written
-# only when meta.iterates is set.
+# only when meta.iterates is set, and then every row has each of them.
 _COLUMN_KINDS = {
     "k": _INT, "f_y": _FLOAT, "gap": _OPT_FLOAT, "grad_map_norm": _FLOAT,
     "accepted": _OPT_BOOL, "energy": _OPT_FLOAT,
-    "f_z": _OPT_FLOAT, "x": _VECTOR, "y": _VECTOR, "grad_map": _VECTOR,
+    "f_z": _FLOAT, "x": _VECTOR, "y": _VECTOR, "grad_map": _VECTOR,
 }
 _TRACE_COLUMNS = tuple(_COLUMN_KINDS)[:-4]
 _ITERATE_COLUMNS = tuple(_COLUMN_KINDS)[-4:]
@@ -246,16 +254,25 @@ def _encoder(what: str, fmt: str) -> Callable:
 
 
 def write_trace(path, meta: TraceMeta, records, fmt: str = "csv") -> None:
-    """Write one row per IterationRecord; iterates included per meta.iterates."""
+    """Write one row per IterationRecord; iterates included per meta.iterates.
+    Like read_trace, refuses bad settings (ConfigurationError) and a record
+    without a value its column requires (RejectedInputError naming k)."""
     encode = _encoder("trace", fmt)
+    meta.config()
+    records = list(records)
+    names = _columns(meta.iterates)
+    empty = [(rec.k, name) for rec in records for name in names
+             if getattr(rec, name) is None and not _COLUMN_KINDS[name].optional]
+    if empty:
+        raise RejectedInputError("record k={} has no {!r} value to write".format(*empty[0]))
     if fmt == "csv":
         header = (f"{TRACE_MAGIC}\n# meta {json.dumps(asdict(meta))}\n"
-                  f"{','.join(_columns(meta.iterates))}\r\n")
+                  f"{','.join(names)}\r\n")
     else:
         header = json.dumps({"format": "proxcert-trace", **asdict(meta)}) + "\n"
     with open(path, "wb") as fh:
         fh.write(header.encode())
-        _write_rows(fh, encode, list(records), meta.iterates)
+        _write_rows(fh, encode, records, meta.iterates)
 
 
 def _span_bytes(encode, records, iterates: bool) -> bytes:
@@ -353,38 +370,32 @@ def read_trace(path):
             meta = _meta_from_dict(json.loads(meta_line[len("# meta "):]))
             decode, first_line = _csv_blocks, 3
         kinds = {name: _COLUMN_KINDS[name] for name in _columns(meta.iterates)}
-        records = []
-        for first_line, fields in decode("trace", fh, first_line, kinds):
-            block = [IterationRecord(**dict(zip(fields, values)))
-                     for values in zip(*fields.values())]
-            for line_no, rec in enumerate(block, start=first_line):
-                _check_dim(meta, line_no, rec)
-            records += block
+        records = [IterationRecord(**dict(zip(fields, values)))
+                   for _, fields in decode("trace", fh, first_line, kinds)
+                   for values in zip(*fields.values())]
     return meta, records
 
 
-# Trace metadata checks: key, what its value must be, and the test (the run
-# settings' and dim's, from errors); None passes where the field defaults to it.
+# Checks of the trace metadata beyond its run settings (TraceMeta.config): key,
+# what its value must be, and the test.
 _META_RULES = {
-    **SETTING_RULES,
-    "dim": PROBLEM_RULES["dim"],
     "iterates": ("true or false", lambda v: type(v) is bool),
     "schema_version": (str(SCHEMA_VERSION), lambda v: v == SCHEMA_VERSION),
 }
 
 
 def _meta_from_dict(d: dict) -> TraceMeta:
-    fields = TraceMeta.__dataclass_fields__
-    try:
-        meta = TraceMeta(**{k: d[k] for k in fields if k in d})
-    except TypeError as exc:
-        raise ConfigurationError(f"trace metadata is incomplete: {exc}")
+    """A header's checked TraceMeta; other keys (an older dim, seed) are ignored."""
+    if not isinstance(d, dict):
+        raise ConfigurationError(f"trace metadata must be a JSON object, got {d!r:.80}")
+    meta = TraceMeta(**{k: d[k] for k in TraceMeta.__dataclass_fields__ if k in d})
     for key, (what, valid) in _META_RULES.items():
         value = getattr(meta, key)
-        if not (valid(value) or value is None and fields[key].default is None):
+        if not valid(value):
             raise ConfigurationError(
                 f"trace metadata {key} must be {what}, got {value!r}"
             )
+    meta.config()
     return meta
 
 
@@ -392,18 +403,6 @@ def _bad_field(where: str, name: str, what: str, value) -> DataCorruptionError:
     """The data error for a field holding a value that is not `what`; a long
     value is cut to its first 80 characters."""
     return DataCorruptionError(f"{where}: field {name!r} must be {what}, got {value!r:.80}")
-
-
-def _check_dim(meta: TraceMeta, line_no: int, rec: IterationRecord) -> None:
-    """A data error unless rec's vectors have the trace's declared dimension, if any."""
-    for name, kind in _COLUMN_KINDS.items():
-        v = getattr(rec, name)
-        if (kind is _VECTOR and v is not None and meta.dim is not None
-                and np.shape(v) != (meta.dim,)):
-            raise DataCorruptionError(
-                f"trace line {line_no}: record k={rec.k} has a {name} of shape "
-                f"{np.shape(v)}; the trace metadata says dim = {meta.dim}"
-            )
 
 
 def _csv_blocks(what: str, fh, first_line: int, kinds: dict):

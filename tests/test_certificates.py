@@ -399,7 +399,8 @@ class TestCertifyTrace:
         for fmt in ("csv", "jsonl"):
             path = tmp_path / f"t.{fmt}"
             meta = TraceMeta(variant="mapm", alpha=3.0, step=s,
-                             problem_hash=p.content_hash, dim=6)
+                             problem_hash=p.content_hash, max_iters=150,
+                             grad_map_tol=0.0)
             write_trace(path, meta, records, fmt)
             _, parsed = read_trace(path)
             reparsed = certify_trace(ctx, parsed, variant="mapm")

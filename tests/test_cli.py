@@ -4,6 +4,8 @@ import contextlib
 import csv
 import io
 import json
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 
 from proxcert import cli, random_lasso, random_quadratic
 from proxcert.cli import main
+from proxcert.errors import SETTING_RULES
 from proxcert.traceio import read_report, read_trace
 
 
@@ -103,6 +106,22 @@ class TestRunCommand:
         assert run_cli(*quadratic_run_args(out3)) == 0
         assert out1.read_bytes() != out2.read_bytes()
         assert out1.read_bytes() == out3.read_bytes()
+
+    @pytest.mark.parametrize("flags, stored", [
+        ([], {"name": "quadratic", "seed": 0, "dim": 20, "cond": 10}),
+        (["--dim", "7"], {"name": "quadratic", "seed": 0, "dim": 7, "cond": 10}),
+        (["--problem", "lasso"], {"name": "lasso", "seed": 0, "rows": 20, "cols": 20}),
+        (["--problem", "lasso", "--dim", "7"],
+         {"name": "lasso", "seed": 0, "rows": 7, "cols": 7}),
+        (["--problem", "box-quadratic", "--seed", "3"],
+         {"name": "box-quadratic", "seed": 3, "dim": 20}),
+    ])
+    def test_flags_store_every_key_of_their_family(self, monkeypatch, flags, stored):
+        # the spec a trace stores, in its key order, as when every flag had a default
+        monkeypatch.delenv("PROXCERT_SEED", raising=False)
+        args = cli.build_parser().parse_args(
+            ["run", "--problem", "quadratic", *flags, "--solver", "mapm", "--out", "t"])
+        assert list(cli._problem_spec_from_args(args).items()) == list(stored.items())
 
 
 class TestCertifyCommand:
@@ -292,6 +311,14 @@ def edit_csv_rows(trace, edit):
             writer.writerow([row[c] for c in columns if c in row])
 
 
+def edit_meta(trace, fmt, edit):
+    """Rewrite a trace's metadata (a dict) through `edit`."""
+    lines = trace.read_text().splitlines(keepends=True)
+    i, prefix = (1, "# meta ") if fmt == "csv" else (0, "")
+    lines[i] = prefix + json.dumps(edit(json.loads(lines[i][len(prefix):]))) + "\n"
+    trace.write_text("".join(lines))
+
+
 def certify_cli(trace, tmp_path):
     return run_cli("certify", "--trace", str(trace),
                    "--report", str(tmp_path / "r.csv"))
@@ -399,23 +426,51 @@ class TestCorruptTraceExits3:
         assert certify_cli(trace, tmp_path) == 3
         assert f"k=12 has a nan coordinate in {column}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("fmt, line", [("csv", 4), ("jsonl", 2)])
-    def test_vectors_agree_but_not_with_meta_dim(self, tmp_path, capsys, fmt, line):
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @pytest.mark.parametrize("meta_dim", [None, 4, 5])
+    def test_vectors_agree_but_not_with_the_problem_dim(self, tmp_path, capsys, fmt,
+                                                         meta_dim):
+        # every vector of a d5 trace cut to 4 coordinates, with the `dim` that
+        # older traces carry in their metadata, or none: numpy's broadcast
+        # error ended certify with exit 2
         trace = short_trace(tmp_path, fmt)
-        text = trace.read_text()
-        assert text.count('"dim": 5') == 2  # the meta's and the problem spec's
-        trace.write_text(text.replace('"dim": 5', '"dim": 6', 1))
+        lines = trace.read_text().splitlines()
+        start = 3 if fmt == "csv" else 1
+        for i, line in enumerate(lines[start:], start):
+            if fmt == "csv":
+                cells = line.split(",")
+                lines[i] = ",".join(cells[:-3] + [c.rsplit(";", 1)[0] for c in cells[-3:]])
+            else:
+                row = json.loads(line)
+                lines[i] = json.dumps({**row, **{c: row[c][:-1]
+                                                 for c in ("x", "y", "grad_map")}})
+        trace.write_text("\n".join(lines) + "\n")
+        if meta_dim is not None:
+            edit_meta(trace, fmt, lambda meta: {**meta, "dim": meta_dim})
         assert certify_cli(trace, tmp_path) == 3
-        assert (f"trace line {line}: record k=0 has a x of shape (5,); the trace "
-                "metadata says dim = 6") in capsys.readouterr().err
+        assert ("record k=0 has a x of shape (4,); the problem's vectors have shape "
+                "(5,)") in capsys.readouterr().err
 
-    @pytest.mark.parametrize("dim", ['"5"', "0", "true"])
-    def test_meta_dim_not_a_positive_integer_exits_2(self, tmp_path, capsys, dim):
-        trace = short_trace(tmp_path)
-        text = trace.read_text()
-        trace.write_text(text.replace('"dim": 5', f'"dim": {dim}', 1))
-        assert certify_cli(trace, tmp_path) == 2
-        assert "dim must be a positive integer" in capsys.readouterr().err
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @pytest.mark.parametrize("dim, seed", [(5, 1), ("5", -5), (0, True)])
+    def test_older_meta_dim_and_seed_are_not_read(self, tmp_path, fmt, dim, seed):
+        # older writers put `dim` and `seed` in the metadata, beside the problem
+        # spec that states both; a seed of -5 was never checked, and a dim of "5"
+        # exited 2
+        trace = short_trace(tmp_path, fmt)
+        reports = [tmp_path / f"new.{fmt}", tmp_path / f"older.{fmt}"]
+        argv = ["certify", "--trace", str(trace), "--format", fmt, "--report"]
+        codes = [run_cli(*argv, str(reports[0]))]
+
+        def older(meta):
+            keys = list(meta)
+            keys.insert(keys.index("problem_hash") + 1, "dim")
+            keys.insert(keys.index("grad_map_tol") + 1, "seed")
+            return {key: {**meta, "dim": dim, "seed": seed}[key] for key in keys}
+        edit_meta(trace, fmt, older)
+        codes.append(run_cli(*argv, str(reports[1])))
+        assert codes == [0, 0]
+        assert reports[0].read_bytes() == reports[1].read_bytes()
 
     @pytest.mark.parametrize("dropped, message", [
         (3, "trace ends at k=17 with grad_map_norm"),
@@ -449,16 +504,21 @@ class TestCorruptTraceExits3:
                 in err)
         assert "rows are missing" not in err
 
-    @pytest.mark.parametrize("key", ["max_iters", "grad_map_tol"])
-    def test_meta_without_stop_rule_key_exits_2(self, tmp_path, capsys, key):
-        trace = short_trace(tmp_path)
-        lines = trace.read_text().splitlines(keepends=True)
-        meta = json.loads(lines[1][len("# meta "):])
-        del meta[key]
-        lines[1] = "# meta " + json.dumps(meta) + "\n"
-        trace.write_text("".join(lines))
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @pytest.mark.parametrize("key", ["variant", "alpha", "step", "max_iters",
+                                     "grad_map_tol"])
+    @pytest.mark.parametrize("null", [False, True], ids=["missing", "null"])
+    def test_meta_without_a_setting_exits_2(self, tmp_path, capsys, fmt, key, null):
+        # a missing key reads as a null; a null step is not a run's default step
+        trace = short_trace(tmp_path, fmt)
+
+        def drop(meta):
+            del meta[key]
+            return {**meta, key: None} if null else meta
+        edit_meta(trace, fmt, drop)
         assert certify_cli(trace, tmp_path) == 2
-        assert f"trace metadata has no {key!r}" in capsys.readouterr().err
+        assert (f"trace metadata {key} must be {SETTING_RULES[key][0]}, got None"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     @pytest.mark.parametrize("key, value", [
@@ -468,12 +528,7 @@ class TestCorruptTraceExits3:
     def test_meta_alpha_or_step_not_a_number_exits_2(self, tmp_path, capsys, fmt,
                                                       key, value):
         trace = short_trace(tmp_path, fmt)
-        lines = trace.read_text().splitlines(keepends=True)
-        i, prefix = (1, "# meta ") if fmt == "csv" else (0, "")
-        meta = json.loads(lines[i][len(prefix):])
-        meta[key] = value
-        lines[i] = prefix + json.dumps(meta) + "\n"
-        trace.write_text("".join(lines))
+        edit_meta(trace, fmt, lambda meta: {**meta, key: value})
         assert certify_cli(trace, tmp_path) == 2
         bound = {"alpha": ">= 3", "step": "> 0"}[key]
         assert (f"trace metadata {key} must be a finite number {bound}, got {value!r}"
@@ -487,6 +542,9 @@ class TestCorruptTraceExits3:
         ("k", True, "must be an integer, got True"),
         ("x", "1.0", "must be a list of numbers"),
         ("y", [[0.0]] * 5, "must be a list of numbers"),
+        # a null iterate: certify called the record one "with no stored iterates"
+        ("f_z", None, "must be a number, got None"),
+        ("grad_map", None, "must be a list of numbers, got None"),
         # an int too large for a float: it ended in an OverflowError traceback
         *[(key, BIG_INT, "must be a number, got 1000000000")
           for key in ("f_y", "gap", "grad_map_norm", "energy", "f_z")],
@@ -523,6 +581,10 @@ class TestCorruptTraceExits3:
         ("energy", "abc", "a number"),
         ("f_z", "1.0.0", "a number"),
         ("x", "abc", "a list of numbers"),
+        # an empty iterate cell: certify called the record one "with no stored
+        # iterates"
+        ("f_z", "", "a number"),
+        ("grad_map", "", "a list of numbers"),
         # float() and int() read these cells, but no writer emits them
         ("f_y", "1_0", "a number"),
         ("k", "1_0", "an integer"),
@@ -568,12 +630,7 @@ class TestCorruptTraceExits3:
     def test_meta_value_of_wrong_type_exits_2(self, tmp_path, capsys, fmt, key,
                                               value, what):
         trace = short_trace(tmp_path, fmt)
-        lines = trace.read_text().splitlines(keepends=True)
-        i, prefix = (1, "# meta ") if fmt == "csv" else (0, "")
-        meta = json.loads(lines[i][len(prefix):])
-        meta[key] = value
-        lines[i] = prefix + json.dumps(meta) + "\n"
-        trace.write_text("".join(lines))
+        edit_meta(trace, fmt, lambda meta: {**meta, key: value})
         assert certify_cli(trace, tmp_path) == 2
         assert (f"trace metadata {key} must be {what}, got {value!r}"
                 in capsys.readouterr().err)
@@ -646,10 +703,8 @@ class TestCompareCommand:
 
     @pytest.mark.parametrize("spec, missing", [
         ({"solver": "ista"}, "'problem'"),
-        ({"problem": {"name": "quadratic"}, "solver": "ista"}, "'dim'"),
         ({"problem": {"name": "quadratic", "dim": 4}}, "'solver'"),
         # a null reads as missing: int(None) and float(None) raised TypeError
-        ({"problem": {"name": "quadratic", "dim": None}, "solver": "ista"}, "'dim'"),
         ({"problem": {"name": "quadratic", "dim": 4}, "solver": "ista",
           "alpha": None}, "has no 'alpha'"),
         # a key the spec may not have, and max_iters values that are not ints
@@ -766,12 +821,7 @@ class TestBadRunSettingsExit2:
     @pytest.mark.parametrize("field, value", BAD_SETTINGS, ids=setting_id)
     def test_trace_metadata(self, tmp_path, capsys, fmt, field, value):
         trace = short_trace(tmp_path, fmt)
-        lines = trace.read_text().splitlines(keepends=True)
-        i, prefix = (1, "# meta ") if fmt == "csv" else (0, "")
-        meta = json.loads(lines[i][len(prefix):])
-        meta[field] = value
-        lines[i] = prefix + json.dumps(meta) + "\n"
-        trace.write_text("".join(lines))
+        edit_meta(trace, fmt, lambda meta: {**meta, field: value})
         assert certify_cli(trace, tmp_path) == 2
         assert f"trace metadata {field} must be" in capsys.readouterr().err
 
@@ -797,6 +847,14 @@ BAD_PROBLEM_PARAMS = [
     ({"name": "lasso", "rows": 3, "lam": "0.5"},
      "lam must be a finite number > 0, got '0.5'"),
     ({"name": "quadratic", "dim": 3, "dimm": 7}, "problem spec has unknown key(s) 'dimm'"),
+    # another family's keys: as run flags, they were ignored
+    ({"name": "quadratic", "dim": 3, "rows": 7, "lam": 0.5},
+     "problem spec has unknown key(s) 'rows', 'lam'"),
+    ({"name": "box-quadratic", "dim": 3, "cond": 5},
+     "problem spec has unknown key(s) 'cond'"),
+    ({"name": "lasso", "rows": 3, "cond": 5}, "problem spec has unknown key(s) 'cond'"),
+    ({"name": "lasso", "rows": 3, "dim": 4},  # rows given twice: it read as 3
+     "problem spec has unknown key(s) 'dim'; valid: name, seed, rows, cols, lam"),
 ]
 PROBLEM_FLAG_TYPES = {"dim": int, "cond": int, "rows": int, "cols": int, "seed": int,
                       "lam": float}
@@ -853,21 +911,21 @@ class TestBadProblemParamsExit2:
                              ids=problem_spec_ids(BAD_PROBLEM_PARAMS))
     def test_trace_problem_spec(self, tmp_path, capsys, spec, message):
         trace = short_trace(tmp_path)
-        lines = trace.read_text().splitlines(keepends=True)
-        meta = json.loads(lines[1][len("# meta "):])
-        meta["problem"] = spec
-        lines[1] = "# meta " + json.dumps(meta) + "\n"
-        trace.write_text("".join(lines))
+        edit_meta(trace, "csv", lambda meta: {**meta, "problem": spec})
         assert certify_cli(trace, tmp_path) == 2
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
 
     def test_null_is_an_absent_key(self, tmp_path):
-        # a null cond ended in a TypeError traceback; it takes cond's default
+        # a null cond ended in a TypeError traceback; it takes cond's default,
+        # as an absent or null dim takes dim's
         build = cli.build_problem_from_spec
         assert (build({"name": "quadratic", "dim": 4, "cond": None}).content_hash
                 == build({"name": "quadratic", "dim": 4}).content_hash
                 == random_quadratic(0, 4, 10).content_hash)
+        assert (build({"name": "quadratic", "dim": None}).content_hash
+                == build({"name": "quadratic"}).content_hash
+                == random_quadratic(0, 20, 10).content_hash)
         specs = [json.dumps({"problem": problem, "solver": "mapm", "max_iters": 20})
                  for problem in ({"name": "quadratic", "dim": 4, "cond": None},
                                  {"name": "quadratic", "dim": 4})]
@@ -878,7 +936,16 @@ class TestBadProblemParamsExit2:
 
 class TestBenchmarkProblemSpecs:
     """The problem specs and flags the benchmark builds its problems from
-    (`bench/run.py`) build the generator's own problem."""
+    (`bench/run.py`) build the generator's own problem, and the benchmark's
+    checks read the traces and reports the CLI writes."""
+
+    def test_benchmark_selftest_passes(self):
+        # bench/selftest.py runs the CLI, checks its outputs with bench/checks.py
+        # and shows that each check catches the corruption it guards against
+        root = Path(__file__).resolve().parents[1]
+        done = subprocess.run([sys.executable, "bench/selftest.py"], cwd=root,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]
 
     @pytest.mark.parametrize("spec, direct", [
         ({"name": "quadratic", "dim": 6, "cond": 100, "seed": 101},
@@ -921,19 +988,41 @@ def json_dumps_table(comparison):
 TABLE_ORACLES = {"csv": csv_module_table, "jsonl": json_dumps_table}
 
 
+# What a mutation writes in each format: an empty cell, a nan coordinate, and
+# coordinates that are not numbers.
+EMPTY = {"csv": "", "jsonl": None}
+NAN = {"csv": "nan", "jsonl": float("nan")}
+NON_NUMBERS = {"csv": ["abc", "", "1.0.0", "0x1p3", "1e", "--1"],
+               "jsonl": ["abc", None, True, "1.0", [1.0]]}
+# The columns a trace with iterates has a value for in every row.
+REQUIRED_COLUMNS = ["k", "f_y", "grad_map_norm", "f_z", "x", "y", "grad_map"]
+
+
 @st.composite
-def mutated_trace(draw, text):
-    """A CSV trace's text with one structural fault: a row dropped,
-    duplicated or swapped, the last 1 to n - 1 rows dropped (a run stops only
-    at max_iters or at the grad_map_tol test, so a shorter trace is not
-    valid), cells cut from a row, a ragged vector cell, a coordinate that is
-    not a number or is nan, or a renamed column."""
+def mutated_trace(draw, text, fmt):
+    """(kind, text): a trace's text with one structural fault of that kind: a
+    row dropped, duplicated or swapped, the last 1 to n - 1 rows dropped (a run
+    stops only at max_iters or at the grad_map_tol test, so a shorter trace is
+    not valid), cells cut from a row, a ragged vector cell, a coordinate that
+    is not a number or is nan, a renamed column, a required cell left empty
+    (a JSON null), or every vector one coordinate short."""
     lines = text.splitlines()
-    header, columns = lines[:2], lines[2].split(",")
-    rows = [line.split(",") for line in lines[3:]]
+    if fmt == "csv":
+        header, columns = lines[:2], lines[2].split(",")
+        rows = [line.split(",") for line in lines[3:]]
+    else:
+        header, columns = lines[:1], list(json.loads(lines[1]))
+        rows = [list(json.loads(line).values()) for line in lines[1:]]
+
+    def coords(cell):
+        return cell.split(";") if fmt == "csv" else list(cell)
+
+    def vector(values):
+        return ";".join(values) if fmt == "csv" else values
     n = len(rows)
     kind = draw(st.sampled_from(["drop", "duplicate", "swap", "truncate", "cut",
-                                 "ragged", "non_number", "nan", "rename"]))
+                                 "ragged", "non_number", "nan", "rename", "blank",
+                                 "shrink"]))
     i = draw(st.integers(0, n - 1))
     if kind == "drop":
         del rows[draw(st.integers(0, n - 2))]
@@ -949,26 +1038,52 @@ def mutated_trace(draw, text):
     elif kind == "rename":
         c = draw(st.integers(0, len(columns) - 1))
         columns = columns[:c] + ["renamed_" + columns[c]] + columns[c + 1:]
+    elif kind == "blank":
+        rows[i][columns.index(draw(st.sampled_from(REQUIRED_COLUMNS)))] = EMPTY[fmt]
+    elif kind == "shrink":
+        j = draw(st.integers(0, len(coords(rows[0][columns.index("x")])) - 1))
+        for row in rows:
+            for col in map(columns.index, ("x", "y", "grad_map")):
+                row[col] = vector(coords(row[col])[:j] + coords(row[col])[j + 1:])
     else:
         col = columns.index(draw(st.sampled_from(["x", "y", "grad_map"])))
-        coords = rows[i][col].split(";")
-        j = draw(st.integers(0, len(coords) - 1))
+        cell = coords(rows[i][col])
+        j = draw(st.integers(0, len(cell) - 1))
         if kind == "nan":
-            coords[j] = "nan"
+            cell[j] = NAN[fmt]
         elif kind == "non_number":
-            coords[j] = draw(st.sampled_from(["abc", "", "1.0.0", "0x1p3", "1e",
-                                              "--1"]))
+            cell[j] = draw(st.sampled_from(NON_NUMBERS[fmt]))
         elif draw(st.booleans()):
-            del coords[j]
+            del cell[j]
         else:
-            coords.insert(j, coords[j])
-        rows[i][col] = ";".join(coords)
-    return "\n".join(header + [",".join(columns)] + [",".join(r) for r in rows]) + "\n"
+            cell.insert(j, cell[j])
+        rows[i][col] = vector(cell)
+    if fmt == "csv":
+        body = [",".join(columns)] + [",".join(row) for row in rows]
+    else:
+        body = [json.dumps(dict(zip(columns, row))) for row in rows]
+    return kind, "\n".join(header + body) + "\n"
 
 
 @pytest.fixture(scope="module")
-def valid_trace_text(tmp_path_factory):
-    return short_trace(tmp_path_factory.mktemp("valid")).read_text()
+def valid_trace_texts(tmp_path_factory):
+    return {fmt: short_trace(tmp_path_factory.mktemp("valid"), fmt).read_text()
+            for fmt in ("csv", "jsonl")}
+
+
+def certify_mutated(kind, text, fmt):
+    """certify a mutated trace: exit 3 (corrupt data), or exit 2 for a CSV
+    trace without one of its columns, and no traceback."""
+    with tempfile.TemporaryDirectory() as work:
+        trace = Path(work) / f"trace.{fmt}"
+        trace.write_text(text)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = run_cli("certify", "--trace", str(trace),
+                           "--report", str(Path(work) / "r.csv"))
+    assert code == (2 if kind == "rename" and fmt == "csv" else 3), err.getvalue()
+    assert "Traceback" not in err.getvalue()
 
 
 class TestTraceMutationsExit2Or3:
@@ -976,15 +1091,11 @@ class TestTraceMutationsExit2Or3:
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
-    def test_mutated_csv_trace(self, valid_trace_text, data):
-        text = data.draw(mutated_trace(valid_trace_text))
-        with tempfile.TemporaryDirectory() as work:
-            trace = Path(work) / "trace.csv"
-            trace.write_text(text)
-            err = io.StringIO()
-            with contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(err):
-                code = run_cli("certify", "--trace", str(trace),
-                               "--report", str(Path(work) / "r.csv"))
-        assert code in (2, 3), err.getvalue()
-        assert "Traceback" not in err.getvalue()
+    def test_mutated_csv_trace(self, valid_trace_texts, data):
+        certify_mutated(*data.draw(mutated_trace(valid_trace_texts["csv"], "csv")), "csv")
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_mutated_jsonl_trace(self, valid_trace_texts, data):
+        certify_mutated(*data.draw(mutated_trace(valid_trace_texts["jsonl"], "jsonl")),
+                        "jsonl")

@@ -52,8 +52,8 @@ def sample_records():
 def sample_meta(problem, iterates=True):
     return TraceMeta(variant="mapm", alpha=3.0,
                      step=0.5 / problem.smooth.lipschitz,
-                     problem_hash=problem.content_hash, dim=problem.dim,
-                     max_iters=30, grad_map_tol=0.0, seed=3, iterates=iterates,
+                     problem_hash=problem.content_hash,
+                     max_iters=30, grad_map_tol=0.0, iterates=iterates,
                      problem={"name": "quadratic", "dim": 4, "cond": 100,
                               "seed": 3})
 
@@ -111,6 +111,14 @@ def test_rejects_jsonl_header_that_is_not_an_object(tmp_path, header):
     path = tmp_path / "foreign.jsonl"
     path.write_text(header + "\n")
     with pytest.raises(ConfigurationError):
+        read_trace(path)
+
+
+@pytest.mark.parametrize("meta", ["5", "[1, 2]", '"variant"', "null"])
+def test_rejects_csv_meta_that_is_not_an_object(tmp_path, meta):
+    path = tmp_path / "trace.csv"
+    path.write_text(f"# proxcert-trace v1\n# meta {meta}\nk\n")
+    with pytest.raises(ConfigurationError, match="trace metadata must be a JSON object"):
         read_trace(path)
 
 
@@ -194,20 +202,17 @@ class TestCodecExactness:
 
     @pytest.mark.parametrize("cells", [
         ["1.0;2.0", "3.0"],        # ragged
-        ["1.0;2.0", ""],           # empty
     ])
     def test_block_falls_back_to_the_cell_by_cell_parse(self, cells):
         parsed = traceio._parse_vectors(cells)
         assert np.array_equal(parsed[0], [1.0, 2.0])
-        if cells[1]:
-            assert np.array_equal(parsed[1], traceio._parse_vector(cells[1]))
-        else:
-            assert parsed[1] is None
+        assert np.array_equal(parsed[1], traceio._parse_vector(cells[1]))
 
     @pytest.mark.parametrize("cells, bad", [
         (["1.0;2.0", "1.0;x"], "'x'"),
         (["1.0;2.0", "1_0;2.0"], "'1_0'"),  # float() reads it, but no writer emits it
-    ], ids=["not_a_number", "not_the_writers_text"])
+        (["1.0;2.0", ""], "''"),  # an empty cell is no vector: it read as None
+    ], ids=["not_a_number", "not_the_writers_text", "empty"])
     def test_non_number_raises_value_error(self, cells, bad):
         with pytest.raises(ValueError, match=bad):
             traceio._parse_vectors(cells)
@@ -260,11 +265,31 @@ def test_csv_trace_bytes_equal_the_csv_module(tmp_path):
     records[1].accepted = None
     records[2].f_y = float("inf")
     records[3].x = np.array([-0.0, float("nan"), 5e-324, 1e16])
-    records[4].grad_map = None
     meta = sample_meta(problem)
     path = tmp_path / "trace.csv"
     write_trace(path, meta, records, "csv")
     assert path.read_bytes() == csv_module_trace(meta, records)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@pytest.mark.parametrize("column", ["k", "f_y", "grad_map_norm", "f_z", "x", "y",
+                                    "grad_map", None])
+def test_writer_refuses_what_the_reader_refuses(tmp_path, fmt, column):
+    # an empty iterate cell was written, and read back as a record that
+    # certify called one "with no stored iterates"
+    problem, records = sample_records()
+    path = tmp_path / f"trace.{fmt}"
+    if column is None:  # metadata whose settings break their rules
+        meta = dataclasses.replace(sample_meta(problem), max_iters=None)
+        error, message = ConfigurationError, "trace metadata max_iters must be"
+    else:
+        setattr(records[4], column, None)
+        meta = sample_meta(problem)
+        error = RejectedInputError
+        message = f"record k={records[4].k} has no '{column}' value"  # k=None for k
+    with pytest.raises(error, match=message):
+        write_trace(path, meta, records, fmt)
+    assert not path.exists()
 
 
 def test_csv_report_bytes_equal_the_csv_module(tmp_path):
