@@ -64,6 +64,7 @@ from .solvers import (
     IterationRecord,
     SolverConfig,
     SolverState,
+    Trace,
     constant_momentum,
     gradient_mapping,
     momentum,

@@ -11,8 +11,9 @@ rounding accumulation: 1e-8 * (1 + |lhs| + |rhs|) for inequalities and
 Each formula works over the last axis.  Given one record (vectors of shape
 (d,), an int k) it returns Python floats; given a block of n records (vectors
 of shape (n, d), k of shape (n,)) it returns arrays of n values, bit for bit
-the values it gives record by record.  `certify_trace` evaluates every
-certificate once per block.
+the values it gives record by record.  `certify_trace` reads a
+`solvers.Trace`: it checks the whole columns once, then evaluates every
+certificate once per block of rows, views of the columns.
 
 `certify_trace` returns a `CertificateTable`: one array per column (`k`, the
 certificate name's index, `lhs`, `rhs`, `slack`, `passed`, `applies`), one
@@ -25,14 +26,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from itertools import starmap
 from typing import Sequence, Union
 
 import numpy as np
 
 from .errors import _FLOAT_MAX, DataCorruptionError, RejectedInputError, check_setting
 from .problems import Vector, as_vector
-from .solvers import bind_step
+from .solvers import Columns, Trace, bind_step
 
 CERTIFICATE_NAMES = (
     "energy_nonincreasing",
@@ -98,20 +98,13 @@ class CertificateReport:
     status: str = "ok"  # "ok" | "not_applicable"
 
 
-# Rows that iterating or writing a table turns into Python values at a time.
-# A chunk's values and cell strings, about 0.5 KB per row, are what writing a
-# report holds beyond the table.
-_CHUNK_ROWS = 1 << 10
-
-
 @dataclass(frozen=True, eq=False)
-class CertificateTable:
+class CertificateTable(Columns):
     """Certificate lines as columns, one array each, in (k, name) order.
 
     `k` is int64, `name` an index into NAMES, `lhs`, `rhs` and `slack` float64,
-    `passed` and `applies` bool; a line's status is STATUSES[applies].
-    Iterating yields the lines as CertificateReport rows of Python values
-    (int, str, float, bool).
+    `passed` and `applies` bool; a line's status is STATUSES[applies].  Its
+    rows are CertificateReports of Python values (int, str, float, bool).
     """
 
     k: np.ndarray
@@ -127,8 +120,9 @@ class CertificateTable:
     _DTYPES = (np.int64, np.int64, np.float64, np.float64, np.float64, bool, bool)
 
     def __post_init__(self):
-        for field, column, dtype in zip(fields(self), self._columns(), self._DTYPES):
-            object.__setattr__(self, field.name, np.asarray(column, dtype))
+        for field, dtype in zip(fields(self), self._DTYPES):
+            column = np.asarray(getattr(self, field.name), dtype)
+            object.__setattr__(self, field.name, column)
 
     @classmethod
     def from_rows(cls, rows) -> "CertificateTable":
@@ -149,29 +143,7 @@ class CertificateTable:
                    [r.slack for r in rows], [r.passed for r in rows],
                    [r.status == "ok" for r in rows])
 
-    def _columns(self) -> tuple:
-        """The seven columns, in the order of the fields."""
-        return (self.k, self.name, self.lhs, self.rhs, self.slack, self.passed,
-                self.applies)
-
-    def chunks(self):
-        """The columns as lists of Python values, _CHUNK_ROWS rows at a time."""
-        for start in range(0, len(self), _CHUNK_ROWS):
-            yield [column[start:start + _CHUNK_ROWS].tolist()
-                   for column in self._columns()]
-
-    def __len__(self) -> int:
-        return len(self.k)
-
-    def __iter__(self):
-        for columns in self.chunks():
-            yield from starmap(self._report, zip(*columns))
-
-    def row(self, i: int) -> CertificateReport:
-        """Line i as a CertificateReport."""
-        return self._report(*(column[i].item() for column in self._columns()))
-
-    def _report(self, k, name, lhs, rhs, slack, passed, applies) -> CertificateReport:
+    def _row(self, k, name, lhs, rhs, slack, passed, applies) -> CertificateReport:
         return CertificateReport(k, self.NAMES[name], lhs, rhs, slack, passed,
                                  self.STATUSES[applies])
 
@@ -354,56 +326,31 @@ def _block_rows(dim: int) -> int:
     return max(1, _BLOCK_BYTES // (8 * dim))
 
 
-def _stack(records, first_k: int, shape: tuple):
-    """(k, f_y, f_z, x, y, grad_map) of consecutive records as arrays.
-
-    Raises RejectedInputError for a record without iterates and
-    DataCorruptionError, naming the record, for a k out of sequence, a NaN
-    scalar, a vector whose shape is not `shape` (x*'s), or a NaN coordinate.
-    """
-    bare = next((r for r in records if r.x is None or r.y is None
-                 or r.grad_map is None or r.f_z is None), None)
-    if bare is not None:
-        raise RejectedInputError(
-            f"record k={bare.k} has no stored iterates; re-run with iterate "
-            "recording enabled"
-        )
-    n = len(records)
-    k = np.fromiter((r.k for r in records), np.int64, n)
-    skipped = k != np.arange(first_k, first_k + n)
+def _check(trace, shape: tuple) -> None:
+    """DataCorruptionError, naming the row, for a k out of sequence, a NaN
+    scalar, a vector whose shape is not `shape` (x*'s), or a NaN coordinate."""
+    k = trace.k
+    skipped = k != np.arange(len(k))
     if np.any(skipped):
         raise DataCorruptionError(
-            f"trace row {first_k + int(np.argmax(skipped))} has k = "
-            f"{_first(skipped, k)}; k must run 0, 1, 2, ... (a row is missing, "
-            "repeated or out of order)"
+            f"trace row {int(np.argmax(skipped))} has k = {_first(skipped, k)}; "
+            "k must run 0, 1, 2, ... (a row is missing, repeated or out of order)"
         )
-    scalars = []
     for name in ("f_y", "f_z", "grad_map_norm"):
-        values = np.fromiter((getattr(r, name) for r in records), np.float64, n)
-        nan = np.isnan(values)
+        nan = np.isnan(getattr(trace, name))
         if np.any(nan):
             raise DataCorruptionError(f"record k={_first(nan, k)} has {name} = nan")
-        scalars.append(values)
-    vectors = []
     for name in ("x", "y", "grad_map"):
-        cells = [getattr(r, name) for r in records]
-        try:
-            stacked = np.array(cells)
-        except ValueError:  # vectors of different shapes
-            stacked = None
-        if stacked is None or stacked.shape[1:] != shape:
-            i = next(i for i, v in enumerate(cells) if np.shape(v) != shape)
+        vectors = getattr(trace, name)
+        if vectors.shape[1:] != shape:
             raise DataCorruptionError(
-                f"record k={k[i]} has a {name} of shape {np.shape(cells[i])}; "
+                f"record k={k[0]} has a {name} of shape {vectors.shape[1:]}; "
                 f"the problem's vectors have shape {shape}"
             )
-        nan = np.isnan(stacked)
-        if nan.any():
-            row = nan.reshape(n, -1).any(axis=1)
+        nan = np.isnan(vectors).any(axis=1)
+        if np.any(nan):
             raise DataCorruptionError(
-                f"record k={_first(row, k)} has a nan coordinate in {name}")
-        vectors.append(stacked)
-    return (k, *scalars[:2], *vectors)
+                f"record k={_first(nan, k)} has a nan coordinate in {name}")
 
 
 class _Lines:
@@ -458,13 +405,16 @@ def certify_trace(ctx: EnergyContext, trace,
     grad_map_norm or iterate coordinate, or with a vector of another shape
     than the problem's (ctx.x_star's) is corrupt.
 
-    Records are certified in blocks of rows, each block sharing one record
-    with the next so that the (k, k+1) certificates cross block edges.
+    `trace` is a Trace, or IterationRecord rows, which are tabulated first.
+    Its columns are checked once, then certified in blocks of rows, each
+    block's views sharing one row with the next so that the (k, k+1)
+    certificates cross block edges.
     """
     check_setting("variant", variant, RejectedInputError)
-    trace = list(trace)
-    if not trace:
+    trace = Trace.from_records(trace)
+    if not len(trace):
         return CertificateTable.from_rows([])
+    _check(trace, ctx.x_star.shape)
     a, s, mu, L = ctx.alpha, ctx.s, ctx.mu, ctx.lipschitz
     pairs = variant in ("mapm", "apm")
     mapm = variant == "mapm"
@@ -485,12 +435,13 @@ def certify_trace(ctx: EnergyContext, trace,
         if len(trace) < 2:
             skipped.append("theorem2_envelope")
 
-    shape = ctx.x_star.shape
     rows = _block_rows(ctx.x_star.size)
     blocks = []
     for start in range(0, len(trace), rows):
         stop = min(start + rows, len(trace))
-        k, f_y, f_z, x, y, G = _stack(trace[start:stop + 1], start, shape)
+        block = slice(start, stop + 1)
+        k, f_y, f_z = trace.k[block], trace.f_y[block], trace.f_z[block]
+        x, y, G = trace.x[block], trace.y[block], trace.grad_map[block]
         m = stop - start  # the block's own rows; row m, if any, starts the next
         p = len(k) - 1  # rows that have a successor
         lines = _Lines(k[:m])

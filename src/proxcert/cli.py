@@ -103,6 +103,14 @@ def _problem_args(spec: dict):
     return generator, args
 
 
+def _refuse_problem_flags(args, why: str) -> None:
+    """A ConfigurationError naming each problem flag given, where `why` says
+    that the command would not read them."""
+    given = [key for key in ("problem", *PROBLEM_RULES) if getattr(args, key) is not None]
+    if given:
+        raise ConfigurationError(f"--{', --'.join(given)} given {why}")
+
+
 def _problem_spec_from_args(args) -> dict:
     flags = {key: getattr(args, key) for key in PROBLEM_RULES}  # None if not given
     flags.update(name=args.problem, seed=_effective_seed(args.seed))
@@ -158,11 +166,11 @@ def _spec_from_flags(args, solver: str) -> dict:
 def cmd_run(args) -> int:
     spec = _spec_from_flags(args, args.solver)
     problem, config = _run_from_spec(spec, "run")
-    records = run(problem, config, np.zeros(problem.dim))
+    trace = run(problem, config, np.zeros(problem.dim))
     meta = TraceMeta(**asdict(config), problem_hash=problem.content_hash,
                      iterates=not args.no_iterates, problem=spec["problem"])
-    write_trace(args.out, meta, records, args.format)
-    print(f"wrote {len(records)} records to {args.out}")
+    write_trace(args.out, meta, trace, args.format)
+    print(f"wrote {len(trace)} records to {args.out}")
     return 0
 
 
@@ -186,12 +194,11 @@ def _reference_context(args, problem, config) -> EnergyContext:
     )
 
 
-def _check_stop_rule(config, records) -> None:
+def _check_stop_rule(config, trace) -> None:
     """A data error unless the trace ends at the first record where config.stops."""
-    if not records:
+    if not len(trace):
         raise DataCorruptionError("trace has no records")
-    k = np.fromiter((r.k for r in records), np.int64, len(records))
-    gnorm = np.fromiter((r.grad_map_norm for r in records), np.float64, len(records))
+    k, gnorm = trace.k, trace.grad_map_norm
     stops = config.stops(k, gnorm)
     settings = f"max_iters = {config.max_iters}, grad_map_tol = {config.grad_map_tol!r}"
     if not stops.any():
@@ -200,7 +207,7 @@ def _check_stop_rule(config, records) -> None:
             f"where a run with {settings} goes on; rows are missing from its end"
         )
     i = int(np.argmax(stops))
-    if i < len(records) - 1:
+    if i < len(trace) - 1:
         raise DataCorruptionError(
             f"a run with {settings} stops at record k={k[i]} (grad_map_norm "
             f"{float(gnorm[i])!r}), but the trace goes on past it"
@@ -208,13 +215,15 @@ def _check_stop_rule(config, records) -> None:
 
 
 def cmd_certify(args) -> int:
-    meta, records = read_trace(args.trace)
+    if args.problem is None:
+        _refuse_problem_flags(args, "without --problem; the trace's problem is certified")
+    meta, trace = read_trace(args.trace)
     if not meta.iterates:
         raise ConfigurationError(
             "trace has no stored iterates; re-run with iterate recording enabled"
         )
     config = meta.config()
-    _check_stop_rule(config, records)
+    _check_stop_rule(config, trace)
     if args.problem is not None:
         spec = _problem_spec_from_args(args)
     elif meta.problem is not None:
@@ -227,12 +236,12 @@ def cmd_certify(args) -> int:
             "trace was produced on a different problem (content hash mismatch)"
         )
     ctx = _reference_context(args, problem, config)
-    table = certify_trace(ctx, records, variant=config.variant)
+    table = certify_trace(ctx, trace, variant=config.variant)
     write_report(args.report, table, args.format)
     print(f"wrote {len(table)} certificate lines to {args.report}")
     violations = np.flatnonzero(table.applies & ~table.passed)
     if violations.size:
-        worst = table.row(violations[0])
+        worst = table[violations[0]]
         print(f"FIRST VIOLATION at k={worst.k} name={worst.name} "
               f"lhs={worst.lhs!r} rhs={worst.rhs!r}")
         return 1
@@ -241,6 +250,7 @@ def cmd_certify(args) -> int:
 
 def _specs_from_args(args) -> list:
     if args.spec:
+        _refuse_problem_flags(args, "with --spec, whose specs state their problem")
         specs = [json.loads(s) for s in args.spec]
         for position, spec in enumerate(specs, start=1):
             if not isinstance(spec, dict):

@@ -340,8 +340,7 @@ def compare_solvers(problem: CompositeProblem, configs: Sequence[SolverConfig],
     columns, fits = {}, {}
     length = 0
     for label, config in zip(labels, configs):
-        records = run(problem, config, x0)
-        gaps = [rec.f_y - f_star for rec in records]
+        gaps = (run(problem, config, x0).f_y - f_star).tolist()
         columns[label] = gaps
         length = max(length, len(gaps))
         try:

@@ -14,6 +14,9 @@ iteration and cached in the state; the mapm test compares cached values only.
 `iterate` is the one loop that applies the rule.  Its consumers bring their
 own stop rules: `run`, and both phases of `harness.reference_solution`.
 
+`run` returns a `Trace`, its records as columns, which the trace writer, the
+certificate engine and the CLI read as columns.
+
 The run contract is written once: `errors.SETTING_RULES` (each setting's rule),
 `bind_step` (s <= 1/L) and `SolverConfig.stops` (the stop rule of `run`, `certify`).
 """
@@ -22,13 +25,27 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product, repeat, starmap
 from typing import Optional
 
-from .errors import SETTING_RULES, ConfigurationError, RejectedInputError, check_setting
+import numpy as np
+
+from .errors import (SETTING_RULES, ConfigurationError, DataCorruptionError,
+                     RejectedInputError, check_setting)
 from .problems import CompositeProblem, Vector, as_vector, norm, prox_gradient
 
 # Allows s = 1/L computed in floats to pass the s <= 1/L bound.
 _STEP_SLACK = 1e-12
+
+# Rows that iterating a Trace or a CertificateTable, or writing a report,
+# turns into Python values at a time.  A chunk's values and cell strings,
+# about 0.5 KB per report line, are what writing a report holds beyond the table.
+_CHUNK_ROWS = 1 << 10
+# Rows that `run` holds as Python objects before it stacks them into arrays.
+# At d = 2 a row's objects take about seven times the memory of its values,
+# and each stack copies the rows' vectors once more, so runs of up to this
+# many rows are stacked once, at their end.
+_STACK_ROWS = 1 << 14
 
 
 @dataclass
@@ -78,11 +95,124 @@ class IterationRecord:
     grad_map_norm: float
     gap: Optional[float] = None
     accepted: Optional[bool] = None
-    energy: Optional[float] = None  # unset by run(); kept for the trace column
     x: Optional[Vector] = None
     y: Optional[Vector] = None
     grad_map: Optional[Vector] = None
     f_z: Optional[float] = None
+
+
+# Each Trace column, in the order of the IterationRecord fields, with the dtype
+# of its array; `gap` and `accepted` hold Python values, None where a row has none.
+_DTYPES = {"k": np.int64, "f_y": np.float64, "grad_map_norm": np.float64,
+           "gap": object, "accepted": object, "x": np.float64, "y": np.float64,
+           "grad_map": np.float64, "f_z": np.float64}
+_ITERATES = ("x", "y", "grad_map", "f_z")  # the columns a trace may lack
+
+
+class Columns:
+    """Rows held as columns: a frozen dataclass whose fields are arrays with one
+    entry per row (or None), and whose `_row` makes a row of one value per
+    column.  An int index and iteration give rows of Python values, built a
+    chunk at a time; a slice gives the table of its rows, as views."""
+
+    def __len__(self) -> int:
+        return len(self.k)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return type(self)(*(None if c is None else c[i] for c in vars(self).values()))
+        i = range(len(self))[i]
+        return next(iter(self[i:i + 1]))
+
+    def __iter__(self):
+        for chunk in self.chunks():
+            yield from starmap(self._row, zip(*map(_row_values, vars(chunk).values())))
+
+    def chunks(self):
+        """The table in slices of _CHUNK_ROWS rows."""
+        for start in range(0, len(self), _CHUNK_ROWS):
+            yield self[start:start + _CHUNK_ROWS]
+
+
+def _row_values(column):
+    """A column's value in each row: Python values, read-only views of vectors,
+    or None for each row of an absent column."""
+    if column is None:
+        return repeat(None)
+    if column.ndim == 1:
+        return column.tolist()
+    vectors = column.view()
+    vectors.flags.writeable = False
+    return list(vectors)
+
+
+@dataclass(frozen=True, eq=False)
+class Trace(Columns):
+    """One run's records as columns, one array per IterationRecord field.
+
+    `k` is int64, `f_y`, `grad_map_norm` and `f_z` float64, `gap` and
+    `accepted` object arrays, `x`, `y` and `grad_map` (n, d) float64; the last
+    four are None in a trace without iterates.  Indexing with an int and
+    iterating yield IterationRecord rows of Python values and read-only 1-D
+    views of the vectors; a slice is a Trace of views.
+    """
+
+    k: np.ndarray
+    f_y: np.ndarray
+    grad_map_norm: np.ndarray
+    gap: np.ndarray
+    accepted: np.ndarray
+    x: Optional[np.ndarray] = None
+    y: Optional[np.ndarray] = None
+    grad_map: Optional[np.ndarray] = None
+    f_z: Optional[np.ndarray] = None
+
+    _row = IterationRecord
+
+    @classmethod
+    def join(cls, pieces: dict) -> "Trace":
+        """The Trace of {column name: its consecutive pieces}, each a list of
+        values or an array of rows; a column without pieces is None.  Each
+        entry is popped, freeing its pieces, as its column is built.
+        """
+        columns = {}
+        for name, dtype in _DTYPES.items():
+            parts = pieces.pop(name, None)
+            columns[name] = None if parts is None else _array(name, parts, dtype,
+                                                               columns.get("k"))
+        return cls(**columns)
+
+    @classmethod
+    def from_records(cls, records, iterates: bool = True) -> "Trace":
+        """IterationRecord rows as a Trace, with the iterate columns if
+        `iterates`; a Trace that has what is asked for is returned as it is.
+
+        A row without a value that a column requires is a RejectedInputError
+        naming its k and the field.
+        """
+        if isinstance(records, Trace) and (records.x is not None or not iterates):
+            return records
+        rows = list(records)
+        names = [name for name in _DTYPES if iterates or name not in _ITERATES]
+        for row, name in product(rows, names):
+            if getattr(row, name) is None and _DTYPES[name] is not object:
+                raise RejectedInputError(f"record k={row.k} has no {name!r} value")
+        return cls.join({name: [[getattr(row, name) for row in rows]] for name in names})
+
+
+def _array(name: str, parts: list, dtype, k) -> np.ndarray:
+    """The array of a column's pieces.  Vectors of differing shapes are a
+    DataCorruptionError naming the first row whose shape is not the first's."""
+    try:
+        arrays = [np.asarray(part, dtype) for part in parts] or [np.empty(0, dtype)]
+        return np.concatenate(arrays) if len(arrays) != 1 else arrays[0]
+    except ValueError:
+        shapes = [np.shape(row) for part in parts for row in part]
+        i = next((i for i, shape in enumerate(shapes) if shape != shapes[0]), None)
+        if i is None:  # a value that is no number, not a vector of another shape
+            raise
+        raise DataCorruptionError(f"record k={k[i]} has a {name} of shape {shapes[i]}; "
+                                  f"record k={k[0]} has one of shape {shapes[0]}") from None
 
 
 def bind_step(lipschitz: float, step: Optional[float], error=ConfigurationError):
@@ -187,8 +317,8 @@ def iterate(problem: CompositeProblem, config: SolverConfig, x0):
         state = step(config, beta, state, z, f_z)
 
 
-def run(problem: CompositeProblem, config: SolverConfig, x0) -> list:
-    """Drive a solver from x_0 = y_0 and return one IterationRecord per k.
+def run(problem: CompositeProblem, config: SolverConfig, x0) -> Trace:
+    """Drive a solver from x_0 = y_0 and return its Trace, one row per k.
 
     Stops where config.stops says: after max_iters steps or as soon as
     ||G_s(x_k)|| <= grad_map_tol.
@@ -197,20 +327,25 @@ def run(problem: CompositeProblem, config: SolverConfig, x0) -> list:
     non-finite ||G_k|| raises RejectedInputError naming k.
     """
     f_star = problem.known_optimum
-    records = []
+    rows, chunks = [], {name: [] for name in _DTYPES}  # rows in the order of _DTYPES
     for state, _, G, f_z in iterate(problem, config, x0):
         k = state.k
         gnorm = require_finite(k, "||G_k||", norm(G))
-        records.append(IterationRecord(
-            k=k,
-            f_y=state.f_y,
-            grad_map_norm=gnorm,
-            gap=(state.f_y - f_star) if f_star is not None else None,
-            accepted=(f_z <= state.f_y) if config.variant == "mapm" else None,
-            x=state.x,
-            y=state.y,
-            grad_map=G,
-            f_z=f_z,
+        rows.append((
+            k,
+            state.f_y,
+            gnorm,
+            (state.f_y - f_star) if f_star is not None else None,
+            (f_z <= state.f_y) if config.variant == "mapm" else None,
+            state.x,
+            state.y,
+            G,
+            f_z,
         ))
-        if config.stops(k, gnorm):
-            return records
+        stop = config.stops(k, gnorm)
+        if stop or len(rows) == _STACK_ROWS:
+            for (name, dtype), column in zip(_DTYPES.items(), zip(*rows)):
+                chunks[name].append(np.asarray(column, dtype))
+            rows = []
+        if stop:
+            return Trace.join(chunks)

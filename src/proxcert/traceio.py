@@ -23,11 +23,12 @@ certificate names and statuses), so rows are `,`-joined cells ending in CRLF,
 the bytes `csv.writer`'s default dialect writes, read by splitting on `,`;
 each iterate column of a block is parsed in one `np.loadtxt` call.
 
-Trace rows are written in spans of about `_SPAN_COORDS` numbers, each span's
-records gathered into columns and encoded by one call.  A trace of two or
-more spans is encoded by forked worker processes, one per available core, and
-written in order; the encoder is the same either way, so the bytes do not
-depend on the number of cores.
+A trace is written from a `solvers.Trace` and read back into one, column by
+column.  Rows are written in spans of about `_SPAN_COORDS` numbers, each span
+a slice of the Trace encoded by one call.  A trace of two or more spans is
+encoded by forked worker processes, one per available core, and written in
+order; the encoder is the same either way, so the bytes do not depend on the
+number of cores.
 """
 
 from __future__ import annotations
@@ -37,15 +38,14 @@ import math
 import os
 import sys
 from dataclasses import asdict, dataclass
-from operator import attrgetter
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .certificates import CertificateTable
 from .errors import (_FLOAT_MAX, SETTING_RULES, ConfigurationError, DataCorruptionError,
-                     RejectedInputError, check_setting)
-from .solvers import IterationRecord, SolverConfig
+                     check_setting)
+from .solvers import SolverConfig, Trace
 
 TRACE_MAGIC = "# proxcert-trace v1"
 REPORT_MAGIC = "# proxcert-report v1"
@@ -97,13 +97,9 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _floats(v) -> list:
-    """A vector's coordinates as Python floats."""
-    return np.asarray(v, dtype=np.float64).tolist()
-
-
-def _fmt_vector(v) -> str:
-    return ";".join(map(repr, _floats(v)))
+def _fmt_vector(coordinates: list) -> str:
+    """The cell of a vector given as its coordinates, Python floats."""
+    return ";".join(map(repr, coordinates))
 
 
 def _exact_float(cell: str) -> float:
@@ -119,17 +115,17 @@ def _parse_vector(cell: str) -> np.ndarray:
     return np.array([_exact_float(c) for c in cell.split(";")], dtype=np.float64)
 
 
-def _parse_vectors(cells) -> list:
-    """One block's cells of a vector column: row views of one parsed array.
+def _parse_vectors(cells):
+    """One block's cells of a vector column as one (rows, d) array.
 
     A block with an empty, ragged or non-numeric cell is parsed cell by cell
-    instead, so that the parse error (an empty cell's too) or the shape check
-    of certification names the cell's row.
+    instead, into a list of vectors, so that the parse error (an empty cell's
+    too) or the shape check of `Trace.join` names the cell's row.
     """
     if all(cells):  # loadtxt would skip an empty line
         try:
-            return list(np.loadtxt(cells, delimiter=";", comments=None,
-                                   dtype=np.float64, ndmin=2))
+            return np.loadtxt(cells, delimiter=";", comments=None,
+                              dtype=np.float64, ndmin=2)
         except ValueError:
             pass
     return list(map(_parse_vector, cells))
@@ -173,14 +169,15 @@ _OPT_FLOAT = _Kind("a number", True, _fmt,
 _OPT_BOOL = _Kind("true or false", True, _fmt,
                   lambda cells: [_CSV_BOOLS[c] if c else None for c in cells],
                   bool, lambda value: type(value) is bool)
-_VECTOR = _Kind("a list of numbers", False, _fmt_vector, _parse_vectors, _floats,
+_VECTOR = _Kind("a list of numbers", False, _fmt_vector, _parse_vectors,
+                lambda value: value,
                 lambda value: (isinstance(value, list)
-                               and all(map(_FLOAT.is_json, value))),
-                lambda value: np.array(value, dtype=np.float64))
+                               and all(map(_FLOAT.is_json, value))))
 
-# Every trace column, in file order, with the kind of its values; each names
-# an IterationRecord field.  The last four, the iterate columns, are written
-# only when meta.iterates is set, and then every row has each of them.
+# Every trace column, in file order, with the kind of its values; each but
+# `energy` (written empty, read but not kept) names a Trace column.  The last
+# four, the iterate columns, are written only when meta.iterates is set, and
+# then every row has each of them.
 _COLUMN_KINDS = {
     "k": _INT, "f_y": _FLOAT, "gap": _OPT_FLOAT, "grad_map_norm": _FLOAT,
     "accepted": _OPT_BOOL, "energy": _OPT_FLOAT,
@@ -254,17 +251,14 @@ def _encoder(what: str, fmt: str) -> Callable:
 
 
 def write_trace(path, meta: TraceMeta, records, fmt: str = "csv") -> None:
-    """Write one row per IterationRecord; iterates included per meta.iterates.
-    Like read_trace, refuses bad settings (ConfigurationError) and a record
-    without a value its column requires (RejectedInputError naming k)."""
+    """Write one row per record of a Trace (or of IterationRecord rows, through
+    `Trace.from_records`); iterates included per meta.iterates.  Like
+    read_trace, refuses bad settings (ConfigurationError) and a record without
+    a value its column requires (RejectedInputError naming k)."""
     encode = _encoder("trace", fmt)
     meta.config()
-    records = list(records)
+    trace = Trace.from_records(records, meta.iterates)
     names = _columns(meta.iterates)
-    empty = [(rec.k, name) for rec in records for name in names
-             if getattr(rec, name) is None and not _COLUMN_KINDS[name].optional]
-    if empty:
-        raise RejectedInputError("record k={} has no {!r} value to write".format(*empty[0]))
     if fmt == "csv":
         header = (f"{TRACE_MAGIC}\n# meta {json.dumps(asdict(meta))}\n"
                   f"{','.join(names)}\r\n")
@@ -272,36 +266,38 @@ def write_trace(path, meta: TraceMeta, records, fmt: str = "csv") -> None:
         header = json.dumps({"format": "proxcert-trace", **asdict(meta)}) + "\n"
     with open(path, "wb") as fh:
         fh.write(header.encode())
-        _write_rows(fh, encode, records, meta.iterates)
+        _write_rows(fh, encode, trace, meta.iterates)
 
 
-def _span_bytes(encode, records, iterates: bool) -> bytes:
-    """The trace rows of records, their fields gathered into columns first."""
+def _span_bytes(encode, trace: Trace, iterates: bool) -> bytes:
+    """The trace rows of a Trace (a span of one), from its columns' values;
+    `energy`, which no Trace holds, is written empty."""
     names = _columns(iterates)
-    columns = list(zip(*map(attrgetter(*names), records)))
+    columns = [[None] * len(trace) if column is None else column.tolist()
+               for column in (getattr(trace, name, None) for name in names)]
     return encode(names, [_COLUMN_KINDS[name] for name in names], columns).encode()
 
 
-def _write_rows(fh, encode, records: list, iterates: bool) -> None:
-    """Write the rows of consecutive spans of the records.
+def _write_rows(fh, encode, trace: Trace, iterates: bool) -> None:
+    """Write the rows of consecutive spans of the trace.
 
     With two or more spans and more than one core, forked workers encode the
     spans and the parent writes each chunk in order as it arrives.  Workers
-    read the records they inherit, so only (start, stop) pairs and encoded
+    slice the trace they inherit, so only (start, stop) pairs and encoded
     bytes cross between processes.  Both paths call `_span_bytes`, so the
     bytes do not depend on the path.
     """
-    span = _span_rows(records, iterates)
-    spans = [(start, start + span) for start in range(0, len(records), span)]
+    span = _span_rows(trace, iterates)
+    spans = [(start, start + span) for start in range(0, len(trace), span)]
     workers = min(_cores(), len(spans))
     if workers < 2:
         for start, stop in spans:
-            fh.write(_span_bytes(encode, records[start:stop], iterates))
+            fh.write(_span_bytes(encode, trace[start:stop], iterates))
         return
     import multiprocessing  # only here: reading a trace never starts a pool
 
     pool = multiprocessing.get_context("fork").Pool(
-        workers, _adopt_job, (encode, records, iterates))
+        workers, _adopt_job, (encode, trace, iterates))
     try:
         for chunk in pool.imap(_encode_span, spans):
             fh.write(chunk)
@@ -313,11 +309,12 @@ def _write_rows(fh, encode, records: list, iterates: bool) -> None:
         pool.join()
 
 
-def _span_rows(records: list, iterates: bool) -> int:
-    """Rows per span: about _SPAN_COORDS numbers, counted on the first row."""
-    if not records:
-        return 1
-    width = sum(np.size(getattr(records[0], name)) for name in _columns(iterates))
+def _span_rows(trace: Trace, iterates: bool) -> int:
+    """Rows per span: about _SPAN_COORDS numbers, each vector cell counting
+    its coordinates."""
+    width = len(_columns(iterates))
+    if iterates and len(trace):
+        width += 3 * (trace.x[0].size - 1)
     return max(1, _SPAN_COORDS // width)
 
 
@@ -333,7 +330,7 @@ def _cores() -> int:
     return len(os.sched_getaffinity(0))
 
 
-_job = None  # (encode, records, iterates) in a trace writer's worker process
+_job = None  # (encode, trace, iterates) in a trace writer's worker process
 
 
 def _adopt_job(*job) -> None:
@@ -342,12 +339,12 @@ def _adopt_job(*job) -> None:
 
 
 def _encode_span(span) -> bytes:
-    encode, records, iterates = _job
-    return _span_bytes(encode, records[slice(*span)], iterates)
+    encode, trace, iterates = _job
+    return _span_bytes(encode, trace[slice(*span)], iterates)
 
 
 def read_trace(path):
-    """Parse a trace file (either format); returns (TraceMeta, records)."""
+    """Parse a trace file (either format); returns (TraceMeta, Trace)."""
     with open(path, newline="") as fh:
         first = fh.readline().rstrip("\n")
         if not first.startswith("#"):
@@ -370,10 +367,12 @@ def read_trace(path):
             meta = _meta_from_dict(json.loads(meta_line[len("# meta "):]))
             decode, first_line = _csv_blocks, 3
         kinds = {name: _COLUMN_KINDS[name] for name in _columns(meta.iterates)}
-        records = [IterationRecord(**dict(zip(fields, values)))
-                   for _, fields in decode("trace", fh, first_line, kinds)
-                   for values in zip(*fields.values())]
-    return meta, records
+        pieces = {name: [] for name in kinds if name != "energy"}
+        for _, columns in decode("trace", fh, first_line, kinds):
+            block = Trace.join({name: [values] for name, values in columns.items()})
+            for name, parts in pieces.items():
+                parts.append(getattr(block, name))
+    return meta, Trace.join(pieces)
 
 
 # Checks of the trace metadata beyond its run settings (TraceMeta.config): key,
@@ -509,7 +508,8 @@ def write_report(path, reports, fmt: str = "csv") -> None:
     kinds = tuple(_REPORT_KINDS.values())
     with open(path, "w", newline="") as fh:
         fh.write(header)
-        for columns in reports.chunks():
+        for chunk in reports.chunks():
+            columns = [column.tolist() for column in vars(chunk).values()]
             fh.write(encode(_REPORT_COLUMNS, kinds, columns))
 
 

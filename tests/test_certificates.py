@@ -434,7 +434,7 @@ class TestCertifyTrace:
 
     def test_rejects_trace_without_iterates(self):
         p = random_quadratic(4, 3, 10)
-        records = run(p, SolverConfig(variant="mapm", max_iters=5), np.zeros(3))
+        records = list(run(p, SolverConfig(variant="mapm", max_iters=5), np.zeros(3)))
         for rec in records:
             rec.x = None
         ctx = EnergyContext(alpha=3.0, s=0.5 / p.smooth.lipschitz, mu=0.1,
@@ -464,7 +464,7 @@ class TestNegativeControls:
         s = 0.5 / p.smooth.lipschitz
         records = run(p, SolverConfig(variant="mapm", step=s, max_iters=60),
                       np.ones(4))
-        records[30].f_y = records[0].f_y  # inject a large objective rise
+        records.f_y[30] = records.f_y[0]  # inject a large objective rise
         ctx = EnergyContext(alpha=3.0, s=s, mu=p.smooth.strong_convexity,
                             lipschitz=p.smooth.lipschitz,
                             x_star=p.known_minimizer, f_star=p.known_optimum)

@@ -4,6 +4,7 @@ import contextlib
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -916,6 +917,31 @@ class TestBadProblemParamsExit2:
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command, flags, named", [
+        ("certify", ["--dim", "7", "--lam", "3"], "--dim, --lam given without --problem"),
+        ("certify", ["--seed", "4"], "--seed given without --problem"),
+        ("compare", ["--dim", "9", "--rows", "3"], "--dim, --rows given with --spec"),
+        ("compare", ["--problem", "lasso", "--cond", "5"],
+         "--problem, --cond given with --spec"),
+    ])
+    def test_problem_flags_the_command_would_not_read(self, tmp_path, capsys, command,
+                                                      flags, named):
+        # certify read the trace's problem, and compare its specs' problems,
+        # and exited 0 without a word about these flags
+        if command == "certify":
+            argv = ["--trace", str(short_trace(tmp_path)), "--report",
+                    str(tmp_path / "r.csv")]
+        else:
+            specs = [json.dumps({"problem": {"name": "quadratic", "dim": 4},
+                                 "solver": solver}) for solver in ("ista", "mapm")]
+            argv = ["--spec", specs[0], "--spec", specs[1], "--table",
+                    str(tmp_path / "t.csv"), "--summary", str(tmp_path / "s.json")]
+        capsys.readouterr()
+        assert run_cli(command, *argv, *flags) == 2
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+        assert not (tmp_path / "r.csv").exists() and not (tmp_path / "t.csv").exists()
+
     def test_null_is_an_absent_key(self, tmp_path):
         # a null cond ended in a TypeError traceback; it takes cond's default,
         # as an absent or null dim takes dim's
@@ -938,6 +964,50 @@ class TestBenchmarkProblemSpecs:
     """The problem specs and flags the benchmark builds its problems from
     (`bench/run.py`) build the generator's own problem, and the benchmark's
     checks read the traces and reports the CLI writes."""
+
+    def test_benchmark_library_round_passes_its_checks(self, tmp_path):
+        # bench/pipeline.py reads the rows `run()` returns (len, [0].x,
+        # [-1].grad_map_norm, k as JSON); its round's details must pass the
+        # checks bench/run.py applies to them
+        root = Path(__file__).resolve().parents[1]
+        out = tmp_path / "round.json"
+        env = {key: value for key, value in os.environ.items() if key != "PROXCERT_SEED"}
+        done = subprocess.run([sys.executable, "bench/pipeline.py", "--workload",
+                               "lib-suite", "--seed", "0", "--out", str(out)],
+                              cwd=root, env=env, capture_output=True, text=True,
+                              timeout=300)
+        assert done.returncode == 0, done.stderr[-2000:]
+        result = json.loads(out.read_text())
+        assert (result["attempted"], result["failed"]) == (21, 0)
+        check = ("import json, sys; sys.path.insert(0, 'bench'); import run; "
+                 "v = run.Verdicts(); run.check_lib_outputs(v, run.import_proxcert(), "
+                 "'lib-suite', 0, json.load(open(sys.argv[1]))['details']); "
+                 "print(json.dumps([v.checked, v.problems]))")
+        done = subprocess.run([sys.executable, "-c", check, str(out)], cwd=root,
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr[-2000:]
+        assert json.loads(done.stdout) == [True, []]
+
+    def test_certify_exit_code_does_not_follow_the_blas_thread_count(self, tmp_path):
+        # the closed-form F* of a d200 quadratic moves by a few ulps with the
+        # BLAS thread count; the verdict on the benchmark's cli-quad-d200
+        # trace must not
+        trace = tmp_path / "trace.csv"
+        assert run_cli("run", "--problem", "quadratic", "--dim", "200", "--cond",
+                       "100", "--seed", "101", "--solver", "mapm", "--max-iters",
+                       "2000", "--out", str(trace)) == 0
+        src = str(Path(cli.__file__).resolve().parents[1])
+        codes = []
+        for threads in ("1", "2"):
+            env = {key: value for key, value in os.environ.items()
+                   if key != "PROXCERT_SEED"}
+            env.update(OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+            done = subprocess.run([sys.executable, "-m", "proxcert", "certify",
+                                   "--trace", str(trace), "--report",
+                                   str(tmp_path / f"report{threads}.csv")],
+                                  env=env, capture_output=True, text=True, timeout=300)
+            codes.append(done.returncode)
+        assert codes[0] == codes[1], codes
 
     def test_benchmark_selftest_passes(self):
         # bench/selftest.py runs the CLI, checks its outputs with bench/checks.py

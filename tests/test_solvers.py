@@ -27,6 +27,7 @@ from proxcert import (
     reference_solution,
     attach_reference,
     run,
+    solvers,
     step,
 )
 from proxcert.errors import VARIANTS
@@ -366,8 +367,11 @@ IDENTITY_PROBLEMS = [
 
 
 class TestRunBitIdentity:
+    @pytest.mark.parametrize("stack_rows", [None, 7])  # 7: rows stacked 7 at a time
     @pytest.mark.parametrize("problem", IDENTITY_PROBLEMS, ids=lambda p: p.name)
-    def test_run_equals_the_checked_loop(self, problem):
+    def test_run_equals_the_checked_loop(self, monkeypatch, problem, stack_rows):
+        if stack_rows is not None:
+            monkeypatch.setattr(solvers, "_STACK_ROWS", stack_rows)
         variants = [v for v in VARIANTS if v != "strongly_convex_apm"
                     or problem.smooth.strong_convexity > 0.0]
         x0 = np.zeros(problem.dim)

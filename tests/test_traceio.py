@@ -27,6 +27,7 @@ from proxcert import (
     EnergyContext,
     RejectedInputError,
     SolverConfig,
+    Trace,
     certify_trace,
     random_quadratic,
     run,
@@ -78,6 +79,40 @@ def test_trace_round_trip_is_exact(tmp_path, fmt):
         assert np.array_equal(a.x, b.x)
         assert np.array_equal(a.y, b.y)
         assert np.array_equal(a.grad_map, b.grad_map)
+
+
+def row_values(row):
+    """A row's values, vectors as dtype, shape and bytes, floats by their bits."""
+    return [(v.dtype, v.shape, v.tobytes()) if isinstance(v, np.ndarray)
+            else float(v).hex() if type(v) is float else v
+            for v in dataclasses.astuple(row)]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_rows_are_python_values_however_the_trace_was_made(tmp_path, fmt):
+    problem, trace = sample_records()
+    trace.gap[0] = None  # mixed None rows in both optional columns
+    trace.accepted[1] = None
+    write_trace(tmp_path / "trace", sample_meta(problem), trace, fmt)
+    made = [trace, read_trace(tmp_path / "trace")[1], Trace.from_records(list(trace))]
+    expected = list(map(row_values, trace))
+    for each in made:
+        assert isinstance(each, Trace) and len(each) == 31
+        assert list(map(row_values, each)) == expected
+        assert row_values(each[-1]) == expected[-1]
+        assert list(map(row_values, each[5:9])) == expected[5:9]
+        for row in each:
+            assert type(row.k) is int
+            assert {type(v) for v in (row.f_y, row.grad_map_norm, row.f_z)} == {float}
+            assert type(row.gap) is float or row.k == 0 and row.gap is None
+            assert type(row.accepted) is bool or row.k == 1 and row.accepted is None
+            for v in (row.x, row.y, row.grad_map):
+                assert type(v) is np.ndarray and v.dtype == np.float64 and v.shape == (4,)
+        row = each[3]
+        row.f_y = 99.0  # a row is not the trace ...
+        with pytest.raises(ValueError, match="read-only"):
+            row.x[0] = 99.0  # ... and its vectors do not write to it
+        assert row_values(each[3]) == expected[3]
 
 
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
@@ -183,12 +218,12 @@ class TestCodecExactness:
     def test_vector_cells_match_the_old_format(self, rows):
         for row in rows:
             v = np.array(row, dtype=np.float64)
-            assert traceio._fmt_vector(v) == old_fmt_vector(v)
+            assert traceio._fmt_vector(v.tolist()) == old_fmt_vector(v)
 
     @settings(max_examples=150, deadline=None)
     @given(rows=vectors)
     def test_block_parse_is_bit_exact(self, rows):
-        cells = [traceio._fmt_vector(np.array(row)) for row in rows]
+        cells = [traceio._fmt_vector(np.array(row).tolist()) for row in rows]
         parsed = traceio._parse_vectors(cells)
         assert len(parsed) == len(rows)
         for cell, row, v in zip(cells, rows, parsed):
@@ -241,9 +276,9 @@ def csv_module_trace(meta, records):
     writer.writerow(columns)
     for rec in records:
         writer.writerow(
-            ["" if getattr(rec, c) is None else old_fmt_vector(getattr(rec, c))
+            ["" if getattr(rec, c, None) is None else old_fmt_vector(getattr(rec, c))
              if c in ("x", "y", "grad_map") else traceio._fmt(getattr(rec, c))
-             for c in columns])
+             for c in columns])  # `energy`, no record's field, is empty
     return buf.getvalue().encode()
 
 
@@ -261,10 +296,10 @@ def csv_module_report(reports):
 
 def test_csv_trace_bytes_equal_the_csv_module(tmp_path):
     problem, records = sample_records()
-    records[0].gap = None
-    records[1].accepted = None
-    records[2].f_y = float("inf")
-    records[3].x = np.array([-0.0, float("nan"), 5e-324, 1e16])
+    records.gap[0] = None
+    records.accepted[1] = None
+    records.f_y[2] = float("inf")
+    records.x[3] = [-0.0, float("nan"), 5e-324, 1e16]
     meta = sample_meta(problem)
     path = tmp_path / "trace.csv"
     write_trace(path, meta, records, "csv")
@@ -283,6 +318,7 @@ def test_writer_refuses_what_the_reader_refuses(tmp_path, fmt, column):
         meta = dataclasses.replace(sample_meta(problem), max_iters=None)
         error, message = ConfigurationError, "trace metadata max_iters must be"
     else:
+        records = list(records)
         setattr(records[4], column, None)
         meta = sample_meta(problem)
         error = RejectedInputError
@@ -328,13 +364,13 @@ REPORT_ORACLES = {"csv": csv_module_report, "jsonl": json_dumps_report}
 
 
 def table_of(problem, variant, x0=None, edit=None, max_iters=30):
-    """The certificate table of a variant's run on a problem; `edit` may change
-    the records first."""
+    """The certificate table of a variant's run on a problem; `edit` may return
+    other records to certify, or the run's Trace with a column edited."""
     s = 0.5 / problem.smooth.lipschitz
     records = run(problem, SolverConfig(variant=variant, step=s, max_iters=max_iters),
                   np.zeros(problem.dim) if x0 is None else x0)
     if edit is not None:
-        edit(records)
+        records = edit(records)
     ctx = EnergyContext(alpha=3.0, s=s, mu=problem.smooth.strong_convexity,
                         lipschitz=problem.smooth.lipschitz,
                         x_star=problem.known_minimizer, f_star=problem.known_optimum)
@@ -353,7 +389,8 @@ def infeasible_box_problem():
 
 
 def raise_f_z(records):
-    records[5].f_z = float("inf")
+    records.f_z[5] = float("inf")
+    return records
 
 
 class TestCertificateTable:
@@ -389,10 +426,10 @@ class TestCertificateTable:
     @pytest.mark.parametrize("chunk", [1, 7])
     def test_any_chunk_size_gives_the_same_rows_and_bytes(self, tmp_path, tables,
                                                           fmt, chunk):
-        from proxcert import certificates
+        from proxcert import solvers
         table = tables["apm"]
         rows = list(table)
-        with mock.patch.object(certificates, "_CHUNK_ROWS", chunk):
+        with mock.patch.object(solvers, "_CHUNK_ROWS", chunk):
             assert list(map(repr, table)) == list(map(repr, rows))  # nan != nan
             write_report(tmp_path / "r", table, fmt)
         assert (tmp_path / "r").read_bytes() == REPORT_ORACLES[fmt](rows)
@@ -408,11 +445,11 @@ class TestCertificateTable:
             assert [type(v) for v in dataclasses.astuple(r)] == [
                 int, str, float, float, float, bool, str]
             if i < 20:
-                assert repr(table.row(i)) == repr(r)
+                assert repr(table[i]) == repr(r)
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_empty_trace_writes_a_header_only_report(self, tmp_path, fmt):
-        table = table_of(random_quadratic(3, 4, 100), "mapm", edit=list.clear)
+        table = table_of(random_quadratic(3, 4, 100), "mapm", edit=lambda records: records[:0])
         assert isinstance(table, CertificateTable) and len(table) == 0
         assert list(table) == []
         path = tmp_path / f"report.{fmt}"
@@ -439,7 +476,9 @@ class TestCertificateTable:
 def test_column_table_names_every_record_field_in_file_order():
     # A record field added without a column would silently drop out of traces.
     kinds = traceio._COLUMN_KINDS
-    assert set(kinds) == {f.name for f in dataclasses.fields(IterationRecord)}
+    fields = [f.name for f in dataclasses.fields(IterationRecord)]
+    assert set(kinds) == {*fields, "energy"}  # `energy`: always empty
+    assert [f.name for f in dataclasses.fields(Trace)] == fields
     assert traceio._TRACE_COLUMNS + traceio._ITERATE_COLUMNS == tuple(kinds)
 
 
@@ -662,7 +701,7 @@ def json_dumps_trace(meta, records):
     for rec in records:
         row = {"k": rec.k, "f_y": float(rec.f_y), "gap": opt(rec.gap, float),
                "grad_map_norm": float(rec.grad_map_norm),
-               "accepted": opt(rec.accepted, bool), "energy": opt(rec.energy, float)}
+               "accepted": opt(rec.accepted, bool), "energy": None}
         if meta.iterates:
             row.update(f_z=opt(rec.f_z, float), x=opt(rec.x, floats),
                        y=opt(rec.y, floats), grad_map=opt(rec.grad_map, floats))
@@ -732,8 +771,14 @@ class TestParallelWriter:
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_worker_exception_reaches_the_caller(self, tmp_path, fmt):
         problem, records = sample_records()
-        records[17].f_y = "not a number"
-        with many_spans(), pytest.raises(ValueError) as raised:
+
+        def refuse(value):
+            if value == records.f_y[17]:
+                raise ValueError("not a number")
+            return traceio._fmt(value)
+        kind = traceio._COLUMN_KINDS["f_y"]._replace(text=refuse, to_json=refuse)
+        with mock.patch.dict(traceio._COLUMN_KINDS, f_y=kind), many_spans(), \
+                pytest.raises(ValueError) as raised:
             write_trace(tmp_path / "trace", sample_meta(problem), records, fmt)
         assert type(raised.value) is ValueError
         assert isinstance(raised.value.__cause__, multiprocessing.pool.RemoteTraceback)
