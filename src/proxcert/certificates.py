@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import _FLOAT_MAX, DataCorruptionError, RejectedInputError, check_setting
 from .problems import Vector, as_vector
-from .solvers import Columns, Trace, bind_step
+from .solvers import IDENTITY_TOL, Columns, Trace, _first, bind_step
 
 CERTIFICATE_NAMES = (
     "energy_nonincreasing",
@@ -166,11 +166,6 @@ def _scalar(value):
 def _column(k):
     """k shaped to scale vectors along the last axis."""
     return np.asarray(k)[..., None]
-
-
-def _first(mask, values):
-    """The entry of `values` at the first true entry of `mask`, as a Python scalar."""
-    return np.ravel(values)[np.flatnonzero(mask)[0]].item()
 
 
 def _pow(base, exponent):
@@ -326,33 +321,6 @@ def _block_rows(dim: int) -> int:
     return max(1, _BLOCK_BYTES // (8 * dim))
 
 
-def _check(trace, shape: tuple) -> None:
-    """DataCorruptionError, naming the row, for a k out of sequence, a NaN
-    scalar, a vector whose shape is not `shape` (x*'s), or a NaN coordinate."""
-    k = trace.k
-    skipped = k != np.arange(len(k))
-    if np.any(skipped):
-        raise DataCorruptionError(
-            f"trace row {int(np.argmax(skipped))} has k = {_first(skipped, k)}; "
-            "k must run 0, 1, 2, ... (a row is missing, repeated or out of order)"
-        )
-    for name in ("f_y", "f_z", "grad_map_norm"):
-        nan = np.isnan(getattr(trace, name))
-        if np.any(nan):
-            raise DataCorruptionError(f"record k={_first(nan, k)} has {name} = nan")
-    for name in ("x", "y", "grad_map"):
-        vectors = getattr(trace, name)
-        if vectors.shape[1:] != shape:
-            raise DataCorruptionError(
-                f"record k={k[0]} has a {name} of shape {vectors.shape[1:]}; "
-                f"the problem's vectors have shape {shape}"
-            )
-        nan = np.isnan(vectors).any(axis=1)
-        if np.any(nan):
-            raise DataCorruptionError(
-                f"record k={_first(nan, k)} has a nan coordinate in {name}")
-
-
 class _Lines:
     """One block's certificate lines on a (row, name) grid, read in (k, name) order."""
 
@@ -394,16 +362,18 @@ def certify_trace(ctx: EnergyContext, trace,
                   variant: str = "mapm") -> CertificateTable:
     """Evaluate every applicable certificate on a recorded trace.
 
-    The trace must carry iterates (x, y, grad_map, f_z per record).  For mapm
-    traces all seven certificates run, gated as proved: prop2 and the linear
-    envelope need mu > 0, the linear envelope also needs s < 1/L and k >= k_alpha,
-    the sublinear envelope starts at k = 1.  apm traces keep the descent and
-    inertial checks; ista / strongly_convex_apm traces keep only the descent
-    check.  Skipped families are reported once with status "not_applicable".
-    Lines are sorted by (k, name).  A variant outside errors.VARIANTS is
-    rejected; a trace whose k does not run 0, 1, 2, ..., with a NaN f_y, f_z,
-    grad_map_norm or iterate coordinate, or with a vector of another shape
-    than the problem's (ctx.x_star's) is corrupt.
+    The trace must carry iterates: x and y, and the grad_map and f_z that
+    `run` records and `Trace.replayed` recomputes for a trace read from a file
+    (which stores neither).  For mapm traces all seven certificates run, gated
+    as proved: prop2 and the linear envelope need mu > 0, the linear envelope
+    also needs s < 1/L and k >= k_alpha, the sublinear envelope starts at
+    k = 1.  apm traces keep the descent and inertial checks; ista /
+    strongly_convex_apm traces keep only the descent check.  Skipped families
+    are reported once with status "not_applicable".  Lines are sorted by
+    (k, name).  A variant outside errors.VARIANTS is rejected; a trace that
+    `Trace.check` refuses against the problem's shape (ctx.x_star's) is
+    corrupt: its k does not run 0, 1, 2, ..., or it has a NaN f_y, f_z,
+    grad_map_norm or iterate coordinate, or a vector of another shape.
 
     `trace` is a Trace, or IterationRecord rows, which are tabulated first.
     Its columns are checked once, then certified in blocks of rows, each
@@ -414,7 +384,7 @@ def certify_trace(ctx: EnergyContext, trace,
     trace = Trace.from_records(trace)
     if not len(trace):
         return CertificateTable.from_rows([])
-    _check(trace, ctx.x_star.shape)
+    trace.check(ctx.x_star.shape)
     a, s, mu, L = ctx.alpha, ctx.s, ctx.mu, ctx.lipschitz
     pairs = variant in ("mapm", "apm")
     mapm = variant == "mapm"
@@ -454,7 +424,7 @@ def certify_trace(ctx: EnergyContext, trace,
             s, L, mu, x[:m], y[:m], G[:m], f_z[:m], f_y[:m]))
         if pairs:
             resid = inertial_residual(a, s, k[:p], x[:p], y[:p], x[1:], y[1:], G[:p])
-            tol = 1e-10 * (1.0 + np.sqrt(np.vecdot(x[:p], x[:p])))
+            tol = IDENTITY_TOL * (1.0 + np.sqrt(np.vecdot(x[:p], x[:p])))
             lines.put("inertial_identity", 0, resid, 0.0, tol)
         if mapm:
             e = energy(ctx, k, x, y, f_y)

@@ -235,6 +235,7 @@ def cmd_certify(args) -> int:
         raise ConfigurationError(
             "trace was produced on a different problem (content hash mismatch)"
         )
+    trace = trace.replayed(problem, config)
     ctx = _reference_context(args, problem, config)
     table = certify_trace(ctx, trace, variant=config.variant)
     write_report(args.report, table, args.format)

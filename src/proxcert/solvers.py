@@ -15,7 +15,9 @@ iteration and cached in the state; the mapm test compares cached values only.
 own stop rules: `run`, and both phases of `harness.reference_solution`.
 
 `run` returns a `Trace`, its records as columns, which the trace writer, the
-certificate engine and the CLI read as columns.
+certificate engine and the CLI read as columns.  A trace file stores x_k and
+y_k but not G_k or F(z_k): `Trace.replayed` recomputes both row by row with
+`prox_point`, the evaluation `iterate` makes, so they equal `run`'s bit for bit.
 
 The run contract is written once: `errors.SETTING_RULES` (each setting's rule),
 `bind_step` (s <= 1/L) and `SolverConfig.stops` (the stop rule of `run`, `certify`).
@@ -24,7 +26,7 @@ The run contract is written once: `errors.SETTING_RULES` (each setting's rule),
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product, repeat, starmap
 from typing import Optional
 
@@ -106,7 +108,10 @@ class IterationRecord:
 _DTYPES = {"k": np.int64, "f_y": np.float64, "grad_map_norm": np.float64,
            "gap": object, "accepted": object, "x": np.float64, "y": np.float64,
            "grad_map": np.float64, "f_z": np.float64}
-_ITERATES = ("x", "y", "grad_map", "f_z")  # the columns a trace may lack
+# Relative tolerance of a value that holds exactly in real arithmetic: the
+# inertial identity's residual (certificates) and a stored cell that replay
+# recomputes, each against 1 + its scale.
+IDENTITY_TOL = 1e-10
 
 
 class Columns:
@@ -152,9 +157,10 @@ class Trace(Columns):
 
     `k` is int64, `f_y`, `grad_map_norm` and `f_z` float64, `gap` and
     `accepted` object arrays, `x`, `y` and `grad_map` (n, d) float64; the last
-    four are None in a trace without iterates.  Indexing with an int and
-    iterating yield IterationRecord rows of Python values and read-only 1-D
-    views of the vectors; a slice is a Trace of views.
+    four are None in a trace without iterates, and `grad_map` and `f_z` in a
+    trace read from a file until `replayed` recomputes them.  Indexing with an
+    int and iterating yield IterationRecord rows of Python values and read-only
+    1-D views of the vectors; a slice is a Trace of views.
     """
 
     k: np.ndarray
@@ -183,21 +189,96 @@ class Trace(Columns):
         return cls(**columns)
 
     @classmethod
-    def from_records(cls, records, iterates: bool = True) -> "Trace":
-        """IterationRecord rows as a Trace, with the iterate columns if
-        `iterates`; a Trace that has what is asked for is returned as it is.
+    def from_records(cls, records, names=tuple(_DTYPES)) -> "Trace":
+        """IterationRecord rows as a Trace of the columns `names` (the others
+        None); a Trace that has each of them is returned as it is.
 
         A row without a value that a column requires is a RejectedInputError
         naming its k and the field.
         """
-        if isinstance(records, Trace) and (records.x is not None or not iterates):
+        if isinstance(records, Trace) and all(getattr(records, n) is not None
+                                              for n in names):
             return records
         rows = list(records)
-        names = [name for name in _DTYPES if iterates or name not in _ITERATES]
         for row, name in product(rows, names):
             if getattr(row, name) is None and _DTYPES[name] is not object:
                 raise RejectedInputError(f"record k={row.k} has no {name!r} value")
         return cls.join({name: [[getattr(row, name) for row in rows]] for name in names})
+
+    def check(self, shape: tuple) -> None:
+        """DataCorruptionError, naming the row, for a k out of sequence, a NaN
+        scalar, a vector whose shape is not `shape`, or a NaN coordinate; a
+        column the trace lacks is not checked."""
+        k = self.k
+        skipped = k != np.arange(len(k))
+        if np.any(skipped):
+            raise DataCorruptionError(
+                f"trace row {int(np.argmax(skipped))} has k = {_first(skipped, k)}; "
+                "k must run 0, 1, 2, ... (a row is missing, repeated or out of order)"
+            )
+        for name in ("f_y", "f_z", "grad_map_norm", "x", "y", "grad_map"):
+            column = getattr(self, name)
+            if column is None or not len(k):  # an empty trace's vectors may be 1-D
+                continue
+            if column.ndim == 2 and column.shape[1:] != shape:
+                raise DataCorruptionError(
+                    f"record k={k[0]} has a {name} of shape {column.shape[1:]}; "
+                    f"the problem's vectors have shape {shape}"
+                )
+            nan = np.isnan(column).reshape(len(k), -1).any(axis=1)
+            if np.any(nan):
+                what = f"a nan coordinate in {name}" if column.ndim == 2 else f"{name} = nan"
+                raise DataCorruptionError(f"record k={_first(nan, k)} has {what}")
+
+    def replayed(self, problem: CompositeProblem, config: SolverConfig) -> "Trace":
+        """The trace with `grad_map` and `f_z` recomputed from each row's x_k,
+        one row at a time by `prox_point` as `iterate` computes them, so they
+        equal `run`'s bit for bit (a batched gradient would not).
+
+        The columns are checked first (`check`).  Each stored cell derived
+        from G_k or F(z_k) must agree with them, within IDENTITY_TOL relative
+        to 1 + its scale, else a DataCorruptionError names k and the field:
+        `grad_map_norm` with ||G_k||, and for mapm `accepted` with the
+        decision F(z_k) <= F(y_k), which is not judged where the two differ
+        by no more than the tolerance (another BLAS build may decide
+        otherwise there).  A y_0 other than x_0 is corrupt too.  A trace
+        without iterates cannot be replayed (RejectedInputError).
+        """
+        if self.x is None:
+            raise RejectedInputError("a trace without iterates cannot be replayed")
+        self.check((problem.dim,))
+        s = bind_step(problem.smooth.lipschitz, config.step)
+        grad_map, f_z = np.empty((len(self), problem.dim)), np.empty(len(self))
+        for i, x in enumerate(self.x):
+            _, grad_map[i], f_z[i] = prox_point(problem, s, x)
+        gnorm, stored = np.sqrt(np.vecdot(grad_map, grad_map)), self.grad_map_norm
+        _require_agreement(self.k, "grad_map_norm", stored, "||G_k||", gnorm,
+                           np.abs(stored - gnorm) <= IDENTITY_TOL * (1.0 + gnorm))
+        if len(self) and not np.array_equal(self.x[0], self.y[0]):
+            raise DataCorruptionError("record k=0 has a y other than its x; "
+                                      "a run starts from y_0 = x_0")
+        if config.variant == "mapm":
+            f_y = self.f_y
+            accepts = f_z <= f_y
+            tie = np.abs(f_z - f_y) <= IDENTITY_TOL * (1.0 + np.abs(f_y))
+            _require_agreement(self.k, "accepted", self.accepted, "F(z_k) <= F(y_k)",
+                               accepts, (self.accepted == accepts) | tie & np.isfinite(f_y))
+        return replace(self, grad_map=grad_map, f_z=f_z)
+
+
+def _first(mask, values):
+    """The entry of `values` at the first true entry of `mask`, as a Python scalar."""
+    return np.ravel(values)[np.flatnonzero(mask)[0]].item()
+
+
+def _require_agreement(k, name: str, stored, what: str, replayed, agrees) -> None:
+    """DataCorruptionError naming the first row whose stored `name` does not
+    agree with `what`, its value in the replay."""
+    if not np.all(agrees):
+        i = int(np.argmin(agrees))
+        raise DataCorruptionError(
+            f"record k={k[i]} has {name} {stored[i:i + 1].tolist()[0]!r}, but its x "
+            f"gives {what} = {replayed[i:i + 1].tolist()[0]!r}")
 
 
 def _array(name: str, parts: list, dtype, k) -> np.ndarray:
@@ -300,6 +381,14 @@ def step(config: SolverConfig, beta, state: SolverState, z: Vector,
     return SolverState(k=k + 1, x=x, y=y, f_y=f_y)
 
 
+def prox_point(problem: CompositeProblem, s: float, x: Vector):
+    """(z, G, F(z)) at x = x_k: the prox point, the gradient mapping and F
+    there, unchecked.  `iterate` and `Trace.replayed` both evaluate a row
+    with it, so their values agree bit for bit."""
+    z, G = prox_gradient(problem, s, x)
+    return z, G, problem.value(z)
+
+
 def iterate(problem: CompositeProblem, config: SolverConfig, x0):
     """Yield (state_k, z_k, G_k, F(z_k)) for k = 0, 1, ... from x_0 = y_0.
 
@@ -311,8 +400,8 @@ def iterate(problem: CompositeProblem, config: SolverConfig, x0):
     beta = momentum(problem, config)
     state = SolverState(k=0, x=x0, y=x0, f_y=problem.value(x0))
     while True:
-        z, G = prox_gradient(problem, s, state.x)
-        f_z = require_finite(state.k, "F(z_k)", problem.value(z))
+        z, G, f_z = prox_point(problem, s, state.x)
+        require_finite(state.k, "F(z_k)", f_z)
         yield state, z, G, f_z
         state = step(config, beta, state, z, f_z)
 

@@ -2,10 +2,16 @@
 
 Each file is a table of columns in CSV or JSON lines.  Traces and reports are
 versioned so the certificate engine refuses incompatible files instead of
-misreading columns: CSV files start with `# proxcert-trace v1` (reports with
+misreading columns: CSV files start with `# proxcert-trace v2` (reports with
 `# proxcert-report v1`), JSON-lines files with a header object carrying
 schema_version.  Floats are written as their shortest round-trip decimals, so
 a re-parsed trace certifies identically.
+
+A trace (v2) stores what the run chose, `k`, `f_y`, `gap`, `grad_map_norm`
+and `accepted`, and with iterates `x` and `y`.  G_k and F(z_k) are not
+stored: `solvers.Trace.replayed` recomputes them from x_k bit for bit and
+checks the cells derived from them.  A v1 trace is still read; its extra
+columns (`f_z`, `grad_map` and the always-empty `energy`) are not.
 
 Each column has a kind, which says once how its values are written as CSV
 cells and JSON values and how each is read back and checked.  `_COLUMN_KINDS`
@@ -47,13 +53,16 @@ from .errors import (_FLOAT_MAX, SETTING_RULES, ConfigurationError, DataCorrupti
                      check_setting)
 from .solvers import SolverConfig, Trace
 
-TRACE_MAGIC = "# proxcert-trace v1"
+SCHEMA_VERSION = 2  # the trace version written
+TRACE_MAGIC = f"# proxcert-trace v{SCHEMA_VERSION}"
+# Each trace version read, by the first line of its CSV file.
+_TRACE_VERSIONS = {f"# proxcert-trace v{version}": version for version in (1, 2)}
 REPORT_MAGIC = "# proxcert-report v1"
-SCHEMA_VERSION = 1
+_REPORT_SCHEMA_VERSION = 1
 
-# Characters of a file read per block: about the 128 KB of float64 per
-# iterate column that certification stacks (certificates._BLOCK_BYTES), at
-# about 20 characters per coordinate in each of a trace's three vector columns.
+# Characters of a file read per block: at about 20 characters per coordinate,
+# some 128 KB of float64 (certificates._BLOCK_BYTES) in each of a v1 trace's
+# three vector columns, and some 200 KB in each of a v2 trace's two.
 _BLOCK_TEXT = 1 << 20
 # Numbers (scalar cells and vector coordinates) per span of trace rows that
 # one encoder call formats; a trace of two or more spans is formatted on every
@@ -174,17 +183,16 @@ _VECTOR = _Kind("a list of numbers", False, _fmt_vector, _parse_vectors,
                 lambda value: (isinstance(value, list)
                                and all(map(_FLOAT.is_json, value))))
 
-# Every trace column, in file order, with the kind of its values; each but
-# `energy` (written empty, read but not kept) names a Trace column.  The last
-# four, the iterate columns, are written only when meta.iterates is set, and
-# then every row has each of them.
+# Every trace column, in file order, with the kind of its values; each names
+# a Trace column.  The vector columns, the iterates, are written only when
+# meta.iterates is set, and then every row has each of them.
 _COLUMN_KINDS = {
     "k": _INT, "f_y": _FLOAT, "gap": _OPT_FLOAT, "grad_map_norm": _FLOAT,
-    "accepted": _OPT_BOOL, "energy": _OPT_FLOAT,
-    "f_z": _FLOAT, "x": _VECTOR, "y": _VECTOR, "grad_map": _VECTOR,
+    "accepted": _OPT_BOOL, "x": _VECTOR, "y": _VECTOR,
 }
-_TRACE_COLUMNS = tuple(_COLUMN_KINDS)[:-4]
-_ITERATE_COLUMNS = tuple(_COLUMN_KINDS)[-4:]
+_ITERATE_COLUMNS = tuple(name for name, kind in _COLUMN_KINDS.items()
+                         if kind is _VECTOR)
+_TRACE_COLUMNS = tuple(name for name in _COLUMN_KINDS if name not in _ITERATE_COLUMNS)
 
 
 def _json_float(x: float):
@@ -252,29 +260,28 @@ def _encoder(what: str, fmt: str) -> Callable:
 
 def write_trace(path, meta: TraceMeta, records, fmt: str = "csv") -> None:
     """Write one row per record of a Trace (or of IterationRecord rows, through
-    `Trace.from_records`); iterates included per meta.iterates.  Like
+    `Trace.from_records`); iterates included per meta.iterates.  The file is
+    of version SCHEMA_VERSION whatever meta.schema_version says.  Like
     read_trace, refuses bad settings (ConfigurationError) and a record without
     a value its column requires (RejectedInputError naming k)."""
     encode = _encoder("trace", fmt)
     meta.config()
-    trace = Trace.from_records(records, meta.iterates)
     names = _columns(meta.iterates)
+    trace = Trace.from_records(records, names)
+    header = {**asdict(meta), "schema_version": SCHEMA_VERSION}
     if fmt == "csv":
-        header = (f"{TRACE_MAGIC}\n# meta {json.dumps(asdict(meta))}\n"
-                  f"{','.join(names)}\r\n")
+        header = f"{TRACE_MAGIC}\n# meta {json.dumps(header)}\n{','.join(names)}\r\n"
     else:
-        header = json.dumps({"format": "proxcert-trace", **asdict(meta)}) + "\n"
+        header = json.dumps({"format": "proxcert-trace", **header}) + "\n"
     with open(path, "wb") as fh:
         fh.write(header.encode())
         _write_rows(fh, encode, trace, meta.iterates)
 
 
 def _span_bytes(encode, trace: Trace, iterates: bool) -> bytes:
-    """The trace rows of a Trace (a span of one), from its columns' values;
-    `energy`, which no Trace holds, is written empty."""
+    """The trace rows of a Trace (a span of one), from its columns' values."""
     names = _columns(iterates)
-    columns = [[None] * len(trace) if column is None else column.tolist()
-               for column in (getattr(trace, name, None) for name in names)]
+    columns = [getattr(trace, name).tolist() for name in names]
     return encode(names, [_COLUMN_KINDS[name] for name in names], columns).encode()
 
 
@@ -312,9 +319,11 @@ def _write_rows(fh, encode, trace: Trace, iterates: bool) -> None:
 def _span_rows(trace: Trace, iterates: bool) -> int:
     """Rows per span: about _SPAN_COORDS numbers, each vector cell counting
     its coordinates."""
-    width = len(_columns(iterates))
-    if iterates and len(trace):
-        width += 3 * (trace.x[0].size - 1)
+    names = _columns(iterates)
+    width = len(names)
+    vectors = sum(_COLUMN_KINDS[name] is _VECTOR for name in names)
+    if vectors and len(trace):
+        width += vectors * (trace.x.shape[1] - 1)
     return max(1, _SPAN_COORDS // width)
 
 
@@ -344,20 +353,22 @@ def _encode_span(span) -> bytes:
 
 
 def read_trace(path):
-    """Parse a trace file (either format); returns (TraceMeta, Trace)."""
+    """Parse a trace file (either format, v1 or v2); returns (TraceMeta, Trace).
+
+    The Trace has no `grad_map` or `f_z`: `Trace.replayed` recomputes them."""
     with open(path, newline="") as fh:
         first = fh.readline().rstrip("\n")
         if not first.startswith("#"):
             header = json.loads(first)
             if not isinstance(header, dict) or header.get("format") != "proxcert-trace":
                 raise ConfigurationError("file is not a proxcert trace")
-            if header.get("schema_version") != SCHEMA_VERSION:  # before other keys
+            if not _readable(header.get("schema_version")):  # before other keys
                 raise ConfigurationError(
                     f"unsupported trace schema_version {header.get('schema_version')!r}")
             meta = _meta_from_dict(header)
             decode, first_line = _jsonl_blocks, 2
         else:
-            if first != TRACE_MAGIC:
+            if first not in _TRACE_VERSIONS:
                 raise ConfigurationError(
                     f"unsupported trace header {first!r}; expected {TRACE_MAGIC!r}"
                 )
@@ -365,9 +376,13 @@ def read_trace(path):
             if not meta_line.startswith("# meta "):
                 raise ConfigurationError("malformed trace file header")
             meta = _meta_from_dict(json.loads(meta_line[len("# meta "):]))
+            if meta.schema_version != _TRACE_VERSIONS[first]:
+                raise ConfigurationError(
+                    f"trace metadata schema_version must be {_TRACE_VERSIONS[first]} "
+                    f"under {first!r}, got {meta.schema_version!r}")
             decode, first_line = _csv_blocks, 3
         kinds = {name: _COLUMN_KINDS[name] for name in _columns(meta.iterates)}
-        pieces = {name: [] for name in kinds if name != "energy"}
+        pieces = {name: [] for name in kinds}
         for _, columns in decode("trace", fh, first_line, kinds):
             block = Trace.join({name: [values] for name, values in columns.items()})
             for name, parts in pieces.items():
@@ -375,11 +390,16 @@ def read_trace(path):
     return meta, Trace.join(pieces)
 
 
+def _readable(version) -> bool:
+    """Whether a trace's schema_version is one this reader takes."""
+    return type(version) is int and version in _TRACE_VERSIONS.values()
+
+
 # Checks of the trace metadata beyond its run settings (TraceMeta.config): key,
 # what its value must be, and the test.
 _META_RULES = {
     "iterates": ("true or false", lambda v: type(v) is bool),
-    "schema_version": (str(SCHEMA_VERSION), lambda v: v == SCHEMA_VERSION),
+    "schema_version": ("1 or 2", _readable),
 }
 
 
@@ -502,7 +522,7 @@ def write_report(path, reports, fmt: str = "csv") -> None:
         header = f"{REPORT_MAGIC}\n{','.join(_REPORT_COLUMNS)}\r\n"
     else:
         header = json.dumps({"format": "proxcert-report",
-                             "schema_version": SCHEMA_VERSION}) + "\n"
+                             "schema_version": _REPORT_SCHEMA_VERSION}) + "\n"
     if not isinstance(reports, CertificateTable):
         reports = CertificateTable.from_rows(reports)
     kinds = tuple(_REPORT_KINDS.values())

@@ -403,7 +403,8 @@ class TestCertifyTrace:
                              grad_map_tol=0.0)
             write_trace(path, meta, records, fmt)
             _, parsed = read_trace(path)
-            reparsed = certify_trace(ctx, parsed, variant="mapm")
+            reparsed = certify_trace(ctx, parsed.replayed(p, meta.config()),
+                                     variant="mapm")
             assert len(direct) == len(reparsed)
             for a, b in zip(direct, reparsed):
                 assert (a.k, a.name, a.status, a.passed) == (b.k, b.name,

@@ -8,13 +8,15 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from proxcert import cli, random_lasso, random_quadratic
+from proxcert import cli, random_lasso, random_quadratic, run, traceio
 from proxcert.cli import main
 from proxcert.errors import SETTING_RULES
 from proxcert.traceio import read_report, read_trace
@@ -334,7 +336,7 @@ class TestCorruptTraceExits3:
         assert certify_cli(trace, tmp_path) == 3
         assert "has k = 8" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("column", ["f_y", "f_z", "grad_map_norm"])
+    @pytest.mark.parametrize("column", ["f_y", "grad_map_norm"])
     def test_nan_scalar(self, tmp_path, capsys, column):
         trace = short_trace(tmp_path)
 
@@ -345,7 +347,7 @@ class TestCorruptTraceExits3:
         assert certify_cli(trace, tmp_path) == 3
         assert f"k=12 has {column} = nan" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("column", ["x", "y", "grad_map"])
+    @pytest.mark.parametrize("column", ["x", "y"])
     def test_vector_of_wrong_length(self, tmp_path, capsys, column):
         trace = short_trace(tmp_path)
 
@@ -370,7 +372,7 @@ class TestCorruptTraceExits3:
     @pytest.mark.parametrize("key", [
         "k", "f_y", "grad_map_norm", None,
         # the writer gives every row each key, null where the value is empty
-        "gap", "accepted", "energy", "f_z",
+        "gap", "accepted", "x", "y",
     ])
     def test_jsonl_row_without_field(self, tmp_path, capsys, key):
         trace = short_trace(tmp_path, "jsonl")
@@ -414,7 +416,7 @@ class TestCorruptTraceExits3:
         assert (f"trace line {line}: field 'k' must be an integer, got "
                 in capsys.readouterr().err)
 
-    @pytest.mark.parametrize("column", ["x", "y", "grad_map"])
+    @pytest.mark.parametrize("column", ["x", "y"])
     def test_nan_coordinate(self, tmp_path, capsys, column):
         trace = short_trace(tmp_path)
 
@@ -440,11 +442,10 @@ class TestCorruptTraceExits3:
         for i, line in enumerate(lines[start:], start):
             if fmt == "csv":
                 cells = line.split(",")
-                lines[i] = ",".join(cells[:-3] + [c.rsplit(";", 1)[0] for c in cells[-3:]])
+                lines[i] = ",".join(cells[:-2] + [c.rsplit(";", 1)[0] for c in cells[-2:]])
             else:
                 row = json.loads(line)
-                lines[i] = json.dumps({**row, **{c: row[c][:-1]
-                                                 for c in ("x", "y", "grad_map")}})
+                lines[i] = json.dumps({**row, **{c: row[c][:-1] for c in ("x", "y")}})
         trace.write_text("\n".join(lines) + "\n")
         if meta_dim is not None:
             edit_meta(trace, fmt, lambda meta: {**meta, "dim": meta_dim})
@@ -537,18 +538,16 @@ class TestCorruptTraceExits3:
 
     @pytest.mark.parametrize("key, value, expected", [
         ("f_y", True, "must be a number, got True"),
-        ("f_z", "1", "must be a number, got '1'"),
         ("grad_map_norm", "1", "must be a number, got '1'"),
         ("gap", False, "must be a number, got False"),
         ("k", True, "must be an integer, got True"),
         ("x", "1.0", "must be a list of numbers"),
         ("y", [[0.0]] * 5, "must be a list of numbers"),
         # a null iterate: certify called the record one "with no stored iterates"
-        ("f_z", None, "must be a number, got None"),
-        ("grad_map", None, "must be a list of numbers, got None"),
+        ("y", None, "must be a list of numbers, got None"),
         # an int too large for a float: it ended in an OverflowError traceback
         *[(key, BIG_INT, "must be a number, got 1000000000")
-          for key in ("f_y", "gap", "grad_map_norm", "energy", "f_z")],
+          for key in ("f_y", "gap", "grad_map_norm")],
     ], ids=setting_id)
     def test_jsonl_field_not_a_number(self, tmp_path, capsys, key, value, expected):
         trace = short_trace(tmp_path, "jsonl")
@@ -560,7 +559,7 @@ class TestCorruptTraceExits3:
         assert certify_cli(trace, tmp_path) == 3
         assert f"trace line 7: field {key!r} {expected}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("column", ["x", "y", "grad_map"])
+    @pytest.mark.parametrize("column", ["x", "y"])
     @pytest.mark.parametrize("entry", [True, "0.5", None, BIG_INT], ids=setting_id)
     def test_jsonl_vector_entry_not_a_number(self, tmp_path, capsys, column, entry):
         trace = short_trace(tmp_path, "jsonl")
@@ -579,13 +578,10 @@ class TestCorruptTraceExits3:
         ("gap", "abc", "a number"),
         ("grad_map_norm", "", "a number"),
         ("accepted", "maybe", "true or false"),
-        ("energy", "abc", "a number"),
-        ("f_z", "1.0.0", "a number"),
         ("x", "abc", "a list of numbers"),
         # an empty iterate cell: certify called the record one "with no stored
         # iterates"
-        ("f_z", "", "a number"),
-        ("grad_map", "", "a list of numbers"),
+        ("y", "", "a list of numbers"),
         # float() and int() read these cells, but no writer emits them
         ("f_y", "1_0", "a number"),
         ("k", "1_0", "an integer"),
@@ -644,6 +640,115 @@ class TestCorruptTraceExits3:
             return rows
         edit_csv_rows(trace, infeasible_start)
         assert certify_cli(trace, tmp_path) == 0
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @pytest.mark.parametrize("column, k, edit, message", [
+        ("grad_map_norm", 10, lambda v: 2.0 * v, "record k=10 has grad_map_norm"),
+        ("accepted", 10, lambda v: not v, "record k=10 has accepted"),
+        ("y", 0, lambda v: [v[0] + 0.5] + v[1:], "record k=0 has a y other than its x"),
+    ], ids=["grad_map_norm_doubled", "accepted_flipped", "y0_not_x0"])
+    def test_cell_that_disagrees_with_the_replay(self, tmp_path, capsys, fmt, column,
+                                                 k, edit, message):
+        # certify recomputes G_k and F(z_k) from x_k: each of these edits exited 0
+        trace = short_trace(tmp_path, fmt)
+        edit_cell(trace, fmt, k, column, edit)
+        assert certify_cli(trace, tmp_path) == 3
+        assert message in capsys.readouterr().err
+
+
+def edit_cell(trace, fmt, k, column, edit):
+    """Rewrite the `column` cell of row k through edit(value), the value as a
+    JSON-lines row holds it."""
+    if fmt == "jsonl":
+        lines = trace.read_text().splitlines()
+        row = json.loads(lines[k + 1])
+        row[column] = edit(row[column])
+        lines[k + 1] = json.dumps(row)
+        trace.write_text("\n".join(lines) + "\n")
+        return
+
+    def change(rows):
+        cell = rows[k][column]
+        if ";" in cell:
+            rows[k][column] = traceio._fmt_vector(edit([float(c) for c in cell.split(";")]))
+        else:
+            rows[k][column] = traceio._fmt(edit(json.loads(cell)))
+        return rows
+    edit_csv_rows(trace, change)
+
+
+# The columns of a v1 trace, which also stored G_k, F(z_k) and an empty `energy`.
+V1_COLUMNS = ["k", "f_y", "gap", "grad_map_norm", "accepted", "energy", "f_z", "x", "y",
+              "grad_map"]
+
+
+def write_v1_trace(path, fmt, meta, trace):
+    """A run's Trace as a v1 trace, whose G_k and F(z_k) are run()'s own."""
+    header = {**asdict(meta), "schema_version": 1}
+    rows = [{**asdict(row), "energy": None} for row in trace]
+    if fmt == "csv":
+        def cell(value):
+            if isinstance(value, np.ndarray):
+                return traceio._fmt_vector(value.tolist())
+            return traceio._fmt(value)
+        lines = [",".join(V1_COLUMNS)] + [",".join(cell(row[c]) for c in V1_COLUMNS)
+                                          for row in rows]
+        text = (f"# proxcert-trace v1\n# meta {json.dumps(header)}\n"
+                + "".join(line + "\r\n" for line in lines))
+    else:
+        lines = [{"format": "proxcert-trace", **header}] + [
+            {c: row[c].tolist() if isinstance(row[c], np.ndarray) else row[c]
+             for c in V1_COLUMNS} for row in rows]
+        text = "".join(json.dumps(line) + "\n" for line in lines)
+    path.write_text(text, newline="")
+
+
+class TestTraceVersions:
+    """v2 traces store x and y but not G_k or F(z_k); v1 traces are still read."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_v1_trace_certifies_to_the_bytes_of_its_v2_rewrite(self, tmp_path, fmt):
+        v2, v1 = tmp_path / f"v2.{fmt}", tmp_path / f"v1.{fmt}"
+        assert run_cli(*quadratic_run_args(v2, ("--format", fmt))) == 0
+        meta, _ = read_trace(v2)
+        problem = cli.build_problem_from_spec(meta.problem)
+        write_v1_trace(v1, fmt, meta, run(problem, meta.config(), np.zeros(problem.dim)))
+        assert read_trace(v1)[0].schema_version == 1
+        reports = []
+        for trace in (v2, v1):
+            reports.append(tmp_path / f"report-{trace.stem}.{fmt}")
+            assert run_cli("certify", "--trace", str(trace), "--format", fmt,
+                           "--report", str(reports[-1])) == 0
+        assert reports[0].read_bytes() == reports[1].read_bytes()
+        # a v1 trace's f_z and grad_map cells are no longer read
+        for column in ("f_z", "grad_map"):
+            if fmt == "csv":
+                edit_csv_rows(v1, lambda rows: [{**rows[0], column: "abc"}] + rows[1:])
+            else:
+                edit_cell(v1, fmt, 0, column, lambda value: "abc")
+        assert run_cli("certify", "--trace", str(v1), "--format", fmt,
+                       "--report", str(reports[1])) == 0
+        assert reports[0].read_bytes() == reports[1].read_bytes()
+
+    def test_trace_is_written_as_v2(self, tmp_path):
+        trace = short_trace(tmp_path)
+        lines = trace.read_text().splitlines()
+        assert lines[0] == "# proxcert-trace v2"
+        assert json.loads(lines[1][len("# meta "):])["schema_version"] == 2
+        assert lines[2] == "k,f_y,gap,grad_map_norm,accepted,x,y"
+
+    @pytest.mark.parametrize("fmt, version, message", [
+        ("jsonl", 3, "unsupported trace schema_version 3"),
+        ("jsonl", True, "unsupported trace schema_version True"),
+        ("csv", 1, "schema_version must be 2 under '# proxcert-trace v2', got 1"),
+        ("csv", 3, "trace metadata schema_version must be 1 or 2, got 3"),
+    ])
+    def test_unknown_or_mismatched_version_exits_2(self, tmp_path, capsys, fmt, version,
+                                                   message):
+        trace = short_trace(tmp_path, fmt)
+        edit_meta(trace, fmt, lambda meta: {**meta, "schema_version": version})
+        assert certify_cli(trace, tmp_path) == 2
+        assert message in capsys.readouterr().err
 
 
 class TestCompareCommand:
@@ -1065,17 +1170,18 @@ NAN = {"csv": "nan", "jsonl": float("nan")}
 NON_NUMBERS = {"csv": ["abc", "", "1.0.0", "0x1p3", "1e", "--1"],
                "jsonl": ["abc", None, True, "1.0", [1.0]]}
 # The columns a trace with iterates has a value for in every row.
-REQUIRED_COLUMNS = ["k", "f_y", "grad_map_norm", "f_z", "x", "y", "grad_map"]
+REQUIRED_COLUMNS = ["k", "f_y", "grad_map_norm", "x", "y"]
 
 
 @st.composite
 def mutated_trace(draw, text, fmt):
-    """(kind, text): a trace's text with one structural fault of that kind: a
-    row dropped, duplicated or swapped, the last 1 to n - 1 rows dropped (a run
+    """(kind, text): a trace's text with one fault of that kind: a row
+    dropped, duplicated or swapped, the last 1 to n - 1 rows dropped (a run
     stops only at max_iters or at the grad_map_tol test, so a shorter trace is
     not valid), cells cut from a row, a ragged vector cell, a coordinate that
     is not a number or is nan, a renamed column, a required cell left empty
-    (a JSON null), or every vector one coordinate short."""
+    (a JSON null), every vector one coordinate short, or a derived cell that
+    replay recomputes: a grad_map_norm doubled or an accepted flipped."""
     lines = text.splitlines()
     if fmt == "csv":
         header, columns = lines[:2], lines[2].split(",")
@@ -1092,7 +1198,7 @@ def mutated_trace(draw, text, fmt):
     n = len(rows)
     kind = draw(st.sampled_from(["drop", "duplicate", "swap", "truncate", "cut",
                                  "ragged", "non_number", "nan", "rename", "blank",
-                                 "shrink"]))
+                                 "shrink", "double_gnorm", "flip_accepted"]))
     i = draw(st.integers(0, n - 1))
     if kind == "drop":
         del rows[draw(st.integers(0, n - 2))]
@@ -1113,10 +1219,18 @@ def mutated_trace(draw, text, fmt):
     elif kind == "shrink":
         j = draw(st.integers(0, len(coords(rows[0][columns.index("x")])) - 1))
         for row in rows:
-            for col in map(columns.index, ("x", "y", "grad_map")):
+            for col in map(columns.index, ("x", "y")):
                 row[col] = vector(coords(row[col])[:j] + coords(row[col])[j + 1:])
+    elif kind == "double_gnorm":
+        col = columns.index("grad_map_norm")
+        doubled = 2.0 * float(rows[i][col])
+        rows[i][col] = repr(doubled) if fmt == "csv" else doubled
+    elif kind == "flip_accepted":
+        col = columns.index("accepted")
+        rows[i][col] = {"true": "false", "false": "true", True: False,
+                        False: True}[rows[i][col]]
     else:
-        col = columns.index(draw(st.sampled_from(["x", "y", "grad_map"])))
+        col = columns.index(draw(st.sampled_from(["x", "y"])))
         cell = coords(rows[i][col])
         j = draw(st.integers(0, len(cell) - 1))
         if kind == "nan":

@@ -9,6 +9,7 @@ import pytest
 from proxcert import (
     CompositeProblem,
     ConfigurationError,
+    DataCorruptionError,
     ReferenceUnavailableError,
     RejectedInputError,
     SolverConfig,
@@ -26,6 +27,7 @@ from proxcert import (
     random_quadratic,
     reference_solution,
     attach_reference,
+    generate_suite,
     run,
     solvers,
     step,
@@ -385,6 +387,100 @@ class TestRunBitIdentity:
                 assert (rec.k, rec.f_y, rec.grad_map_norm, rec.f_z) == (k, f_y, gnorm, f_z)
                 for got, want in ((rec.x, x), (rec.y, y), (rec.grad_map, big_g)):
                     assert np.array_equal(bits(got), bits(want)), (variant, k)
+
+
+def applicable_variants(problem):
+    return [v for v in VARIANTS if v != "strongly_convex_apm"
+            or problem.smooth.strong_convexity > 0.0]
+
+
+@pytest.fixture(scope="module")
+def suite():
+    return generate_suite(20260808)
+
+
+def same_bits(got, want):
+    """Equal values and equal signs, so that -0.0 and 0.0 differ."""
+    return np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestReplay:
+    """`Trace.replayed` recomputes a trace file's G_k and F(z_k) from x_k."""
+
+    @pytest.mark.parametrize("index", range(21), ids=lambda i: f"suite-{i}")
+    def test_replay_equals_run(self, suite, index):
+        # one GEMV per row, as `iterate` evaluates it: a batched gradient
+        # changes the last bits.  (A trace read from a file holds the same
+        # x_k: tests/test_traceio.py replays one.)
+        problem = suite[index]
+        for variant in applicable_variants(problem):
+            config = SolverConfig(variant=variant, step=0.5 / problem.smooth.lipschitz,
+                                  max_iters=300)
+            trace = run(problem, config, np.zeros(problem.dim))
+            replayed = dataclasses.replace(trace, grad_map=None, f_z=None).replayed(
+                problem, config)
+            assert same_bits(replayed.grad_map, trace.grad_map), (problem.name, variant)
+            assert same_bits(replayed.f_z, trace.f_z), (problem.name, variant)
+
+    @staticmethod
+    def mapm_trace():
+        problem = random_quadratic(3, 5, 10)
+        config = SolverConfig(variant="mapm", max_iters=20)
+        return problem, config, run(problem, config, np.zeros(5))
+
+    @pytest.mark.parametrize("edit, agrees", [
+        ("double", False), (2e-10, False), (-2e-10, False), (0.5e-10, True)])
+    def test_grad_map_norm_off_the_replayed_norm(self, edit, agrees):
+        # a number: the stored norm moves by that many times 1 + ||G_k||
+        problem, config, trace = self.mapm_trace()
+        norm = float(trace.grad_map_norm[10])
+        stored = 2.0 * norm if edit == "double" else norm + edit * (1.0 + norm)
+        trace.grad_map_norm[10] = stored
+        if agrees:  # within 1e-10 (1 + ||G_k||)
+            trace.replayed(problem, config)
+            return
+        with pytest.raises(DataCorruptionError, match=re.escape(
+                f"record k=10 has grad_map_norm {stored!r}, but its x gives ||G_k|| = ")):
+            trace.replayed(problem, config)
+
+    def test_every_flipped_accepted(self):
+        problem, config, trace = self.mapm_trace()
+        for i in range(len(trace)):
+            flipped = dataclasses.replace(trace, accepted=trace.accepted.copy())
+            flipped.accepted[i] = not flipped.accepted[i]
+            with pytest.raises(DataCorruptionError, match=re.escape(
+                    f"record k={i} has accepted {flipped.accepted[i]!r}, but its x gives "
+                    f"F(z_k) <= F(y_k) = {trace.accepted[i]!r}")):
+                flipped.replayed(problem, config)
+        # apm steps on without the test, so its records' `accepted` is not judged
+        dataclasses.replace(trace, accepted=np.full(len(trace), None)).replayed(
+            problem, dataclasses.replace(config, variant="apm"))
+
+    @pytest.mark.parametrize("gap, judged", [(1e-6, True), (1e-12, False)])
+    def test_accepted_is_not_judged_where_f_z_ties_f_y(self, gap, judged):
+        # where F(z_k) and F(y_k) differ by at most 1e-10 (1 + |F(y_k)|), another
+        # BLAS build may take the other decision
+        problem, config, trace = self.mapm_trace()
+        f_z = trace.f_z[10]
+        trace.f_y[10] = f_z - gap * (1.0 + abs(f_z))
+        trace.accepted[10] = True  # F(z_k) > F(y_k) rejects
+        if judged:
+            with pytest.raises(DataCorruptionError, match="record k=10 has accepted True"):
+                trace.replayed(problem, config)
+        else:
+            trace.replayed(problem, config)
+
+    def test_y0_other_than_x0(self):
+        problem, config, trace = self.mapm_trace()
+        trace.y[0, 2] = 1e-300
+        with pytest.raises(DataCorruptionError, match="record k=0 has a y other than its x"):
+            trace.replayed(problem, config)
+
+    def test_trace_without_iterates(self):
+        problem, config, trace = self.mapm_trace()
+        bare = dataclasses.replace(trace, x=None, y=None, grad_map=None, f_z=None)
+        with pytest.raises(RejectedInputError, match="without iterates"):
+            bare.replayed(problem, config)
 
 
 def checked_reference(problem, budget):

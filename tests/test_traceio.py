@@ -66,6 +66,8 @@ def test_trace_round_trip_is_exact(tmp_path, fmt):
     path = tmp_path / f"trace.{fmt}"
     write_trace(path, meta, records, fmt)
     meta2, records2 = read_trace(path)
+    assert records2.grad_map is None and records2.f_z is None  # not stored ...
+    records2 = records2.replayed(problem, meta2.config())  # ... but recomputed
 
     assert meta2 == meta
     assert len(records2) == len(records)
@@ -93,8 +95,12 @@ def test_rows_are_python_values_however_the_trace_was_made(tmp_path, fmt):
     problem, trace = sample_records()
     trace.gap[0] = None  # mixed None rows in both optional columns
     trace.accepted[1] = None
-    write_trace(tmp_path / "trace", sample_meta(problem), trace, fmt)
-    made = [trace, read_trace(tmp_path / "trace")[1], Trace.from_records(list(trace))]
+    meta = sample_meta(problem)
+    write_trace(tmp_path / "trace", meta, trace, fmt)
+    # replayed as apm, which does not judge `accepted`: row 1 has none
+    read = read_trace(tmp_path / "trace")[1].replayed(
+        problem, dataclasses.replace(meta.config(), variant="apm"))
+    made = [trace, read, Trace.from_records(list(trace))]
     expected = list(map(row_values, trace))
     for each in made:
         assert isinstance(each, Trace) and len(each) == 31
@@ -187,7 +193,8 @@ def test_report_round_trip(tmp_path, fmt):
 
 
 def test_schema_version_constant():
-    assert SCHEMA_VERSION == 1
+    assert SCHEMA_VERSION == 2
+    assert traceio.TRACE_MAGIC == "# proxcert-trace v2"
 
 
 def old_fmt_vector(v):
@@ -307,8 +314,7 @@ def test_csv_trace_bytes_equal_the_csv_module(tmp_path):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
-@pytest.mark.parametrize("column", ["k", "f_y", "grad_map_norm", "f_z", "x", "y",
-                                    "grad_map", None])
+@pytest.mark.parametrize("column", ["k", "f_y", "grad_map_norm", "x", "y", None])
 def test_writer_refuses_what_the_reader_refuses(tmp_path, fmt, column):
     # an empty iterate cell was written, and read back as a record that
     # certify called one "with no stored iterates"
@@ -474,12 +480,27 @@ class TestCertificateTable:
 
 
 def test_column_table_names_every_record_field_in_file_order():
-    # A record field added without a column would silently drop out of traces.
+    # A record field added without a column would silently drop out of traces;
+    # grad_map and f_z are not stored, since replay recomputes them from x.
     kinds = traceio._COLUMN_KINDS
     fields = [f.name for f in dataclasses.fields(IterationRecord)]
-    assert set(kinds) == {*fields, "energy"}  # `energy`: always empty
+    assert set(kinds) == set(fields) - {"grad_map", "f_z"}
     assert [f.name for f in dataclasses.fields(Trace)] == fields
     assert traceio._TRACE_COLUMNS + traceio._ITERATE_COLUMNS == tuple(kinds)
+    assert traceio._ITERATE_COLUMNS == ("x", "y")
+
+
+@pytest.mark.parametrize("iterates", [True, False])
+def test_span_rows_count_the_numbers_a_row_holds(tmp_path, iterates):
+    # every cell and every vector coordinate counts, however many vector
+    # columns a trace has
+    problem = random_quadratic(3, 20, 100)
+    trace = run(problem, SolverConfig(variant="mapm", max_iters=30), np.zeros(20))
+    write_trace(tmp_path / "trace.csv", sample_meta(problem, iterates), trace, "csv")
+    row = (tmp_path / "trace.csv").read_text().splitlines()[3]
+    numbers = len(row.replace(";", ",").split(","))
+    assert numbers == (5 + 2 * 20 if iterates else 5)
+    assert traceio._span_rows(trace, iterates) == traceio._SPAN_COORDS // numbers
 
 
 @pytest.mark.parametrize("block_text", [1, 1 << 20])
@@ -701,10 +722,9 @@ def json_dumps_trace(meta, records):
     for rec in records:
         row = {"k": rec.k, "f_y": float(rec.f_y), "gap": opt(rec.gap, float),
                "grad_map_norm": float(rec.grad_map_norm),
-               "accepted": opt(rec.accepted, bool), "energy": None}
+               "accepted": opt(rec.accepted, bool)}
         if meta.iterates:
-            row.update(f_z=opt(rec.f_z, float), x=opt(rec.x, floats),
-                       y=opt(rec.y, floats), grad_map=opt(rec.grad_map, floats))
+            row.update(x=opt(rec.x, floats), y=opt(rec.y, floats))
         lines.append(json.dumps(row))
     return "".join(line + "\n" for line in lines).encode()
 
