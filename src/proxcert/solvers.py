@@ -16,8 +16,9 @@ own stop rules: `run`, and both phases of `harness.reference_solution`.
 
 `run` returns a `Trace`, its records as columns, which the trace writer, the
 certificate engine and the CLI read as columns.  A trace file stores x_k and
-y_k but not G_k or F(z_k): `Trace.replayed` recomputes both row by row with
-`prox_point`, the evaluation `iterate` makes, so they equal `run`'s bit for bit.
+mapm's choice `accepted`, but not y_k, G_k or F(z_k): `Trace.replayed` derives
+them row by row with `prox_point`, the evaluation `iterate` makes, so they
+equal `run`'s bit for bit, and y_{k+1} is z_k or, on a stored reject, y_k.
 
 The run contract is written once: `errors.SETTING_RULES` (each setting's rule),
 `bind_step` (s <= 1/L) and `SolverConfig.stops` (the stop rule of `run`, `certify`).
@@ -157,8 +158,9 @@ class Trace(Columns):
 
     `k` is int64, `f_y`, `grad_map_norm` and `f_z` float64, `gap` and
     `accepted` object arrays, `x`, `y` and `grad_map` (n, d) float64; the last
-    four are None in a trace without iterates, and `grad_map` and `f_z` in a
-    trace read from a file until `replayed` recomputes them.  Indexing with an
+    four are None in a trace without iterates, and `grad_map` and `f_z` (and
+    `y`, from a v3 file) in a trace read from a file until `replayed` derives
+    them.  Indexing with an
     int and iterating yield IterationRecord rows of Python values and read-only
     1-D views of the vectors; a slice is a Trace of views.
     """
@@ -231,39 +233,79 @@ class Trace(Columns):
                 raise DataCorruptionError(f"record k={_first(nan, k)} has {what}")
 
     def replayed(self, problem: CompositeProblem, config: SolverConfig) -> "Trace":
-        """The trace with `grad_map` and `f_z` recomputed from each row's x_k,
-        one row at a time by `prox_point` as `iterate` computes them, so they
-        equal `run`'s bit for bit (a batched gradient would not).
+        """The trace with `y`, `grad_map` and `f_z` derived from each row's
+        x_k and `accepted`, one row at a time by `prox_point` as `iterate`
+        computes them, so they equal `run`'s bit for bit (a batched gradient
+        would not): y_0 = x_0, and y_{k+1} = z_k, or y_k where a mapm row's
+        `accepted` is false.  F(y_k) is derived alongside: F(x_0), then F(z_k)
+        or F(y_k).  Certification thus follows the choices the trace stores.
 
-        The columns are checked first (`check`).  Each stored cell derived
-        from G_k or F(z_k) must agree with them, within IDENTITY_TOL relative
-        to 1 + its scale, else a DataCorruptionError names k and the field:
-        `grad_map_norm` with ||G_k||, and for mapm `accepted` with the
-        decision F(z_k) <= F(y_k), which is not judged where the two differ
-        by no more than the tolerance (another BLAS build may decide
-        otherwise there).  A y_0 other than x_0 is corrupt too.  A trace
-        without iterates cannot be replayed (RejectedInputError).
+        The columns are checked first (`check`).  Each stored cell must agree
+        with the replay, within IDENTITY_TOL relative to 1 + its scale, else a
+        DataCorruptionError names k and the field:
+        - `accepted` must be true or false in every mapm row and empty in
+          every other variant's;
+        - `grad_map_norm` must agree with ||G_k||;
+        - for mapm, `accepted` must be the decision F(z_k) <= F(y_k), which
+          is not judged where the two differ by no more than the tolerance
+          (another BLAS build may decide otherwise there);
+        - `f_y` must agree with F(y_k) (an infinite F(y_k), an infeasible
+          start's, only with itself);
+        - a stored `y` (v1 and v2 trace files store one) must lie within the
+          tolerance of y_k, relative to 1 + ||y_k||.
+        A trace without iterates cannot be replayed (RejectedInputError).
         """
         if self.x is None:
             raise RejectedInputError("a trace without iterates cannot be replayed")
         self.check((problem.dim,))
         s = bind_step(problem.smooth.lipschitz, config.step)
-        grad_map, f_z = np.empty((len(self), problem.dim)), np.empty(len(self))
+        takes_z = self._steps_to_z(config.variant)
+        n, d = len(self), problem.dim
+        grad_map, f_z = np.empty((n, d)), np.empty(n)
+        y, f_y = np.empty((n + 1, d)), np.empty(n + 1)  # row n is y_n: not kept
+        if n:
+            y[0], f_y[0] = self.x[0], problem.value(self.x[0])
         for i, x in enumerate(self.x):
-            _, grad_map[i], f_z[i] = prox_point(problem, s, x)
-        gnorm, stored = np.sqrt(np.vecdot(grad_map, grad_map)), self.grad_map_norm
-        _require_agreement(self.k, "grad_map_norm", stored, "||G_k||", gnorm,
-                           np.abs(stored - gnorm) <= IDENTITY_TOL * (1.0 + gnorm))
-        if len(self) and not np.array_equal(self.x[0], self.y[0]):
-            raise DataCorruptionError("record k=0 has a y other than its x; "
-                                      "a run starts from y_0 = x_0")
-        if config.variant == "mapm":
-            f_y = self.f_y
-            accepts = f_z <= f_y
-            tie = np.abs(f_z - f_y) <= IDENTITY_TOL * (1.0 + np.abs(f_y))
-            _require_agreement(self.k, "accepted", self.accepted, "F(z_k) <= F(y_k)",
-                               accepts, (self.accepted == accepts) | tie & np.isfinite(f_y))
-        return replace(self, grad_map=grad_map, f_z=f_z)
+            z, grad_map[i], f_z[i] = prox_point(problem, s, x)
+            y[i + 1], f_y[i + 1] = (z, f_z[i]) if takes_z[i] else (y[i], f_y[i])
+        y, f_y = y[:n], f_y[:n]
+        k = self.k
+        with np.errstate(invalid="ignore"):  # inf - inf: an infinite F(y_k)
+            gnorm, stored = np.sqrt(np.vecdot(grad_map, grad_map)), self.grad_map_norm
+            _require_agreement(k, "grad_map_norm", stored, "its x gives ||G_k||", gnorm,
+                               _within(np.abs(stored - gnorm), gnorm))
+            if config.variant == "mapm":
+                accepts = f_z <= f_y
+                tie = _within(np.abs(f_z - f_y), np.abs(f_y))
+                _require_agreement(k, "accepted", self.accepted,
+                                   "its x gives F(z_k) <= F(y_k)", accepts,
+                                   (self.accepted == accepts) | tie)
+            stored = self.f_y
+            _require_agreement(k, "f_y", stored, "the replay gives F(y_k)", f_y,
+                               (stored == f_y) | _within(np.abs(stored - f_y), np.abs(f_y)))
+            if self.y is not None and n:  # an empty file's y may be 1-D
+                off = np.sqrt(np.vecdot(self.y - y, self.y - y))
+                far = ~_within(off, np.sqrt(np.vecdot(y, y)))
+                if np.any(far):
+                    raise DataCorruptionError(
+                        f"record k={_first(far, k)} has a y {_first(far, off)!r} away "
+                        "from the y_k that the replay gives")
+        return replace(self, y=y, grad_map=grad_map, f_z=f_z)
+
+    def _steps_to_z(self, variant: str) -> np.ndarray:
+        """Whether y_{k+1} is z_k, per row: a mapm row's `accepted`, and true
+        for every other variant.  DataCorruptionError naming k for a mapm row
+        without true or false, or another variant's row with one."""
+        empty = np.equal(self.accepted, None)
+        mapm = variant == "mapm"
+        wrong = empty if mapm else ~empty
+        if np.any(wrong):
+            i = int(np.argmax(wrong))
+            rule = ("mapm records true or false in every row" if mapm else
+                    f"{variant} has no acceptance test, so its accepted is empty")
+            raise DataCorruptionError(
+                f"record k={self.k[i]} has accepted {self.accepted[i]!r}; {rule}")
+        return self.accepted.astype(bool) if mapm else np.ones(len(self), bool)
 
 
 def _first(mask, values):
@@ -273,12 +315,18 @@ def _first(mask, values):
 
 def _require_agreement(k, name: str, stored, what: str, replayed, agrees) -> None:
     """DataCorruptionError naming the first row whose stored `name` does not
-    agree with `what`, its value in the replay."""
+    agree with its value in the replay, which `what` gives."""
     if not np.all(agrees):
         i = int(np.argmin(agrees))
         raise DataCorruptionError(
-            f"record k={k[i]} has {name} {stored[i:i + 1].tolist()[0]!r}, but its x "
-            f"gives {what} = {replayed[i:i + 1].tolist()[0]!r}")
+            f"record k={k[i]} has {name} {stored[i:i + 1].tolist()[0]!r}, but {what} "
+            f"= {replayed[i:i + 1].tolist()[0]!r}")
+
+
+def _within(distance, scale):
+    """Whether each distance from a replayed value is within IDENTITY_TOL
+    relative to 1 + scale, the value's size; never where the size is not finite."""
+    return np.isfinite(scale) & (distance <= IDENTITY_TOL * (1.0 + scale))
 
 
 def _array(name: str, parts: list, dtype, k) -> np.ndarray:

@@ -2,16 +2,17 @@
 
 Each file is a table of columns in CSV or JSON lines.  Traces and reports are
 versioned so the certificate engine refuses incompatible files instead of
-misreading columns: CSV files start with `# proxcert-trace v2` (reports with
+misreading columns: CSV files start with `# proxcert-trace v3` (reports with
 `# proxcert-report v1`), JSON-lines files with a header object carrying
 schema_version.  Floats are written as their shortest round-trip decimals, so
 a re-parsed trace certifies identically.
 
-A trace (v2) stores what the run chose, `k`, `f_y`, `gap`, `grad_map_norm`
-and `accepted`, and with iterates `x` and `y`.  G_k and F(z_k) are not
-stored: `solvers.Trace.replayed` recomputes them from x_k bit for bit and
-checks the cells derived from them.  A v1 trace is still read; its extra
-columns (`f_z`, `grad_map` and the always-empty `energy`) are not.
+A trace (v3) stores what the run chose, `k`, `f_y`, `gap`, `grad_map_norm`
+and `accepted`, and with iterates `x`.  y_k, G_k and F(z_k) are not stored:
+`solvers.Trace.replayed` derives them from x_k and `accepted` bit for bit and
+checks the stored cells against them.  v1 and v2 traces are still read: their
+`y` is read and checked against the derived y_k, and a v1 trace's extra
+columns (`f_z`, `grad_map` and the always-empty `energy`) are not read.
 
 Each column has a kind, which says once how its values are written as CSV
 cells and JSON values and how each is read back and checked.  `_COLUMN_KINDS`
@@ -53,16 +54,16 @@ from .errors import (_FLOAT_MAX, SETTING_RULES, ConfigurationError, DataCorrupti
                      check_setting)
 from .solvers import SolverConfig, Trace
 
-SCHEMA_VERSION = 2  # the trace version written
+SCHEMA_VERSION = 3  # the trace version written
 TRACE_MAGIC = f"# proxcert-trace v{SCHEMA_VERSION}"
 # Each trace version read, by the first line of its CSV file.
-_TRACE_VERSIONS = {f"# proxcert-trace v{version}": version for version in (1, 2)}
+_TRACE_VERSIONS = {f"# proxcert-trace v{version}": version for version in (1, 2, 3)}
 REPORT_MAGIC = "# proxcert-report v1"
 _REPORT_SCHEMA_VERSION = 1
 
 # Characters of a file read per block: at about 20 characters per coordinate,
 # some 128 KB of float64 (certificates._BLOCK_BYTES) in each of a v1 trace's
-# three vector columns, and some 200 KB in each of a v2 trace's two.
+# three vector columns, and some 400 KB in a v3 trace's one.
 _BLOCK_TEXT = 1 << 20
 # Numbers (scalar cells and vector coordinates) per span of trace rows that
 # one encoder call formats; a trace of two or more spans is formatted on every
@@ -188,7 +189,7 @@ _VECTOR = _Kind("a list of numbers", False, _fmt_vector, _parse_vectors,
 # meta.iterates is set, and then every row has each of them.
 _COLUMN_KINDS = {
     "k": _INT, "f_y": _FLOAT, "gap": _OPT_FLOAT, "grad_map_norm": _FLOAT,
-    "accepted": _OPT_BOOL, "x": _VECTOR, "y": _VECTOR,
+    "accepted": _OPT_BOOL, "x": _VECTOR,
 }
 _ITERATE_COLUMNS = tuple(name for name, kind in _COLUMN_KINDS.items()
                          if kind is _VECTOR)
@@ -353,9 +354,11 @@ def _encode_span(span) -> bytes:
 
 
 def read_trace(path):
-    """Parse a trace file (either format, v1 or v2); returns (TraceMeta, Trace).
+    """Parse a trace file (either format, v1, v2 or v3); returns (TraceMeta, Trace).
 
-    The Trace has no `grad_map` or `f_z`: `Trace.replayed` recomputes them."""
+    The Trace has no `grad_map` or `f_z`, and no `y` when read from v3:
+    `Trace.replayed` derives them.  The `y` of a v1 or v2 trace is read, and
+    replay checks it."""
     with open(path, newline="") as fh:
         first = fh.readline().rstrip("\n")
         if not first.startswith("#"):
@@ -382,6 +385,8 @@ def read_trace(path):
                     f"under {first!r}, got {meta.schema_version!r}")
             decode, first_line = _csv_blocks, 3
         kinds = {name: _COLUMN_KINDS[name] for name in _columns(meta.iterates)}
+        if meta.iterates and meta.schema_version < 3:
+            kinds["y"] = _VECTOR  # v1 and v2 store y_k too; replay checks it
         pieces = {name: [] for name in kinds}
         for _, columns in decode("trace", fh, first_line, kinds):
             block = Trace.join({name: [values] for name, values in columns.items()})
@@ -399,7 +404,7 @@ def _readable(version) -> bool:
 # what its value must be, and the test.
 _META_RULES = {
     "iterates": ("true or false", lambda v: type(v) is bool),
-    "schema_version": ("1 or 2", _readable),
+    "schema_version": ("1, 2 or 3", _readable),
 }
 
 

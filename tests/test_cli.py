@@ -4,6 +4,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from proxcert import cli, random_lasso, random_quadratic, run, traceio
+from proxcert import SolverConfig, cli, random_lasso, random_quadratic, run, traceio
 from proxcert.cli import main
 from proxcert.errors import SETTING_RULES
 from proxcert.traceio import read_report, read_trace
@@ -166,15 +167,11 @@ class TestCertifyCommand:
                        "--f-star", "-100.0") == 1
         self.assert_first_violation_is_the_reports(capsys.readouterr().out, report)
 
-    def test_first_violation_of_a_raised_f_y_is_the_reports(self, tmp_path, capsys):
+    def test_first_violation_of_a_shifted_x_star_is_the_reports(self, tmp_path, capsys):
+        # (a raised f_y gave this violation until replay checked f_y)
         trace, report = short_trace(tmp_path), tmp_path / "r.csv"
-
-        def raise_f_y(rows):
-            rows[10]["f_y"] = repr(float(rows[10]["f_y"]) + 1e-3)
-            return rows
-        edit_csv_rows(trace, raise_f_y)
-        assert run_cli("certify", "--trace", str(trace),
-                       "--report", str(report)) == 1
+        assert run_cli("certify", "--trace", str(trace), "--report", str(report),
+                       "--x-star=0.1,0,0,0,0") == 1
         out = capsys.readouterr().out
         assert "name=energy_nonincreasing" in out
         self.assert_first_violation_is_the_reports(out, report)
@@ -293,12 +290,23 @@ def setting_id(value):
     return "1e400-int" if value == BIG_INT else None
 
 
-def short_trace(tmp_path, fmt="csv"):
-    """A 20-iteration d5 mapm trace."""
+def short_trace(tmp_path, fmt="csv", version=3, solver="mapm"):
+    """A 20-iteration d5 trace, written as v3, or rewritten as the v1 or v2
+    trace of the same run."""
     trace = tmp_path / f"trace.{fmt}"
-    assert run_cli(*quadratic_run_args(trace, ("--max-iters", "20",
-                                               "--format", fmt))) == 0
+    assert run_cli(*quadratic_run_args(trace, ("--max-iters", "20", "--format", fmt,
+                                               "--solver", solver))) == 0
+    if version != 3:
+        meta, _ = read_trace(trace)
+        problem = cli.build_problem_from_spec(meta.problem)
+        write_old_trace(trace, fmt, version, meta,
+                        run(problem, meta.config(), np.zeros(problem.dim)))
     return trace
+
+
+def trace_storing(tmp_path, column, fmt="csv"):
+    """short_trace, as v2 where `column` is y, which only v1 and v2 store."""
+    return short_trace(tmp_path, fmt, 2 if column == "y" else 3)
 
 
 def edit_csv_rows(trace, edit):
@@ -349,7 +357,7 @@ class TestCorruptTraceExits3:
 
     @pytest.mark.parametrize("column", ["x", "y"])
     def test_vector_of_wrong_length(self, tmp_path, capsys, column):
-        trace = short_trace(tmp_path)
+        trace = trace_storing(tmp_path, column)
 
         def shorten(rows):
             rows[15][column] = rows[15][column].rsplit(";", 1)[0]
@@ -375,7 +383,7 @@ class TestCorruptTraceExits3:
         "gap", "accepted", "x", "y",
     ])
     def test_jsonl_row_without_field(self, tmp_path, capsys, key):
-        trace = short_trace(tmp_path, "jsonl")
+        trace = trace_storing(tmp_path, key, "jsonl")
         lines = trace.read_text().splitlines()
         row = json.loads(lines[6])
         if key is None:
@@ -418,7 +426,7 @@ class TestCorruptTraceExits3:
 
     @pytest.mark.parametrize("column", ["x", "y"])
     def test_nan_coordinate(self, tmp_path, capsys, column):
-        trace = short_trace(tmp_path)
+        trace = trace_storing(tmp_path, column)
 
         def poison(rows):
             coords = rows[12][column].split(";")
@@ -431,21 +439,25 @@ class TestCorruptTraceExits3:
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     @pytest.mark.parametrize("meta_dim", [None, 4, 5])
+    @pytest.mark.parametrize("version", [2, 3])
     def test_vectors_agree_but_not_with_the_problem_dim(self, tmp_path, capsys, fmt,
-                                                         meta_dim):
+                                                         meta_dim, version):
         # every vector of a d5 trace cut to 4 coordinates, with the `dim` that
         # older traces carry in their metadata, or none: numpy's broadcast
         # error ended certify with exit 2
-        trace = short_trace(tmp_path, fmt)
+        trace = short_trace(tmp_path, fmt, version)
+        vectors = ("x", "y")[:4 - version]  # the trailing columns
         lines = trace.read_text().splitlines()
         start = 3 if fmt == "csv" else 1
         for i, line in enumerate(lines[start:], start):
             if fmt == "csv":
                 cells = line.split(",")
-                lines[i] = ",".join(cells[:-2] + [c.rsplit(";", 1)[0] for c in cells[-2:]])
+                tail = len(cells) - len(vectors)
+                lines[i] = ",".join(cells[:tail] + [c.rsplit(";", 1)[0]
+                                                    for c in cells[tail:]])
             else:
                 row = json.loads(line)
-                lines[i] = json.dumps({**row, **{c: row[c][:-1] for c in ("x", "y")}})
+                lines[i] = json.dumps({**row, **{c: row[c][:-1] for c in vectors}})
         trace.write_text("\n".join(lines) + "\n")
         if meta_dim is not None:
             edit_meta(trace, fmt, lambda meta: {**meta, "dim": meta_dim})
@@ -550,7 +562,7 @@ class TestCorruptTraceExits3:
           for key in ("f_y", "gap", "grad_map_norm")],
     ], ids=setting_id)
     def test_jsonl_field_not_a_number(self, tmp_path, capsys, key, value, expected):
-        trace = short_trace(tmp_path, "jsonl")
+        trace = trace_storing(tmp_path, key, "jsonl")
         lines = trace.read_text().splitlines()
         row = json.loads(lines[6])
         row[key] = value
@@ -562,7 +574,7 @@ class TestCorruptTraceExits3:
     @pytest.mark.parametrize("column", ["x", "y"])
     @pytest.mark.parametrize("entry", [True, "0.5", None, BIG_INT], ids=setting_id)
     def test_jsonl_vector_entry_not_a_number(self, tmp_path, capsys, column, entry):
-        trace = short_trace(tmp_path, "jsonl")
+        trace = trace_storing(tmp_path, column, "jsonl")
         lines = trace.read_text().splitlines()
         row = json.loads(lines[6])
         row[column][2] = entry
@@ -589,7 +601,7 @@ class TestCorruptTraceExits3:
         ("x", "1_0", "a list of numbers"),
     ])
     def test_malformed_csv_cell(self, tmp_path, capsys, column, cell, what):
-        trace = short_trace(tmp_path)
+        trace = trace_storing(tmp_path, column)
 
         def corrupt(rows):
             if column == "x":  # one coordinate of the vector
@@ -633,27 +645,61 @@ class TestCorruptTraceExits3:
                 in capsys.readouterr().err)
 
     def test_infinite_start_objective_stays_legal(self, tmp_path):
+        # F(y_0) = +inf where a box problem's run starts outside its box
+        spec = {"name": "box-quadratic", "seed": 2, "dim": 4}
+        problem = cli.build_problem_from_spec(spec)
+        config = SolverConfig(variant="mapm", step=0.5 / problem.smooth.lipschitz,
+                              max_iters=20)
+        trace = run(problem, config, np.full(4, 3.0))
+        assert trace.f_y[0] == math.inf
+        meta = traceio.TraceMeta(**{key: getattr(config, key) for key in SETTING_RULES},
+                                 problem_hash=problem.content_hash, problem=spec)
+        traceio.write_trace(tmp_path / "trace.csv", meta, trace)
+        assert certify_cli(tmp_path / "trace.csv", tmp_path) == 0
+
+    def test_infinite_f_y_where_the_start_is_feasible(self, tmp_path, capsys):
+        # an f_y that F(x_0) does not give: replay now derives F(y_0)
         trace = short_trace(tmp_path)
 
         def infeasible_start(rows):
             rows[0]["f_y"] = "inf"
             return rows
         edit_csv_rows(trace, infeasible_start)
-        assert certify_cli(trace, tmp_path) == 0
+        assert certify_cli(trace, tmp_path) == 3
+        assert ("record k=0 has f_y inf, but the replay gives F(y_k) = "
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     @pytest.mark.parametrize("column, k, edit, message", [
         ("grad_map_norm", 10, lambda v: 2.0 * v, "record k=10 has grad_map_norm"),
         ("accepted", 10, lambda v: not v, "record k=10 has accepted"),
-        ("y", 0, lambda v: [v[0] + 0.5] + v[1:], "record k=0 has a y other than its x"),
-    ], ids=["grad_map_norm_doubled", "accepted_flipped", "y0_not_x0"])
+        ("accepted", 10, lambda v: None,
+         "record k=10 has accepted None; mapm records true or false in every row"),
+        ("f_y", 10, lambda v: v - 1e-6, "record k=10 has f_y"),
+        ("f_y", 10, lambda v: v + 1e-3, "record k=10 has f_y"),
+        ("y", 0, lambda v: [v[0] + 0.5] + v[1:], "record k=0 has a y "),
+        ("y", 10, lambda v: [1.001 * c for c in v], "record k=10 has a y "),
+    ], ids=["grad_map_norm_doubled", "accepted_flipped", "accepted_empty",
+            "f_y_lowered", "f_y_raised", "y0_not_x0", "y_scaled"])
     def test_cell_that_disagrees_with_the_replay(self, tmp_path, capsys, fmt, column,
                                                  k, edit, message):
-        # certify recomputes G_k and F(z_k) from x_k: each of these edits exited 0
-        trace = short_trace(tmp_path, fmt)
+        # certify derives y_k, G_k, F(z_k) and F(y_k) from x_k and `accepted`: the
+        # first three edits exited 0 before G_k was replayed, the f_y edits exited
+        # 0 and 1, and the y edits (of a v2 trace) 3 and 1
+        trace = trace_storing(tmp_path, column, fmt)
         edit_cell(trace, fmt, k, column, edit)
         assert certify_cli(trace, tmp_path) == 3
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @pytest.mark.parametrize("value", [True, False])
+    def test_accepted_of_a_variant_without_the_test(self, tmp_path, capsys, fmt, value):
+        # an apm row's accepted set to true exited 0
+        trace = short_trace(tmp_path, fmt, solver="apm")
+        edit_cell(trace, fmt, 10, "accepted", lambda v: value)
+        assert certify_cli(trace, tmp_path) == 3
+        assert (f"record k=10 has accepted {value!r}; apm has no acceptance test, so "
+                "its accepted is empty" in capsys.readouterr().err)
 
 
 def edit_cell(trace, fmt, k, column, edit):
@@ -672,76 +718,94 @@ def edit_cell(trace, fmt, k, column, edit):
         if ";" in cell:
             rows[k][column] = traceio._fmt_vector(edit([float(c) for c in cell.split(";")]))
         else:
-            rows[k][column] = traceio._fmt(edit(json.loads(cell)))
+            rows[k][column] = traceio._fmt(edit(json.loads(cell) if cell else None))
         return rows
     edit_csv_rows(trace, change)
 
 
-# The columns of a v1 trace, which also stored G_k, F(z_k) and an empty `energy`.
-V1_COLUMNS = ["k", "f_y", "gap", "grad_map_norm", "accepted", "energy", "f_z", "x", "y",
-              "grad_map"]
+# The columns of older traces: v2 also stored y, and v1 also G_k, F(z_k) and
+# an always-empty `energy`.
+OLD_COLUMNS = {
+    1: ["k", "f_y", "gap", "grad_map_norm", "accepted", "energy", "f_z", "x", "y",
+        "grad_map"],
+    2: ["k", "f_y", "gap", "grad_map_norm", "accepted", "x", "y"],
+}
 
 
-def write_v1_trace(path, fmt, meta, trace):
-    """A run's Trace as a v1 trace, whose G_k and F(z_k) are run()'s own."""
-    header = {**asdict(meta), "schema_version": 1}
+def write_old_trace(path, fmt, version, meta, trace):
+    """A run's Trace as a trace of an older version, whose y (and in v1, G_k
+    and F(z_k)) are run()'s own."""
+    columns = OLD_COLUMNS[version]
+    header = {**asdict(meta), "schema_version": version}
     rows = [{**asdict(row), "energy": None} for row in trace]
     if fmt == "csv":
         def cell(value):
             if isinstance(value, np.ndarray):
                 return traceio._fmt_vector(value.tolist())
             return traceio._fmt(value)
-        lines = [",".join(V1_COLUMNS)] + [",".join(cell(row[c]) for c in V1_COLUMNS)
-                                          for row in rows]
-        text = (f"# proxcert-trace v1\n# meta {json.dumps(header)}\n"
+        lines = [",".join(columns)] + [",".join(cell(row[c]) for c in columns)
+                                       for row in rows]
+        text = (f"# proxcert-trace v{version}\n# meta {json.dumps(header)}\n"
                 + "".join(line + "\r\n" for line in lines))
     else:
         lines = [{"format": "proxcert-trace", **header}] + [
             {c: row[c].tolist() if isinstance(row[c], np.ndarray) else row[c]
-             for c in V1_COLUMNS} for row in rows]
+             for c in columns} for row in rows]
         text = "".join(json.dumps(line) + "\n" for line in lines)
     path.write_text(text, newline="")
 
 
 class TestTraceVersions:
-    """v2 traces store x and y but not G_k or F(z_k); v1 traces are still read."""
+    """v3 traces store x but not y, G_k or F(z_k); v1 and v2 traces are still
+    read, and their y is checked against the y that replay derives."""
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
-    def test_v1_trace_certifies_to_the_bytes_of_its_v2_rewrite(self, tmp_path, fmt):
-        v2, v1 = tmp_path / f"v2.{fmt}", tmp_path / f"v1.{fmt}"
-        assert run_cli(*quadratic_run_args(v2, ("--format", fmt))) == 0
-        meta, _ = read_trace(v2)
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_old_trace_certifies_to_the_bytes_of_its_v3_rewrite(self, tmp_path, fmt,
+                                                               version):
+        v3, old = tmp_path / f"v3.{fmt}", tmp_path / f"old.{fmt}"
+        assert run_cli(*quadratic_run_args(v3, ("--format", fmt))) == 0
+        meta, _ = read_trace(v3)
         problem = cli.build_problem_from_spec(meta.problem)
-        write_v1_trace(v1, fmt, meta, run(problem, meta.config(), np.zeros(problem.dim)))
-        assert read_trace(v1)[0].schema_version == 1
+        write_old_trace(old, fmt, version, meta,
+                        run(problem, meta.config(), np.zeros(problem.dim)))
+        assert read_trace(old)[0].schema_version == version
+        assert read_trace(old)[1].y is not None and read_trace(v3)[1].y is None
         reports = []
-        for trace in (v2, v1):
+        for trace in (v3, old):
             reports.append(tmp_path / f"report-{trace.stem}.{fmt}")
             assert run_cli("certify", "--trace", str(trace), "--format", fmt,
                            "--report", str(reports[-1])) == 0
         assert reports[0].read_bytes() == reports[1].read_bytes()
+        if version == 2:
+            return
         # a v1 trace's f_z and grad_map cells are no longer read
         for column in ("f_z", "grad_map"):
             if fmt == "csv":
-                edit_csv_rows(v1, lambda rows: [{**rows[0], column: "abc"}] + rows[1:])
+                edit_csv_rows(old, lambda rows: [{**rows[0], column: "abc"}] + rows[1:])
             else:
-                edit_cell(v1, fmt, 0, column, lambda value: "abc")
-        assert run_cli("certify", "--trace", str(v1), "--format", fmt,
+                edit_cell(old, fmt, 0, column, lambda value: "abc")
+        assert run_cli("certify", "--trace", str(old), "--format", fmt,
                        "--report", str(reports[1])) == 0
         assert reports[0].read_bytes() == reports[1].read_bytes()
 
-    def test_trace_is_written_as_v2(self, tmp_path):
+    def test_trace_is_written_as_v3(self, tmp_path):
         trace = short_trace(tmp_path)
         lines = trace.read_text().splitlines()
-        assert lines[0] == "# proxcert-trace v2"
-        assert json.loads(lines[1][len("# meta "):])["schema_version"] == 2
-        assert lines[2] == "k,f_y,gap,grad_map_norm,accepted,x,y"
+        assert lines[0] == "# proxcert-trace v3"
+        assert json.loads(lines[1][len("# meta "):])["schema_version"] == 3
+        assert lines[2] == "k,f_y,gap,grad_map_norm,accepted,x"
+        jsonl = short_trace(tmp_path, "jsonl").read_text().splitlines()
+        assert json.loads(jsonl[0])["schema_version"] == 3
+        assert list(json.loads(jsonl[1])) == ["k", "f_y", "gap", "grad_map_norm",
+                                              "accepted", "x"]
 
     @pytest.mark.parametrize("fmt, version, message", [
-        ("jsonl", 3, "unsupported trace schema_version 3"),
+        ("jsonl", 4, "unsupported trace schema_version 4"),
         ("jsonl", True, "unsupported trace schema_version True"),
-        ("csv", 1, "schema_version must be 2 under '# proxcert-trace v2', got 1"),
-        ("csv", 3, "trace metadata schema_version must be 1 or 2, got 3"),
+        ("csv", 1, "schema_version must be 3 under '# proxcert-trace v3', got 1"),
+        ("csv", 2, "schema_version must be 3 under '# proxcert-trace v3', got 2"),
+        ("csv", 4, "trace metadata schema_version must be 1, 2 or 3, got 4"),
     ])
     def test_unknown_or_mismatched_version_exits_2(self, tmp_path, capsys, fmt, version,
                                                    message):
@@ -1170,18 +1234,27 @@ NAN = {"csv": "nan", "jsonl": float("nan")}
 NON_NUMBERS = {"csv": ["abc", "", "1.0.0", "0x1p3", "1e", "--1"],
                "jsonl": ["abc", None, True, "1.0", [1.0]]}
 # The columns a trace with iterates has a value for in every row.
-REQUIRED_COLUMNS = ["k", "f_y", "grad_map_norm", "x", "y"]
+REQUIRED_COLUMNS = ["k", "f_y", "grad_map_norm", "x"]
 
 
 @st.composite
-def mutated_trace(draw, text, fmt):
+def mutated_trace(draw, texts, fmt):
     """(kind, text): a trace's text with one fault of that kind: a row
     dropped, duplicated or swapped, the last 1 to n - 1 rows dropped (a run
     stops only at max_iters or at the grad_map_tol test, so a shorter trace is
     not valid), cells cut from a row, a ragged vector cell, a coordinate that
     is not a number or is nan, a renamed column, a required cell left empty
-    (a JSON null), every vector one coordinate short, or a derived cell that
-    replay recomputes: a grad_map_norm doubled or an accepted flipped."""
+    (a JSON null), every vector one coordinate short, or a cell that replay
+    checks: a grad_map_norm doubled, an accepted flipped or left empty, an
+    f_y lowered by 1e-6, an apm row given an accepted, or a coordinate of a
+    v2 trace's y moved by 1e-3 (1 + its size).  `texts` holds the valid
+    texts: a mapm and an apm trace, and the mapm trace written as v2."""
+    kind = draw(st.sampled_from(["drop", "duplicate", "swap", "truncate", "cut",
+                                 "ragged", "non_number", "nan", "rename", "blank",
+                                 "shrink", "double_gnorm", "flip_accepted",
+                                 "empty_accepted", "lower_f_y", "apm_accepted",
+                                 "move_y"]))
+    text = texts[{"apm_accepted": "apm", "move_y": "v2"}.get(kind, "mapm")]
     lines = text.splitlines()
     if fmt == "csv":
         header, columns = lines[:2], lines[2].split(",")
@@ -1195,10 +1268,10 @@ def mutated_trace(draw, text, fmt):
 
     def vector(values):
         return ";".join(values) if fmt == "csv" else values
+
+    def scalar(value):
+        return traceio._fmt(value) if fmt == "csv" else value
     n = len(rows)
-    kind = draw(st.sampled_from(["drop", "duplicate", "swap", "truncate", "cut",
-                                 "ragged", "non_number", "nan", "rename", "blank",
-                                 "shrink", "double_gnorm", "flip_accepted"]))
     i = draw(st.integers(0, n - 1))
     if kind == "drop":
         del rows[draw(st.integers(0, n - 2))]
@@ -1217,20 +1290,33 @@ def mutated_trace(draw, text, fmt):
     elif kind == "blank":
         rows[i][columns.index(draw(st.sampled_from(REQUIRED_COLUMNS)))] = EMPTY[fmt]
     elif kind == "shrink":
-        j = draw(st.integers(0, len(coords(rows[0][columns.index("x")])) - 1))
+        col = columns.index("x")
+        j = draw(st.integers(0, len(coords(rows[0][col])) - 1))
         for row in rows:
-            for col in map(columns.index, ("x", "y")):
-                row[col] = vector(coords(row[col])[:j] + coords(row[col])[j + 1:])
+            row[col] = vector(coords(row[col])[:j] + coords(row[col])[j + 1:])
     elif kind == "double_gnorm":
         col = columns.index("grad_map_norm")
-        doubled = 2.0 * float(rows[i][col])
-        rows[i][col] = repr(doubled) if fmt == "csv" else doubled
+        rows[i][col] = scalar(2.0 * float(rows[i][col]))
+    elif kind == "lower_f_y":
+        col = columns.index("f_y")
+        rows[i][col] = scalar(float(rows[i][col]) - 1e-6)
     elif kind == "flip_accepted":
         col = columns.index("accepted")
         rows[i][col] = {"true": "false", "false": "true", True: False,
                         False: True}[rows[i][col]]
+    elif kind == "empty_accepted":
+        rows[i][columns.index("accepted")] = EMPTY[fmt]
+    elif kind == "apm_accepted":
+        rows[i][columns.index("accepted")] = scalar(draw(st.booleans()))
+    elif kind == "move_y":
+        col = columns.index("y")
+        cell = coords(rows[i][col])
+        j = draw(st.integers(0, len(cell) - 1))
+        c = float(cell[j])
+        cell[j] = scalar(c + 1e-3 * (1.0 + abs(c)))
+        rows[i][col] = vector(cell)
     else:
-        col = columns.index(draw(st.sampled_from(["x", "y"])))
+        col = columns.index("x")
         cell = coords(rows[i][col])
         j = draw(st.integers(0, len(cell) - 1))
         if kind == "nan":
@@ -1251,7 +1337,10 @@ def mutated_trace(draw, text, fmt):
 
 @pytest.fixture(scope="module")
 def valid_trace_texts(tmp_path_factory):
-    return {fmt: short_trace(tmp_path_factory.mktemp("valid"), fmt).read_text()
+    def text(fmt, **how):
+        return short_trace(tmp_path_factory.mktemp("valid"), fmt, **how).read_text()
+    return {fmt: {"mapm": text(fmt), "apm": text(fmt, solver="apm"),
+                  "v2": text(fmt, version=2)}
             for fmt in ("csv", "jsonl")}
 
 

@@ -1,6 +1,7 @@
 """Stepper and driver tests for the solvers module."""
 
 import dataclasses
+import math
 import re
 
 import numpy as np
@@ -405,7 +406,8 @@ def same_bits(got, want):
 
 
 class TestReplay:
-    """`Trace.replayed` recomputes a trace file's G_k and F(z_k) from x_k."""
+    """`Trace.replayed` derives a trace file's y_k, G_k and F(z_k) from x_k and
+    `accepted`, and checks the stored cells against them."""
 
     @pytest.mark.parametrize("index", range(21), ids=lambda i: f"suite-{i}")
     def test_replay_equals_run(self, suite, index):
@@ -417,16 +419,19 @@ class TestReplay:
             config = SolverConfig(variant=variant, step=0.5 / problem.smooth.lipschitz,
                                   max_iters=300)
             trace = run(problem, config, np.zeros(problem.dim))
-            replayed = dataclasses.replace(trace, grad_map=None, f_z=None).replayed(
-                problem, config)
+            replayed = dataclasses.replace(trace, y=None, grad_map=None, f_z=None
+                                           ).replayed(problem, config)
+            assert same_bits(replayed.y, trace.y), (problem.name, variant)
             assert same_bits(replayed.grad_map, trace.grad_map), (problem.name, variant)
             assert same_bits(replayed.f_z, trace.f_z), (problem.name, variant)
 
     @staticmethod
-    def mapm_trace():
+    def mapm_trace(near_minimizer=False):
+        """A d5 mapm run from 0, or from 1e-6 off the minimizer."""
         problem = random_quadratic(3, 5, 10)
         config = SolverConfig(variant="mapm", max_iters=20)
-        return problem, config, run(problem, config, np.zeros(5))
+        x0 = problem.known_minimizer + 1e-6 if near_minimizer else np.zeros(5)
+        return problem, config, run(problem, config, x0)
 
     @pytest.mark.parametrize("edit, agrees", [
         ("double", False), (2e-10, False), (-2e-10, False), (0.5e-10, True)])
@@ -443,6 +448,40 @@ class TestReplay:
                 f"record k=10 has grad_map_norm {stored!r}, but its x gives ||G_k|| = ")):
             trace.replayed(problem, config)
 
+    @pytest.mark.parametrize("k", [0, 10, 20])
+    @pytest.mark.parametrize("edit, agrees", [
+        ("-1e-6", False), (2e-10, False), (-2e-10, False), (0.5e-10, True)])
+    def test_f_y_off_the_derived_objective(self, k, edit, agrees):
+        # f_y - 1e-6 on row 10 certified with exit 0; a number: f_y moves by
+        # that many times 1 + |F(y_k)|
+        problem, config, trace = self.mapm_trace()
+        f_y = float(trace.f_y[k])
+        stored = f_y - 1e-6 if edit == "-1e-6" else f_y + edit * (1.0 + abs(f_y))
+        trace.f_y[k] = stored
+        if agrees:
+            trace.replayed(problem, config)
+            return
+        with pytest.raises(DataCorruptionError, match=re.escape(
+                f"record k={k} has f_y {stored!r}, but the replay gives F(y_k) = {f_y!r}")):
+            trace.replayed(problem, config)
+
+    @pytest.mark.parametrize("stored", [math.inf, -math.inf, 1e300])
+    def test_infinite_f_y_only_where_the_start_is_infeasible(self, stored):
+        # F(y_0) = F(x_0) is +inf for a box problem started outside its box,
+        # and agrees only with itself
+        problem = random_box_quadratic(2, 4)
+        config = SolverConfig(variant="mapm", max_iters=20)
+        trace = run(problem, config, np.full(4, 3.0))
+        assert trace.f_y[0] == math.inf and trace.f_y[1] < math.inf
+        trace.replayed(problem, config)
+        trace.f_y[0] = stored
+        if stored != math.inf:
+            with pytest.raises(DataCorruptionError, match="record k=0 has f_y"):
+                trace.replayed(problem, config)
+        trace.f_y[0], trace.f_y[1] = math.inf, stored
+        with pytest.raises(DataCorruptionError, match="record k=1 has f_y"):
+            trace.replayed(problem, config)
+
     def test_every_flipped_accepted(self):
         problem, config, trace = self.mapm_trace()
         for i in range(len(trace)):
@@ -452,29 +491,65 @@ class TestReplay:
                     f"record k={i} has accepted {flipped.accepted[i]!r}, but its x gives "
                     f"F(z_k) <= F(y_k) = {trace.accepted[i]!r}")):
                 flipped.replayed(problem, config)
-        # apm steps on without the test, so its records' `accepted` is not judged
+        # apm steps on without the test, so its records' `accepted` is empty
         dataclasses.replace(trace, accepted=np.full(len(trace), None)).replayed(
             problem, dataclasses.replace(config, variant="apm"))
 
-    @pytest.mark.parametrize("gap, judged", [(1e-6, True), (1e-12, False)])
-    def test_accepted_is_not_judged_where_f_z_ties_f_y(self, gap, judged):
-        # where F(z_k) and F(y_k) differ by at most 1e-10 (1 + |F(y_k)|), another
-        # BLAS build may take the other decision
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("k", [0, 10])
+    def test_accepted_of_the_wrong_variant(self, variant, k):
+        # an apm row's `accepted` set to true certified with exit 0; an empty
+        # mapm cell must not read as a reject
         problem, config, trace = self.mapm_trace()
-        f_z = trace.f_z[10]
-        trace.f_y[10] = f_z - gap * (1.0 + abs(f_z))
-        trace.accepted[10] = True  # F(z_k) > F(y_k) rejects
-        if judged:
-            with pytest.raises(DataCorruptionError, match="record k=10 has accepted True"):
-                trace.replayed(problem, config)
+        config = dataclasses.replace(config, variant=variant)
+        if variant == "mapm":
+            value, rule = None, "mapm records true or false in every row"
         else:
+            trace = run(problem, config, np.zeros(5))
+            value = True
+            rule = f"{variant} has no acceptance test, so its accepted is empty"
+        trace.accepted[k] = value
+        with pytest.raises(DataCorruptionError, match=re.escape(
+                f"record k={k} has accepted {value!r}; {rule}")):
             trace.replayed(problem, config)
 
-    def test_y0_other_than_x0(self):
+    @pytest.mark.parametrize("start, judged", [("zeros", True), ("near x*", False)])
+    def test_accepted_is_not_judged_where_f_z_ties_f_y(self, start, judged):
+        # where F(z_k) and F(y_k) differ by at most 1e-10 (1 + |F(y_k)|), another
+        # BLAS build may take the other decision; so they do on every row of a
+        # run started 1e-6 from the minimizer
+        problem, config, trace = self.mapm_trace(near_minimizer=start == "near x*")
+        f_y, f_z = trace.f_y[10], trace.f_z[10]
+        assert (abs(f_z - f_y) <= 1e-10 * (1.0 + abs(f_y))) != judged
+        trace = dataclasses.replace(trace, y=None)  # as a v3 trace file stores it
+        trace.accepted[10] = not trace.accepted[10]
+        if judged:
+            with pytest.raises(DataCorruptionError, match="record k=10 has accepted"):
+                trace.replayed(problem, config)
+            return
+        # the replay follows the stored choice, whose F(y_11) ties the run's
+        replayed = trace.replayed(problem, config)
+        z = solvers.prox_point(problem, 0.5 / problem.smooth.lipschitz, trace.x[10])[0]
+        assert np.array_equal(replayed.y[11], z if trace.accepted[10] else replayed.y[10])
+
+    @pytest.mark.parametrize("k", [0, 10])
+    @pytest.mark.parametrize("edit, agrees", [
+        (0.5, False), (2e-10, False), (0.5e-10, True), (1e-300, True)])
+    def test_stored_y_off_the_derived_y(self, k, edit, agrees):
+        # a y stored beside x (v1 and v2 trace files) is checked against the
+        # y_k that the replay derives, within 1e-10 (1 + ||y_k||); row 0's y_0
+        # is x_0.  A number: one coordinate moves by that many times 1 + ||y_k||
         problem, config, trace = self.mapm_trace()
-        trace.y[0, 2] = 1e-300
-        with pytest.raises(DataCorruptionError, match="record k=0 has a y other than its x"):
+        size = 1.0 + float(np.linalg.norm(trace.y[k]))
+        off = edit * size
+        trace.y[k, 2] += off
+        if agrees:
             trace.replayed(problem, config)
+            return
+        with pytest.raises(DataCorruptionError, match=re.escape(
+                f"record k={k} has a y ")) as raised:
+            trace.replayed(problem, config)
+        assert "away from the y_k that the replay gives" in str(raised.value)
 
     def test_trace_without_iterates(self):
         problem, config, trace = self.mapm_trace()

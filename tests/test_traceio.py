@@ -29,10 +29,12 @@ from proxcert import (
     SolverConfig,
     Trace,
     certify_trace,
+    generate_suite,
     random_quadratic,
     run,
     traceio,
 )
+from proxcert.errors import SETTING_RULES, VARIANTS
 from proxcert.solvers import IterationRecord
 from proxcert.traceio import (
     SCHEMA_VERSION,
@@ -66,8 +68,9 @@ def test_trace_round_trip_is_exact(tmp_path, fmt):
     path = tmp_path / f"trace.{fmt}"
     write_trace(path, meta, records, fmt)
     meta2, records2 = read_trace(path)
-    assert records2.grad_map is None and records2.f_z is None  # not stored ...
-    records2 = records2.replayed(problem, meta2.config())  # ... but recomputed
+    assert records2.y is None and records2.grad_map is None  # not stored ...
+    assert records2.f_z is None
+    records2 = records2.replayed(problem, meta2.config())  # ... but derived
 
     assert meta2 == meta
     assert len(records2) == len(records)
@@ -83,6 +86,47 @@ def test_trace_round_trip_is_exact(tmp_path, fmt):
         assert np.array_equal(a.grad_map, b.grad_map)
 
 
+@pytest.fixture(scope="module")
+def small_suite():
+    """The suite problems of dimension at most 20."""
+    return [p for p in generate_suite(20260808) if p.dim <= 20]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_replayed_file_trace_equals_run(tmp_path, small_suite, fmt):
+    # a file stores x and accepted; the y, G_k and F(z_k) replayed from them
+    # are run()'s, bit for bit, under every variant
+    for problem in small_suite:
+        for variant in VARIANTS:
+            if variant == "strongly_convex_apm" and problem.smooth.strong_convexity == 0:
+                continue
+            config = SolverConfig(variant=variant, step=0.5 / problem.smooth.lipschitz,
+                                  max_iters=200)
+            trace = run(problem, config, np.zeros(problem.dim))
+            meta = TraceMeta(**{key: getattr(config, key) for key in SETTING_RULES},
+                             problem_hash=problem.content_hash)
+            write_trace(tmp_path / "trace", meta, trace, fmt)
+            read = read_trace(tmp_path / "trace")[1].replayed(problem, config)
+            for name in ("y", "grad_map", "f_z"):
+                got, want = getattr(read, name), getattr(trace, name)
+                assert np.array_equal(got, want), (problem.name, variant, name)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_a_record_without_y_writes_the_same_trace(tmp_path, fmt):
+    # y is derived, not stored, so the writer does not ask for it
+    problem, trace = sample_records()
+    meta = sample_meta(problem)
+    write_trace(tmp_path / "with", meta, trace, fmt)
+    write_trace(tmp_path / "without", meta, dataclasses.replace(trace, y=None), fmt)
+    records = list(trace)
+    records[4].y = None
+    write_trace(tmp_path / "rows", meta, records, fmt)
+    assert ((tmp_path / "with").read_bytes() == (tmp_path / "without").read_bytes()
+            == (tmp_path / "rows").read_bytes())
+
+
 def row_values(row):
     """A row's values, vectors as dtype, shape and bytes, floats by their bits."""
     return [(v.dtype, v.shape, v.tobytes()) if isinstance(v, np.ndarray)
@@ -93,13 +137,17 @@ def row_values(row):
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
 def test_rows_are_python_values_however_the_trace_was_made(tmp_path, fmt):
     problem, trace = sample_records()
+    accepted = trace.accepted.copy()
     trace.gap[0] = None  # mixed None rows in both optional columns
     trace.accepted[1] = None
     meta = sample_meta(problem)
     write_trace(tmp_path / "trace", meta, trace, fmt)
-    # replayed as apm, which does not judge `accepted`: row 1 has none
-    read = read_trace(tmp_path / "trace")[1].replayed(
-        problem, dataclasses.replace(meta.config(), variant="apm"))
+    stored = read_trace(tmp_path / "trace")[1]
+    # replay derives y from every mapm row's `accepted`, so it is given row
+    # 1's; the read trace's own column, None in row 1, is put back
+    read = dataclasses.replace(
+        dataclasses.replace(stored, accepted=accepted).replayed(problem, meta.config()),
+        accepted=stored.accepted)
     made = [trace, read, Trace.from_records(list(trace))]
     expected = list(map(row_values, trace))
     for each in made:
@@ -193,8 +241,8 @@ def test_report_round_trip(tmp_path, fmt):
 
 
 def test_schema_version_constant():
-    assert SCHEMA_VERSION == 2
-    assert traceio.TRACE_MAGIC == "# proxcert-trace v2"
+    assert SCHEMA_VERSION == 3
+    assert traceio.TRACE_MAGIC == "# proxcert-trace v3"
 
 
 def old_fmt_vector(v):
@@ -314,7 +362,7 @@ def test_csv_trace_bytes_equal_the_csv_module(tmp_path):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
-@pytest.mark.parametrize("column", ["k", "f_y", "grad_map_norm", "x", "y", None])
+@pytest.mark.parametrize("column", ["k", "f_y", "grad_map_norm", "x", None])
 def test_writer_refuses_what_the_reader_refuses(tmp_path, fmt, column):
     # an empty iterate cell was written, and read back as a record that
     # certify called one "with no stored iterates"
@@ -481,13 +529,14 @@ class TestCertificateTable:
 
 def test_column_table_names_every_record_field_in_file_order():
     # A record field added without a column would silently drop out of traces;
-    # grad_map and f_z are not stored, since replay recomputes them from x.
+    # y, grad_map and f_z are not stored, since replay derives them from x and
+    # accepted.
     kinds = traceio._COLUMN_KINDS
     fields = [f.name for f in dataclasses.fields(IterationRecord)]
-    assert set(kinds) == set(fields) - {"grad_map", "f_z"}
+    assert set(kinds) == set(fields) - {"y", "grad_map", "f_z"}
     assert [f.name for f in dataclasses.fields(Trace)] == fields
     assert traceio._TRACE_COLUMNS + traceio._ITERATE_COLUMNS == tuple(kinds)
-    assert traceio._ITERATE_COLUMNS == ("x", "y")
+    assert traceio._ITERATE_COLUMNS == ("x",)
 
 
 @pytest.mark.parametrize("iterates", [True, False])
@@ -499,7 +548,7 @@ def test_span_rows_count_the_numbers_a_row_holds(tmp_path, iterates):
     write_trace(tmp_path / "trace.csv", sample_meta(problem, iterates), trace, "csv")
     row = (tmp_path / "trace.csv").read_text().splitlines()[3]
     numbers = len(row.replace(";", ",").split(","))
-    assert numbers == (5 + 2 * 20 if iterates else 5)
+    assert numbers == (5 + 20 if iterates else 5)
     assert traceio._span_rows(trace, iterates) == traceio._SPAN_COORDS // numbers
 
 
@@ -724,7 +773,7 @@ def json_dumps_trace(meta, records):
                "grad_map_norm": float(rec.grad_map_norm),
                "accepted": opt(rec.accepted, bool)}
         if meta.iterates:
-            row.update(x=opt(rec.x, floats), y=opt(rec.y, floats))
+            row.update(x=opt(rec.x, floats))
         lines.append(json.dumps(row))
     return "".join(line + "\n" for line in lines).encode()
 
