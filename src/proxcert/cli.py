@@ -168,7 +168,7 @@ def cmd_run(args) -> int:
     problem, config = _run_from_spec(spec, "run")
     trace = run(problem, config, np.zeros(problem.dim))
     meta = TraceMeta(**asdict(config), problem_hash=problem.content_hash,
-                     iterates=not args.no_iterates, problem=spec["problem"])
+                     problem=spec["problem"])
     write_trace(args.out, meta, trace, args.format)
     print(f"wrote {len(trace)} records to {args.out}")
     return 0
@@ -218,10 +218,6 @@ def cmd_certify(args) -> int:
     if args.problem is None:
         _refuse_problem_flags(args, "without --problem; the trace's problem is certified")
     meta, trace = read_trace(args.trace)
-    if not meta.iterates:
-        raise ConfigurationError(
-            "trace has no stored iterates; re-run with iterate recording enabled"
-        )
     config = meta.config()
     _check_stop_rule(config, trace)
     if args.problem is not None:
@@ -329,8 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_solver_flags(p_run)
     p_run.add_argument("--out", required=True, help="trace output path")
     p_run.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-    p_run.add_argument("--no-iterates", action="store_true",
-                       help="omit iterates from the trace (cannot be certified)")
     p_run.set_defaults(func=cmd_run)
 
     p_cert = sub.add_parser("certify", help="evaluate certificates on a trace")

@@ -17,8 +17,9 @@ own stop rules: `run`, and both phases of `harness.reference_solution`.
 `run` returns a `Trace`, its records as columns, which the trace writer, the
 certificate engine and the CLI read as columns.  A trace file stores x_k and
 mapm's choice `accepted`, but not y_k, G_k or F(z_k): `Trace.replayed` derives
-them row by row with `prox_point`, the evaluation `iterate` makes, so they
-equal `run`'s bit for bit, and y_{k+1} is z_k or, on a stored reject, y_k.
+them row by row with `prox_point`, the evaluation `iterate` makes, and `step`,
+given the stored choice, so they equal `run`'s bit for bit; `step` also gives
+x_{k+1}, which must be the next row's stored x.
 
 The run contract is written once: `errors.SETTING_RULES` (each setting's rule),
 `bind_step` (s <= 1/L) and `SolverConfig.stops` (the stop rule of `run`, `certify`).
@@ -96,7 +97,6 @@ class IterationRecord:
     k: int
     f_y: float
     grad_map_norm: float
-    gap: Optional[float] = None
     accepted: Optional[bool] = None
     x: Optional[Vector] = None
     y: Optional[Vector] = None
@@ -105,9 +105,9 @@ class IterationRecord:
 
 
 # Each Trace column, in the order of the IterationRecord fields, with the dtype
-# of its array; `gap` and `accepted` hold Python values, None where a row has none.
+# of its array; `accepted` holds Python values, None where a row has none.
 _DTYPES = {"k": np.int64, "f_y": np.float64, "grad_map_norm": np.float64,
-           "gap": object, "accepted": object, "x": np.float64, "y": np.float64,
+           "accepted": object, "x": np.float64, "y": np.float64,
            "grad_map": np.float64, "f_z": np.float64}
 # Relative tolerance of a value that holds exactly in real arithmetic: the
 # inertial identity's residual (certificates) and a stored cell that replay
@@ -156,21 +156,18 @@ def _row_values(column):
 class Trace(Columns):
     """One run's records as columns, one array per IterationRecord field.
 
-    `k` is int64, `f_y`, `grad_map_norm` and `f_z` float64, `gap` and
-    `accepted` object arrays, `x`, `y` and `grad_map` (n, d) float64; the last
-    four are None in a trace without iterates, and `grad_map` and `f_z` (and
-    `y`, from a v3 file) in a trace read from a file until `replayed` derives
-    them.  Indexing with an
-    int and iterating yield IterationRecord rows of Python values and read-only
-    1-D views of the vectors; a slice is a Trace of views.
+    `k` is int64, `f_y`, `grad_map_norm` and `f_z` float64, `accepted` an
+    object array, `x`, `y` and `grad_map` (n, d) float64; `y`, `grad_map` and
+    `f_z` are None in a trace read from a file until `replayed` derives them.
+    Indexing with an int and iterating yield IterationRecord rows of Python
+    values and read-only 1-D views of the vectors; a slice is a Trace of views.
     """
 
     k: np.ndarray
     f_y: np.ndarray
     grad_map_norm: np.ndarray
-    gap: np.ndarray
     accepted: np.ndarray
-    x: Optional[np.ndarray] = None
+    x: np.ndarray
     y: Optional[np.ndarray] = None
     grad_map: Optional[np.ndarray] = None
     f_z: Optional[np.ndarray] = None
@@ -234,11 +231,13 @@ class Trace(Columns):
 
     def replayed(self, problem: CompositeProblem, config: SolverConfig) -> "Trace":
         """The trace with `y`, `grad_map` and `f_z` derived from each row's
-        x_k and `accepted`, one row at a time by `prox_point` as `iterate`
-        computes them, so they equal `run`'s bit for bit (a batched gradient
-        would not): y_0 = x_0, and y_{k+1} = z_k, or y_k where a mapm row's
-        `accepted` is false.  F(y_k) is derived alongside: F(x_0), then F(z_k)
-        or F(y_k).  Certification thus follows the choices the trace stores.
+        x_k and `accepted`, one row at a time by `prox_point` and `step` as
+        `iterate` computes them, so they equal `run`'s bit for bit (a batched
+        gradient would not): y_0 = x_0, and `step` from x_k, y_k and z_k,
+        given the row's choice (y_{k+1} = z_k, or y_k where a mapm row's
+        `accepted` is false), gives y_{k+1}, F(y_{k+1}) and x_{k+1}.
+        Certification thus follows the choices the trace stores, row by row,
+        not a re-run from x_0.
 
         The columns are checked first (`check`).  Each stored cell must agree
         with the replay, within IDENTITY_TOL relative to 1 + its scale, else a
@@ -251,23 +250,25 @@ class Trace(Columns):
           (another BLAS build may decide otherwise there);
         - `f_y` must agree with F(y_k) (an infinite F(y_k), an infeasible
           start's, only with itself);
-        - a stored `y` (v1 and v2 trace files store one) must lie within the
-          tolerance of y_k, relative to 1 + ||y_k||.
-        A trace without iterates cannot be replayed (RejectedInputError).
+        - each stored x_{k+1} must lie within the tolerance of the x_{k+1}
+          that `step` gives, relative to 1 + its norm.
         """
-        if self.x is None:
-            raise RejectedInputError("a trace without iterates cannot be replayed")
         self.check((problem.dim,))
         s = bind_step(problem.smooth.lipschitz, config.step)
         takes_z = self._steps_to_z(config.variant)
+        beta = momentum(problem, config)
         n, d = len(self), problem.dim
+        stored_x = self.x.reshape(n, d)  # an empty file's x may be 1-D
         grad_map, f_z = np.empty((n, d)), np.empty(n)
-        y, f_y = np.empty((n + 1, d)), np.empty(n + 1)  # row n is y_n: not kept
+        # row n of each, the step from the last row, is not kept
+        x, y, f_y = np.empty((n + 1, d)), np.empty((n + 1, d)), np.empty(n + 1)
         if n:
-            y[0], f_y[0] = self.x[0], problem.value(self.x[0])
-        for i, x in enumerate(self.x):
-            z, grad_map[i], f_z[i] = prox_point(problem, s, x)
-            y[i + 1], f_y[i + 1] = (z, f_z[i]) if takes_z[i] else (y[i], f_y[i])
+            y[0], f_y[0] = stored_x[0], problem.value(stored_x[0])
+        for i, x_i in enumerate(stored_x):
+            z, grad_map[i], f_z[i] = prox_point(problem, s, x_i)
+            state = step(config, beta, SolverState(i, x_i, y[i], f_y[i]), z, f_z[i],
+                         takes_z[i])
+            x[i + 1], y[i + 1], f_y[i + 1] = state.x, state.y, state.f_y
         y, f_y = y[:n], f_y[:n]
         k = self.k
         with np.errstate(invalid="ignore"):  # inf - inf: an infinite F(y_k)
@@ -283,13 +284,13 @@ class Trace(Columns):
             stored = self.f_y
             _require_agreement(k, "f_y", stored, "the replay gives F(y_k)", f_y,
                                (stored == f_y) | _within(np.abs(stored - f_y), np.abs(f_y)))
-            if self.y is not None and n:  # an empty file's y may be 1-D
-                off = np.sqrt(np.vecdot(self.y - y, self.y - y))
-                far = ~_within(off, np.sqrt(np.vecdot(y, y)))
-                if np.any(far):
-                    raise DataCorruptionError(
-                        f"record k={_first(far, k)} has a y {_first(far, off)!r} away "
-                        "from the y_k that the replay gives")
+            stepped, stored = x[1:n], stored_x[1:]
+            off = np.sqrt(np.vecdot(stored - stepped, stored - stepped))
+            far = ~_within(off, np.sqrt(np.vecdot(stepped, stepped)))
+            if np.any(far):
+                raise DataCorruptionError(
+                    f"record k={_first(far, k[1:])} has an x {_first(far, off)!r} away "
+                    "from the x_k that the step rule gives")
         return replace(self, y=y, grad_map=grad_map, f_z=f_z)
 
     def _steps_to_z(self, variant: str) -> np.ndarray:
@@ -407,23 +408,22 @@ def momentum(problem: CompositeProblem, config: SolverConfig):
 
 
 def step(config: SolverConfig, beta, state: SolverState, z: Vector,
-         f_z: float) -> SolverState:
+         f_z: float, takes_z) -> SolverState:
     """One iteration of the shared rule from z = z_k and f_z = F(z_k).
 
-    beta is momentum(problem, config).  mapm ties accept, so its cached F(y_k)
-    never increases; while every step accepts, the gamma term is exactly zero
-    and the (x, y) sequences coincide with apm's.
+    beta is momentum(problem, config).  takes_z is the caller's choice of
+    y_{k+1}: z_k if true, else y_k; `iterate` passes mapm's test F(z_k) <=
+    F(y_k) (true for every other variant), `Trace.replayed` a trace's stored
+    choice.  mapm ties accept, so its cached F(y_k) never increases; while
+    every step accepts, the gamma term is exactly zero and the (x, y)
+    sequences coincide with apm's.
     """
     k = state.k
-    monotone = config.variant == "mapm"
-    if monotone and f_z > state.f_y:
-        y, f_y = state.y, state.f_y
-    else:
-        y, f_y = z, f_z
+    y, f_y = (z, f_z) if takes_z else (state.y, state.f_y)
     x = y
     if beta is not None:
         x = x + beta(k) * (y - state.y)
-    if monotone:
+    if config.variant == "mapm":
         a = config.alpha
         x = x + ((k + a - 1.0) / (k + a)) * (z - y)
     return SolverState(k=k + 1, x=x, y=y, f_y=f_y)
@@ -446,12 +446,13 @@ def iterate(problem: CompositeProblem, config: SolverConfig, x0):
     x0 = as_vector(x0, problem.dim)
     s = bind_step(problem.smooth.lipschitz, config.step)
     beta = momentum(problem, config)
+    monotone = config.variant == "mapm"
     state = SolverState(k=0, x=x0, y=x0, f_y=problem.value(x0))
     while True:
         z, G, f_z = prox_point(problem, s, state.x)
         require_finite(state.k, "F(z_k)", f_z)
         yield state, z, G, f_z
-        state = step(config, beta, state, z, f_z)
+        state = step(config, beta, state, z, f_z, not monotone or f_z <= state.f_y)
 
 
 def run(problem: CompositeProblem, config: SolverConfig, x0) -> Trace:
@@ -463,7 +464,6 @@ def run(problem: CompositeProblem, config: SolverConfig, x0) -> Trace:
     max_iters steps yields max_iters + 1 records.  Beyond iterate's checks, a
     non-finite ||G_k|| raises RejectedInputError naming k.
     """
-    f_star = problem.known_optimum
     rows, chunks = [], {name: [] for name in _DTYPES}  # rows in the order of _DTYPES
     for state, _, G, f_z in iterate(problem, config, x0):
         k = state.k
@@ -472,7 +472,6 @@ def run(problem: CompositeProblem, config: SolverConfig, x0) -> Trace:
             k,
             state.f_y,
             gnorm,
-            (state.f_y - f_star) if f_star is not None else None,
             (f_z <= state.f_y) if config.variant == "mapm" else None,
             state.x,
             state.y,

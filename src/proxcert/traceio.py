@@ -2,17 +2,15 @@
 
 Each file is a table of columns in CSV or JSON lines.  Traces and reports are
 versioned so the certificate engine refuses incompatible files instead of
-misreading columns: CSV files start with `# proxcert-trace v3` (reports with
+misreading columns: CSV files start with `# proxcert-trace v4` (reports with
 `# proxcert-report v1`), JSON-lines files with a header object carrying
-schema_version.  Floats are written as their shortest round-trip decimals, so
-a re-parsed trace certifies identically.
+schema_version.  Only these versions are read.  Floats are written as their
+shortest round-trip decimals, so a re-parsed trace certifies identically.
 
-A trace (v3) stores what the run chose, `k`, `f_y`, `gap`, `grad_map_norm`
-and `accepted`, and with iterates `x`.  y_k, G_k and F(z_k) are not stored:
+A trace (v4) stores what the run chose, `k`, `f_y`, `grad_map_norm`,
+`accepted` and `x`, in every row.  y_k, G_k and F(z_k) are not stored:
 `solvers.Trace.replayed` derives them from x_k and `accepted` bit for bit and
-checks the stored cells against them.  v1 and v2 traces are still read: their
-`y` is read and checked against the derived y_k, and a v1 trace's extra
-columns (`f_z`, `grad_map` and the always-empty `energy`) are not read.
+checks the stored cells against them.
 
 Each column has a kind, which says once how its values are written as CSV
 cells and JSON values and how each is read back and checked.  `_COLUMN_KINDS`
@@ -54,16 +52,13 @@ from .errors import (_FLOAT_MAX, SETTING_RULES, ConfigurationError, DataCorrupti
                      check_setting)
 from .solvers import SolverConfig, Trace
 
-SCHEMA_VERSION = 3  # the trace version written
+SCHEMA_VERSION = 4  # the trace version written and read
 TRACE_MAGIC = f"# proxcert-trace v{SCHEMA_VERSION}"
-# Each trace version read, by the first line of its CSV file.
-_TRACE_VERSIONS = {f"# proxcert-trace v{version}": version for version in (1, 2, 3)}
-REPORT_MAGIC = "# proxcert-report v1"
 _REPORT_SCHEMA_VERSION = 1
+REPORT_MAGIC = f"# proxcert-report v{_REPORT_SCHEMA_VERSION}"
 
 # Characters of a file read per block: at about 20 characters per coordinate,
-# some 128 KB of float64 (certificates._BLOCK_BYTES) in each of a v1 trace's
-# three vector columns, and some 400 KB in a v3 trace's one.
+# some 400 KB of float64 in a trace's one vector column.
 _BLOCK_TEXT = 1 << 20
 # Numbers (scalar cells and vector coordinates) per span of trace rows that
 # one encoder call formats; a trace of two or more spans is formatted on every
@@ -82,7 +77,6 @@ class TraceMeta:
     problem_hash: Optional[str] = None
     max_iters: Optional[int] = None
     grad_map_tol: Optional[float] = None
-    iterates: bool = True
     problem: Optional[dict] = None
     schema_version: int = SCHEMA_VERSION
 
@@ -185,15 +179,12 @@ _VECTOR = _Kind("a list of numbers", False, _fmt_vector, _parse_vectors,
                                and all(map(_FLOAT.is_json, value))))
 
 # Every trace column, in file order, with the kind of its values; each names
-# a Trace column.  The vector columns, the iterates, are written only when
-# meta.iterates is set, and then every row has each of them.
+# a Trace column, and every row has a value for each but `accepted`.
 _COLUMN_KINDS = {
-    "k": _INT, "f_y": _FLOAT, "gap": _OPT_FLOAT, "grad_map_norm": _FLOAT,
-    "accepted": _OPT_BOOL, "x": _VECTOR,
+    "k": _INT, "f_y": _FLOAT, "grad_map_norm": _FLOAT, "accepted": _OPT_BOOL,
+    "x": _VECTOR,
 }
-_ITERATE_COLUMNS = tuple(name for name, kind in _COLUMN_KINDS.items()
-                         if kind is _VECTOR)
-_TRACE_COLUMNS = tuple(name for name in _COLUMN_KINDS if name not in _ITERATE_COLUMNS)
+_TRACE_COLUMNS = tuple(_COLUMN_KINDS)
 
 
 def _json_float(x: float):
@@ -231,11 +222,6 @@ _REPORT_KINDS = {
 _REPORT_COLUMNS = tuple(_REPORT_KINDS)
 
 
-def _columns(iterates: bool) -> tuple:
-    """The names of a trace's columns, in file order."""
-    return _TRACE_COLUMNS + _ITERATE_COLUMNS if iterates else _TRACE_COLUMNS
-
-
 def _csv_lines(names, kinds, columns) -> str:
     """CSV rows of columns of values, each cell written by its column's kind
     and each row ending in CRLF.  `names` is unused: a CSV file names its
@@ -261,32 +247,31 @@ def _encoder(what: str, fmt: str) -> Callable:
 
 def write_trace(path, meta: TraceMeta, records, fmt: str = "csv") -> None:
     """Write one row per record of a Trace (or of IterationRecord rows, through
-    `Trace.from_records`); iterates included per meta.iterates.  The file is
-    of version SCHEMA_VERSION whatever meta.schema_version says.  Like
-    read_trace, refuses bad settings (ConfigurationError) and a record without
-    a value its column requires (RejectedInputError naming k)."""
+    `Trace.from_records`).  The file is of version SCHEMA_VERSION whatever
+    meta.schema_version says.  Like read_trace, refuses bad settings
+    (ConfigurationError) and a record without a value its column requires
+    (RejectedInputError naming k)."""
     encode = _encoder("trace", fmt)
     meta.config()
-    names = _columns(meta.iterates)
-    trace = Trace.from_records(records, names)
+    trace = Trace.from_records(records, _TRACE_COLUMNS)
     header = {**asdict(meta), "schema_version": SCHEMA_VERSION}
     if fmt == "csv":
-        header = f"{TRACE_MAGIC}\n# meta {json.dumps(header)}\n{','.join(names)}\r\n"
+        header = (f"{TRACE_MAGIC}\n# meta {json.dumps(header)}\n"
+                  f"{','.join(_TRACE_COLUMNS)}\r\n")
     else:
         header = json.dumps({"format": "proxcert-trace", **header}) + "\n"
     with open(path, "wb") as fh:
         fh.write(header.encode())
-        _write_rows(fh, encode, trace, meta.iterates)
+        _write_rows(fh, encode, trace)
 
 
-def _span_bytes(encode, trace: Trace, iterates: bool) -> bytes:
+def _span_bytes(encode, trace: Trace) -> bytes:
     """The trace rows of a Trace (a span of one), from its columns' values."""
-    names = _columns(iterates)
-    columns = [getattr(trace, name).tolist() for name in names]
-    return encode(names, [_COLUMN_KINDS[name] for name in names], columns).encode()
+    columns = [getattr(trace, name).tolist() for name in _TRACE_COLUMNS]
+    return encode(_TRACE_COLUMNS, _COLUMN_KINDS.values(), columns).encode()
 
 
-def _write_rows(fh, encode, trace: Trace, iterates: bool) -> None:
+def _write_rows(fh, encode, trace: Trace) -> None:
     """Write the rows of consecutive spans of the trace.
 
     With two or more spans and more than one core, forked workers encode the
@@ -295,17 +280,16 @@ def _write_rows(fh, encode, trace: Trace, iterates: bool) -> None:
     bytes cross between processes.  Both paths call `_span_bytes`, so the
     bytes do not depend on the path.
     """
-    span = _span_rows(trace, iterates)
+    span = _span_rows(trace)
     spans = [(start, start + span) for start in range(0, len(trace), span)]
     workers = min(_cores(), len(spans))
     if workers < 2:
         for start, stop in spans:
-            fh.write(_span_bytes(encode, trace[start:stop], iterates))
+            fh.write(_span_bytes(encode, trace[start:stop]))
         return
     import multiprocessing  # only here: reading a trace never starts a pool
 
-    pool = multiprocessing.get_context("fork").Pool(
-        workers, _adopt_job, (encode, trace, iterates))
+    pool = multiprocessing.get_context("fork").Pool(workers, _adopt_job, (encode, trace))
     try:
         for chunk in pool.imap(_encode_span, spans):
             fh.write(chunk)
@@ -317,14 +301,10 @@ def _write_rows(fh, encode, trace: Trace, iterates: bool) -> None:
         pool.join()
 
 
-def _span_rows(trace: Trace, iterates: bool) -> int:
-    """Rows per span: about _SPAN_COORDS numbers, each vector cell counting
-    its coordinates."""
-    names = _columns(iterates)
-    width = len(names)
-    vectors = sum(_COLUMN_KINDS[name] is _VECTOR for name in names)
-    if vectors and len(trace):
-        width += vectors * (trace.x.shape[1] - 1)
+def _span_rows(trace: Trace) -> int:
+    """Rows per span: about _SPAN_COORDS numbers, the `x` cell counting its
+    coordinates."""
+    width = len(_TRACE_COLUMNS) + (trace.x.shape[1] - 1 if len(trace) else 0)
     return max(1, _SPAN_COORDS // width)
 
 
@@ -340,7 +320,7 @@ def _cores() -> int:
     return len(os.sched_getaffinity(0))
 
 
-_job = None  # (encode, trace, iterates) in a trace writer's worker process
+_job = None  # (encode, trace) in a trace writer's worker process
 
 
 def _adopt_job(*job) -> None:
@@ -349,63 +329,52 @@ def _adopt_job(*job) -> None:
 
 
 def _encode_span(span) -> bytes:
-    encode, trace, iterates = _job
-    return _span_bytes(encode, trace[slice(*span)], iterates)
+    encode, trace = _job
+    return _span_bytes(encode, trace[slice(*span)])
 
 
 def read_trace(path):
-    """Parse a trace file (either format, v1, v2 or v3); returns (TraceMeta, Trace).
+    """Parse a v4 trace file (either format); returns (TraceMeta, Trace).
 
-    The Trace has no `grad_map` or `f_z`, and no `y` when read from v3:
-    `Trace.replayed` derives them.  The `y` of a v1 or v2 trace is read, and
-    replay checks it."""
+    The Trace has no `y`, `grad_map` or `f_z`: `Trace.replayed` derives them.
+    A file of another version is a ConfigurationError naming its version."""
     with open(path, newline="") as fh:
-        first = fh.readline().rstrip("\n")
-        if not first.startswith("#"):
-            header = json.loads(first)
-            if not isinstance(header, dict) or header.get("format") != "proxcert-trace":
-                raise ConfigurationError("file is not a proxcert trace")
-            if not _readable(header.get("schema_version")):  # before other keys
-                raise ConfigurationError(
-                    f"unsupported trace schema_version {header.get('schema_version')!r}")
-            meta = _meta_from_dict(header)
-            decode, first_line = _jsonl_blocks, 2
-        else:
-            if first not in _TRACE_VERSIONS:
-                raise ConfigurationError(
-                    f"unsupported trace header {first!r}; expected {TRACE_MAGIC!r}"
-                )
+        decode, header, first_line = _read_header(fh, "trace", SCHEMA_VERSION)
+        if header is None:  # a CSV file: the header is its `# meta` line
             meta_line = fh.readline().rstrip("\n")
             if not meta_line.startswith("# meta "):
                 raise ConfigurationError("malformed trace file header")
-            meta = _meta_from_dict(json.loads(meta_line[len("# meta "):]))
-            if meta.schema_version != _TRACE_VERSIONS[first]:
-                raise ConfigurationError(
-                    f"trace metadata schema_version must be {_TRACE_VERSIONS[first]} "
-                    f"under {first!r}, got {meta.schema_version!r}")
-            decode, first_line = _csv_blocks, 3
-        kinds = {name: _COLUMN_KINDS[name] for name in _columns(meta.iterates)}
-        if meta.iterates and meta.schema_version < 3:
-            kinds["y"] = _VECTOR  # v1 and v2 store y_k too; replay checks it
-        pieces = {name: [] for name in kinds}
-        for _, columns in decode("trace", fh, first_line, kinds):
+            header, first_line = json.loads(meta_line[len("# meta "):]), 3
+        meta = _meta_from_dict(header)
+        pieces = {name: [] for name in _COLUMN_KINDS}
+        for _, columns in decode("trace", fh, first_line, _COLUMN_KINDS):
             block = Trace.join({name: [values] for name, values in columns.items()})
             for name, parts in pieces.items():
                 parts.append(getattr(block, name))
     return meta, Trace.join(pieces)
 
 
-def _readable(version) -> bool:
-    """Whether a trace's schema_version is one this reader takes."""
-    return type(version) is int and version in _TRACE_VERSIONS.values()
-
-
-# Checks of the trace metadata beyond its run settings (TraceMeta.config): key,
-# what its value must be, and the test.
-_META_RULES = {
-    "iterates": ("true or false", lambda v: type(v) is bool),
-    "schema_version": ("1, 2 or 3", _readable),
-}
+def _read_header(fh, what: str, version: int):
+    """(decoder, JSON header, number of the next line) of a trace or a report
+    (`what`) of this version, from its first line: a CSV file's
+    `# proxcert-<what> v<version>` (its header is then None) or a JSON-lines
+    file's header object.  Another version, or another file, is a
+    ConfigurationError naming what it found."""
+    first = fh.readline().rstrip("\n")
+    if first.startswith("#"):
+        magic = f"# proxcert-{what} v{version}"
+        if first != magic:
+            raise ConfigurationError(f"unsupported {what} header {first!r:.80}; "
+                                     f"expected {magic!r}")
+        return _csv_blocks, None, 2
+    header = json.loads(first)
+    if not isinstance(header, dict) or header.get("format") != f"proxcert-{what}":
+        raise ConfigurationError(f"file is not a proxcert {what}")
+    found = header.get("schema_version")
+    if not (type(found) is int and found == version):
+        raise ConfigurationError(
+            f"unsupported {what} schema_version {found!r:.80}; expected {version}")
+    return _jsonl_blocks, header, 2
 
 
 def _meta_from_dict(d: dict) -> TraceMeta:
@@ -413,12 +382,9 @@ def _meta_from_dict(d: dict) -> TraceMeta:
     if not isinstance(d, dict):
         raise ConfigurationError(f"trace metadata must be a JSON object, got {d!r:.80}")
     meta = TraceMeta(**{k: d[k] for k in TraceMeta.__dataclass_fields__ if k in d})
-    for key, (what, valid) in _META_RULES.items():
-        value = getattr(meta, key)
-        if not valid(value):
-            raise ConfigurationError(
-                f"trace metadata {key} must be {what}, got {value!r}"
-            )
+    if not (type(meta.schema_version) is int and meta.schema_version == SCHEMA_VERSION):
+        raise ConfigurationError(f"trace metadata schema_version must be "
+                                 f"{SCHEMA_VERSION}, got {meta.schema_version!r}")
     meta.config()
     return meta
 
@@ -539,16 +505,11 @@ def write_report(path, reports, fmt: str = "csv") -> None:
 
 
 def read_report(path) -> list:
-    """Parse a report file back into CertificateReport rows."""
+    """Parse a report file back into CertificateReport rows; a report of
+    another version is a ConfigurationError naming its header."""
     with open(path) as fh:
-        first = fh.readline().rstrip("\n")
-        if first == REPORT_MAGIC:
-            blocks = _csv_blocks("report", fh, 2, _REPORT_KINDS)
-        else:
-            header = json.loads(first)
-            if not isinstance(header, dict) or header.get("format") != "proxcert-report":
-                raise ConfigurationError("file is not a proxcert report")
-            blocks = _jsonl_blocks("report", fh, 2, _REPORT_KINDS)
+        decode, _, first_line = _read_header(fh, "report", _REPORT_SCHEMA_VERSION)
+        blocks = decode("report", fh, first_line, _REPORT_KINDS)
         tables = [CertificateTable(*block.values()) for _, block in blocks]
     return [row for table in tables for row in table]
 

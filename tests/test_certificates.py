@@ -283,7 +283,8 @@ class TestEnvelopes:
         for rec in records:
             if rec.k >= k_alpha(ctx.alpha):
                 env = theorem1_envelope(ctx, rec.k, d0)
-                assert rec.gap <= env + 1e-8 * (1 + abs(rec.gap) + env)
+                gap = rec.f_y - ctx.f_star
+                assert gap <= env + 1e-8 * (1 + abs(gap) + env)
 
 
 class TestDescentLemma:

@@ -9,7 +9,6 @@ import os
 import subprocess
 import sys
 import tempfile
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -261,13 +260,6 @@ class TestCertifyCommand:
         assert run_cli("certify", "--trace", str(trace),
                        "--report", str(tmp_path / "r.csv")) == 0
 
-    def test_trace_without_iterates_exits_2(self, tmp_path):
-        trace = tmp_path / "bare.csv"
-        assert run_cli(*quadratic_run_args(trace, ("--no-iterates",))) == 0
-        code = run_cli("certify", "--trace", str(trace),
-                       "--report", str(tmp_path / "r.csv"))
-        assert code == 2
-
     def test_missing_trace_file_exits_2(self, tmp_path):
         code = run_cli("certify", "--trace", str(tmp_path / "nope.csv"),
                        "--report", str(tmp_path / "r.csv"))
@@ -290,23 +282,12 @@ def setting_id(value):
     return "1e400-int" if value == BIG_INT else None
 
 
-def short_trace(tmp_path, fmt="csv", version=3, solver="mapm"):
-    """A 20-iteration d5 trace, written as v3, or rewritten as the v1 or v2
-    trace of the same run."""
+def short_trace(tmp_path, fmt="csv", solver="mapm"):
+    """A 20-iteration d5 trace."""
     trace = tmp_path / f"trace.{fmt}"
     assert run_cli(*quadratic_run_args(trace, ("--max-iters", "20", "--format", fmt,
                                                "--solver", solver))) == 0
-    if version != 3:
-        meta, _ = read_trace(trace)
-        problem = cli.build_problem_from_spec(meta.problem)
-        write_old_trace(trace, fmt, version, meta,
-                        run(problem, meta.config(), np.zeros(problem.dim)))
     return trace
-
-
-def trace_storing(tmp_path, column, fmt="csv"):
-    """short_trace, as v2 where `column` is y, which only v1 and v2 store."""
-    return short_trace(tmp_path, fmt, 2 if column == "y" else 3)
 
 
 def edit_csv_rows(trace, edit):
@@ -355,35 +336,31 @@ class TestCorruptTraceExits3:
         assert certify_cli(trace, tmp_path) == 3
         assert f"k=12 has {column} = nan" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("column", ["x", "y"])
-    def test_vector_of_wrong_length(self, tmp_path, capsys, column):
-        trace = trace_storing(tmp_path, column)
-
-        def shorten(rows):
-            rows[15][column] = rows[15][column].rsplit(";", 1)[0]
-            return rows
-        edit_csv_rows(trace, shorten)
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_vector_of_wrong_length(self, tmp_path, capsys, fmt):
+        trace = short_trace(tmp_path, fmt)
+        edit_cell(trace, fmt, 15, "x", lambda v: v[:-1])
         assert certify_cli(trace, tmp_path) == 3
-        assert f"k=15 has a {column} of shape (4,)" in capsys.readouterr().err
+        assert "k=15 has a x of shape (4,)" in capsys.readouterr().err
 
     def test_short_csv_row(self, tmp_path, capsys):
         trace = short_trace(tmp_path)
 
         def cut(rows):
-            rows[5] = {c: rows[5][c] for c in ("k", "f_y", "gap")}
+            rows[5] = {c: rows[5][c] for c in ("k", "f_y")}
             return rows
         edit_csv_rows(trace, cut)
         assert certify_cli(trace, tmp_path) == 3
         err = capsys.readouterr().err
-        assert "trace line 9 has 3 cells" in err and "'grad_map_norm'" in err
+        assert "trace line 9 has 2 cells" in err and "'grad_map_norm'" in err
 
     @pytest.mark.parametrize("key", [
         "k", "f_y", "grad_map_norm", None,
         # the writer gives every row each key, null where the value is empty
-        "gap", "accepted", "x", "y",
+        "accepted", "x",
     ])
     def test_jsonl_row_without_field(self, tmp_path, capsys, key):
-        trace = trace_storing(tmp_path, key, "jsonl")
+        trace = short_trace(tmp_path, "jsonl")
         lines = trace.read_text().splitlines()
         row = json.loads(lines[6])
         if key is None:
@@ -424,40 +401,30 @@ class TestCorruptTraceExits3:
         assert (f"trace line {line}: field 'k' must be an integer, got "
                 in capsys.readouterr().err)
 
-    @pytest.mark.parametrize("column", ["x", "y"])
-    def test_nan_coordinate(self, tmp_path, capsys, column):
-        trace = trace_storing(tmp_path, column)
-
-        def poison(rows):
-            coords = rows[12][column].split(";")
-            coords[2] = "nan"
-            rows[12][column] = ";".join(coords)
-            return rows
-        edit_csv_rows(trace, poison)
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_nan_coordinate(self, tmp_path, capsys, fmt):
+        # json.dumps writes a nan as NaN, which json.loads reads back
+        trace = short_trace(tmp_path, fmt)
+        edit_cell(trace, fmt, 12, "x", lambda v: v[:2] + [math.nan] + v[3:])
         assert certify_cli(trace, tmp_path) == 3
-        assert f"k=12 has a nan coordinate in {column}" in capsys.readouterr().err
+        assert "k=12 has a nan coordinate in x" in capsys.readouterr().err
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     @pytest.mark.parametrize("meta_dim", [None, 4, 5])
-    @pytest.mark.parametrize("version", [2, 3])
     def test_vectors_agree_but_not_with_the_problem_dim(self, tmp_path, capsys, fmt,
-                                                         meta_dim, version):
-        # every vector of a d5 trace cut to 4 coordinates, with the `dim` that
+                                                         meta_dim):
+        # every x of a d5 trace cut to 4 coordinates, with the `dim` that
         # older traces carry in their metadata, or none: numpy's broadcast
         # error ended certify with exit 2
-        trace = short_trace(tmp_path, fmt, version)
-        vectors = ("x", "y")[:4 - version]  # the trailing columns
+        trace = short_trace(tmp_path, fmt)
         lines = trace.read_text().splitlines()
         start = 3 if fmt == "csv" else 1
         for i, line in enumerate(lines[start:], start):
-            if fmt == "csv":
-                cells = line.split(",")
-                tail = len(cells) - len(vectors)
-                lines[i] = ",".join(cells[:tail] + [c.rsplit(";", 1)[0]
-                                                    for c in cells[tail:]])
+            if fmt == "csv":  # x is the last column
+                lines[i] = line.rsplit(";", 1)[0]
             else:
                 row = json.loads(line)
-                lines[i] = json.dumps({**row, **{c: row[c][:-1] for c in vectors}})
+                lines[i] = json.dumps({**row, "x": row["x"][:-1]})
         trace.write_text("\n".join(lines) + "\n")
         if meta_dim is not None:
             edit_meta(trace, fmt, lambda meta: {**meta, "dim": meta_dim})
@@ -551,18 +518,17 @@ class TestCorruptTraceExits3:
     @pytest.mark.parametrize("key, value, expected", [
         ("f_y", True, "must be a number, got True"),
         ("grad_map_norm", "1", "must be a number, got '1'"),
-        ("gap", False, "must be a number, got False"),
         ("k", True, "must be an integer, got True"),
         ("x", "1.0", "must be a list of numbers"),
-        ("y", [[0.0]] * 5, "must be a list of numbers"),
+        ("x", [[0.0]] * 5, "must be a list of numbers"),
         # a null iterate: certify called the record one "with no stored iterates"
-        ("y", None, "must be a list of numbers, got None"),
+        ("x", None, "must be a list of numbers, got None"),
         # an int too large for a float: it ended in an OverflowError traceback
         *[(key, BIG_INT, "must be a number, got 1000000000")
-          for key in ("f_y", "gap", "grad_map_norm")],
+          for key in ("f_y", "grad_map_norm")],
     ], ids=setting_id)
     def test_jsonl_field_not_a_number(self, tmp_path, capsys, key, value, expected):
-        trace = trace_storing(tmp_path, key, "jsonl")
+        trace = short_trace(tmp_path, "jsonl")
         lines = trace.read_text().splitlines()
         row = json.loads(lines[6])
         row[key] = value
@@ -571,29 +537,25 @@ class TestCorruptTraceExits3:
         assert certify_cli(trace, tmp_path) == 3
         assert f"trace line 7: field {key!r} {expected}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("column", ["x", "y"])
     @pytest.mark.parametrize("entry", [True, "0.5", None, BIG_INT], ids=setting_id)
-    def test_jsonl_vector_entry_not_a_number(self, tmp_path, capsys, column, entry):
-        trace = trace_storing(tmp_path, column, "jsonl")
+    def test_jsonl_vector_entry_not_a_number(self, tmp_path, capsys, entry):
+        trace = short_trace(tmp_path, "jsonl")
         lines = trace.read_text().splitlines()
         row = json.loads(lines[6])
-        row[column][2] = entry
+        row["x"][2] = entry
         lines[6] = json.dumps(row)
         trace.write_text("\n".join(lines) + "\n")
         assert certify_cli(trace, tmp_path) == 3
-        assert (f"trace line 7: field {column!r} must be a list of numbers"
+        assert ("trace line 7: field 'x' must be a list of numbers"
                 in capsys.readouterr().err)
 
     @pytest.mark.parametrize("column, cell, what", [
         ("k", "1.5", "an integer"),
         ("f_y", "abc", "a number"),
-        ("gap", "abc", "a number"),
         ("grad_map_norm", "", "a number"),
         ("accepted", "maybe", "true or false"),
         ("x", "abc", "a list of numbers"),
-        # an empty iterate cell: certify called the record one "with no stored
-        # iterates"
-        ("y", "", "a list of numbers"),
+        ("x", "", "a list of numbers"),
         # float() and int() read these cells, but no writer emits them
         ("f_y", "1_0", "a number"),
         ("k", "1_0", "an integer"),
@@ -601,7 +563,7 @@ class TestCorruptTraceExits3:
         ("x", "1_0", "a list of numbers"),
     ])
     def test_malformed_csv_cell(self, tmp_path, capsys, column, cell, what):
-        trace = trace_storing(tmp_path, column)
+        trace = short_trace(tmp_path)
 
         def corrupt(rows):
             if column == "x":  # one coordinate of the vector
@@ -633,8 +595,9 @@ class TestCorruptTraceExits3:
         ("max_iters", "20", "an integer >= 0"),
         ("max_iters", -1, "an integer >= 0"),
         ("max_iters", 2.5, "an integer >= 0"),
+        ("max_iters", True, "an integer >= 0"),
         ("grad_map_tol", "x", "a number >= 0"),
-        ("iterates", "false", "true or false"),
+        ("grad_map_tol", -1.0, "a number >= 0"),
     ])
     def test_meta_value_of_wrong_type_exits_2(self, tmp_path, capsys, fmt, key,
                                               value, what):
@@ -677,19 +640,30 @@ class TestCorruptTraceExits3:
          "record k=10 has accepted None; mapm records true or false in every row"),
         ("f_y", 10, lambda v: v - 1e-6, "record k=10 has f_y"),
         ("f_y", 10, lambda v: v + 1e-3, "record k=10 has f_y"),
-        ("y", 0, lambda v: [v[0] + 0.5] + v[1:], "record k=0 has a y "),
-        ("y", 10, lambda v: [1.001 * c for c in v], "record k=10 has a y "),
+        ("x", 20, lambda v: v[:2] + [v[2] + 1e-9] + v[3:], "record k=20 has an x "),
+        ("x", 0, lambda v: [v[0] + 0.5] + v[1:], "record k=0 has grad_map_norm "),
+        ("x", 10, lambda v: [1.001 * c for c in v], "record k=10 has grad_map_norm "),
     ], ids=["grad_map_norm_doubled", "accepted_flipped", "accepted_empty",
-            "f_y_lowered", "f_y_raised", "y0_not_x0", "y_scaled"])
+            "f_y_lowered", "f_y_raised", "x_moved", "x0_moved", "x_scaled"])
     def test_cell_that_disagrees_with_the_replay(self, tmp_path, capsys, fmt, column,
                                                  k, edit, message):
-        # certify derives y_k, G_k, F(z_k) and F(y_k) from x_k and `accepted`: the
-        # first three edits exited 0 before G_k was replayed, the f_y edits exited
-        # 0 and 1, and the y edits (of a v2 trace) 3 and 1
-        trace = trace_storing(tmp_path, column, fmt)
+        # certify derives y_k, G_k, F(z_k), F(y_k) and x_{k+1} from x_k and
+        # `accepted`: the first three edits exited 0 before G_k was replayed,
+        # the f_y edits exited 0 and 1
+        trace = short_trace(tmp_path, fmt)
         edit_cell(trace, fmt, k, column, edit)
         assert certify_cli(trace, tmp_path) == 3
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @pytest.mark.parametrize("solver", ["mapm", "apm"])
+    def test_alpha_other_than_the_runs(self, tmp_path, capsys, fmt, solver):
+        # the header's alpha changed from 3 to 3.5 exited 1 (inertial_identity
+        # at k=1): x_2 is not the step that alpha gives
+        trace = short_trace(tmp_path, fmt, solver=solver)
+        edit_meta(trace, fmt, lambda meta: {**meta, "alpha": 3.5})
+        assert certify_cli(trace, tmp_path) == 3
+        assert ("record k=2 has an x " in capsys.readouterr().err)
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     @pytest.mark.parametrize("value", [True, False])
@@ -723,89 +697,45 @@ def edit_cell(trace, fmt, k, column, edit):
     edit_csv_rows(trace, change)
 
 
-# The columns of older traces: v2 also stored y, and v1 also G_k, F(z_k) and
-# an always-empty `energy`.
-OLD_COLUMNS = {
-    1: ["k", "f_y", "gap", "grad_map_norm", "accepted", "energy", "f_z", "x", "y",
-        "grad_map"],
-    2: ["k", "f_y", "gap", "grad_map_norm", "accepted", "x", "y"],
-}
-
-
-def write_old_trace(path, fmt, version, meta, trace):
-    """A run's Trace as a trace of an older version, whose y (and in v1, G_k
-    and F(z_k)) are run()'s own."""
-    columns = OLD_COLUMNS[version]
-    header = {**asdict(meta), "schema_version": version}
-    rows = [{**asdict(row), "energy": None} for row in trace]
-    if fmt == "csv":
-        def cell(value):
-            if isinstance(value, np.ndarray):
-                return traceio._fmt_vector(value.tolist())
-            return traceio._fmt(value)
-        lines = [",".join(columns)] + [",".join(cell(row[c]) for c in columns)
-                                       for row in rows]
-        text = (f"# proxcert-trace v{version}\n# meta {json.dumps(header)}\n"
-                + "".join(line + "\r\n" for line in lines))
-    else:
-        lines = [{"format": "proxcert-trace", **header}] + [
-            {c: row[c].tolist() if isinstance(row[c], np.ndarray) else row[c]
-             for c in columns} for row in rows]
-        text = "".join(json.dumps(line) + "\n" for line in lines)
-    path.write_text(text, newline="")
-
-
 class TestTraceVersions:
-    """v3 traces store x but not y, G_k or F(z_k); v1 and v2 traces are still
-    read, and their y is checked against the y that replay derives."""
+    """Traces are written and read as v4 only: `k, f_y, grad_map_norm,
+    accepted, x` in every row."""
 
-    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
-    @pytest.mark.parametrize("version", [1, 2])
-    def test_old_trace_certifies_to_the_bytes_of_its_v3_rewrite(self, tmp_path, fmt,
-                                                               version):
-        v3, old = tmp_path / f"v3.{fmt}", tmp_path / f"old.{fmt}"
-        assert run_cli(*quadratic_run_args(v3, ("--format", fmt))) == 0
-        meta, _ = read_trace(v3)
-        problem = cli.build_problem_from_spec(meta.problem)
-        write_old_trace(old, fmt, version, meta,
-                        run(problem, meta.config(), np.zeros(problem.dim)))
-        assert read_trace(old)[0].schema_version == version
-        assert read_trace(old)[1].y is not None and read_trace(v3)[1].y is None
-        reports = []
-        for trace in (v3, old):
-            reports.append(tmp_path / f"report-{trace.stem}.{fmt}")
-            assert run_cli("certify", "--trace", str(trace), "--format", fmt,
-                           "--report", str(reports[-1])) == 0
-        assert reports[0].read_bytes() == reports[1].read_bytes()
-        if version == 2:
-            return
-        # a v1 trace's f_z and grad_map cells are no longer read
-        for column in ("f_z", "grad_map"):
-            if fmt == "csv":
-                edit_csv_rows(old, lambda rows: [{**rows[0], column: "abc"}] + rows[1:])
-            else:
-                edit_cell(old, fmt, 0, column, lambda value: "abc")
-        assert run_cli("certify", "--trace", str(old), "--format", fmt,
-                       "--report", str(reports[1])) == 0
-        assert reports[0].read_bytes() == reports[1].read_bytes()
-
-    def test_trace_is_written_as_v3(self, tmp_path):
+    def test_trace_is_written_as_v4(self, tmp_path):
         trace = short_trace(tmp_path)
         lines = trace.read_text().splitlines()
-        assert lines[0] == "# proxcert-trace v3"
-        assert json.loads(lines[1][len("# meta "):])["schema_version"] == 3
-        assert lines[2] == "k,f_y,gap,grad_map_norm,accepted,x"
+        assert lines[0] == "# proxcert-trace v4"
+        assert json.loads(lines[1][len("# meta "):])["schema_version"] == 4
+        assert lines[2] == "k,f_y,grad_map_norm,accepted,x"
         jsonl = short_trace(tmp_path, "jsonl").read_text().splitlines()
-        assert json.loads(jsonl[0])["schema_version"] == 3
-        assert list(json.loads(jsonl[1])) == ["k", "f_y", "gap", "grad_map_norm",
-                                              "accepted", "x"]
+        assert json.loads(jsonl[0])["schema_version"] == 4
+        assert list(json.loads(jsonl[1])) == ["k", "f_y", "grad_map_norm", "accepted",
+                                              "x"]
+
+    @pytest.mark.parametrize("fmt, message", [
+        ("csv", "unsupported trace header '# proxcert-trace v{}'; expected "
+                "'# proxcert-trace v4'"),
+        ("jsonl", "unsupported trace schema_version {}; expected 4"),
+    ], ids=["csv", "jsonl"])
+    @pytest.mark.parametrize("version", [1, 2, 3])
+    def test_older_version_exits_2_naming_it(self, tmp_path, capsys, fmt, message,
+                                             version):
+        # v1-v3 traces were read until v4 became the one layout
+        trace = short_trace(tmp_path, fmt)
+        edit_meta(trace, fmt, lambda meta: {**meta, "schema_version": version})
+        if fmt == "csv":
+            lines = trace.read_text().splitlines(keepends=True)
+            trace.write_text(f"# proxcert-trace v{version}\n" + "".join(lines[1:]))
+        assert certify_cli(trace, tmp_path) == 2
+        assert message.format(version) in capsys.readouterr().err
 
     @pytest.mark.parametrize("fmt, version, message", [
-        ("jsonl", 4, "unsupported trace schema_version 4"),
-        ("jsonl", True, "unsupported trace schema_version True"),
-        ("csv", 1, "schema_version must be 3 under '# proxcert-trace v3', got 1"),
-        ("csv", 2, "schema_version must be 3 under '# proxcert-trace v3', got 2"),
-        ("csv", 4, "trace metadata schema_version must be 1, 2 or 3, got 4"),
+        ("jsonl", 5, "unsupported trace schema_version 5; expected 4"),
+        ("jsonl", True, "unsupported trace schema_version True; expected 4"),
+        ("csv", 1, "trace metadata schema_version must be 4, got 1"),
+        ("csv", 2, "trace metadata schema_version must be 4, got 2"),
+        ("csv", 3, "trace metadata schema_version must be 4, got 3"),
+        ("csv", 5, "trace metadata schema_version must be 4, got 5"),
     ])
     def test_unknown_or_mismatched_version_exits_2(self, tmp_path, capsys, fmt, version,
                                                    message):
@@ -813,6 +743,15 @@ class TestTraceVersions:
         edit_meta(trace, fmt, lambda meta: {**meta, "schema_version": version})
         assert certify_cli(trace, tmp_path) == 2
         assert message in capsys.readouterr().err
+
+    def test_csv_trace_without_x_exits_2(self, tmp_path, capsys):
+        # (a JSON-lines row without `x` exits 3: test_jsonl_row_without_field)
+        trace = short_trace(tmp_path)
+        lines = trace.read_text().splitlines(keepends=True)
+        trace.write_text("".join(lines[:3]).replace(",x", "") + "".join(
+            line.rsplit(",", 1)[0] + "\r\n" for line in lines[3:]), newline="")
+        assert certify_cli(trace, tmp_path) == 2
+        assert "trace has no column(s) x" in capsys.readouterr().err
 
 
 class TestCompareCommand:
@@ -1159,24 +1098,26 @@ class TestBenchmarkProblemSpecs:
 
     def test_certify_exit_code_does_not_follow_the_blas_thread_count(self, tmp_path):
         # the closed-form F* of a d200 quadratic moves by a few ulps with the
-        # BLAS thread count; the verdict on the benchmark's cli-quad-d200
-        # trace must not
-        trace = tmp_path / "trace.csv"
-        assert run_cli("run", "--problem", "quadratic", "--dim", "200", "--cond",
-                       "100", "--seed", "101", "--solver", "mapm", "--max-iters",
-                       "2000", "--out", str(trace)) == 0
+        # BLAS thread count; the benchmark's cli-quad-d200 trace, whose `gap`
+        # column followed it, and the verdict on it must not
         src = str(Path(cli.__file__).resolve().parents[1])
-        codes = []
+        codes, traces = [], []
         for threads in ("1", "2"):
             env = {key: value for key, value in os.environ.items()
                    if key != "PROXCERT_SEED"}
             env.update(OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
-            done = subprocess.run([sys.executable, "-m", "proxcert", "certify",
-                                   "--trace", str(trace), "--report",
-                                   str(tmp_path / f"report{threads}.csv")],
-                                  env=env, capture_output=True, text=True, timeout=300)
+            traces.append(tmp_path / f"trace{threads}.csv")
+            for argv in (["run", "--problem", "quadratic", "--dim", "200", "--cond",
+                          "100", "--seed", "101", "--solver", "mapm", "--max-iters",
+                          "2000", "--out", str(traces[-1])],
+                         ["certify", "--trace", str(traces[-1]), "--report",
+                          str(tmp_path / f"report{threads}.csv")]):
+                done = subprocess.run([sys.executable, "-m", "proxcert", *argv],
+                                      env=env, capture_output=True, text=True,
+                                      timeout=300)
             codes.append(done.returncode)
         assert codes[0] == codes[1], codes
+        assert traces[0].read_bytes() == traces[1].read_bytes()
 
     def test_benchmark_selftest_passes(self):
         # bench/selftest.py runs the CLI, checks its outputs with bench/checks.py
@@ -1233,7 +1174,7 @@ EMPTY = {"csv": "", "jsonl": None}
 NAN = {"csv": "nan", "jsonl": float("nan")}
 NON_NUMBERS = {"csv": ["abc", "", "1.0.0", "0x1p3", "1e", "--1"],
                "jsonl": ["abc", None, True, "1.0", [1.0]]}
-# The columns a trace with iterates has a value for in every row.
+# The columns that have a value in every row of a trace.
 REQUIRED_COLUMNS = ["k", "f_y", "grad_map_norm", "x"]
 
 
@@ -1246,15 +1187,15 @@ def mutated_trace(draw, texts, fmt):
     is not a number or is nan, a renamed column, a required cell left empty
     (a JSON null), every vector one coordinate short, or a cell that replay
     checks: a grad_map_norm doubled, an accepted flipped or left empty, an
-    f_y lowered by 1e-6, an apm row given an accepted, or a coordinate of a
-    v2 trace's y moved by 1e-3 (1 + its size).  `texts` holds the valid
-    texts: a mapm and an apm trace, and the mapm trace written as v2."""
+    f_y lowered by 1e-6, an apm row given an accepted, or a coordinate of x
+    moved by 1e-3 (1 + its size).  `texts` holds the valid texts: a mapm and
+    an apm trace."""
     kind = draw(st.sampled_from(["drop", "duplicate", "swap", "truncate", "cut",
                                  "ragged", "non_number", "nan", "rename", "blank",
                                  "shrink", "double_gnorm", "flip_accepted",
                                  "empty_accepted", "lower_f_y", "apm_accepted",
-                                 "move_y"]))
-    text = texts[{"apm_accepted": "apm", "move_y": "v2"}.get(kind, "mapm")]
+                                 "move_x"]))
+    text = texts["apm" if kind == "apm_accepted" else "mapm"]
     lines = text.splitlines()
     if fmt == "csv":
         header, columns = lines[:2], lines[2].split(",")
@@ -1308,8 +1249,8 @@ def mutated_trace(draw, texts, fmt):
         rows[i][columns.index("accepted")] = EMPTY[fmt]
     elif kind == "apm_accepted":
         rows[i][columns.index("accepted")] = scalar(draw(st.booleans()))
-    elif kind == "move_y":
-        col = columns.index("y")
+    elif kind == "move_x":
+        col = columns.index("x")
         cell = coords(rows[i][col])
         j = draw(st.integers(0, len(cell) - 1))
         c = float(cell[j])
@@ -1339,8 +1280,7 @@ def mutated_trace(draw, texts, fmt):
 def valid_trace_texts(tmp_path_factory):
     def text(fmt, **how):
         return short_trace(tmp_path_factory.mktemp("valid"), fmt, **how).read_text()
-    return {fmt: {"mapm": text(fmt), "apm": text(fmt, solver="apm"),
-                  "v2": text(fmt, version=2)}
+    return {fmt: {"mapm": text(fmt), "apm": text(fmt, solver="apm")}
             for fmt in ("csv", "jsonl")}
 
 

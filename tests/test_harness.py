@@ -109,7 +109,7 @@ class TestFitLinearRate:
         s = 0.5 / p.smooth.lipschitz
         records = run(p, SolverConfig(variant="mapm", step=s, max_iters=2000),
                       np.zeros(p.dim))
-        fit = fit_linear_rate([r.gap for r in records], f_star=p.known_optimum)
+        fit = fit_linear_rate(records.f_y - p.known_optimum, f_star=p.known_optimum)
         ctx = EnergyContext(alpha=3.0, s=s, mu=p.smooth.strong_convexity,
                             lipschitz=p.smooth.lipschitz,
                             x_star=p.known_minimizer, f_star=p.known_optimum)

@@ -45,7 +45,13 @@ def scalar_l1_problem():
 def take_step(problem, config, state):
     """One step of the shared rule from state, with z_k and F(z_k) as run() has them."""
     z, _ = gradient_mapping(problem, config.step, state.x)
-    return step(config, momentum(problem, config), state, z, problem.value(z))
+    f_z = problem.value(z)
+    return step(config, momentum(problem, config), state, z, f_z, takes_z(config, state, f_z))
+
+
+def takes_z(config, state, f_z):
+    """The rule's choice of y_{k+1} = z_k: mapm's test, or always."""
+    return config.variant != "mapm" or f_z <= state.f_y
 
 
 def random_lasso_matrices(seed, rows, cols):
@@ -177,7 +183,7 @@ class TestApmStep:
             for rec in records:
                 if rec.k >= 1:
                     bound = (3.0 - 1.0) ** 2 * d0 ** 2 / (2 * s * (rec.k + 1) ** 2)
-                    assert rec.gap <= 1.01 * bound
+                    assert rec.f_y - p.known_optimum <= 1.01 * bound
 
 
 class TestMapmStep:
@@ -252,11 +258,11 @@ class TestStronglyConvexStep:
         cfg = SolverConfig(variant="strongly_convex_apm", step=s, max_iters=2000)
         records = run(p, cfg, np.array([1.0, 1.0]))
         rate = 1.0 - np.sqrt(p.smooth.strong_convexity / p.smooth.lipschitz)
-        gap0 = records[0].gap
-        for rec in records:
-            if rec.gap <= 1e-14 * (1 + abs(p.known_optimum)):
+        gaps = records.f_y - p.known_optimum
+        for k, gap in enumerate(gaps):
+            if gap <= 1e-14 * (1 + abs(p.known_optimum)):
                 break
-            assert rec.gap <= 10.0 * gap0 * rate ** rec.k
+            assert gap <= 10.0 * gaps[0] * rate ** k
 
 
 class TestRunDriver:
@@ -278,7 +284,7 @@ class TestRunDriver:
         p = attach_reference(p, reference_solution(p))
         cfg = SolverConfig(variant="mapm", alpha=3.0, max_iters=500)
         records = run(p, cfg, np.zeros(100))
-        gaps = [r.gap for r in records]
+        gaps = (records.f_y - p.known_optimum).tolist()
         assert all(later <= earlier for earlier, later in zip(gaps, gaps[1:]))
         assert gaps[-1] <= gaps[0]
 
@@ -353,7 +359,7 @@ def checked_run(problem, config, x0):
         rows.append((state.k, state.f_y, gnorm, f_z, state.x, state.y, big_g))
         if gnorm <= config.grad_map_tol or state.k >= config.max_iters:
             return rows
-        state = step(config, beta, state, z, f_z)
+        state = step(config, beta, state, z, f_z, takes_z(config, state, f_z))
 
 
 def bits(v):
@@ -513,6 +519,24 @@ class TestReplay:
                 f"record k={k} has accepted {value!r}; {rule}")):
             trace.replayed(problem, config)
 
+    @staticmethod
+    def run_choosing_otherwise(problem, config, x0, flip):
+        """The columns a trace file stores of a mapm run that takes the other
+        choice of y_{k+1} at k = flip, as another BLAS build may where F(z_k)
+        ties F(y_k)."""
+        s = 0.5 / problem.smooth.lipschitz
+        beta = momentum(problem, config)
+        state = SolverState(k=0, x=x0, y=x0, f_y=problem.value(x0))
+        records = []
+        for k in range(config.max_iters + 1):
+            z, big_g, f_z = solvers.prox_point(problem, s, state.x)
+            accepted = bool(f_z <= state.f_y) != (k == flip)
+            records.append(solvers.IterationRecord(k, state.f_y, solvers.norm(big_g),
+                                                   accepted, state.x))
+            state = step(config, beta, state, z, f_z, accepted)
+        return solvers.Trace.from_records(records, ("k", "f_y", "grad_map_norm",
+                                                    "accepted", "x"))
+
     @pytest.mark.parametrize("start, judged", [("zeros", True), ("near x*", False)])
     def test_accepted_is_not_judged_where_f_z_ties_f_y(self, start, judged):
         # where F(z_k) and F(y_k) differ by at most 1e-10 (1 + |F(y_k)|), another
@@ -521,41 +545,47 @@ class TestReplay:
         problem, config, trace = self.mapm_trace(near_minimizer=start == "near x*")
         f_y, f_z = trace.f_y[10], trace.f_z[10]
         assert (abs(f_z - f_y) <= 1e-10 * (1.0 + abs(f_y))) != judged
-        trace = dataclasses.replace(trace, y=None)  # as a v3 trace file stores it
-        trace.accepted[10] = not trace.accepted[10]
+        other = self.run_choosing_otherwise(problem, config, trace.x[0], flip=10)
+        assert other.accepted[10] != trace.accepted[10]
         if judged:
             with pytest.raises(DataCorruptionError, match="record k=10 has accepted"):
-                trace.replayed(problem, config)
+                other.replayed(problem, config)
             return
         # the replay follows the stored choice, whose F(y_11) ties the run's
-        replayed = trace.replayed(problem, config)
-        z = solvers.prox_point(problem, 0.5 / problem.smooth.lipschitz, trace.x[10])[0]
-        assert np.array_equal(replayed.y[11], z if trace.accepted[10] else replayed.y[10])
+        replayed = other.replayed(problem, config)
+        z = solvers.prox_point(problem, 0.5 / problem.smooth.lipschitz, other.x[10])[0]
+        assert np.array_equal(replayed.y[11], z if other.accepted[10] else replayed.y[10])
+        # a flipped choice whose x_11 is still the run's is off the step rule
+        trace.accepted[10] = other.accepted[10]
+        with pytest.raises(DataCorruptionError, match="record k=11 has an x "):
+            trace.replayed(problem, config)
 
-    @pytest.mark.parametrize("k", [0, 10])
+    @pytest.mark.parametrize("k", [1, 10, 20])
     @pytest.mark.parametrize("edit, agrees", [
-        (0.5, False), (2e-10, False), (0.5e-10, True), (1e-300, True)])
-    def test_stored_y_off_the_derived_y(self, k, edit, agrees):
-        # a y stored beside x (v1 and v2 trace files) is checked against the
-        # y_k that the replay derives, within 1e-10 (1 + ||y_k||); row 0's y_0
-        # is x_0.  A number: one coordinate moves by that many times 1 + ||y_k||
+        (2e-10, False), (-2e-10, False), (0.5e-10, True), (1e-300, True)])
+    def test_stored_x_off_the_stepped_x(self, k, edit, agrees):
+        # each x_{k+1} must be the one `step` gives, within 1e-10 (1 + ||x_{k+1}||).
+        # A number: one coordinate moves by that many times 1 + ||x_k|| (a larger
+        # move changes ||G_k||, which is checked first)
         problem, config, trace = self.mapm_trace()
-        size = 1.0 + float(np.linalg.norm(trace.y[k]))
-        off = edit * size
-        trace.y[k, 2] += off
+        trace.x[k, 2] += edit * (1.0 + float(np.linalg.norm(trace.x[k])))
         if agrees:
             trace.replayed(problem, config)
             return
         with pytest.raises(DataCorruptionError, match=re.escape(
-                f"record k={k} has a y ")) as raised:
+                f"record k={k} has an x ")) as raised:
             trace.replayed(problem, config)
-        assert "away from the y_k that the replay gives" in str(raised.value)
+        assert "away from the x_k that the step rule gives" in str(raised.value)
 
-    def test_trace_without_iterates(self):
-        problem, config, trace = self.mapm_trace()
-        bare = dataclasses.replace(trace, x=None, y=None, grad_map=None, f_z=None)
-        with pytest.raises(RejectedInputError, match="without iterates"):
-            bare.replayed(problem, config)
+    @pytest.mark.parametrize("variant", ["mapm", "apm"])
+    def test_alpha_other_than_the_runs(self, variant):
+        # a trace certified with another alpha exited 1 (inertial_identity at
+        # k=1): its x_k are not the steps that alpha gives
+        problem = random_quadratic(3, 5, 10)
+        config = SolverConfig(variant=variant, max_iters=20)
+        trace = run(problem, config, np.zeros(5))
+        with pytest.raises(DataCorruptionError, match="record k=2 has an x "):
+            trace.replayed(problem, dataclasses.replace(config, alpha=3.5))
 
 
 def checked_reference(problem, budget):
@@ -568,7 +598,8 @@ def checked_reference(problem, budget):
         beta = momentum(problem, config)
         for _ in range(steps):
             z, _ = gradient_mapping(problem, s, state.x)
-            state = step(config, beta, state, z, problem.value(z))
+            f_z = problem.value(z)
+            state = step(config, beta, state, z, f_z, takes_z(config, state, f_z))
         return state
 
     def y_residual(state):

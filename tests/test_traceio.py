@@ -52,11 +52,11 @@ def sample_records():
     return p, run(p, cfg, np.zeros(4))
 
 
-def sample_meta(problem, iterates=True):
+def sample_meta(problem):
     return TraceMeta(variant="mapm", alpha=3.0,
                      step=0.5 / problem.smooth.lipschitz,
                      problem_hash=problem.content_hash,
-                     max_iters=30, grad_map_tol=0.0, iterates=iterates,
+                     max_iters=30, grad_map_tol=0.0,
                      problem={"name": "quadratic", "dim": 4, "cond": 100,
                               "seed": 3})
 
@@ -77,7 +77,6 @@ def test_trace_round_trip_is_exact(tmp_path, fmt):
     for a, b in zip(records, records2):
         assert a.k == b.k
         assert a.f_y == b.f_y  # bit-exact via shortest round-trip decimals
-        assert a.gap == b.gap
         assert a.grad_map_norm == b.grad_map_norm
         assert a.accepted == b.accepted
         assert a.f_z == b.f_z
@@ -138,8 +137,7 @@ def row_values(row):
 def test_rows_are_python_values_however_the_trace_was_made(tmp_path, fmt):
     problem, trace = sample_records()
     accepted = trace.accepted.copy()
-    trace.gap[0] = None  # mixed None rows in both optional columns
-    trace.accepted[1] = None
+    trace.accepted[1] = None  # mixed None rows in the optional column
     meta = sample_meta(problem)
     write_trace(tmp_path / "trace", meta, trace, fmt)
     stored = read_trace(tmp_path / "trace")[1]
@@ -158,7 +156,6 @@ def test_rows_are_python_values_however_the_trace_was_made(tmp_path, fmt):
         for row in each:
             assert type(row.k) is int
             assert {type(v) for v in (row.f_y, row.grad_map_norm, row.f_z)} == {float}
-            assert type(row.gap) is float or row.k == 0 and row.gap is None
             assert type(row.accepted) is bool or row.k == 1 and row.accepted is None
             for v in (row.x, row.y, row.grad_map):
                 assert type(v) is np.ndarray and v.dtype == np.float64 and v.shape == (4,)
@@ -167,18 +164,6 @@ def test_rows_are_python_values_however_the_trace_was_made(tmp_path, fmt):
         with pytest.raises(ValueError, match="read-only"):
             row.x[0] = 99.0  # ... and its vectors do not write to it
         assert row_values(each[3]) == expected[3]
-
-
-@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
-def test_trace_without_iterates(tmp_path, fmt):
-    problem, records = sample_records()
-    meta = sample_meta(problem, iterates=False)
-    path = tmp_path / f"bare.{fmt}"
-    write_trace(path, meta, records, fmt)
-    meta2, records2 = read_trace(path)
-    assert not meta2.iterates
-    assert all(r.x is None and r.grad_map is None for r in records2)
-    assert records2[5].f_y == records[5].f_y
 
 
 def test_rejects_wrong_version(tmp_path):
@@ -206,7 +191,7 @@ def test_rejects_jsonl_header_that_is_not_an_object(tmp_path, header):
 @pytest.mark.parametrize("meta", ["5", "[1, 2]", '"variant"', "null"])
 def test_rejects_csv_meta_that_is_not_an_object(tmp_path, meta):
     path = tmp_path / "trace.csv"
-    path.write_text(f"# proxcert-trace v1\n# meta {meta}\nk\n")
+    path.write_text(f"{traceio.TRACE_MAGIC}\n# meta {meta}\nk\n")
     with pytest.raises(ConfigurationError, match="trace metadata must be a JSON object"):
         read_trace(path)
 
@@ -241,8 +226,8 @@ def test_report_round_trip(tmp_path, fmt):
 
 
 def test_schema_version_constant():
-    assert SCHEMA_VERSION == 3
-    assert traceio.TRACE_MAGIC == "# proxcert-trace v3"
+    assert SCHEMA_VERSION == 4
+    assert traceio.TRACE_MAGIC == "# proxcert-trace v4"
 
 
 def old_fmt_vector(v):
@@ -326,14 +311,13 @@ def csv_module_trace(meta, records):
     buf.write(traceio.TRACE_MAGIC + "\n")
     buf.write("# meta " + json.dumps(asdict(meta)) + "\n")
     writer = csv.writer(buf)
-    columns = traceio._TRACE_COLUMNS + (traceio._ITERATE_COLUMNS if meta.iterates
-                                        else ())
+    columns = traceio._TRACE_COLUMNS
     writer.writerow(columns)
     for rec in records:
         writer.writerow(
             ["" if getattr(rec, c, None) is None else old_fmt_vector(getattr(rec, c))
              if c in ("x", "y", "grad_map") else traceio._fmt(getattr(rec, c))
-             for c in columns])  # `energy`, no record's field, is empty
+             for c in columns])
     return buf.getvalue().encode()
 
 
@@ -351,7 +335,6 @@ def csv_module_report(reports):
 
 def test_csv_trace_bytes_equal_the_csv_module(tmp_path):
     problem, records = sample_records()
-    records.gap[0] = None
     records.accepted[1] = None
     records.f_y[2] = float("inf")
     records.x[3] = [-0.0, float("nan"), 5e-324, 1e16]
@@ -533,23 +516,20 @@ def test_column_table_names_every_record_field_in_file_order():
     # accepted.
     kinds = traceio._COLUMN_KINDS
     fields = [f.name for f in dataclasses.fields(IterationRecord)]
-    assert set(kinds) == set(fields) - {"y", "grad_map", "f_z"}
+    assert list(kinds) == [name for name in fields if name not in ("y", "grad_map", "f_z")]
     assert [f.name for f in dataclasses.fields(Trace)] == fields
-    assert traceio._TRACE_COLUMNS + traceio._ITERATE_COLUMNS == tuple(kinds)
-    assert traceio._ITERATE_COLUMNS == ("x",)
+    assert traceio._TRACE_COLUMNS == tuple(kinds)
 
 
-@pytest.mark.parametrize("iterates", [True, False])
-def test_span_rows_count_the_numbers_a_row_holds(tmp_path, iterates):
-    # every cell and every vector coordinate counts, however many vector
-    # columns a trace has
+def test_span_rows_count_the_numbers_a_row_holds(tmp_path):
+    # every cell and every coordinate of x counts
     problem = random_quadratic(3, 20, 100)
     trace = run(problem, SolverConfig(variant="mapm", max_iters=30), np.zeros(20))
-    write_trace(tmp_path / "trace.csv", sample_meta(problem, iterates), trace, "csv")
+    write_trace(tmp_path / "trace.csv", sample_meta(problem), trace, "csv")
     row = (tmp_path / "trace.csv").read_text().splitlines()[3]
     numbers = len(row.replace(";", ",").split(","))
-    assert numbers == (5 + 20 if iterates else 5)
-    assert traceio._span_rows(trace, iterates) == traceio._SPAN_COORDS // numbers
+    assert numbers == 4 + 20
+    assert traceio._span_rows(trace) == traceio._SPAN_COORDS // numbers
 
 
 @pytest.mark.parametrize("block_text", [1, 1 << 20])
@@ -697,6 +677,22 @@ class TestCorruptReport:
                 "report has no column(s) slack")):
             read_report(path)
 
+    @pytest.mark.parametrize("fmt, header, message", [
+        ("csv", "# proxcert-report v2",
+         "unsupported report header '# proxcert-report v2'; expected "
+         "'# proxcert-report v1'"),
+        ("jsonl", json.dumps({"format": "proxcert-report", "schema_version": 99}),
+         "unsupported report schema_version 99; expected 1"),
+    ], ids=["csv", "jsonl"])
+    def test_report_of_another_version(self, tmp_path, fmt, header, message):
+        # the JSON-lines report read as v1, and the CSV one raised a bare
+        # JSONDecodeError
+        path = self.report_file(tmp_path, fmt)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join([header] + lines[1:]) + "\n")
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            read_report(path)
+
     @pytest.mark.parametrize("fmt, empty", [("csv", ""), ("jsonl", None)])
     def test_empty_number_reads_as_nan(self, tmp_path, fmt, empty):
         path = self.report_file(tmp_path, fmt)
@@ -745,18 +741,23 @@ def test_jsonl_trace_read_in_blocks(tmp_path, block_text):
             read_trace(path)
 
 
-def test_jsonl_trace_without_iterates_ignores_iterate_keys(tmp_path):
+@pytest.mark.parametrize("key, value", [
+    ("gap", "not a number"), ("f_z", True), ("y", "not a vector"),
+])
+def test_jsonl_trace_ignores_keys_it_does_not_read(tmp_path, key, value):
+    # keys that older layouts wrote, here with values they never held
     problem, records = sample_records()
-    path = tmp_path / "bare.jsonl"
-    write_trace(path, sample_meta(problem, iterates=False), records, "jsonl")
+    path = tmp_path / "trace.jsonl"
+    write_trace(path, sample_meta(problem), records, "jsonl")
     lines = path.read_text().splitlines()
     row = json.loads(lines[5])
-    row.update(x="not a vector", f_z=True)
+    row[key] = value
     lines[5] = json.dumps(row)
     path.write_text("\n".join(lines) + "\n")
     _, back = read_trace(path)
-    assert back[4].x is None and back[4].f_z is None
+    assert back.f_z is None and back.y is None and not hasattr(back, "gap")
     assert back[4].f_y == records[4].f_y
+    assert np.array_equal(back[4].x, records[4].x)
 
 
 def json_dumps_trace(meta, records):
@@ -769,11 +770,9 @@ def json_dumps_trace(meta, records):
 
     lines = [json.dumps({"format": "proxcert-trace", **asdict(meta)})]
     for rec in records:
-        row = {"k": rec.k, "f_y": float(rec.f_y), "gap": opt(rec.gap, float),
+        row = {"k": rec.k, "f_y": float(rec.f_y),
                "grad_map_norm": float(rec.grad_map_norm),
-               "accepted": opt(rec.accepted, bool)}
-        if meta.iterates:
-            row.update(x=opt(rec.x, floats))
+               "accepted": opt(rec.accepted, bool), "x": floats(rec.x)}
         lines.append(json.dumps(row))
     return "".join(line + "\n" for line in lines).encode()
 
@@ -799,7 +798,6 @@ def traces(draw):
     vector = st.lists(coordinates, min_size=d, max_size=d).map(np.array)
     return [IterationRecord(k=k, f_y=draw(coordinates),
                             grad_map_norm=draw(coordinates),
-                            gap=draw(st.none() | coordinates),
                             accepted=draw(st.none() | st.booleans()),
                             x=draw(vector), y=draw(vector),
                             grad_map=draw(vector), f_z=draw(coordinates))
@@ -824,12 +822,12 @@ class TestParallelWriter:
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     @pytest.mark.parametrize("dim", [5, 20])
-    @pytest.mark.parametrize("iterates", [True, False])
-    def test_solver_traces_in_many_chunks(self, tmp_path, fmt, dim, iterates):
+    @pytest.mark.parametrize("variant", ["mapm", "apm"])  # apm's accepted is empty
+    def test_solver_traces_in_many_chunks(self, tmp_path, fmt, dim, variant):
         problem = random_quadratic(3, dim, 100)
-        records = run(problem, SolverConfig(variant="mapm", max_iters=60),
+        records = run(problem, SolverConfig(variant=variant, max_iters=60),
                       np.zeros(dim))
-        meta = sample_meta(problem, iterates)
+        meta = sample_meta(problem)
         with many_spans() as get_context:
             write_trace(tmp_path / "many", meta, records, fmt)
         get_context.assert_called_once_with("fork")
