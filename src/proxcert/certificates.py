@@ -362,10 +362,10 @@ def certify_trace(ctx: EnergyContext, trace,
                   variant: str = "mapm") -> CertificateTable:
     """Evaluate every applicable certificate on a recorded trace.
 
-    The trace must carry iterates: x, and the y, grad_map and f_z that `run`
-    records and `Trace.replayed` derives for a trace read from a file (which
-    stores x and mapm's `accepted`, and checks every stored cell against the
-    replay first).  For mapm traces all seven certificates run, gated
+    The trace must carry iterates: the x, y, grad_map and f_z that `run`
+    records and `Trace.replayed` chains for a trace read from a file (which
+    stores x_0 and mapm's `accepted`, and checks every stored cell against
+    the replay first).  For mapm traces all seven certificates run, gated
     as proved: prop2 and the linear envelope need mu > 0, the linear envelope
     also needs s < 1/L and k >= k_alpha, the sublinear envelope starts at
     k = 1.  apm traces keep the descent and inertial checks; ista /

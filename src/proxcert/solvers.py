@@ -15,11 +15,11 @@ iteration and cached in the state; the mapm test compares cached values only.
 own stop rules: `run`, and both phases of `harness.reference_solution`.
 
 `run` returns a `Trace`, its records as columns, which the trace writer, the
-certificate engine and the CLI read as columns.  A trace file stores x_k and
-mapm's choice `accepted`, but not y_k, G_k or F(z_k): `Trace.replayed` derives
-them row by row with `prox_point`, the evaluation `iterate` makes, and `step`,
-given the stored choice, so they equal `run`'s bit for bit; `step` also gives
-x_{k+1}, which must be the next row's stored x.
+certificate engine and the CLI read as columns.  A trace file stores x_0 and
+mapm's choice `accepted`, but not x_k for k >= 1, y_k, G_k or F(z_k):
+`Trace.replayed` chains them from x_0 row by row with `prox_point`, the
+evaluation `iterate` makes, and `step`, given each stored choice, so they
+equal `run`'s bit for bit.
 
 The run contract is written once: `errors.SETTING_RULES` (each setting's rule),
 `bind_step` (s <= 1/L) and `SolverConfig.stops` (the stop rule of `run`, `certify`).
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import product, repeat, starmap
+from itertools import product, starmap
 from typing import Optional
 
 import numpy as np
@@ -132,7 +132,8 @@ class Columns:
 
     def __iter__(self):
         for chunk in self.chunks():
-            yield from starmap(self._row, zip(*map(_row_values, vars(chunk).values())))
+            columns = [_row_values(column, len(chunk)) for column in vars(chunk).values()]
+            yield from starmap(self._row, zip(*columns))
 
     def chunks(self):
         """The table in slices of _CHUNK_ROWS rows."""
@@ -140,16 +141,19 @@ class Columns:
             yield self[start:start + _CHUNK_ROWS]
 
 
-def _row_values(column):
-    """A column's value in each row: Python values, read-only views of vectors,
-    or None for each row of an absent column."""
+def _row_values(column, rows: int) -> list:
+    """A column's value in each of `rows` rows: Python values, read-only views
+    of vectors, or None for each row of an absent column and past the end of
+    a shorter one (a trace file's `x`, x_0 alone)."""
     if column is None:
-        return repeat(None)
+        return [None] * rows
     if column.ndim == 1:
-        return column.tolist()
-    vectors = column.view()
-    vectors.flags.writeable = False
-    return list(vectors)
+        values = column.tolist()
+    else:
+        vectors = column.view()
+        vectors.flags.writeable = False
+        values = list(vectors)
+    return values + [None] * (rows - len(values))
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,8 +161,9 @@ class Trace(Columns):
     """One run's records as columns, one array per IterationRecord field.
 
     `k` is int64, `f_y`, `grad_map_norm` and `f_z` float64, `accepted` an
-    object array, `x`, `y` and `grad_map` (n, d) float64; `y`, `grad_map` and
-    `f_z` are None in a trace read from a file until `replayed` derives them.
+    object array, `x`, `y` and `grad_map` (n, d) float64.  In a trace read
+    from a file, `x` holds x_0 alone (1, d), so its later rows have no x, and
+    `y`, `grad_map` and `f_z` are None, until `replayed` derives them.
     Indexing with an int and iterating yield IterationRecord rows of Python
     values and read-only 1-D views of the vectors; a slice is a Trace of views.
     """
@@ -207,7 +212,8 @@ class Trace(Columns):
     def check(self, shape: tuple) -> None:
         """DataCorruptionError, naming the row, for a k out of sequence, a NaN
         scalar, a vector whose shape is not `shape`, or a NaN coordinate; a
-        column the trace lacks is not checked."""
+        column the trace lacks is not checked, and a trace file's `x`, x_0
+        alone, only in its one row."""
         k = self.k
         skipped = k != np.arange(len(k))
         if np.any(skipped):
@@ -224,24 +230,25 @@ class Trace(Columns):
                     f"record k={k[0]} has a {name} of shape {column.shape[1:]}; "
                     f"the problem's vectors have shape {shape}"
                 )
-            nan = np.isnan(column).reshape(len(k), -1).any(axis=1)
+            nan = np.isnan(column).reshape(len(column), -1).any(axis=1)
             if np.any(nan):
                 what = f"a nan coordinate in {name}" if column.ndim == 2 else f"{name} = nan"
                 raise DataCorruptionError(f"record k={_first(nan, k)} has {what}")
 
     def replayed(self, problem: CompositeProblem, config: SolverConfig) -> "Trace":
-        """The trace with `y`, `grad_map` and `f_z` derived from each row's
-        x_k and `accepted`, one row at a time by `prox_point` and `step` as
-        `iterate` computes them, so they equal `run`'s bit for bit (a batched
-        gradient would not): y_0 = x_0, and `step` from x_k, y_k and z_k,
-        given the row's choice (y_{k+1} = z_k, or y_k where a mapm row's
-        `accepted` is false), gives y_{k+1}, F(y_{k+1}) and x_{k+1}.
-        Certification thus follows the choices the trace stores, row by row,
-        not a re-run from x_0.
+        """The trace with `x`, `y`, `grad_map` and `f_z` chained from x_0 (row
+        0's x) and each row's `accepted`, one row at a time by `prox_point`
+        and `step` as `iterate` computes them, so they equal `run`'s bit for
+        bit (a batched gradient would not): y_0 = x_0, and `step` from x_k,
+        y_k and z_k, given the row's choice (y_{k+1} = z_k, or y_k where a
+        mapm row's `accepted` is false), gives x_{k+1}, y_{k+1} and
+        F(y_{k+1}).  Certification thus follows the choices the trace stores,
+        so no decision is taken again; `x` past row 0 is not read.
 
         The columns are checked first (`check`).  Each stored cell must agree
         with the replay, within IDENTITY_TOL relative to 1 + its scale, else a
-        DataCorruptionError names k and the field:
+        DataCorruptionError names the first row where one does not, and the
+        field:
         - `accepted` must be true or false in every mapm row and empty in
           every other variant's;
         - `grad_map_norm` must agree with ||G_k||;
@@ -249,49 +256,39 @@ class Trace(Columns):
           is not judged where the two differ by no more than the tolerance
           (another BLAS build may decide otherwise there);
         - `f_y` must agree with F(y_k) (an infinite F(y_k), an infeasible
-          start's, only with itself);
-        - each stored x_{k+1} must lie within the tolerance of the x_{k+1}
-          that `step` gives, relative to 1 + its norm.
+          start's, only with itself).
         """
         self.check((problem.dim,))
         s = bind_step(problem.smooth.lipschitz, config.step)
         takes_z = self._steps_to_z(config.variant)
         beta = momentum(problem, config)
         n, d = len(self), problem.dim
-        stored_x = self.x.reshape(n, d)  # an empty file's x may be 1-D
         grad_map, f_z = np.empty((n, d)), np.empty(n)
         # row n of each, the step from the last row, is not kept
         x, y, f_y = np.empty((n + 1, d)), np.empty((n + 1, d)), np.empty(n + 1)
         if n:
-            y[0], f_y[0] = stored_x[0], problem.value(stored_x[0])
-        for i, x_i in enumerate(stored_x):
-            z, grad_map[i], f_z[i] = prox_point(problem, s, x_i)
-            state = step(config, beta, SolverState(i, x_i, y[i], f_y[i]), z, f_z[i],
+            x[0] = y[0] = self.x[0]
+            f_y[0] = problem.value(x[0])
+        for i in range(n):
+            z, grad_map[i], f_z[i] = prox_point(problem, s, x[i])
+            state = step(config, beta, SolverState(i, x[i], y[i], f_y[i]), z, f_z[i],
                          takes_z[i])
             x[i + 1], y[i + 1], f_y[i + 1] = state.x, state.y, state.f_y
-        y, f_y = y[:n], f_y[:n]
-        k = self.k
+        x, y, f_y = x[:n], y[:n], f_y[:n]
         with np.errstate(invalid="ignore"):  # inf - inf: an infinite F(y_k)
             gnorm, stored = np.sqrt(np.vecdot(grad_map, grad_map)), self.grad_map_norm
-            _require_agreement(k, "grad_map_norm", stored, "its x gives ||G_k||", gnorm,
-                               _within(np.abs(stored - gnorm), gnorm))
+            checks = [("grad_map_norm", stored, "its x gives ||G_k||", gnorm,
+                       _within(np.abs(stored - gnorm), gnorm))]
             if config.variant == "mapm":
                 accepts = f_z <= f_y
                 tie = _within(np.abs(f_z - f_y), np.abs(f_y))
-                _require_agreement(k, "accepted", self.accepted,
-                                   "its x gives F(z_k) <= F(y_k)", accepts,
-                                   (self.accepted == accepts) | tie)
+                checks.append(("accepted", self.accepted, "its x gives F(z_k) <= F(y_k)",
+                               accepts, (self.accepted == accepts) | tie))
             stored = self.f_y
-            _require_agreement(k, "f_y", stored, "the replay gives F(y_k)", f_y,
-                               (stored == f_y) | _within(np.abs(stored - f_y), np.abs(f_y)))
-            stepped, stored = x[1:n], stored_x[1:]
-            off = np.sqrt(np.vecdot(stored - stepped, stored - stepped))
-            far = ~_within(off, np.sqrt(np.vecdot(stepped, stepped)))
-            if np.any(far):
-                raise DataCorruptionError(
-                    f"record k={_first(far, k[1:])} has an x {_first(far, off)!r} away "
-                    "from the x_k that the step rule gives")
-        return replace(self, y=y, grad_map=grad_map, f_z=f_z)
+            checks.append(("f_y", stored, "the replay gives F(y_k)", f_y,
+                           (stored == f_y) | _within(np.abs(stored - f_y), np.abs(f_y))))
+        _require_agreement(self.k, checks)
+        return replace(self, x=x, y=y, grad_map=grad_map, f_z=f_z)
 
     def _steps_to_z(self, variant: str) -> np.ndarray:
         """Whether y_{k+1} is z_k, per row: a mapm row's `accepted`, and true
@@ -314,11 +311,17 @@ def _first(mask, values):
     return np.ravel(values)[np.flatnonzero(mask)[0]].item()
 
 
-def _require_agreement(k, name: str, stored, what: str, replayed, agrees) -> None:
-    """DataCorruptionError naming the first row whose stored `name` does not
-    agree with its value in the replay, which `what` gives."""
-    if not np.all(agrees):
-        i = int(np.argmin(agrees))
+def _require_agreement(k, checks: list) -> None:
+    """DataCorruptionError naming the first row where a stored value does not
+    agree with its value in the replay, and the first such field in `checks`,
+    a list of (name, stored, what gives the replayed value, replayed, agrees).
+    A row's disagreement sends the replay of every later row elsewhere, so the
+    first row's is the one to name."""
+    rows = [int(np.argmin(agrees)) if not np.all(agrees) else len(k)
+            for *_, agrees in checks]
+    i = min(rows, default=len(k))
+    if i < len(k):
+        name, stored, what, replayed, _ = checks[rows.index(i)]
         raise DataCorruptionError(
             f"record k={k[i]} has {name} {stored[i:i + 1].tolist()[0]!r}, but {what} "
             f"= {replayed[i:i + 1].tolist()[0]!r}")

@@ -2,15 +2,16 @@
 
 Each file is a table of columns in CSV or JSON lines.  Traces and reports are
 versioned so the certificate engine refuses incompatible files instead of
-misreading columns: CSV files start with `# proxcert-trace v4` (reports with
+misreading columns: CSV files start with `# proxcert-trace v5` (reports with
 `# proxcert-report v1`), JSON-lines files with a header object carrying
 schema_version.  Only these versions are read.  Floats are written as their
 shortest round-trip decimals, so a re-parsed trace certifies identically.
 
-A trace (v4) stores what the run chose, `k`, `f_y`, `grad_map_norm`,
-`accepted` and `x`, in every row.  y_k, G_k and F(z_k) are not stored:
-`solvers.Trace.replayed` derives them from x_k and `accepted` bit for bit and
-checks the stored cells against them.
+A trace (v5) stores what the run chose: `k`, `f_y`, `grad_map_norm` and
+`accepted` in every row, and x_0 in the first row's `x`, which is empty in
+every other row.  x_k for k >= 1, y_k, G_k and F(z_k) are not stored:
+`solvers.Trace.replayed` derives them from x_0 and each row's `accepted` bit
+for bit and checks the stored cells against them.
 
 Each column has a kind, which says once how its values are written as CSV
 cells and JSON values and how each is read back and checked.  `_COLUMN_KINDS`
@@ -25,23 +26,13 @@ the line (and the column), which `certify` reports with exit 3.
 
 No CSV cell ever needs quoting (numbers, `;`-joined numbers, true/false,
 certificate names and statuses), so rows are `,`-joined cells ending in CRLF,
-the bytes `csv.writer`'s default dialect writes, read by splitting on `,`;
-each iterate column of a block is parsed in one `np.loadtxt` call.
-
-A trace is written from a `solvers.Trace` and read back into one, column by
-column.  Rows are written in spans of about `_SPAN_COORDS` numbers, each span
-a slice of the Trace encoded by one call.  A trace of two or more spans is
-encoded by forked worker processes, one per available core, and written in
-order; the encoder is the same either way, so the bytes do not depend on the
-number of cores.
+the bytes `csv.writer`'s default dialect writes, read by splitting on `,`.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
-import sys
 from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple, Optional
 
@@ -52,18 +43,13 @@ from .errors import (_FLOAT_MAX, SETTING_RULES, ConfigurationError, DataCorrupti
                      check_setting)
 from .solvers import SolverConfig, Trace
 
-SCHEMA_VERSION = 4  # the trace version written and read
+SCHEMA_VERSION = 5  # the trace version written and read
 TRACE_MAGIC = f"# proxcert-trace v{SCHEMA_VERSION}"
 _REPORT_SCHEMA_VERSION = 1
 REPORT_MAGIC = f"# proxcert-report v{_REPORT_SCHEMA_VERSION}"
 
-# Characters of a file read per block: at about 20 characters per coordinate,
-# some 400 KB of float64 in a trace's one vector column.
+# Characters of a file read per block.
 _BLOCK_TEXT = 1 << 20
-# Numbers (scalar cells and vector coordinates) per span of trace rows that
-# one encoder call formats; a trace of two or more spans is formatted on every
-# available core.
-_SPAN_COORDS = 1 << 14
 
 
 @dataclass
@@ -101,9 +87,10 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _fmt_vector(coordinates: list) -> str:
-    """The cell of a vector given as its coordinates, Python floats."""
-    return ";".join(map(repr, coordinates))
+def _fmt_vector(coordinates) -> str:
+    """The cell of a vector given as its coordinates, Python floats; an empty
+    cell for None."""
+    return "" if coordinates is None else ";".join(map(repr, coordinates))
 
 
 def _exact_float(cell: str) -> float:
@@ -116,23 +103,8 @@ def _exact_float(cell: str) -> float:
 
 
 def _parse_vector(cell: str) -> np.ndarray:
+    """The vector of a non-empty cell, each coordinate the writer's text."""
     return np.array([_exact_float(c) for c in cell.split(";")], dtype=np.float64)
-
-
-def _parse_vectors(cells):
-    """One block's cells of a vector column as one (rows, d) array.
-
-    A block with an empty, ragged or non-numeric cell is parsed cell by cell
-    instead, into a list of vectors, so that the parse error (an empty cell's
-    too) or the shape check of `Trace.join` names the cell's row.
-    """
-    if all(cells):  # loadtxt would skip an empty line
-        try:
-            return np.loadtxt(cells, delimiter=";", comments=None,
-                              dtype=np.float64, ndmin=2)
-        except ValueError:
-            pass
-    return list(map(_parse_vector, cells))
 
 
 class _Kind(NamedTuple):
@@ -173,16 +145,18 @@ _OPT_FLOAT = _Kind("a number", True, _fmt,
 _OPT_BOOL = _Kind("true or false", True, _fmt,
                   lambda cells: [_CSV_BOOLS[c] if c else None for c in cells],
                   bool, lambda value: type(value) is bool)
-_VECTOR = _Kind("a list of numbers", False, _fmt_vector, _parse_vectors,
-                lambda value: value,
-                lambda value: (isinstance(value, list)
-                               and all(map(_FLOAT.is_json, value))))
+_OPT_VECTOR = _Kind("a list of numbers", True, _fmt_vector,
+                    lambda cells: [_parse_vector(c) if c else None for c in cells],
+                    lambda value: value,
+                    lambda value: (isinstance(value, list)
+                                   and all(map(_FLOAT.is_json, value))))
 
 # Every trace column, in file order, with the kind of its values; each names
-# a Trace column, and every row has a value for each but `accepted`.
+# a Trace column.  Every row has a value for each but `accepted` and `x`; the
+# first row, and only it, has an `x` (x_0).
 _COLUMN_KINDS = {
     "k": _INT, "f_y": _FLOAT, "grad_map_norm": _FLOAT, "accepted": _OPT_BOOL,
-    "x": _VECTOR,
+    "x": _OPT_VECTOR,
 }
 _TRACE_COLUMNS = tuple(_COLUMN_KINDS)
 
@@ -247,10 +221,10 @@ def _encoder(what: str, fmt: str) -> Callable:
 
 def write_trace(path, meta: TraceMeta, records, fmt: str = "csv") -> None:
     """Write one row per record of a Trace (or of IterationRecord rows, through
-    `Trace.from_records`).  The file is of version SCHEMA_VERSION whatever
-    meta.schema_version says.  Like read_trace, refuses bad settings
-    (ConfigurationError) and a record without a value its column requires
-    (RejectedInputError naming k)."""
+    `Trace.from_records`), with the first record's x as x_0.  The file is of
+    version SCHEMA_VERSION whatever meta.schema_version says.  Like
+    read_trace, refuses bad settings (ConfigurationError) and a record
+    without a value its column requires (RejectedInputError naming k)."""
     encode = _encoder("trace", fmt)
     meta.config()
     trace = Trace.from_records(records, _TRACE_COLUMNS)
@@ -260,98 +234,56 @@ def write_trace(path, meta: TraceMeta, records, fmt: str = "csv") -> None:
                   f"{','.join(_TRACE_COLUMNS)}\r\n")
     else:
         header = json.dumps({"format": "proxcert-trace", **header}) + "\n"
-    with open(path, "wb") as fh:
-        fh.write(header.encode())
-        _write_rows(fh, encode, trace)
-
-
-def _span_bytes(encode, trace: Trace) -> bytes:
-    """The trace rows of a Trace (a span of one), from its columns' values."""
-    columns = [getattr(trace, name).tolist() for name in _TRACE_COLUMNS]
-    return encode(_TRACE_COLUMNS, _COLUMN_KINDS.values(), columns).encode()
-
-
-def _write_rows(fh, encode, trace: Trace) -> None:
-    """Write the rows of consecutive spans of the trace.
-
-    With two or more spans and more than one core, forked workers encode the
-    spans and the parent writes each chunk in order as it arrives.  Workers
-    slice the trace they inherit, so only (start, stop) pairs and encoded
-    bytes cross between processes.  Both paths call `_span_bytes`, so the
-    bytes do not depend on the path.
-    """
-    span = _span_rows(trace)
-    spans = [(start, start + span) for start in range(0, len(trace), span)]
-    workers = min(_cores(), len(spans))
-    if workers < 2:
-        for start, stop in spans:
-            fh.write(_span_bytes(encode, trace[start:stop]))
-        return
-    import multiprocessing  # only here: reading a trace never starts a pool
-
-    pool = multiprocessing.get_context("fork").Pool(workers, _adopt_job, (encode, trace))
-    try:
-        for chunk in pool.imap(_encode_span, spans):
-            fh.write(chunk)
-        pool.close()
-    except BaseException:
-        pool.terminate()
-        raise
-    finally:
-        pool.join()
-
-
-def _span_rows(trace: Trace) -> int:
-    """Rows per span: about _SPAN_COORDS numbers, the `x` cell counting its
-    coordinates."""
-    width = len(_TRACE_COLUMNS) + (trace.x.shape[1] - 1 if len(trace) else 0)
-    return max(1, _SPAN_COORDS // width)
-
-
-def _cores() -> int:
-    """Cores this process may run on; 1 where fork or the affinity call is
-    missing, and in a daemonic process (a pool's worker), which may not start
-    processes of its own."""
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return 1
-    started_by = sys.modules.get("multiprocessing")  # imported in any worker
-    if started_by is not None and started_by.current_process().daemon:
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
-_job = None  # (encode, trace) in a trace writer's worker process
-
-
-def _adopt_job(*job) -> None:
-    global _job
-    _job = job
-
-
-def _encode_span(span) -> bytes:
-    encode, trace = _job
-    return _span_bytes(encode, trace[slice(*span)])
+    with open(path, "w", newline="") as fh:
+        fh.write(header)
+        for i, chunk in enumerate(trace.chunks()):
+            # the scalar columns, then x, the last
+            columns = [getattr(chunk, name).tolist() for name in _TRACE_COLUMNS[:-1]]
+            x = [None] * len(chunk)
+            if i == 0:
+                x[0] = chunk.x[0].tolist()
+            fh.write(encode(_TRACE_COLUMNS, _COLUMN_KINDS.values(), columns + [x]))
 
 
 def read_trace(path):
-    """Parse a v4 trace file (either format); returns (TraceMeta, Trace).
+    """Parse a v5 trace file (either format); returns (TraceMeta, Trace).
 
-    The Trace has no `y`, `grad_map` or `f_z`: `Trace.replayed` derives them.
-    A file of another version is a ConfigurationError naming its version."""
+    The Trace's `x` holds x_0 alone, a (1, d) array (empty for a file
+    without rows), and it has no `y`, `grad_map` or `f_z`: `Trace.replayed`
+    derives every x_k, y_k, G_k and F(z_k).  A file of another version is a
+    ConfigurationError naming its version; a first row without x_0, or a
+    later row with an `x`, is a data error naming its line."""
     with open(path, newline="") as fh:
         decode, header, first_line = _read_header(fh, "trace", SCHEMA_VERSION)
         if header is None:  # a CSV file: the header is its `# meta` line
             meta_line = fh.readline().rstrip("\n")
             if not meta_line.startswith("# meta "):
                 raise ConfigurationError("malformed trace file header")
-            header, first_line = json.loads(meta_line[len("# meta "):]), 3
+            header, first_line = _json_header(meta_line[len("# meta "):], "trace"), 3
         meta = _meta_from_dict(header)
-        pieces = {name: [] for name in _COLUMN_KINDS}
-        for _, columns in decode("trace", fh, first_line, _COLUMN_KINDS):
+        x0, pieces = [], {name: [] for name in _TRACE_COLUMNS[:-1]}
+        for line_no, columns in decode("trace", fh, first_line, _COLUMN_KINDS):
+            x0 += _x0(columns.pop("x"), line_no, first=not pieces["k"])
             block = Trace.join({name: [values] for name, values in columns.items()})
             for name, parts in pieces.items():
                 parts.append(getattr(block, name))
-    return meta, Trace.join(pieces)
+    return meta, Trace.join({**pieces, "x": [x0]})
+
+
+def _x0(xs: list, line_no: int, first: bool) -> list:
+    """[x_0] from the first block's `x` values, [] from a later block's, whose
+    first row is on line `line_no`; a data error names the line of a missing
+    x_0 or of an `x` past it."""
+    start = 1 if first else 0
+    if first and xs[0] is None:
+        raise DataCorruptionError(f"trace line {line_no}: field 'x' is empty; the "
+                                  f"first row stores x_0, {_OPT_VECTOR.what}")
+    stray = next((i for i in range(start, len(xs)) if xs[i] is not None), None)
+    if stray is not None:
+        raise _bad_field(f"trace line {line_no + stray}", "x",
+                         "empty past the first row, which alone stores x_0",
+                         np.asarray(xs[stray]).tolist())
+    return xs[:start]
 
 
 def _read_header(fh, what: str, version: int):
@@ -367,7 +299,7 @@ def _read_header(fh, what: str, version: int):
             raise ConfigurationError(f"unsupported {what} header {first!r:.80}; "
                                      f"expected {magic!r}")
         return _csv_blocks, None, 2
-    header = json.loads(first)
+    header = _json_header(first, what)
     if not isinstance(header, dict) or header.get("format") != f"proxcert-{what}":
         raise ConfigurationError(f"file is not a proxcert {what}")
     found = header.get("schema_version")
@@ -375,6 +307,16 @@ def _read_header(fh, what: str, version: int):
         raise ConfigurationError(
             f"unsupported {what} schema_version {found!r:.80}; expected {version}")
     return _jsonl_blocks, header, 2
+
+
+def _json_header(text: str, what: str):
+    """The JSON value of a header line of a trace or a report (`what`); a
+    ConfigurationError saying the file is not one if the line is not JSON."""
+    try:
+        return json.loads(text)
+    except ValueError:
+        raise ConfigurationError(f"file is not a proxcert {what}: its header "
+                                 f"{text!r:.80} is not JSON") from None
 
 
 def _meta_from_dict(d: dict) -> TraceMeta:

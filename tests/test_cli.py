@@ -265,12 +265,15 @@ class TestCertifyCommand:
                        "--report", str(tmp_path / "r.csv"))
         assert code == 2
 
-    def test_garbage_trace_file_exits_2(self, tmp_path):
+    @pytest.mark.parametrize("text", ["hello world\n", ""], ids=["hello", "empty"])
+    def test_garbage_trace_file_exits_2(self, tmp_path, capsys, text):
         trace = tmp_path / "garbage.csv"
-        trace.write_text("hello world\n")
+        trace.write_text(text)
         code = run_cli("certify", "--trace", str(trace),
                        "--report", str(tmp_path / "r.csv"))
         assert code == 2
+        assert ("configuration error: file is not a proxcert trace: its header "
+                f"{text.strip()!r} is not JSON") in capsys.readouterr().err
 
 
 # An int that a JSON file can hold and a float cannot.
@@ -339,9 +342,9 @@ class TestCorruptTraceExits3:
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_vector_of_wrong_length(self, tmp_path, capsys, fmt):
         trace = short_trace(tmp_path, fmt)
-        edit_cell(trace, fmt, 15, "x", lambda v: v[:-1])
+        edit_cell(trace, fmt, 0, "x", lambda v: v[:-1])
         assert certify_cli(trace, tmp_path) == 3
-        assert "k=15 has a x of shape (4,)" in capsys.readouterr().err
+        assert "k=0 has a x of shape (4,)" in capsys.readouterr().err
 
     def test_short_csv_row(self, tmp_path, capsys):
         trace = short_trace(tmp_path)
@@ -405,27 +408,19 @@ class TestCorruptTraceExits3:
     def test_nan_coordinate(self, tmp_path, capsys, fmt):
         # json.dumps writes a nan as NaN, which json.loads reads back
         trace = short_trace(tmp_path, fmt)
-        edit_cell(trace, fmt, 12, "x", lambda v: v[:2] + [math.nan] + v[3:])
+        edit_cell(trace, fmt, 0, "x", lambda v: v[:2] + [math.nan] + v[3:])
         assert certify_cli(trace, tmp_path) == 3
-        assert "k=12 has a nan coordinate in x" in capsys.readouterr().err
+        assert "k=0 has a nan coordinate in x" in capsys.readouterr().err
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     @pytest.mark.parametrize("meta_dim", [None, 4, 5])
     def test_vectors_agree_but_not_with_the_problem_dim(self, tmp_path, capsys, fmt,
                                                          meta_dim):
-        # every x of a d5 trace cut to 4 coordinates, with the `dim` that
-        # older traces carry in their metadata, or none: numpy's broadcast
-        # error ended certify with exit 2
+        # x_0 of a d5 trace cut to 4 coordinates, with the `dim` that older
+        # traces carry in their metadata, or none: numpy's broadcast error
+        # ended certify with exit 2
         trace = short_trace(tmp_path, fmt)
-        lines = trace.read_text().splitlines()
-        start = 3 if fmt == "csv" else 1
-        for i, line in enumerate(lines[start:], start):
-            if fmt == "csv":  # x is the last column
-                lines[i] = line.rsplit(";", 1)[0]
-            else:
-                row = json.loads(line)
-                lines[i] = json.dumps({**row, "x": row["x"][:-1]})
-        trace.write_text("\n".join(lines) + "\n")
+        edit_cell(trace, fmt, 0, "x", lambda v: v[:-1])
         if meta_dim is not None:
             edit_meta(trace, fmt, lambda meta: {**meta, "dim": meta_dim})
         assert certify_cli(trace, tmp_path) == 3
@@ -521,8 +516,6 @@ class TestCorruptTraceExits3:
         ("k", True, "must be an integer, got True"),
         ("x", "1.0", "must be a list of numbers"),
         ("x", [[0.0]] * 5, "must be a list of numbers"),
-        # a null iterate: certify called the record one "with no stored iterates"
-        ("x", None, "must be a list of numbers, got None"),
         # an int too large for a float: it ended in an OverflowError traceback
         *[(key, BIG_INT, "must be a number, got 1000000000")
           for key in ("f_y", "grad_map_norm")],
@@ -540,13 +533,9 @@ class TestCorruptTraceExits3:
     @pytest.mark.parametrize("entry", [True, "0.5", None, BIG_INT], ids=setting_id)
     def test_jsonl_vector_entry_not_a_number(self, tmp_path, capsys, entry):
         trace = short_trace(tmp_path, "jsonl")
-        lines = trace.read_text().splitlines()
-        row = json.loads(lines[6])
-        row["x"][2] = entry
-        lines[6] = json.dumps(row)
-        trace.write_text("\n".join(lines) + "\n")
+        edit_cell(trace, "jsonl", 0, "x", lambda v: v[:2] + [entry] + v[3:])
         assert certify_cli(trace, tmp_path) == 3
-        assert ("trace line 7: field 'x' must be a list of numbers"
+        assert ("trace line 2: field 'x' must be a list of numbers"
                 in capsys.readouterr().err)
 
     @pytest.mark.parametrize("column, cell, what", [
@@ -561,21 +550,27 @@ class TestCorruptTraceExits3:
         ("k", "1_0", "an integer"),
         ("grad_map_norm", " 1.5", "a number"),
         ("x", "1_0", "a list of numbers"),
+        ("x", "1.50", "a list of numbers"),
+        ("x", " 1.5", "a list of numbers"),
+        ("x", "+1.5", "a list of numbers"),
+        ("x", "1e0", "a list of numbers"),
     ])
     def test_malformed_csv_cell(self, tmp_path, capsys, column, cell, what):
+        # a scalar cell of row 12 (line 16), or a coordinate of x_0 (line 4)
         trace = short_trace(tmp_path)
 
         def corrupt(rows):
-            if column == "x":  # one coordinate of the vector
-                coords = rows[12][column].split(";")
+            if column == "x":
+                coords = rows[0][column].split(";")
                 coords[2] = cell
-                rows[12][column] = ";".join(coords)
+                rows[0][column] = ";".join(coords)
             else:
                 rows[12][column] = cell
             return rows
         edit_csv_rows(trace, corrupt)
         assert certify_cli(trace, tmp_path) == 3
-        assert (f"trace line 16: field {column!r} must be {what}, got"
+        line = 4 if column == "x" else 16
+        assert (f"trace line {line}: field {column!r} must be {what}, got"
                 in capsys.readouterr().err)
 
     @pytest.mark.parametrize("value", ["maybe", "true", 1, 0.0, [True]])
@@ -640,14 +635,12 @@ class TestCorruptTraceExits3:
          "record k=10 has accepted None; mapm records true or false in every row"),
         ("f_y", 10, lambda v: v - 1e-6, "record k=10 has f_y"),
         ("f_y", 10, lambda v: v + 1e-3, "record k=10 has f_y"),
-        ("x", 20, lambda v: v[:2] + [v[2] + 1e-9] + v[3:], "record k=20 has an x "),
         ("x", 0, lambda v: [v[0] + 0.5] + v[1:], "record k=0 has grad_map_norm "),
-        ("x", 10, lambda v: [1.001 * c for c in v], "record k=10 has grad_map_norm "),
     ], ids=["grad_map_norm_doubled", "accepted_flipped", "accepted_empty",
-            "f_y_lowered", "f_y_raised", "x_moved", "x0_moved", "x_scaled"])
+            "f_y_lowered", "f_y_raised", "x0_moved"])
     def test_cell_that_disagrees_with_the_replay(self, tmp_path, capsys, fmt, column,
                                                  k, edit, message):
-        # certify derives y_k, G_k, F(z_k), F(y_k) and x_{k+1} from x_k and
+        # certify chains x_k, y_k, G_k, F(z_k) and F(y_k) from x_0 and
         # `accepted`: the first three edits exited 0 before G_k was replayed,
         # the f_y edits exited 0 and 1
         trace = short_trace(tmp_path, fmt)
@@ -659,11 +652,11 @@ class TestCorruptTraceExits3:
     @pytest.mark.parametrize("solver", ["mapm", "apm"])
     def test_alpha_other_than_the_runs(self, tmp_path, capsys, fmt, solver):
         # the header's alpha changed from 3 to 3.5 exited 1 (inertial_identity
-        # at k=1): x_2 is not the step that alpha gives
+        # at k=1): the x_2 that alpha gives is not the run's
         trace = short_trace(tmp_path, fmt, solver=solver)
         edit_meta(trace, fmt, lambda meta: {**meta, "alpha": 3.5})
         assert certify_cli(trace, tmp_path) == 3
-        assert ("record k=2 has an x " in capsys.readouterr().err)
+        assert ("record k=2 has grad_map_norm " in capsys.readouterr().err)
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     @pytest.mark.parametrize("value", [True, False])
@@ -674,6 +667,43 @@ class TestCorruptTraceExits3:
         assert certify_cli(trace, tmp_path) == 3
         assert (f"record k=10 has accepted {value!r}; apm has no acceptance test, so "
                 "its accepted is empty" in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("fmt, line", [("csv", 4), ("jsonl", 2)])
+    @pytest.mark.parametrize("k", [1, 10, 20])
+    def test_x_past_the_first_row(self, tmp_path, capsys, fmt, line, k):
+        # a trace stores x_0 alone; every later x_k is chained from it
+        trace = short_trace(tmp_path, fmt)
+        x0 = read_trace(trace)[1].x[0].tolist()
+        edit_cell(trace, fmt, k, "x", lambda v: x0)
+        assert certify_cli(trace, tmp_path) == 3
+        assert (f"trace line {line + k}: field 'x' must be empty past the first row, "
+                "which alone stores x_0, got [" in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("fmt, line", [("csv", 4), ("jsonl", 2)])
+    def test_empty_x0(self, tmp_path, capsys, fmt, line):
+        trace = short_trace(tmp_path, fmt)
+        edit_cell(trace, fmt, 0, "x", lambda v: None)
+        assert certify_cli(trace, tmp_path) == 3
+        assert (f"trace line {line}: field 'x' is empty; the first row stores x_0, "
+                "a list of numbers" in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @pytest.mark.parametrize("j", range(5))
+    def test_x0_coordinate_scaled_by_1e_7(self, tmp_path, capsys, fmt, j):
+        # the CLI starts at 0, so the trace is written from a run that does not
+        spec = {"name": "quadratic", "seed": 1, "dim": 5, "cond": 10}
+        problem = cli.build_problem_from_spec(spec)
+        config = SolverConfig(variant="mapm", step=0.5 / problem.smooth.lipschitz,
+                              max_iters=20)
+        trace = tmp_path / f"trace.{fmt}"
+        meta = traceio.TraceMeta(**{key: getattr(config, key) for key in SETTING_RULES},
+                                 problem_hash=problem.content_hash, problem=spec)
+        traceio.write_trace(trace, meta, run(problem, config, np.linspace(-1.0, 2.0, 5)),
+                            fmt)
+        assert certify_cli(trace, tmp_path) == 0
+        edit_cell(trace, fmt, 0, "x", lambda v: v[:j] + [v[j] * (1.0 + 1e-7)] + v[j + 1:])
+        assert certify_cli(trace, tmp_path) == 3
+        assert "record k=0 has grad_map_norm " in capsys.readouterr().err
 
 
 def edit_cell(trace, fmt, k, column, edit):
@@ -689,8 +719,9 @@ def edit_cell(trace, fmt, k, column, edit):
 
     def change(rows):
         cell = rows[k][column]
-        if ";" in cell:
-            rows[k][column] = traceio._fmt_vector(edit([float(c) for c in cell.split(";")]))
+        if column == "x":
+            rows[k][column] = traceio._fmt_vector(
+                edit([float(c) for c in cell.split(";")] if cell else None))
         else:
             rows[k][column] = traceio._fmt(edit(json.loads(cell) if cell else None))
         return rows
@@ -698,29 +729,34 @@ def edit_cell(trace, fmt, k, column, edit):
 
 
 class TestTraceVersions:
-    """Traces are written and read as v4 only: `k, f_y, grad_map_norm,
-    accepted, x` in every row."""
+    """Traces are written and read as v5 only: `k, f_y, grad_map_norm,
+    accepted, x` in every row, x_0 in the first row's `x` and no other."""
 
-    def test_trace_is_written_as_v4(self, tmp_path):
+    def test_trace_is_written_as_v5(self, tmp_path):
         trace = short_trace(tmp_path)
         lines = trace.read_text().splitlines()
-        assert lines[0] == "# proxcert-trace v4"
-        assert json.loads(lines[1][len("# meta "):])["schema_version"] == 4
+        assert lines[0] == "# proxcert-trace v5"
+        assert json.loads(lines[1][len("# meta "):])["schema_version"] == 5
         assert lines[2] == "k,f_y,grad_map_norm,accepted,x"
+        assert lines[3].endswith(",true," + ";".join(["0.0"] * 5))
+        assert all(line.endswith(",") for line in lines[4:]) and len(lines) == 24
         jsonl = short_trace(tmp_path, "jsonl").read_text().splitlines()
-        assert json.loads(jsonl[0])["schema_version"] == 4
-        assert list(json.loads(jsonl[1])) == ["k", "f_y", "grad_map_norm", "accepted",
-                                              "x"]
+        assert json.loads(jsonl[0])["schema_version"] == 5
+        rows = [json.loads(line) for line in jsonl[1:]]
+        assert list(rows[0]) == ["k", "f_y", "grad_map_norm", "accepted", "x"]
+        assert rows[0]["x"] == [0.0] * 5
+        assert [row["x"] for row in rows[1:]] == [None] * 20
 
     @pytest.mark.parametrize("fmt, message", [
         ("csv", "unsupported trace header '# proxcert-trace v{}'; expected "
-                "'# proxcert-trace v4'"),
-        ("jsonl", "unsupported trace schema_version {}; expected 4"),
+                "'# proxcert-trace v5'"),
+        ("jsonl", "unsupported trace schema_version {}; expected 5"),
     ], ids=["csv", "jsonl"])
-    @pytest.mark.parametrize("version", [1, 2, 3])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4])
     def test_older_version_exits_2_naming_it(self, tmp_path, capsys, fmt, message,
                                              version):
-        # v1-v3 traces were read until v4 became the one layout
+        # v1-v3 traces were read until v4 became the one layout, and v4
+        # traces until v5 stored x_0 alone
         trace = short_trace(tmp_path, fmt)
         edit_meta(trace, fmt, lambda meta: {**meta, "schema_version": version})
         if fmt == "csv":
@@ -730,12 +766,13 @@ class TestTraceVersions:
         assert message.format(version) in capsys.readouterr().err
 
     @pytest.mark.parametrize("fmt, version, message", [
-        ("jsonl", 5, "unsupported trace schema_version 5; expected 4"),
-        ("jsonl", True, "unsupported trace schema_version True; expected 4"),
-        ("csv", 1, "trace metadata schema_version must be 4, got 1"),
-        ("csv", 2, "trace metadata schema_version must be 4, got 2"),
-        ("csv", 3, "trace metadata schema_version must be 4, got 3"),
-        ("csv", 5, "trace metadata schema_version must be 4, got 5"),
+        ("jsonl", 6, "unsupported trace schema_version 6; expected 5"),
+        ("jsonl", True, "unsupported trace schema_version True; expected 5"),
+        ("csv", 1, "trace metadata schema_version must be 5, got 1"),
+        ("csv", 2, "trace metadata schema_version must be 5, got 2"),
+        ("csv", 3, "trace metadata schema_version must be 5, got 3"),
+        ("csv", 4, "trace metadata schema_version must be 5, got 4"),
+        ("csv", 6, "trace metadata schema_version must be 5, got 6"),
     ])
     def test_unknown_or_mismatched_version_exits_2(self, tmp_path, capsys, fmt, version,
                                                    message):
@@ -1174,7 +1211,7 @@ EMPTY = {"csv": "", "jsonl": None}
 NAN = {"csv": "nan", "jsonl": float("nan")}
 NON_NUMBERS = {"csv": ["abc", "", "1.0.0", "0x1p3", "1e", "--1"],
                "jsonl": ["abc", None, True, "1.0", [1.0]]}
-# The columns that have a value in every row of a trace.
+# The columns that have a value in every row of a trace, and x (in row 0).
 REQUIRED_COLUMNS = ["k", "f_y", "grad_map_norm", "x"]
 
 
@@ -1183,18 +1220,18 @@ def mutated_trace(draw, texts, fmt):
     """(kind, text): a trace's text with one fault of that kind: a row
     dropped, duplicated or swapped, the last 1 to n - 1 rows dropped (a run
     stops only at max_iters or at the grad_map_tol test, so a shorter trace is
-    not valid), cells cut from a row, a ragged vector cell, a coordinate that
-    is not a number or is nan, a renamed column, a required cell left empty
-    (a JSON null), every vector one coordinate short, or a cell that replay
-    checks: a grad_map_norm doubled, an accepted flipped or left empty, an
-    f_y lowered by 1e-6, an apm row given an accepted, or a coordinate of x
-    moved by 1e-3 (1 + its size).  `texts` holds the valid texts: a mapm and
-    an apm trace."""
+    not valid), cells cut from a row, x_0 made ragged, a coordinate of x_0
+    that is not a number or is nan, a renamed column, a required cell left
+    empty (a JSON null; x's in row 0), x_0 one coordinate short, an x given
+    to a later row, or a cell that replay checks: a grad_map_norm doubled, an
+    accepted flipped or left empty, an f_y lowered by 1e-6, an apm row given
+    an accepted, or a coordinate of x_0 moved by 1e-3 (1 + its size).
+    `texts` holds the valid texts: a mapm and an apm trace."""
     kind = draw(st.sampled_from(["drop", "duplicate", "swap", "truncate", "cut",
                                  "ragged", "non_number", "nan", "rename", "blank",
-                                 "shrink", "double_gnorm", "flip_accepted",
-                                 "empty_accepted", "lower_f_y", "apm_accepted",
-                                 "move_x"]))
+                                 "shrink", "stray_x", "double_gnorm",
+                                 "flip_accepted", "empty_accepted", "lower_f_y",
+                                 "apm_accepted", "move_x"]))
     text = texts["apm" if kind == "apm_accepted" else "mapm"]
     lines = text.splitlines()
     if fmt == "csv":
@@ -1229,12 +1266,15 @@ def mutated_trace(draw, texts, fmt):
         c = draw(st.integers(0, len(columns) - 1))
         columns = columns[:c] + ["renamed_" + columns[c]] + columns[c + 1:]
     elif kind == "blank":
-        rows[i][columns.index(draw(st.sampled_from(REQUIRED_COLUMNS)))] = EMPTY[fmt]
+        column = draw(st.sampled_from(REQUIRED_COLUMNS))
+        rows[0 if column == "x" else i][columns.index(column)] = EMPTY[fmt]
     elif kind == "shrink":
         col = columns.index("x")
         j = draw(st.integers(0, len(coords(rows[0][col])) - 1))
-        for row in rows:
-            row[col] = vector(coords(row[col])[:j] + coords(row[col])[j + 1:])
+        rows[0][col] = vector(coords(rows[0][col])[:j] + coords(rows[0][col])[j + 1:])
+    elif kind == "stray_x":
+        col = columns.index("x")
+        rows[draw(st.integers(1, n - 1))][col] = rows[0][col]
     elif kind == "double_gnorm":
         col = columns.index("grad_map_norm")
         rows[i][col] = scalar(2.0 * float(rows[i][col]))
@@ -1251,12 +1291,13 @@ def mutated_trace(draw, texts, fmt):
         rows[i][columns.index("accepted")] = scalar(draw(st.booleans()))
     elif kind == "move_x":
         col = columns.index("x")
-        cell = coords(rows[i][col])
+        cell = coords(rows[0][col])
         j = draw(st.integers(0, len(cell) - 1))
         c = float(cell[j])
         cell[j] = scalar(c + 1e-3 * (1.0 + abs(c)))
-        rows[i][col] = vector(cell)
+        rows[0][col] = vector(cell)
     else:
+        i = 0  # the one x cell, x_0
         col = columns.index("x")
         cell = coords(rows[i][col])
         j = draw(st.integers(0, len(cell) - 1))

@@ -1,12 +1,9 @@
 """Round-trip tests for the versioned trace and report formats."""
 
-import contextlib
 import csv
 import dataclasses
 import io
 import json
-import multiprocessing
-import multiprocessing.pool
 import os
 import re
 import subprocess
@@ -30,6 +27,7 @@ from proxcert import (
     Trace,
     certify_trace,
     generate_suite,
+    random_lasso,
     random_quadratic,
     run,
     traceio,
@@ -70,6 +68,8 @@ def test_trace_round_trip_is_exact(tmp_path, fmt):
     meta2, records2 = read_trace(path)
     assert records2.y is None and records2.grad_map is None  # not stored ...
     assert records2.f_z is None
+    assert np.array_equal(records2.x, records.x[:1])  # x_0 alone
+    assert records2[0].x is not None and records2[1].x is None
     records2 = records2.replayed(problem, meta2.config())  # ... but derived
 
     assert meta2 == meta
@@ -86,30 +86,73 @@ def test_trace_round_trip_is_exact(tmp_path, fmt):
 
 
 @pytest.fixture(scope="module")
-def small_suite():
-    """The suite problems of dimension at most 20."""
-    return [p for p in generate_suite(20260808) if p.dim <= 20]
+def suite():
+    return generate_suite(20260808)
+
+
+def report_bytes(path, table, fmt):
+    write_report(path, table, fmt)
+    return path.read_bytes()
 
 
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
-def test_replayed_file_trace_equals_run(tmp_path, small_suite, fmt):
-    # a file stores x and accepted; the y, G_k and F(z_k) replayed from them
-    # are run()'s, bit for bit, under every variant
-    for problem in small_suite:
+def test_file_trace_certifies_to_the_runs_report_bytes(tmp_path, suite, fmt):
+    # a file stores x_0 and accepted; the x, y, G_k and F(z_k) chained from
+    # them are run()'s, bit for bit, and so is the report, for every suite
+    # problem under every variant
+    for problem in suite:
         for variant in VARIANTS:
             if variant == "strongly_convex_apm" and problem.smooth.strong_convexity == 0:
                 continue
             config = SolverConfig(variant=variant, step=0.5 / problem.smooth.lipschitz,
-                                  max_iters=200)
+                                  max_iters=300)
             trace = run(problem, config, np.zeros(problem.dim))
             meta = TraceMeta(**{key: getattr(config, key) for key in SETTING_RULES},
                              problem_hash=problem.content_hash)
             write_trace(tmp_path / "trace", meta, trace, fmt)
             read = read_trace(tmp_path / "trace")[1].replayed(problem, config)
-            for name in ("y", "grad_map", "f_z"):
+            for name in ("x", "y", "grad_map", "f_z"):
                 got, want = getattr(read, name), getattr(trace, name)
                 assert np.array_equal(got, want), (problem.name, variant, name)
                 assert np.array_equal(np.signbit(got), np.signbit(want))
+            ctx = EnergyContext(alpha=config.alpha, s=config.step,
+                                mu=problem.smooth.strong_convexity,
+                                lipschitz=problem.smooth.lipschitz,
+                                x_star=trace.y[-1], f_star=float(np.min(trace.f_y)))
+            tables = [certify_trace(ctx, t, variant=variant) for t in (trace, read)]
+            assert (report_bytes(tmp_path / "run", tables[0], fmt)
+                    == report_bytes(tmp_path / "file", tables[1], fmt)), (
+                problem.name, variant)
+
+
+def noisy(problem, seed):
+    """The problem with 2e-16 relative noise on every gradient coordinate, as
+    another BLAS build may round it; `replace` keeps the content hash."""
+    rng = np.random.default_rng(seed)
+    gradient = problem.smooth.gradient
+
+    def noisy_gradient(x):
+        g = gradient(x)
+        return g * (1.0 + 2e-16 * rng.uniform(-1.0, 1.0, g.shape))
+    return dataclasses.replace(
+        problem, smooth=dataclasses.replace(problem.smooth, gradient=noisy_gradient))
+
+
+@pytest.mark.parametrize("problem", [random_quadratic(101, 200, 100),
+                                     random_lasso(101, 200, 400)],
+                         ids=["quad-d200", "lasso-200x400"])
+def test_replay_through_a_noisy_gradient_passes(tmp_path, problem):
+    # the chain from x_0 follows the stored choices, so rounding that differs
+    # from the run's drifts x_k, but stays inside every replay check
+    config = SolverConfig(variant="mapm", step=0.5 / problem.smooth.lipschitz,
+                          max_iters=2000)
+    trace = run(problem, config, np.zeros(problem.dim))
+    meta = TraceMeta(**{key: getattr(config, key) for key in SETTING_RULES},
+                     problem_hash=problem.content_hash)
+    write_trace(tmp_path / "trace", meta, trace, "csv")
+    read = read_trace(tmp_path / "trace")[1].replayed(noisy(problem, 7), config)
+    assert not np.array_equal(read.x, trace.x)  # the noise reached the chain
+    assert np.array_equal(read.accepted, trace.accepted)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
@@ -226,8 +269,8 @@ def test_report_round_trip(tmp_path, fmt):
 
 
 def test_schema_version_constant():
-    assert SCHEMA_VERSION == 4
-    assert traceio.TRACE_MAGIC == "# proxcert-trace v4"
+    assert SCHEMA_VERSION == 5
+    assert traceio.TRACE_MAGIC == "# proxcert-trace v5"
 
 
 def old_fmt_vector(v):
@@ -262,35 +305,26 @@ class TestCodecExactness:
 
     @settings(max_examples=150, deadline=None)
     @given(rows=vectors)
-    def test_block_parse_is_bit_exact(self, rows):
-        cells = [traceio._fmt_vector(np.array(row).tolist()) for row in rows]
-        parsed = traceio._parse_vectors(cells)
-        assert len(parsed) == len(rows)
-        for cell, row, v in zip(cells, rows, parsed):
-            # the same bits as the cell-by-cell parse of the same text ...
-            assert np.array_equal(bits(v), bits(traceio._parse_vector(cell)))
-            # ... and as the written values, but for nan's sign and payload
+    def test_vector_parse_is_bit_exact(self, rows):
+        for row in rows:
+            v = traceio._parse_vector(traceio._fmt_vector(np.array(row).tolist()))
+            # the written values' bits, but for nan's sign and payload
             written = np.array(row, dtype=np.float64)
             number = ~np.isnan(written)
             assert np.array_equal(bits(v)[number], bits(written)[number])
             assert np.array_equal(np.isnan(v), ~number)
 
-    @pytest.mark.parametrize("cells", [
-        ["1.0;2.0", "3.0"],        # ragged
-    ])
-    def test_block_falls_back_to_the_cell_by_cell_parse(self, cells):
-        parsed = traceio._parse_vectors(cells)
-        assert np.array_equal(parsed[0], [1.0, 2.0])
-        assert np.array_equal(parsed[1], traceio._parse_vector(cells[1]))
-
-    @pytest.mark.parametrize("cells, bad", [
-        (["1.0;2.0", "1.0;x"], "'x'"),
-        (["1.0;2.0", "1_0;2.0"], "'1_0'"),  # float() reads it, but no writer emits it
-        (["1.0;2.0", ""], "''"),  # an empty cell is no vector: it read as None
-    ], ids=["not_a_number", "not_the_writers_text", "empty"])
-    def test_non_number_raises_value_error(self, cells, bad):
+    @pytest.mark.parametrize("cell, bad", [
+        ("1.0;x", "'x'"),
+        # float() reads these, but no writer emits them
+        ("1_0;2.0", "'1_0'"), ("1.50;2.0", "'1.50'"), ("2.0; 1.5", "' 1.5'"),
+        ("+1.5;2.0", "'\\+1.5'"), ("1e0;2.0", "'1e0'"),
+        ("", "''"),  # an empty cell is no vector: it reads as None
+    ], ids=["not_a_number", "underscore", "trailing_zero", "space", "plus",
+            "exponent", "empty"])
+    def test_non_number_raises_value_error(self, cell, bad):
         with pytest.raises(ValueError, match=bad):
-            traceio._parse_vectors(cells)
+            traceio._parse_vector(cell)
 
     @pytest.mark.parametrize("kind, cells, other_spellings", [
         (traceio._FLOAT, ["10.0", "1e-05", "-0.0", "inf", "-inf", "nan"],
@@ -313,10 +347,10 @@ def csv_module_trace(meta, records):
     writer = csv.writer(buf)
     columns = traceio._TRACE_COLUMNS
     writer.writerow(columns)
-    for rec in records:
+    for rec in records:  # x_0 in the first row only
         writer.writerow(
-            ["" if getattr(rec, c, None) is None else old_fmt_vector(getattr(rec, c))
-             if c in ("x", "y", "grad_map") else traceio._fmt(getattr(rec, c))
+            ["" if getattr(rec, c) is None or c == "x" and rec.k else
+             old_fmt_vector(rec.x) if c == "x" else traceio._fmt(getattr(rec, c))
              for c in columns])
     return buf.getvalue().encode()
 
@@ -337,7 +371,7 @@ def test_csv_trace_bytes_equal_the_csv_module(tmp_path):
     problem, records = sample_records()
     records.accepted[1] = None
     records.f_y[2] = float("inf")
-    records.x[3] = [-0.0, float("nan"), 5e-324, 1e16]
+    records.x[0] = [-0.0, float("nan"), 5e-324, 1e16]
     meta = sample_meta(problem)
     path = tmp_path / "trace.csv"
     write_trace(path, meta, records, "csv")
@@ -348,7 +382,7 @@ def test_csv_trace_bytes_equal_the_csv_module(tmp_path):
 @pytest.mark.parametrize("column", ["k", "f_y", "grad_map_norm", "x", None])
 def test_writer_refuses_what_the_reader_refuses(tmp_path, fmt, column):
     # an empty iterate cell was written, and read back as a record that
-    # certify called one "with no stored iterates"
+    # certify called one "with no stored iterates"; x is stored in row 0 only
     problem, records = sample_records()
     path = tmp_path / f"trace.{fmt}"
     if column is None:  # metadata whose settings break their rules
@@ -356,10 +390,11 @@ def test_writer_refuses_what_the_reader_refuses(tmp_path, fmt, column):
         error, message = ConfigurationError, "trace metadata max_iters must be"
     else:
         records = list(records)
-        setattr(records[4], column, None)
+        row = 0 if column == "x" else 4
+        setattr(records[row], column, None)
         meta = sample_meta(problem)
         error = RejectedInputError
-        message = f"record k={records[4].k} has no '{column}' value"  # k=None for k
+        message = f"record k={records[row].k} has no '{column}' value"  # k=None for k
     with pytest.raises(error, match=message):
         write_trace(path, meta, records, fmt)
     assert not path.exists()
@@ -519,17 +554,6 @@ def test_column_table_names_every_record_field_in_file_order():
     assert list(kinds) == [name for name in fields if name not in ("y", "grad_map", "f_z")]
     assert [f.name for f in dataclasses.fields(Trace)] == fields
     assert traceio._TRACE_COLUMNS == tuple(kinds)
-
-
-def test_span_rows_count_the_numbers_a_row_holds(tmp_path):
-    # every cell and every coordinate of x counts
-    problem = random_quadratic(3, 20, 100)
-    trace = run(problem, SolverConfig(variant="mapm", max_iters=30), np.zeros(20))
-    write_trace(tmp_path / "trace.csv", sample_meta(problem), trace, "csv")
-    row = (tmp_path / "trace.csv").read_text().splitlines()[3]
-    numbers = len(row.replace(";", ",").split(","))
-    assert numbers == 4 + 20
-    assert traceio._span_rows(trace) == traceio._SPAN_COORDS // numbers
 
 
 @pytest.mark.parametrize("block_text", [1, 1 << 20])
@@ -757,7 +781,7 @@ def test_jsonl_trace_ignores_keys_it_does_not_read(tmp_path, key, value):
     _, back = read_trace(path)
     assert back.f_z is None and back.y is None and not hasattr(back, "gap")
     assert back[4].f_y == records[4].f_y
-    assert np.array_equal(back[4].x, records[4].x)
+    assert np.array_equal(back.x, records.x[:1]) and back[4].x is None
 
 
 def json_dumps_trace(meta, records):
@@ -769,10 +793,11 @@ def json_dumps_trace(meta, records):
         return [float(c) for c in v]
 
     lines = [json.dumps({"format": "proxcert-trace", **asdict(meta)})]
-    for rec in records:
+    for rec in records:  # x_0 in the first row only
         row = {"k": rec.k, "f_y": float(rec.f_y),
                "grad_map_norm": float(rec.grad_map_norm),
-               "accepted": opt(rec.accepted, bool), "x": floats(rec.x)}
+               "accepted": opt(rec.accepted, bool),
+               "x": None if rec.k else floats(rec.x)}
         lines.append(json.dumps(row))
     return "".join(line + "\n" for line in lines).encode()
 
@@ -780,15 +805,10 @@ def json_dumps_trace(meta, records):
 ORACLES = {"csv": csv_module_trace, "jsonl": json_dumps_trace}
 
 
-@contextlib.contextmanager
-def many_spans():
-    """Spans of one row each, encoded by a pool of three workers on any
-    machine; yields a spy on the pool's context factory."""
-    with mock.patch.object(traceio, "_SPAN_COORDS", 1), \
-            mock.patch.object(traceio, "_cores", lambda: 3), \
-            mock.patch("multiprocessing.get_context",
-                       wraps=multiprocessing.get_context) as get_context:
-        yield get_context
+def many_chunks():
+    """Traces written one row per chunk."""
+    from proxcert import solvers
+    return mock.patch.object(solvers, "_CHUNK_ROWS", 1)
 
 
 @st.composite
@@ -804,8 +824,8 @@ def traces(draw):
             for k in range(draw(st.integers(1, 12)))]
 
 
-class TestParallelWriter:
-    """Trace rows formatted span by span on forked workers."""
+class TestWriterBytes:
+    """Trace rows written chunk by chunk, against the byte oracles."""
 
     @settings(max_examples=40, deadline=None)
     @given(records=traces())
@@ -814,11 +834,9 @@ class TestParallelWriter:
         meta = sample_meta(problem)
         path = tmp_path_factory.mktemp("trace")
         for fmt, oracle in ORACLES.items():
-            with many_spans() as get_context:
+            with many_chunks():
                 write_trace(path / f"trace.{fmt}", meta, records, fmt)
             assert (path / f"trace.{fmt}").read_bytes() == oracle(meta, records)
-            if len(records) > 1:
-                get_context.assert_called_once_with("fork")
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     @pytest.mark.parametrize("dim", [5, 20])
@@ -828,58 +846,41 @@ class TestParallelWriter:
         records = run(problem, SolverConfig(variant=variant, max_iters=60),
                       np.zeros(dim))
         meta = sample_meta(problem)
-        with many_spans() as get_context:
+        with many_chunks():
             write_trace(tmp_path / "many", meta, records, fmt)
-        get_context.assert_called_once_with("fork")
         write_trace(tmp_path / "one", meta, records, fmt)
         assert (tmp_path / "many").read_bytes() == (tmp_path / "one").read_bytes()
         assert (tmp_path / "many").read_bytes() == ORACLES[fmt](meta, records)
 
-    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
-    def test_worker_exception_reaches_the_caller(self, tmp_path, fmt):
-        problem, records = sample_records()
 
-        def refuse(value):
-            if value == records.f_y[17]:
-                raise ValueError("not a number")
-            return traceio._fmt(value)
-        kind = traceio._COLUMN_KINDS["f_y"]._replace(text=refuse, to_json=refuse)
-        with mock.patch.dict(traceio._COLUMN_KINDS, f_y=kind), many_spans(), \
-                pytest.raises(ValueError) as raised:
-            write_trace(tmp_path / "trace", sample_meta(problem), records, fmt)
-        assert type(raised.value) is ValueError
-        assert isinstance(raised.value.__cause__, multiprocessing.pool.RemoteTraceback)
-        assert multiprocessing.active_children() == []
+def test_run_and_certify_import_no_multiprocessing(tmp_path):
+    # the trace writer once formatted x on a forked pool of workers
+    trace, report = str(tmp_path / "trace.csv"), str(tmp_path / "report.csv")
+    code = ("import sys; from proxcert.cli import main; "
+            f"assert main(['run', '--problem', 'quadratic', '--dim', '20', '--solver', "
+            f"'mapm', '--max-iters', '300', '--out', {trace!r}]) == 0; "
+            f"assert main(['certify', '--trace', {trace!r}, '--report', {report!r}]) == 0; "
+            "assert 'multiprocessing' not in sys.modules")
+    src = os.path.dirname(os.path.dirname(traceio.__file__))
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": src})
 
-    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
-    def test_single_span_trace_starts_no_pool(self, tmp_path, fmt):
-        problem, records = sample_records()
-        meta = sample_meta(problem)
-        with mock.patch.object(traceio, "_cores", lambda: 2), \
-                mock.patch("multiprocessing.get_context",
-                           side_effect=AssertionError("a pool was started")):
-            write_trace(tmp_path / "trace", meta, records, fmt)
-        assert (tmp_path / "trace").read_bytes() == ORACLES[fmt](meta, records)
 
-    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
-    def test_write_inside_a_pool_worker(self, tmp_path, fmt):
-        # A daemonic pool worker may not start processes, so it writes alone.
-        problem, records = sample_records()
-        meta = sample_meta(problem)
-        with mock.patch.object(traceio, "_SPAN_COORDS", 1), \
-                multiprocessing.get_context("fork").Pool(1) as pool:
-            pool.apply(write_trace, (tmp_path / "trace", meta, records, fmt))
-            pool.close()
-            pool.join()
-        assert (tmp_path / "trace").read_bytes() == ORACLES[fmt](meta, records)
+def test_csv_meta_that_is_not_json(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text(f"{traceio.TRACE_MAGIC}\n# meta {{\"variant\": \nk\n")
+    with pytest.raises(ConfigurationError, match="file is not a proxcert trace: its "
+                                                 "header .* is not JSON"):
+        read_trace(path)
 
-    def test_reading_a_trace_does_not_import_multiprocessing(self, tmp_path):
-        problem, records = sample_records()
-        write_trace(tmp_path / "trace.csv", sample_meta(problem), records, "csv")
-        code = ("import sys; from proxcert.cli import main; "
-                f"assert main(['certify', '--trace', {str(tmp_path / 'trace.csv')!r}, "
-                f"'--report', {str(tmp_path / 'report.csv')!r}]) == 0; "
-                "assert 'multiprocessing' not in sys.modules")
-        src = os.path.dirname(os.path.dirname(traceio.__file__))
-        subprocess.run([sys.executable, "-c", code], check=True,
-                       env={**os.environ, "PYTHONPATH": src})
+
+@pytest.mark.parametrize("read, what", [(read_trace, "trace"), (read_report, "report")])
+@pytest.mark.parametrize("text", ["", "hello world\n", "{\"format\": \n"],
+                         ids=["empty", "hello", "cut_json"])
+def test_file_without_a_json_or_magic_header(tmp_path, read, what, text):
+    # raised a bare JSONDecodeError
+    path = tmp_path / "file"
+    path.write_text(text)
+    with pytest.raises(ConfigurationError, match=f"file is not a proxcert {what}: "
+                                                 "its header .* is not JSON"):
+        read(path)
