@@ -11,7 +11,6 @@ from .certificates import (
     CertificateTable,
     EnergyContext,
     certify_trace,
-    comparison_rho,
     descent_lemma_sides,
     energy,
     inertial_residual,
@@ -51,7 +50,6 @@ from .problems import (
     SmoothOracle,
     box_quadratic_problem,
     box_regularizer,
-    finite_difference_gradient_check,
     l1_regularizer,
     lasso_problem,
     prox_box,
@@ -66,7 +64,6 @@ from .solvers import (
     SolverState,
     Trace,
     constant_momentum,
-    gradient_mapping,
     momentum,
     run,
     step,

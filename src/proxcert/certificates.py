@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -123,25 +123,6 @@ class CertificateTable(Columns):
         for field, dtype in zip(fields(self), self._DTYPES):
             column = np.asarray(getattr(self, field.name), dtype)
             object.__setattr__(self, field.name, column)
-
-    @classmethod
-    def from_rows(cls, rows) -> "CertificateTable":
-        """The table of CertificateReport rows, in their order.
-
-        A row whose name is not a certificate's, or whose status is not one of
-        STATUSES, is rejected.
-        """
-        rows = list(rows)
-        bad = next((r for r in rows
-                    if r.name not in cls.NAMES or r.status not in cls.STATUSES), None)
-        if bad is not None:
-            raise RejectedInputError(
-                f"{bad!r}: the name must be a certificate's and the status one "
-                f"of {', '.join(cls.STATUSES)}")
-        return cls([r.k for r in rows], [cls.NAMES.index(r.name) for r in rows],
-                   [r.lhs for r in rows], [r.rhs for r in rows],
-                   [r.slack for r in rows], [r.passed for r in rows],
-                   [r.status == "ok" for r in rows])
 
     def _row(self, k, name, lhs, rhs, slack, passed, applies) -> CertificateReport:
         return CertificateReport(k, self.NAMES[name], lhs, rhs, slack, passed,
@@ -248,16 +229,6 @@ def prop2_rhs(ctx: EnergyContext, k: Index, x_k: Vector, y_k: Vector, G: Vector,
                    * sG2)
 
 
-def comparison_rho(a: Sequence[float], b: Sequence[float]) -> float:
-    """min_i a_i / b_i: if A <= -sum a_i W_i and B <= sum b_i W_i with all
-    quantities positive, then A + rho B <= 0 for rho = comparison_rho(a, b)."""
-    if len(a) != len(b) or len(a) < 1:
-        raise RejectedInputError("need two equal-length nonempty lists")
-    if min(a) <= 0.0 or min(b) <= 0.0:
-        raise RejectedInputError("all entries must be > 0")
-    return min(ai / bi for ai, bi in zip(a, b))
-
-
 def rho_lower_bound(ctx: EnergyContext) -> float:
     """Closed-form lower bound on the per-iteration linear factor.
 
@@ -358,33 +329,33 @@ class _Lines:
                 self.applies.ravel()[cells])
 
 
-def certify_trace(ctx: EnergyContext, trace,
+def certify_trace(ctx: EnergyContext, trace: Trace,
                   variant: str = "mapm") -> CertificateTable:
     """Evaluate every applicable certificate on a recorded trace.
 
-    The trace must carry iterates: the x, y, grad_map and f_z that `run`
-    records and `Trace.replayed` chains for a trace read from a file (which
-    stores x_0 and mapm's `accepted`, and checks every stored cell against
-    the replay first).  For mapm traces all seven certificates run, gated
-    as proved: prop2 and the linear envelope need mu > 0, the linear envelope
-    also needs s < 1/L and k >= k_alpha, the sublinear envelope starts at
-    k = 1.  apm traces keep the descent and inertial checks; ista /
-    strongly_convex_apm traces keep only the descent check.  Skipped families
-    are reported once with status "not_applicable".  Lines are sorted by
-    (k, name).  A variant outside errors.VARIANTS is rejected; a trace that
-    `Trace.check` refuses against the problem's shape (ctx.x_star's) is
-    corrupt: its k does not run 0, 1, 2, ..., or it has a NaN f_y, f_z,
-    grad_map_norm or iterate coordinate, or a vector of another shape.
+    The trace must carry iterates in every row, else RejectedInputError: the
+    x, y, grad_map and f_z that `run` records and `Trace.replayed` gives a
+    trace read from a file (which stores x_0 and mapm's `accepted`, and
+    checks every stored cell against the replay first).  For mapm traces all
+    seven certificates run, gated as proved: prop2 and the linear envelope
+    need mu > 0, the linear envelope also needs s < 1/L and k >= k_alpha, the
+    sublinear envelope starts at k = 1.  apm traces keep the descent and
+    inertial checks; ista / strongly_convex_apm traces keep only the descent
+    check.  Skipped families are reported once with status "not_applicable".
+    Lines are sorted by (k, name).  A variant outside errors.VARIANTS is
+    rejected; a trace that `Trace.check` refuses against the problem's shape
+    (ctx.x_star's) is corrupt: its k does not run 0, 1, 2, ..., or it has a
+    NaN f_y, f_z, grad_map_norm or iterate coordinate, or a vector of another
+    shape.
 
-    `trace` is a Trace, or IterationRecord rows, which are tabulated first.
-    Its columns are checked once, then certified in blocks of rows, each
+    The columns are checked once, then certified in blocks of rows, each
     block's views sharing one row with the next so that the (k, k+1)
     certificates cross block edges.
     """
     check_setting("variant", variant, RejectedInputError)
-    trace = Trace.from_records(trace)
     if not len(trace):
-        return CertificateTable.from_rows([])
+        return CertificateTable(*[()] * len(CertificateTable._DTYPES))
+    trace.require(("x", "y", "grad_map", "f_z"), len(trace))
     trace.check(ctx.x_star.shape)
     a, s, mu, L = ctx.alpha, ctx.s, ctx.mu, ctx.lipschitz
     pairs = variant in ("mapm", "apm")

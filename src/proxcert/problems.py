@@ -308,23 +308,3 @@ def lasso_problem(A, b, lam: float) -> CompositeProblem:
         dim=n,
         content_hash=_content_hash("lasso", A, b, np.array([lam])),
     )
-
-
-def finite_difference_gradient_check(oracle: SmoothOracle, x: Vector,
-                                     h: float) -> float:
-    """Max relative mismatch between central differences and oracle.gradient(x).
-
-    The relative error in coordinate i is measured against 1 + |gradient(x)_i|
-    so a zero gradient stays well defined.
-    """
-    if h <= 0:
-        raise RejectedInputError(f"step h must be > 0, got {h}")
-    x = as_vector(x)
-    g = oracle.gradient(x)
-    worst = 0.0
-    for i in range(x.size):
-        step = np.zeros_like(x)
-        step[i] = h
-        diff = (oracle.value(x + step) - oracle.value(x - step)) / (2.0 * h)
-        worst = max(worst, abs(diff - float(g[i])) / (1.0 + abs(float(g[i]))))
-    return worst

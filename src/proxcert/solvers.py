@@ -12,14 +12,14 @@ turn the prox's -0.0 coordinates into 0.0.  F(y_k) is computed once per
 iteration and cached in the state; the mapm test compares cached values only.
 
 `iterate` is the one loop that applies the rule.  Its consumers bring their
-own stop rules: `run`, and both phases of `harness.reference_solution`.
+own stop rules: `run`, `Trace.replayed` and both phases of
+`harness.reference_solution`.
 
 `run` returns a `Trace`, its records as columns, which the trace writer, the
 certificate engine and the CLI read as columns.  A trace file stores x_0 and
 mapm's choice `accepted`, but not x_k for k >= 1, y_k, G_k or F(z_k):
-`Trace.replayed` chains them from x_0 row by row with `prox_point`, the
-evaluation `iterate` makes, and `step`, given each stored choice, so they
-equal `run`'s bit for bit.
+`Trace.replayed` runs `iterate` again from x_0 with the stored choices, so
+they equal `run`'s bit for bit.
 
 The run contract is written once: `errors.SETTING_RULES` (each setting's rule),
 `bind_step` (s <= 1/L) and `SolverConfig.stops` (the stop rule of `run`, `certify`).
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import product, starmap
+from itertools import starmap
 from typing import Optional
 
 import numpy as np
@@ -188,26 +188,8 @@ class Trace(Columns):
         columns = {}
         for name, dtype in _DTYPES.items():
             parts = pieces.pop(name, None)
-            columns[name] = None if parts is None else _array(name, parts, dtype,
-                                                               columns.get("k"))
+            columns[name] = None if parts is None else _array(parts, dtype)
         return cls(**columns)
-
-    @classmethod
-    def from_records(cls, records, names=tuple(_DTYPES)) -> "Trace":
-        """IterationRecord rows as a Trace of the columns `names` (the others
-        None); a Trace that has each of them is returned as it is.
-
-        A row without a value that a column requires is a RejectedInputError
-        naming its k and the field.
-        """
-        if isinstance(records, Trace) and all(getattr(records, n) is not None
-                                              for n in names):
-            return records
-        rows = list(records)
-        for row, name in product(rows, names):
-            if getattr(row, name) is None and _DTYPES[name] is not object:
-                raise RejectedInputError(f"record k={row.k} has no {name!r} value")
-        return cls.join({name: [[getattr(row, name) for row in rows]] for name in names})
 
     def check(self, shape: tuple) -> None:
         """DataCorruptionError, naming the row, for a k out of sequence, a NaN
@@ -235,17 +217,27 @@ class Trace(Columns):
                 what = f"a nan coordinate in {name}" if column.ndim == 2 else f"{name} = nan"
                 raise DataCorruptionError(f"record k={_first(nan, k)} has {what}")
 
-    def replayed(self, problem: CompositeProblem, config: SolverConfig) -> "Trace":
-        """The trace with `x`, `y`, `grad_map` and `f_z` chained from x_0 (row
-        0's x) and each row's `accepted`, one row at a time by `prox_point`
-        and `step` as `iterate` computes them, so they equal `run`'s bit for
-        bit (a batched gradient would not): y_0 = x_0, and `step` from x_k,
-        y_k and z_k, given the row's choice (y_{k+1} = z_k, or y_k where a
-        mapm row's `accepted` is false), gives x_{k+1}, y_{k+1} and
-        F(y_{k+1}).  Certification thus follows the choices the trace stores,
-        so no decision is taken again; `x` past row 0 is not read.
+    def require(self, names: tuple, rows: int) -> None:
+        """RejectedInputError naming the first of the columns `names` that has
+        no value in each of the trace's first `rows` rows (None, or shorter)."""
+        for name in names:
+            column = getattr(self, name)
+            if column is None or len(column) < rows:
+                raise RejectedInputError(
+                    f"trace has no {name!r} value in each of its first {rows} rows")
 
-        The columns are checked first (`check`).  Each stored cell must agree
+    def replayed(self, problem: CompositeProblem, config: SolverConfig) -> "Trace":
+        """The trace with `x`, `y`, `grad_map` and `f_z` of the run that `iterate`
+        makes from x_0 (row 0's x) with each row's choice as its `choices`
+        (y_{k+1} = z_k, or y_k where a mapm row's `accepted` is false), so
+        they are `run`'s bit for bit.  Certification thus follows the choices
+        the trace stores, so no decision is taken again; `x` past row 0 is
+        not read.
+
+        The columns are checked first (`check`); an empty trace gives empty
+        columns.  An x_0 that `iterate` refuses (record k=0), or a replay whose
+        F(z_k) or ||G_k|| is not finite or whose prox refuses its point, is a
+        DataCorruptionError naming the record k where the replay stopped.  Each stored cell must agree
         with the replay, within IDENTITY_TOL relative to 1 + its scale, else a
         DataCorruptionError names the first row where one does not, and the
         field:
@@ -259,24 +251,25 @@ class Trace(Columns):
           start's, only with itself).
         """
         self.check((problem.dim,))
-        s = bind_step(problem.smooth.lipschitz, config.step)
-        takes_z = self._steps_to_z(config.variant)
-        beta = momentum(problem, config)
-        n, d = len(self), problem.dim
-        grad_map, f_z = np.empty((n, d)), np.empty(n)
-        # row n of each, the step from the last row, is not kept
-        x, y, f_y = np.empty((n + 1, d)), np.empty((n + 1, d)), np.empty(n + 1)
-        if n:
-            x[0] = y[0] = self.x[0]
-            f_y[0] = problem.value(x[0])
-        for i in range(n):
-            z, grad_map[i], f_z[i] = prox_point(problem, s, x[i])
-            state = step(config, beta, SolverState(i, x[i], y[i], f_y[i]), z, f_z[i],
-                         takes_z[i])
-            x[i + 1], y[i + 1], f_y[i + 1] = state.x, state.y, state.f_y
-        x, y, f_y = x[:n], y[:n], f_y[:n]
+        if not len(self):  # no x_0: nothing to replay
+            vectors = np.empty((0, problem.dim))
+            return replace(self, x=vectors, y=vectors, grad_map=vectors, f_z=np.empty(0))
+        last, reached = len(self) - 1, 0
+
+        def stops(k, _):
+            nonlocal reached
+            reached = k + 1  # the record that iterate steps to next
+            return k == last
+
+        steps = iterate(problem, config, self.x[0], self._steps_to_z(config.variant))
+        try:
+            replay = _recorded(steps, config.variant, stops)
+        except RejectedInputError as exc:
+            raise DataCorruptionError(f"the replay from the trace's x_0 fails at record "
+                                      f"k={reached}: {exc}") from None
+        f_z, f_y = replay.f_z, replay.f_y
         with np.errstate(invalid="ignore"):  # inf - inf: an infinite F(y_k)
-            gnorm, stored = np.sqrt(np.vecdot(grad_map, grad_map)), self.grad_map_norm
+            gnorm, stored = replay.grad_map_norm, self.grad_map_norm
             checks = [("grad_map_norm", stored, "its x gives ||G_k||", gnorm,
                        _within(np.abs(stored - gnorm), gnorm))]
             if config.variant == "mapm":
@@ -288,7 +281,7 @@ class Trace(Columns):
             checks.append(("f_y", stored, "the replay gives F(y_k)", f_y,
                            (stored == f_y) | _within(np.abs(stored - f_y), np.abs(f_y))))
         _require_agreement(self.k, checks)
-        return replace(self, x=x, y=y, grad_map=grad_map, f_z=f_z)
+        return replace(self, x=replay.x, y=replay.y, grad_map=replay.grad_map, f_z=f_z)
 
     def _steps_to_z(self, variant: str) -> np.ndarray:
         """Whether y_{k+1} is z_k, per row: a mapm row's `accepted`, and true
@@ -333,19 +326,10 @@ def _within(distance, scale):
     return np.isfinite(scale) & (distance <= IDENTITY_TOL * (1.0 + scale))
 
 
-def _array(name: str, parts: list, dtype, k) -> np.ndarray:
-    """The array of a column's pieces.  Vectors of differing shapes are a
-    DataCorruptionError naming the first row whose shape is not the first's."""
-    try:
-        arrays = [np.asarray(part, dtype) for part in parts] or [np.empty(0, dtype)]
-        return np.concatenate(arrays) if len(arrays) != 1 else arrays[0]
-    except ValueError:
-        shapes = [np.shape(row) for part in parts for row in part]
-        i = next((i for i, shape in enumerate(shapes) if shape != shapes[0]), None)
-        if i is None:  # a value that is no number, not a vector of another shape
-            raise
-        raise DataCorruptionError(f"record k={k[i]} has a {name} of shape {shapes[i]}; "
-                                  f"record k={k[0]} has one of shape {shapes[0]}") from None
+def _array(parts: list, dtype) -> np.ndarray:
+    """The array of a column's consecutive pieces."""
+    arrays = [np.asarray(part, dtype) for part in parts] or [np.empty(0, dtype)]
+    return np.concatenate(arrays) if len(arrays) != 1 else arrays[0]
 
 
 def bind_step(lipschitz: float, step: Optional[float], error=ConfigurationError):
@@ -361,16 +345,6 @@ def bind_step(lipschitz: float, step: Optional[float], error=ConfigurationError)
             f"step {s} exceeds 1/L = {1.0 / lipschitz} (certificates assume s <= 1/L)"
         )
     return s
-
-
-def gradient_mapping(problem: CompositeProblem, s: float, x: Vector):
-    """Return (z, G) with z = prox_{sg}(x - s grad f(x)) and G = (x - z)/s.
-
-    Both are returned so callers never recompute the prox; G vanishes exactly
-    at minimizers of F.  Checks s and x on every call.
-    """
-    bind_step(problem.smooth.lipschitz, s)
-    return prox_gradient(problem, s, as_vector(x, problem.dim))
 
 
 def require_finite(k: int, name: str, value: float) -> float:
@@ -414,12 +388,10 @@ def step(config: SolverConfig, beta, state: SolverState, z: Vector,
          f_z: float, takes_z) -> SolverState:
     """One iteration of the shared rule from z = z_k and f_z = F(z_k).
 
-    beta is momentum(problem, config).  takes_z is the caller's choice of
-    y_{k+1}: z_k if true, else y_k; `iterate` passes mapm's test F(z_k) <=
-    F(y_k) (true for every other variant), `Trace.replayed` a trace's stored
-    choice.  mapm ties accept, so its cached F(y_k) never increases; while
-    every step accepts, the gamma term is exactly zero and the (x, y)
-    sequences coincide with apm's.
+    beta is momentum(problem, config).  takes_z is the choice of y_{k+1}
+    that `iterate` makes: z_k if true, else y_k.  mapm ties accept, so its
+    cached F(y_k) never increases; while every step accepts, the gamma term
+    is exactly zero and the (x, y) sequences coincide with apm's.
     """
     k = state.k
     y, f_y = (z, f_z) if takes_z else (state.y, state.f_y)
@@ -432,19 +404,15 @@ def step(config: SolverConfig, beta, state: SolverState, z: Vector,
     return SolverState(k=k + 1, x=x, y=y, f_y=f_y)
 
 
-def prox_point(problem: CompositeProblem, s: float, x: Vector):
-    """(z, G, F(z)) at x = x_k: the prox point, the gradient mapping and F
-    there, unchecked.  `iterate` and `Trace.replayed` both evaluate a row
-    with it, so their values agree bit for bit."""
-    z, G = prox_gradient(problem, s, x)
-    return z, G, problem.value(z)
-
-
-def iterate(problem: CompositeProblem, config: SolverConfig, x0):
+def iterate(problem: CompositeProblem, config: SolverConfig, x0, choices=None):
     """Yield (state_k, z_k, G_k, F(z_k)) for k = 0, 1, ... from x_0 = y_0.
 
-    Steps to state k+1 when resumed; never stops.  x_0 and the step are
-    checked once; a non-finite F(z_k) raises RejectedInputError naming k.
+    Steps to state k+1 when resumed; never stops.  y_{k+1} is z_k where
+    choices[k] is true and y_k where it is false; without `choices`, where
+    mapm's test F(z_k) <= F(y_k) holds, and always for the other variants.
+    A run's own choices (a trace's `accepted`) thus give its iterates again
+    bit for bit.  x_0 and the step are checked once; a non-finite F(z_k)
+    raises RejectedInputError naming k.
     """
     x0 = as_vector(x0, problem.dim)
     s = bind_step(problem.smooth.lipschitz, config.step)
@@ -452,10 +420,12 @@ def iterate(problem: CompositeProblem, config: SolverConfig, x0):
     monotone = config.variant == "mapm"
     state = SolverState(k=0, x=x0, y=x0, f_y=problem.value(x0))
     while True:
-        z, G, f_z = prox_point(problem, s, state.x)
-        require_finite(state.k, "F(z_k)", f_z)
+        z, G = prox_gradient(problem, s, state.x)
+        f_z = require_finite(state.k, "F(z_k)", problem.value(z))
         yield state, z, G, f_z
-        state = step(config, beta, state, z, f_z, not monotone or f_z <= state.f_y)
+        takes_z = (choices[state.k] if choices is not None
+                   else not monotone or f_z <= state.f_y)
+        state = step(config, beta, state, z, f_z, takes_z)
 
 
 def run(problem: CompositeProblem, config: SolverConfig, x0) -> Trace:
@@ -467,21 +437,28 @@ def run(problem: CompositeProblem, config: SolverConfig, x0) -> Trace:
     max_iters steps yields max_iters + 1 records.  Beyond iterate's checks, a
     non-finite ||G_k|| raises RejectedInputError naming k.
     """
+    return _recorded(iterate(problem, config, x0), config.variant, config.stops)
+
+
+def _recorded(steps, variant: str, stops) -> Trace:
+    """The Trace of `iterate`'s steps up to and including the first record k
+    where stops(k, ||G_k||); a non-finite ||G_k|| raises RejectedInputError
+    naming k."""
     rows, chunks = [], {name: [] for name in _DTYPES}  # rows in the order of _DTYPES
-    for state, _, G, f_z in iterate(problem, config, x0):
+    for state, _, G, f_z in steps:
         k = state.k
         gnorm = require_finite(k, "||G_k||", norm(G))
         rows.append((
             k,
             state.f_y,
             gnorm,
-            (f_z <= state.f_y) if config.variant == "mapm" else None,
+            (f_z <= state.f_y) if variant == "mapm" else None,
             state.x,
             state.y,
             G,
             f_z,
         ))
-        stop = config.stops(k, gnorm)
+        stop = stops(k, gnorm)
         if stop or len(rows) == _STACK_ROWS:
             for (name, dtype), column in zip(_DTYPES.items(), zip(*rows)):
                 chunks[name].append(np.asarray(column, dtype))

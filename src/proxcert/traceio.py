@@ -219,15 +219,16 @@ def _encoder(what: str, fmt: str) -> Callable:
     return _csv_lines if fmt == "csv" else _jsonl_lines
 
 
-def write_trace(path, meta: TraceMeta, records, fmt: str = "csv") -> None:
-    """Write one row per record of a Trace (or of IterationRecord rows, through
-    `Trace.from_records`), with the first record's x as x_0.  The file is of
-    version SCHEMA_VERSION whatever meta.schema_version says.  Like
-    read_trace, refuses bad settings (ConfigurationError) and a record
-    without a value its column requires (RejectedInputError naming k)."""
+def write_trace(path, meta: TraceMeta, trace: Trace, fmt: str = "csv") -> None:
+    """Write one row per record of a Trace, with its first x as x_0: `run`'s
+    Trace, or `read_trace`'s, whose file it writes again byte for byte.  The
+    file is of version SCHEMA_VERSION whatever meta.schema_version says.
+    Like read_trace, refuses bad settings (ConfigurationError), and a trace
+    without a value a file stores (RejectedInputError naming the column)."""
     encode = _encoder("trace", fmt)
     meta.config()
-    trace = Trace.from_records(records, _TRACE_COLUMNS)
+    trace.require(_TRACE_COLUMNS[:-1], len(trace))
+    trace.require(("x",), min(len(trace), 1))  # x_0
     header = {**asdict(meta), "schema_version": SCHEMA_VERSION}
     if fmt == "csv":
         header = (f"{TRACE_MAGIC}\n# meta {json.dumps(header)}\n"
@@ -424,36 +425,33 @@ def _json_object(what: str, line_no: int, line: str) -> dict:
     return row
 
 
-def write_report(path, reports, fmt: str = "csv") -> None:
-    """Write one line per (k, name) certificate result.
-
-    `reports` is a CertificateTable, or CertificateReport rows, which are
-    tabulated first, so that both are written by the same column encoder.
-    """
+def write_report(path, table: CertificateTable, fmt: str = "csv") -> None:
+    """Write one line per (k, name) certificate result of the table."""
     encode = _encoder("report", fmt)
     if fmt == "csv":
         header = f"{REPORT_MAGIC}\n{','.join(_REPORT_COLUMNS)}\r\n"
     else:
         header = json.dumps({"format": "proxcert-report",
                              "schema_version": _REPORT_SCHEMA_VERSION}) + "\n"
-    if not isinstance(reports, CertificateTable):
-        reports = CertificateTable.from_rows(reports)
     kinds = tuple(_REPORT_KINDS.values())
     with open(path, "w", newline="") as fh:
         fh.write(header)
-        for chunk in reports.chunks():
+        for chunk in table.chunks():
             columns = [column.tolist() for column in vars(chunk).values()]
             fh.write(encode(_REPORT_COLUMNS, kinds, columns))
 
 
-def read_report(path) -> list:
-    """Parse a report file back into CertificateReport rows; a report of
-    another version is a ConfigurationError naming its header."""
+def read_report(path) -> CertificateTable:
+    """Parse a report file back into a CertificateTable; a report of another
+    version is a ConfigurationError naming its header."""
+    columns = [[np.empty(0, dtype)] for dtype in CertificateTable._DTYPES]
     with open(path) as fh:
         decode, _, first_line = _read_header(fh, "report", _REPORT_SCHEMA_VERSION)
-        blocks = decode("report", fh, first_line, _REPORT_KINDS)
-        tables = [CertificateTable(*block.values()) for _, block in blocks]
-    return [row for table in tables for row in table]
+        for _, block in decode("report", fh, first_line, _REPORT_KINDS):
+            table = CertificateTable(*block.values())
+            for parts, column in zip(columns, vars(table).values()):
+                parts.append(column)
+    return CertificateTable(*map(np.concatenate, columns))
 
 
 def write_comparison(path, comparison, fmt: str = "csv") -> None:

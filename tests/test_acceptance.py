@@ -23,7 +23,6 @@ from proxcert import (
     energy,
     fit_linear_rate,
     generate_suite,
-    gradient_mapping,
     l1_regularizer,
     quadratic_problem,
     random_quadratic,
@@ -32,6 +31,7 @@ from proxcert import (
     run,
     zero_regularizer,
 )
+from proxcert.problems import prox_gradient
 
 SUITE_SEED = 20260808
 ALPHA = 3.0
@@ -252,7 +252,7 @@ def test_criterion_8_inertial_identity(mapm_traces, certified):
 def test_criterion_9_descent_equality_witness():
     p = quadratic_problem(np.eye(1), np.zeros(1))
     x, y = np.array([1.0]), np.array([0.0])
-    z, g = gradient_mapping(p, 1.0, x)
+    z, g = prox_gradient(p, 1.0, x)
     lhs, rhs = descent_lemma_sides(1.0, 1.0, 1.0, x, y, g,
                                    p.value(z), p.value(y))
     slack = rhs - lhs

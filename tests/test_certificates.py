@@ -1,5 +1,6 @@
 """Certificate engine tests: formulas, the comparison lemma, and trace audits."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -13,10 +14,8 @@ from proxcert import (
     SolverConfig,
     attach_reference,
     certify_trace,
-    comparison_rho,
     descent_lemma_sides,
     energy,
-    gradient_mapping,
     inertial_residual,
     k_alpha,
     phi,
@@ -34,6 +33,7 @@ from proxcert import (
 )
 from proxcert import certificates
 from proxcert.certificates import ineq_tolerance
+from proxcert.problems import prox_gradient
 
 
 def make_ctx(alpha=3.0, s=0.5, mu=1.0, lipschitz=1.0, x_star=None, f_star=0.0):
@@ -197,18 +197,9 @@ class TestProp2:
 
 
 class TestComparisonRho:
-    def test_identical_lists(self):
-        assert comparison_rho([2.0, 3.0], [2.0, 3.0]) == 1.0
-
-    def test_direct_minimum(self):
-        assert comparison_rho([1.0, 4.0], [2.0, 2.0]) == 0.5
-
-    def test_rejects_nonpositive_entries(self):
-        with pytest.raises(RejectedInputError):
-            comparison_rho([1.0, 0.0], [1.0, 1.0])
-
     def test_soundness_on_random_instances(self):
-        # If A <= -sum a_i W_i and B <= sum b_i W_i then A + rho B <= 0.
+        # If A <= -sum a_i W_i and B <= sum b_i W_i with every a_i, b_i > 0,
+        # then A + rho B <= 0 for rho = min_i a_i / b_i.
         rng = np.random.default_rng(14)
         for _ in range(1000):
             n = rng.integers(1, 5)
@@ -217,7 +208,7 @@ class TestComparisonRho:
             w = rng.uniform(0.0, 2.0, n)
             big_a = -float(a @ w) - rng.uniform(0, 1)
             big_b = float(b @ w) - rng.uniform(0, 1)
-            rho = comparison_rho(list(a), list(b))
+            rho = float(np.min(a / b))
             assert big_a + rho * big_b <= 1e-12
 
 
@@ -292,7 +283,7 @@ class TestDescentLemma:
         # f = x^2/2, g = 0, s = 1, x = 1, y = 0: both sides are exactly 0.
         p = quadratic_problem(np.eye(1), np.zeros(1))
         x, y = np.array([1.0]), np.array([0.0])
-        z, g = gradient_mapping(p, 1.0, x)
+        z, g = prox_gradient(p, 1.0, x)
         lhs, rhs = descent_lemma_sides(1.0, 1.0, 1.0, x, y, g,
                                        p.value(z), p.value(y))
         assert lhs == 0.0
@@ -435,15 +426,17 @@ class TestCertifyTrace:
             certify_trace(EnergyContext(**{**context, field: value}), records)
 
     def test_rejects_trace_without_iterates(self):
+        # a trace file's Trace holds x_0 alone and none of the others until replayed
         p = random_quadratic(4, 3, 10)
-        records = list(run(p, SolverConfig(variant="mapm", max_iters=5), np.zeros(3)))
-        for rec in records:
-            rec.x = None
+        trace = run(p, SolverConfig(variant="mapm", max_iters=5), np.zeros(3))
         ctx = EnergyContext(alpha=3.0, s=0.5 / p.smooth.lipschitz, mu=0.1,
                             lipschitz=1.0, x_star=p.known_minimizer,
                             f_star=p.known_optimum)
-        with pytest.raises(RejectedInputError):
-            certify_trace(ctx, records)
+        for column in ("x", "y", "grad_map", "f_z"):
+            message = f"trace has no '{column}' value in each of its first 6 rows"
+            for lacking in (None, getattr(trace, column)[:1]):
+                with pytest.raises(RejectedInputError, match=message):
+                    certify_trace(ctx, dataclasses.replace(trace, **{column: lacking}))
 
 
 class TestNegativeControls:
@@ -485,7 +478,7 @@ class TestNegativeControls:
         s = 0.5 / p.smooth.lipschitz
         null_dir = np.linalg.svd(a)[2][-1]
         x, y = np.zeros(12), 5.0 * null_dir
-        z, g = gradient_mapping(p, s, x)
+        z, g = prox_gradient(p, s, x)
         lhs, rhs = descent_lemma_sides(s, p.smooth.lipschitz, 0.5, x, y, g,
                                        p.value(z), p.value(y))
         assert lhs > rhs + 1e-8 * (1 + abs(lhs) + abs(rhs))
@@ -523,7 +516,7 @@ class TestProofChainConsistency:
                 k ** 2 / 2 * (1 + omega + lam),
                 (a_ - 1) ** 2 / 2 * (1 + 1 / omega + 1 / sigma),
             ]
-            rho_k = comparison_rho(a_triple, b_triple)
+            rho_k = min(ai / bi for ai, bi in zip(a_triple, b_triple))
             lhs = (1 + rho_k) * energies[i + 1]
             rhs = energies[i]
             assert lhs <= rhs + 1e-8 * (1 + abs(lhs) + abs(rhs))

@@ -705,6 +705,23 @@ class TestCorruptTraceExits3:
         assert certify_cli(trace, tmp_path) == 3
         assert "record k=0 has grad_map_norm " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @pytest.mark.parametrize("value, refusal", [
+        # a CSV cell holds inf and 1e+300, a JSON-lines row Infinity and 1e+300
+        (math.inf, "vector has non-finite coordinates"),
+        (1e300, "iteration k=0: F(z_k) = "),  # an infinity whose sign BLAS sets
+    ], ids=["inf", "1e300"])
+    def test_x0_that_iterate_refuses(self, tmp_path, capsys, fmt, value, refusal):
+        # iterate's checks of x_0 and F(z_k) raise RejectedInputError, exit 2;
+        # an infinite x_0 coordinate chained nan rows and exited 3 on a
+        # grad_map_norm mismatch, printing four RuntimeWarnings
+        trace = short_trace(tmp_path, fmt)
+        edit_cell(trace, fmt, 0, "x", lambda v: v[:2] + [value] + v[3:])
+        assert certify_cli(trace, tmp_path) == 3
+        err = capsys.readouterr().err
+        assert f"the replay from the trace's x_0 fails at record k=0: {refusal}" in err
+        assert "Traceback" not in err
+
 
 def edit_cell(trace, fmt, k, column, edit):
     """Rewrite the `column` cell of row k through edit(value), the value as a

@@ -1,8 +1,10 @@
 """Stepper and driver tests for the solvers module."""
 
+import ast
 import dataclasses
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +19,6 @@ from proxcert import (
     SolverState,
     constant_momentum,
     descent_lemma_sides,
-    gradient_mapping,
     inertial_residual,
     l1_regularizer,
     lasso_problem,
@@ -34,6 +35,7 @@ from proxcert import (
     step,
 )
 from proxcert.errors import VARIANTS
+from proxcert.problems import prox_gradient
 
 
 def scalar_l1_problem():
@@ -44,7 +46,7 @@ def scalar_l1_problem():
 
 def take_step(problem, config, state):
     """One step of the shared rule from state, with z_k and F(z_k) as run() has them."""
-    z, _ = gradient_mapping(problem, config.step, state.x)
+    z, _ = prox_gradient(problem, config.step, state.x)
     f_z = problem.value(z)
     return step(config, momentum(problem, config), state, z, f_z, takes_z(config, state, f_z))
 
@@ -65,32 +67,21 @@ class TestGradientMapping:
     def test_reduces_to_gradient_when_g_is_zero(self):
         p = quadratic_problem(np.diag([1.0, 4.0]), np.array([0.5, -1.0]))
         x = np.array([2.0, 3.0])
-        z, big_g = gradient_mapping(p, 0.125, x)
+        z, big_g = prox_gradient(p, 0.125, x)
         assert np.allclose(big_g, p.smooth.gradient(x), atol=1e-12)
         assert np.allclose(z, x - 0.125 * big_g, atol=1e-15)
 
     def test_vanishes_at_minimizer(self):
         p = quadratic_problem(np.diag([1.0, 100.0]), [1.0, 100.0])
-        _, big_g = gradient_mapping(p, 0.5 / 100.0, p.known_minimizer)
+        _, big_g = prox_gradient(p, 0.5 / 100.0, p.known_minimizer)
         assert np.linalg.norm(big_g) <= 1e-8 * (1 + np.linalg.norm(p.known_minimizer))
 
     def test_scalar_soft_threshold_case(self):
         # grad f(3) = 3, prox_l1(0, 1) = 0, so z = 0 and G = 3.
         p = scalar_l1_problem()
-        z, big_g = gradient_mapping(p, 1.0, np.array([3.0]))
+        z, big_g = prox_gradient(p, 1.0, np.array([3.0]))
         assert z[0] == 0.0
         assert big_g[0] == 3.0
-
-    def test_rejects_oversized_step(self):
-        p = quadratic_problem(np.eye(2), np.zeros(2))
-        with pytest.raises(ConfigurationError):
-            gradient_mapping(p, 2.0, np.zeros(2))
-
-    @pytest.mark.parametrize("x", [[np.nan, 0.0], [0.0, np.inf], [0.0, 0.0, 0.0]])
-    def test_rejects_a_bad_point(self, x):
-        p = quadratic_problem(np.eye(2), np.zeros(2))
-        with pytest.raises(RejectedInputError):
-            gradient_mapping(p, 0.5, np.array(x))
 
 
 class TestIstaStep:
@@ -193,7 +184,7 @@ class TestMapmStep:
         x0 = np.array([3.0])
         state = SolverState(k=0, x=x0, y=x0, f_y=p.value(x0))
         cfg = SolverConfig(variant="mapm", alpha=3.0, step=1.0)
-        z, _ = gradient_mapping(p, 1.0, x0)
+        z, _ = prox_gradient(p, 1.0, x0)
         nxt = take_step(p, cfg, state)
         expected = nxt.y + (2.0 / 3.0) * (z - nxt.y)
         assert np.allclose(nxt.x, expected, atol=1e-15)
@@ -204,7 +195,7 @@ class TestMapmStep:
         p = quadratic_problem(np.eye(1), np.zeros(1))
         state = SolverState(k=1, x=np.array([2.0]), y=np.array([0.0]), f_y=0.0)
         cfg = SolverConfig(variant="mapm", alpha=3.0, step=0.5)
-        z, _ = gradient_mapping(p, 0.5, state.x)
+        z, _ = prox_gradient(p, 0.5, state.x)
         nxt = take_step(p, cfg, state)
         assert nxt.f_y == 0.0
         assert np.array_equal(nxt.y, state.y)
@@ -293,6 +284,13 @@ class TestRunDriver:
         with pytest.raises(ConfigurationError):
             run(p, SolverConfig(variant="mapm", step=2.0, max_iters=5), np.ones(2))
 
+    @pytest.mark.parametrize("x0", [[np.nan, 0.0], [0.0, np.inf], [0.0, 0.0, 0.0]])
+    def test_rejects_a_bad_x0(self, x0):
+        # prox_gradient checks nothing; `iterate` checks x_0 once
+        p = quadratic_problem(np.eye(2), np.zeros(2))
+        with pytest.raises(RejectedInputError):
+            run(p, SolverConfig(variant="ista", step=0.5, max_iters=5), np.array(x0))
+
     def test_records_accepted_flag_only_for_mapm(self):
         p = quadratic_problem(np.eye(2), np.zeros(2))
         rm = run(p, SolverConfig(variant="mapm", max_iters=3), np.ones(2))
@@ -340,20 +338,21 @@ class TestTraceIdentities:
             for _ in range(100):
                 x = rng.standard_normal(p.dim)
                 y = rng.standard_normal(p.dim)
-                z, big_g = gradient_mapping(p, s, x)
+                z, big_g = prox_gradient(p, s, x)
                 lhs, rhs = descent_lemma_sides(s, big_l, mu, x, y, big_g,
                                                p.value(z), p.value(y))
                 assert lhs <= rhs + 1e-8 * (1 + abs(lhs) + abs(rhs))
 
 
 def checked_run(problem, config, x0):
-    """run() rebuilt from the public, validating gradient_mapping, step and
-    np.linalg.norm: the per-iteration checks that run() leaves out."""
+    """run() rebuilt row by row from bind_step, prox_gradient, step and
+    np.linalg.norm."""
+    s = solvers.bind_step(problem.smooth.lipschitz, config.step)
     beta = momentum(problem, config)
     state = SolverState(k=0, x=x0, y=x0, f_y=problem.value(x0))
     rows = []
     while True:
-        z, big_g = gradient_mapping(problem, config.step, state.x)
+        z, big_g = prox_gradient(problem, s, state.x)
         f_z = problem.value(z)
         gnorm = float(np.linalg.norm(big_g))
         rows.append((state.k, state.f_y, gnorm, f_z, state.x, state.y, big_g))
@@ -528,15 +527,16 @@ class TestReplay:
         s = 0.5 / problem.smooth.lipschitz
         beta = momentum(problem, config)
         state = SolverState(k=0, x=x0, y=x0, f_y=problem.value(x0))
-        records = []
+        rows = []
         for k in range(config.max_iters + 1):
-            z, big_g, f_z = solvers.prox_point(problem, s, state.x)
+            z, big_g = prox_gradient(problem, s, state.x)
+            f_z = problem.value(z)
             accepted = bool(f_z <= state.f_y) != (k == flip)
-            records.append(solvers.IterationRecord(k, state.f_y, solvers.norm(big_g),
-                                                   accepted, state.x))
+            rows.append((k, state.f_y, solvers.norm(big_g), accepted, state.x))
             state = step(config, beta, state, z, f_z, accepted)
-        return solvers.Trace.from_records(records, ("k", "f_y", "grad_map_norm",
-                                                    "accepted", "x"))
+        k, f_y, gnorm, accepted, x = zip(*rows)
+        return solvers.Trace.join({"k": [k], "f_y": [f_y], "grad_map_norm": [gnorm],
+                                   "accepted": [accepted], "x": [x]})
 
     @pytest.mark.parametrize("start, judged", [("zeros", True), ("near x*", False)])
     def test_accepted_is_not_judged_where_f_z_ties_f_y(self, start, judged):
@@ -554,12 +554,20 @@ class TestReplay:
             return
         # the replay follows the stored choice, whose F(y_11) ties the run's
         replayed = other.replayed(problem, config)
-        z = solvers.prox_point(problem, 0.5 / problem.smooth.lipschitz, other.x[10])[0]
+        assert np.array_equal(replayed.x, other.x)
+        z = prox_gradient(problem, 0.5 / problem.smooth.lipschitz, other.x[10])[0]
         assert np.array_equal(replayed.y[11], z if other.accepted[10] else replayed.y[10])
         # a flipped choice alone sends the chain off the run's later rows
         trace.accepted[10] = other.accepted[10]
         with pytest.raises(DataCorruptionError, match="record k=11 has grad_map_norm "):
             trace.replayed(problem, config)
+
+    def test_empty_trace_replays_to_empty_columns(self):
+        problem, config, trace = self.mapm_trace()
+        replayed = trace[:0].replayed(problem, config)
+        assert len(replayed) == 0 and replayed.f_z.shape == (0,)
+        for column in (replayed.x, replayed.y, replayed.grad_map):
+            assert column.shape == (0, problem.dim)
 
     @pytest.mark.parametrize("k", [1, 10, 20])
     def test_x_past_row_0_is_not_read(self, k):
@@ -581,21 +589,21 @@ class TestReplay:
 
 
 def checked_reference(problem, budget):
-    """reference_solution's long run rebuilt in chunks of 25 steps from the
-    public, validating gradient_mapping and step.  Returns (x*, F*, residual),
-    or the text of the ReferenceUnavailableError it should raise."""
-    s = 0.5 / problem.smooth.lipschitz
+    """reference_solution's long run rebuilt in chunks of 25 steps from
+    prox_gradient, after its own bind_step, and step.  Returns (x*, F*,
+    residual), or the text of the ReferenceUnavailableError it should raise."""
+    s = solvers.bind_step(problem.smooth.lipschitz, 0.5 / problem.smooth.lipschitz)
 
     def advance(config, state, steps):
         beta = momentum(problem, config)
         for _ in range(steps):
-            z, _ = gradient_mapping(problem, s, state.x)
+            z, _ = prox_gradient(problem, s, state.x)
             f_z = problem.value(z)
             state = step(config, beta, state, z, f_z, takes_z(config, state, f_z))
         return state
 
     def y_residual(state):
-        _, big_g = gradient_mapping(problem, s, state.y)
+        _, big_g = prox_gradient(problem, s, state.y)
         return float(np.linalg.norm(big_g))
 
     def met(state, residual, tol=0.5 * 1e-12):
@@ -709,3 +717,44 @@ class TestNonFiniteOracleOutput:
                                factor=np.inf)
         with pytest.raises(RejectedInputError, match="box prox got a non-finite"):
             run(bad, SolverConfig(variant="mapm", max_iters=50), np.zeros(bad.dim))
+
+
+    @pytest.mark.parametrize("problem, factor, after_calls, message", [
+        (random_quadratic(1, 5, 10), np.nan, 30, "iteration k=30: F(z_k) = nan"),
+        (random_box_quadratic(1, 5), np.inf, 10, "box prox got a non-finite"),
+    ], ids=["nan F(z_k)", "box prox refusal"])
+    def test_replay_names_the_record_where_it_stops(self, problem, factor,
+                                                    after_calls, message):
+        config = SolverConfig(variant="mapm", max_iters=50)
+        trace = run(problem, config, np.zeros(problem.dim))
+        bad = gradient_turning(problem, after_calls, factor)
+        with pytest.raises(DataCorruptionError, match=re.escape(
+                f"the replay from the trace's x_0 fails at record k={after_calls}: "
+                f"{message}")):
+            trace.replayed(bad, config)
+
+
+def test_step_is_called_from_iterate_alone():
+    # Trace.replayed once chained a trace file's rows with a copy of the solver
+    # loop; it now runs `iterate` with the stored choices
+    callers = []
+
+    class Calls(ast.NodeVisitor):
+        def __init__(self, module):
+            self.module, self.scope = module, []
+
+        def visit_FunctionDef(self, node):
+            self.scope.append(node.name)
+            self.generic_visit(node)
+            self.scope.pop()
+
+        def visit_Call(self, node):
+            func = node.func
+            if (isinstance(func, ast.Name) and func.id == "step"
+                    or isinstance(func, ast.Attribute) and func.attr == "step"):
+                callers.append((self.module, ".".join(self.scope)))
+            self.generic_visit(node)
+
+    for path in sorted(Path(solvers.__file__).parent.glob("*.py")):
+        Calls(path.stem).visit(ast.parse(path.read_text()))
+    assert callers == [("solvers", "iterate")]
