@@ -10,6 +10,7 @@ from .certificates import (
     CertificateReport,
     CertificateTable,
     EnergyContext,
+    certify_blocks,
     certify_trace,
     descent_lemma_sides,
     energy,

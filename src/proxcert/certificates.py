@@ -11,9 +11,11 @@ rounding accumulation: 1e-8 * (1 + |lhs| + |rhs|) for inequalities and
 Each formula works over the last axis.  Given one record (vectors of shape
 (d,), an int k) it returns Python floats; given a block of n records (vectors
 of shape (n, d), k of shape (n,)) it returns arrays of n values, bit for bit
-the values it gives record by record.  `certify_trace` reads a
-`solvers.Trace`: it checks the whole columns once, then evaluates every
-certificate once per block of rows, views of the columns.
+the values it gives record by record.  `certify_blocks` is the one engine:
+it consumes a stream of `solvers.Trace` blocks that overlap by one row (a
+replay's, or views of a whole trace that `certify_trace` checks once), so the
+(k, k+1) certificates cross block edges, and evaluates every certificate once
+per block.
 
 `certify_trace` returns a `CertificateTable`: one array per column (`k`, the
 certificate name's index, `lhs`, `rhs`, `slack`, `passed`, `applies`), one
@@ -30,9 +32,10 @@ from typing import Union
 
 import numpy as np
 
-from .errors import _FLOAT_MAX, DataCorruptionError, RejectedInputError, check_setting
+from .errors import (_FLOAT_MAX, DataCorruptionError, ProxCertError, RejectedInputError,
+                     check_setting)
 from .problems import Vector, as_vector
-from .solvers import IDENTITY_TOL, Columns, Trace, _first, bind_step
+from .solvers import IDENTITY_TOL, Columns, Trace, _block_rows, _first, bind_step
 
 CERTIFICATE_NAMES = (
     "energy_nonincreasing",
@@ -54,10 +57,6 @@ _ORDER = tuple(sorted(CERTIFICATE_NAMES))
 # Hard floor below which a negative gap means the reference optimum is wrong,
 # not rounding: -1e-9 * (1 + |F*|).
 _GAP_FLOOR = 1e-9
-
-# Each stacked (rows, d) array of a certification block holds about this many
-# bytes, so the engine's memory beyond the trace does not grow with its length.
-_BLOCK_BYTES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -287,16 +286,14 @@ def inertial_residual(alpha: float, s: float, k: Index, x_k: Vector, y_k: Vector
     return _scalar(np.sqrt(np.vecdot(r, r)))
 
 
-def _block_rows(dim: int) -> int:
-    """Records per certification block for vectors of `dim` coordinates."""
-    return max(1, _BLOCK_BYTES // (8 * dim))
-
-
 class _Lines:
-    """One block's certificate lines on a (row, name) grid, read in (k, name) order."""
+    """One block's certificate lines on a (row, name) grid, read in (k, name)
+    order; `rows`, the rows whose lines are read, is every row until the
+    next block takes the last one over."""
 
     def __init__(self, k):
         self.k = k
+        self.rows = len(k)
         grid = (len(k), len(_ORDER))
         self.lhs = np.full(grid, np.nan)
         self.rhs = np.full(grid, np.nan)
@@ -320,9 +317,10 @@ class _Lines:
         self.applies[0, col] = False
 
     def columns(self) -> tuple:
-        """The present lines' table columns, in (k, name) order."""
+        """The table columns of the present lines of the first `rows` rows,
+        in (k, name) order."""
         passed = np.where(self.applies, self.lhs <= self.rhs + self.tol, True)
-        cells = np.flatnonzero(self.present)
+        cells = np.flatnonzero(self.present[:self.rows])
         rows, names = np.divmod(cells, len(_ORDER))
         lhs, rhs = self.lhs.ravel()[cells], self.rhs.ravel()[cells]
         return (self.k[rows], names, lhs, rhs, rhs - lhs, passed.ravel()[cells],
@@ -335,84 +333,126 @@ def certify_trace(ctx: EnergyContext, trace: Trace,
 
     The trace must carry iterates in every row, else RejectedInputError: the
     x, y, grad_map and f_z that `run` records and `Trace.replayed` gives a
-    trace read from a file (which stores x_0 and mapm's `accepted`, and
-    checks every stored cell against the replay first).  For mapm traces all
-    seven certificates run, gated as proved: prop2 and the linear envelope
-    need mu > 0, the linear envelope also needs s < 1/L and k >= k_alpha, the
-    sublinear envelope starts at k = 1.  apm traces keep the descent and
-    inertial checks; ista / strongly_convex_apm traces keep only the descent
-    check.  Skipped families are reported once with status "not_applicable".
-    Lines are sorted by (k, name).  A variant outside errors.VARIANTS is
-    rejected; a trace that `Trace.check` refuses against the problem's shape
-    (ctx.x_star's) is corrupt: its k does not run 0, 1, 2, ..., or it has a
-    NaN f_y, f_z, grad_map_norm or iterate coordinate, or a vector of another
-    shape.
+    trace read from a file.  A trace that `Trace.check` refuses against the
+    problem's shape (ctx.x_star's) is corrupt: its k does not run 0, 1, 2,
+    ..., or it has a NaN f_y, f_z, grad_map_norm or iterate coordinate, or a
+    vector of another shape.  The checked trace goes through `certify_blocks`
+    in blocks of `_block_rows(d)` rows and the next block's first, views of
+    its columns.
+    """
+    def blocks():
+        trace.require(("x", "y", "grad_map", "f_z"), len(trace))
+        trace.check(ctx.x_star.shape)
+        rows = _block_rows(ctx.x_star.size)
+        for start in range(0, max(len(trace) - 1, 1), rows):
+            yield trace[start:start + rows + 1]
 
-    The columns are checked once, then certified in blocks of rows, each
-    block's views sharing one row with the next so that the (k, k+1)
-    certificates cross block edges.
+    return certify_blocks(ctx, blocks() if len(trace) else (), variant)
+
+
+def certify_blocks(ctx: EnergyContext, blocks, variant: str = "mapm") -> CertificateTable:
+    """The certificate lines of a trace given as a stream of checked Trace
+    blocks (rows 0, 1, ... in order, each with x, y, grad_map and f_z) that
+    overlap by one row: each block but the last ends with the first row of
+    the next.  Lines come in (k, name) order.
+
+    For mapm traces all seven certificates run, gated as proved: prop2 and
+    the linear envelope need mu > 0, the linear envelope also needs s < 1/L
+    and k >= k_alpha, the sublinear envelope starts at k = 1.  apm traces
+    keep the descent and inertial checks; ista / strongly_convex_apm traces
+    keep only the descent check.  Skipped families are reported once, at
+    k = 0, with status "not_applicable".  A variant outside errors.VARIANTS
+    is rejected.
+
+    Each block is certified as it comes, every row, and every row but the
+    last with its successor; the last row's lines are dropped when the next
+    block, which starts with that row, arrives.  No block is copied or held
+    past its turn.  An error of the certificates (a gap below the floor) is
+    raised only after the stream is drained, so an error of the stream itself
+    (a replay's disagreement) comes first.  The table is built at the end.
     """
     check_setting("variant", variant, RejectedInputError)
-    if not len(trace):
-        return CertificateTable(*[()] * len(CertificateTable._DTYPES))
-    trace.require(("x", "y", "grad_map", "f_z"), len(trace))
-    trace.check(ctx.x_star.shape)
-    a, s, mu, L = ctx.alpha, ctx.s, ctx.mu, ctx.lipschitz
     pairs = variant in ("mapm", "apm")
     mapm = variant == "mapm"
-    ka = k_alpha(a)
-    linear_ok = mu > 0.0 and s * L < 1.0 - 1e-9
-
-    skipped = []
+    linear_ok = ctx.mu > 0.0 and ctx.s * ctx.lipschitz < 1.0 - 1e-9
+    first, previous, later = None, None, []  # _Lines, and the columns of the others
+    start, dist0, error = 0, None, None
+    for block in blocks:
+        if dist0 is None:
+            dist0 = float(np.linalg.norm(block.x[0] - ctx.x_star))
+        if error is None:
+            try:
+                lines = _block_lines(ctx, pairs, mapm, linear_ok, start, dist0, block)
+            except ProxCertError as exc:
+                error = exc  # raised once the stream is drained
+            else:
+                if previous is not None:
+                    previous.rows -= 1  # its last row is this block's first
+                    if previous is not first:
+                        later.append(previous.columns())
+                first, previous = first or lines, lines
+        start += len(block) - 1
+        del block  # not held while the next block is made
+    if error is not None:
+        raise error
+    if first is None:
+        return CertificateTable(*[()] * len(CertificateTable._DTYPES))
+    if previous is not first:
+        later.append(previous.columns())
+    skipped = []  # start is now the last row's k
     if not pairs:
         skipped.append("inertial_identity")
     if not mapm:
         skipped += ["energy_nonincreasing", "prop1", "prop2",
                     "theorem1_envelope", "theorem2_envelope"]
     else:
-        if mu <= 0.0:
+        if ctx.mu <= 0.0:
             skipped.append("prop2")
-        if not (linear_ok and len(trace) - 1 >= ka):
+        if not (linear_ok and start >= k_alpha(ctx.alpha)):
             skipped.append("theorem1_envelope")
-        if len(trace) < 2:
+        if start < 1:
             skipped.append("theorem2_envelope")
+    for name in skipped:
+        first.not_applicable(name)
+    later.insert(0, first.columns())
+    pieces = [list(column) for column in zip(*later)]
+    del later
+    columns = []
+    while pieces:  # each column's pieces are freed once it is joined
+        columns.append(np.concatenate(pieces.pop(0)))
+    return CertificateTable(*columns)
 
-    rows = _block_rows(ctx.x_star.size)
-    blocks = []
-    for start in range(0, len(trace), rows):
-        stop = min(start + rows, len(trace))
-        block = slice(start, stop + 1)
-        k, f_y, f_z = trace.k[block], trace.f_y[block], trace.f_z[block]
-        x, y, G = trace.x[block], trace.y[block], trace.grad_map[block]
-        m = stop - start  # the block's own rows; row m, if any, starts the next
-        p = len(k) - 1  # rows that have a successor
-        lines = _Lines(k[:m])
-        if start == 0:
-            dist0 = float(np.linalg.norm(x[0] - ctx.x_star))
-            for name in skipped:
-                lines.not_applicable(name)
 
-        lines.put("descent_lemma", 0, *descent_lemma_sides(
-            s, L, mu, x[:m], y[:m], G[:m], f_z[:m], f_y[:m]))
-        if pairs:
-            resid = inertial_residual(a, s, k[:p], x[:p], y[:p], x[1:], y[1:], G[:p])
-            tol = IDENTITY_TOL * (1.0 + np.sqrt(np.vecdot(x[:p], x[:p])))
-            lines.put("inertial_identity", 0, resid, 0.0, tol)
-        if mapm:
-            e = energy(ctx, k, x, y, f_y)
-            lines.put("energy_nonincreasing", 0, e[1:], e[:p])
-            lines.put("prop1", 0, e[1:] - e[:p],
-                      prop1_rhs(ctx, k[:p], x[:p], y[:p], G[:p]))
-            if mu > 0.0:
-                lines.put("prop2", 0, e[1:],
-                          prop2_rhs(ctx, k[:p], x[:p], y[:p], G[:p]))
-            gap = f_y[:m] - ctx.f_star
-            if linear_ok:
-                first = max(ka - start, 0)
-                lines.put("theorem1_envelope", first, gap[first:],
-                          theorem1_envelope(ctx, k[first:m], dist0))
-            first = max(1 - start, 0)
-            lines.put("theorem2_envelope", first, gap[first:],
-                      theorem2_envelope(ctx, k[first:m], dist0))
-        blocks.append(lines.columns())
-    return CertificateTable(*map(np.concatenate, zip(*blocks)))
+def _block_lines(ctx: EnergyContext, pairs: bool, mapm: bool, linear_ok: bool,
+                 start: int, dist0: float, block: Trace) -> _Lines:
+    """The lines of a block of rows start, start+1, ...: every certificate of
+    one row on each row, and of a row and its successor on each row but the
+    last."""
+    a, s, mu, L = ctx.alpha, ctx.s, ctx.mu, ctx.lipschitz
+    k, f_y, f_z = block.k, block.f_y, block.f_z
+    x, y, G = block.x, block.y, block.grad_map
+    p = len(k) - 1  # rows that have a successor
+    lines = _Lines(k)
+
+    lines.put("descent_lemma", 0, *descent_lemma_sides(s, L, mu, x, y, G, f_z, f_y))
+    if pairs:
+        resid = inertial_residual(a, s, k[:p], x[:p], y[:p], x[1:], y[1:], G[:p])
+        tol = IDENTITY_TOL * (1.0 + np.sqrt(np.vecdot(x[:p], x[:p])))
+        lines.put("inertial_identity", 0, resid, 0.0, tol)
+    if mapm:
+        e = energy(ctx, k, x, y, f_y)
+        lines.put("energy_nonincreasing", 0, e[1:], e[:p])
+        lines.put("prop1", 0, e[1:] - e[:p],
+                  prop1_rhs(ctx, k[:p], x[:p], y[:p], G[:p]))
+        if mu > 0.0:
+            lines.put("prop2", 0, e[1:],
+                      prop2_rhs(ctx, k[:p], x[:p], y[:p], G[:p]))
+        gap = f_y - ctx.f_star
+        if linear_ok:
+            row = max(k_alpha(a) - start, 0)
+            lines.put("theorem1_envelope", row, gap[row:],
+                      theorem1_envelope(ctx, k[row:], dist0))
+        row = max(1 - start, 0)
+        lines.put("theorem2_envelope", row, gap[row:],
+                  theorem2_envelope(ctx, k[row:], dist0))
+    return lines

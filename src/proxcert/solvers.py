@@ -12,14 +12,18 @@ turn the prox's -0.0 coordinates into 0.0.  F(y_k) is computed once per
 iteration and cached in the state; the mapm test compares cached values only.
 
 `iterate` is the one loop that applies the rule.  Its consumers bring their
-own stop rules: `run`, `Trace.replayed` and both phases of
+own stop rules: `run`, `Trace.replay` and both phases of
 `harness.reference_solution`.
 
-`run` returns a `Trace`, its records as columns, which the trace writer, the
-certificate engine and the CLI read as columns.  A trace file stores x_0 and
-mapm's choice `accepted`, but not x_k for k >= 1, y_k, G_k or F(z_k):
-`Trace.replayed` runs `iterate` again from x_0 with the stored choices, so
-they equal `run`'s bit for bit.
+`_blocks` collects iterate's steps into a stream of `Trace` blocks with every
+column, each of `_block_rows(d)` rows, about _BLOCK_BYTES per (rows, d)
+column, plus the first row of the next block: blocks overlap by one row, so
+that a consumer finds row k+1 in the block of row k.  It is the one stream
+that `run` joins into a whole `Trace` (`Trace.joined`), and that
+`Trace.replay` checks and hands to the certificate engine block by block.  A
+trace file stores x_0 and mapm's choice `accepted`, but not x_k for k >= 1,
+y_k, G_k or F(z_k): `Trace.replay` runs `iterate` again from x_0 with the
+stored choices, so they equal `run`'s bit for bit.
 
 The run contract is written once: `errors.SETTING_RULES` (each setting's rule),
 `bind_step` (s <= 1/L) and `SolverConfig.stops` (the stop rule of `run`, `certify`).
@@ -45,11 +49,10 @@ _STEP_SLACK = 1e-12
 # turns into Python values at a time.  A chunk's values and cell strings,
 # about 0.5 KB per report line, are what writing a report holds beyond the table.
 _CHUNK_ROWS = 1 << 10
-# Rows that `run` holds as Python objects before it stacks them into arrays.
-# At d = 2 a row's objects take about seven times the memory of its values,
-# and each stack copies the rows' vectors once more, so runs of up to this
-# many rows are stacked once, at their end.
-_STACK_ROWS = 1 << 14
+# Each (rows, d) column of a block of the stream from `iterate` holds about
+# this many bytes, so what a step of the stream holds does not grow with the
+# run's length.
+_BLOCK_BYTES = 1 << 17
 
 
 @dataclass
@@ -163,7 +166,7 @@ class Trace(Columns):
     `k` is int64, `f_y`, `grad_map_norm` and `f_z` float64, `accepted` an
     object array, `x`, `y` and `grad_map` (n, d) float64.  In a trace read
     from a file, `x` holds x_0 alone (1, d), so its later rows have no x, and
-    `y`, `grad_map` and `f_z` are None, until `replayed` derives them.
+    `y`, `grad_map` and `f_z` are None, until `replay` derives them.
     Indexing with an int and iterating yield IterationRecord rows of Python
     values and read-only 1-D views of the vectors; a slice is a Trace of views.
     """
@@ -191,16 +194,43 @@ class Trace(Columns):
             columns[name] = None if parts is None else _array(parts, dtype)
         return cls(**columns)
 
-    def check(self, shape: tuple) -> None:
-        """DataCorruptionError, naming the row, for a k out of sequence, a NaN
-        scalar, a vector whose shape is not `shape`, or a NaN coordinate; a
-        column the trace lacks is not checked, and a trace file's `x`, x_0
-        alone, only in its one row."""
+    @classmethod
+    def joined(cls, blocks) -> "Trace":
+        """The Trace of a stream of blocks that overlap by one row (each block
+        but the last ends with the first row of the next): each block's rows
+        but its last, then the last block's last row.  Each column is joined
+        from the blocks that have it (`join`)."""
+        pieces, previous = {}, None
+
+        def add(rows):
+            for name, column in vars(rows).items():
+                if column is not None:
+                    pieces.setdefault(name, []).append(column)
+
+        for block in blocks:
+            if previous is not None:
+                add(previous[:len(previous) - 1])
+            previous = block
+        add(previous)
+        return cls.join(pieces)
+
+    def stored(self) -> "Trace":
+        """The columns of these rows that a trace file stores: the scalars,
+        and x_0 alone (a copy) if row 0 is among them, else no x."""
+        x0 = self.x[:1].copy() if len(self) and self.k[0] == 0 else None
+        return Trace(self.k, self.f_y, self.grad_map_norm, self.accepted, x0)
+
+    def check(self, shape: tuple, start: int = 0) -> None:
+        """DataCorruptionError, naming the row, for a k out of sequence (the
+        rows are rows start, start+1, ... of their trace), a NaN scalar, a
+        vector whose shape is not `shape`, or a NaN coordinate; a column the
+        trace lacks is not checked, and a trace file's `x`, x_0 alone, only in
+        its one row."""
         k = self.k
-        skipped = k != np.arange(len(k))
+        skipped = k != np.arange(start, start + len(k))
         if np.any(skipped):
             raise DataCorruptionError(
-                f"trace row {int(np.argmax(skipped))} has k = {_first(skipped, k)}; "
+                f"trace row {start + int(np.argmax(skipped))} has k = {_first(skipped, k)}; "
                 "k must run 0, 1, 2, ... (a row is missing, repeated or out of order)"
             )
         for name in ("f_y", "f_z", "grad_map_norm", "x", "y", "grad_map"):
@@ -227,20 +257,30 @@ class Trace(Columns):
                     f"trace has no {name!r} value in each of its first {rows} rows")
 
     def replayed(self, problem: CompositeProblem, config: SolverConfig) -> "Trace":
-        """The trace with `x`, `y`, `grad_map` and `f_z` of the run that `iterate`
-        makes from x_0 (row 0's x) with each row's choice as its `choices`
-        (y_{k+1} = z_k, or y_k where a mapm row's `accepted` is false), so
-        they are `run`'s bit for bit.  Certification thus follows the choices
-        the trace stores, so no decision is taken again; `x` past row 0 is
-        not read.
+        """The trace with `x`, `y`, `grad_map` and `f_z` of its replay: the
+        blocks of `replay` joined; an empty trace gives empty columns."""
+        if not len(self):  # no x_0: nothing to replay
+            vectors = np.empty((0, problem.dim))
+            return replace(self, x=vectors, y=vectors, grad_map=vectors, f_z=np.empty(0))
+        return Trace.joined(self.replay(problem, config))
 
-        The columns are checked first (`check`); an empty trace gives empty
-        columns.  An x_0 that `iterate` refuses (record k=0), or a replay whose
-        F(z_k) or ||G_k|| is not finite or whose prox refuses its point, is a
-        DataCorruptionError naming the record k where the replay stopped.  Each stored cell must agree
-        with the replay, within IDENTITY_TOL relative to 1 + its scale, else a
-        DataCorruptionError names the first row where one does not, and the
-        field:
+    def replay(self, problem: CompositeProblem, config: SolverConfig):
+        """Yield the trace's rows in blocks that overlap by one row (`_blocks`):
+        the stored scalar columns, and the `x`, `y`, `grad_map` and `f_z` of
+        the run that `iterate` makes from x_0 (row 0's x) with each row's
+        choice as its `choices` (y_{k+1} = z_k, or y_k where a mapm row's
+        `accepted` is false), so they are `run`'s bit for bit.
+        Certification thus follows the choices the trace stores, so no
+        decision is taken again; `x` past row 0 is not read.
+
+        The stored columns are checked first (`check`), and each block is
+        checked against the stored cells before it is yielded.  An x_0 that
+        `iterate` refuses (record k=0), or a replay whose F(z_k) or ||G_k|| is
+        not finite or whose prox refuses its point, is a DataCorruptionError
+        naming the record k where the replay stopped.  Each stored cell must
+        agree with the replay, within IDENTITY_TOL relative to 1 + its scale,
+        else a DataCorruptionError names the first row where one does not,
+        and the field:
         - `accepted` must be true or false in every mapm row and empty in
           every other variant's;
         - `grad_map_norm` must agree with ||G_k||;
@@ -249,11 +289,12 @@ class Trace(Columns):
           (another BLAS build may decide otherwise there);
         - `f_y` must agree with F(y_k) (an infinite F(y_k), an infeasible
           start's, only with itself).
+        The replay runs with numpy's overflow and invalid-value warnings off:
+        the checks above catch every non-finite value they would warn of.
         """
         self.check((problem.dim,))
         if not len(self):  # no x_0: nothing to replay
-            vectors = np.empty((0, problem.dim))
-            return replace(self, x=vectors, y=vectors, grad_map=vectors, f_z=np.empty(0))
+            return
         last, reached = len(self) - 1, 0
 
         def stops(k, _):
@@ -262,26 +303,43 @@ class Trace(Columns):
             return k == last
 
         steps = iterate(problem, config, self.x[0], self._steps_to_z(config.variant))
-        try:
-            replay = _recorded(steps, config.variant, stops)
-        except RejectedInputError as exc:
-            raise DataCorruptionError(f"the replay from the trace's x_0 fails at record "
-                                      f"k={reached}: {exc}") from None
+        blocks = _blocks(steps, config.variant, stops, _block_rows(problem.dim))
+        start = 0
+        while True:
+            with np.errstate(over="ignore", invalid="ignore"):
+                try:
+                    block = next(blocks, None)
+                except RejectedInputError as exc:
+                    raise DataCorruptionError(f"the replay from the trace's x_0 fails at "
+                                              f"record k={reached}: {exc}") from None
+                if block is None:
+                    return
+                stored = self[start:start + len(block)]
+                stored._check_against(block, config.variant)
+                block = replace(stored, x=block.x, y=block.y, grad_map=block.grad_map,
+                                f_z=block.f_z)
+                block.check((problem.dim,), start)
+            start += len(block) - 1  # the next block starts with this one's last row
+            yield block
+            del block  # not held while the next block is made
+
+    def _check_against(self, replay: "Trace", variant: str) -> None:
+        """DataCorruptionError (`_require_agreement`) unless the stored cells
+        of these rows agree with their replay (see `replay`, which ignores
+        the invalid value of inf - inf for an infinite F(y_k))."""
         f_z, f_y = replay.f_z, replay.f_y
-        with np.errstate(invalid="ignore"):  # inf - inf: an infinite F(y_k)
-            gnorm, stored = replay.grad_map_norm, self.grad_map_norm
-            checks = [("grad_map_norm", stored, "its x gives ||G_k||", gnorm,
-                       _within(np.abs(stored - gnorm), gnorm))]
-            if config.variant == "mapm":
-                accepts = f_z <= f_y
-                tie = _within(np.abs(f_z - f_y), np.abs(f_y))
-                checks.append(("accepted", self.accepted, "its x gives F(z_k) <= F(y_k)",
-                               accepts, (self.accepted == accepts) | tie))
-            stored = self.f_y
-            checks.append(("f_y", stored, "the replay gives F(y_k)", f_y,
-                           (stored == f_y) | _within(np.abs(stored - f_y), np.abs(f_y))))
+        gnorm, stored = replay.grad_map_norm, self.grad_map_norm
+        checks = [("grad_map_norm", stored, "its x gives ||G_k||", gnorm,
+                   _within(np.abs(stored - gnorm), gnorm))]
+        if variant == "mapm":
+            accepts = f_z <= f_y
+            tie = _within(np.abs(f_z - f_y), np.abs(f_y))
+            checks.append(("accepted", self.accepted, "its x gives F(z_k) <= F(y_k)",
+                           accepts, (self.accepted == accepts) | tie))
+        stored = self.f_y
+        checks.append(("f_y", stored, "the replay gives F(y_k)", f_y,
+                       (stored == f_y) | _within(np.abs(stored - f_y), np.abs(f_y))))
         _require_agreement(self.k, checks)
-        return replace(self, x=replay.x, y=replay.y, grad_map=replay.grad_map, f_z=f_z)
 
     def _steps_to_z(self, variant: str) -> np.ndarray:
         """Whether y_{k+1} is z_k, per row: a mapm row's `accepted`, and true
@@ -351,13 +409,11 @@ def require_finite(k: int, name: str, value: float) -> float:
     """value, or RejectedInputError naming k if it is NaN or infinite.
 
     Oracles do not check what they return, so one scalar test per iteration
-    stops a run whose oracle produced a NaN or an overflow.
+    stops a run whose oracle produced a NaN or an overflow, or a replay whose
+    stored x_0 leads there.
     """
     if not math.isfinite(value):
-        raise RejectedInputError(
-            f"iteration k={k}: {name} = {value!r}; an oracle of the problem "
-            "returned a non-finite value"
-        )
+        raise RejectedInputError(f"iteration k={k}: {name} = {value!r} is not finite")
     return value
 
 
@@ -428,27 +484,38 @@ def iterate(problem: CompositeProblem, config: SolverConfig, x0, choices=None):
         state = step(config, beta, state, z, f_z, takes_z)
 
 
-def run(problem: CompositeProblem, config: SolverConfig, x0) -> Trace:
+def run(problem: CompositeProblem, config: SolverConfig, x0,
+        iterates: bool = True) -> Trace:
     """Drive a solver from x_0 = y_0 and return its Trace, one row per k.
 
     Stops where config.stops says: after max_iters steps or as soon as
     ||G_s(x_k)|| <= grad_map_tol.
     A record is emitted for every visited k including k = 0, so a full run of
     max_iters steps yields max_iters + 1 records.  Beyond iterate's checks, a
-    non-finite ||G_k|| raises RejectedInputError naming k.
+    non-finite ||G_k|| raises RejectedInputError naming k.  With
+    iterates=False the Trace keeps only what a trace file stores (`stored`):
+    its scalar columns and x_0, so the run holds no (n, d) column.
     """
-    return _recorded(iterate(problem, config, x0), config.variant, config.stops)
+    blocks = _blocks(iterate(problem, config, x0), config.variant, config.stops,
+                     _block_rows(problem.dim))
+    return Trace.joined(blocks if iterates else map(Trace.stored, blocks))
 
 
-def _recorded(steps, variant: str, stops) -> Trace:
-    """The Trace of `iterate`'s steps up to and including the first record k
-    where stops(k, ||G_k||); a non-finite ||G_k|| raises RejectedInputError
-    naming k."""
-    rows, chunks = [], {name: [] for name in _DTYPES}  # rows in the order of _DTYPES
+def _block_rows(dim: int) -> int:
+    """Rows per block of the stream for vectors of `dim` coordinates."""
+    return max(1, _BLOCK_BYTES // (8 * dim))
+
+
+def _blocks(steps, variant: str, stops, rows: int):
+    """Yield `iterate`'s steps as Trace blocks with every column, each of `rows`
+    rows plus the first row of the next block, up to and including the first
+    record k where stops(k, ||G_k||), the last row of the last block; a
+    non-finite ||G_k|| raises RejectedInputError naming k."""
+    block = []  # rows in the order of _DTYPES
     for state, _, G, f_z in steps:
         k = state.k
         gnorm = require_finite(k, "||G_k||", norm(G))
-        rows.append((
+        block.append((
             k,
             state.f_y,
             gnorm,
@@ -459,9 +526,18 @@ def _recorded(steps, variant: str, stops) -> Trace:
             f_z,
         ))
         stop = stops(k, gnorm)
-        if stop or len(rows) == _STACK_ROWS:
-            for (name, dtype), column in zip(_DTYPES.items(), zip(*rows)):
-                chunks[name].append(np.asarray(column, dtype))
-            rows = []
         if stop:
-            return Trace.join(chunks)
+            yield _stacked(block)
+            return
+        if len(block) > rows:
+            last = block[-1]
+            yield _stacked(block)
+            block.append(last)  # the first row of the next block
+
+
+def _stacked(rows: list) -> Trace:
+    """The Trace of rows given in the order of _DTYPES, emptying the list, so
+    that no row is held while the Trace is used."""
+    columns = list(zip(*rows))
+    rows.clear()
+    return Trace(*starmap(np.asarray, zip(columns, _DTYPES.values())))

@@ -10,7 +10,7 @@ shortest round-trip decimals, so a re-parsed trace certifies identically.
 A trace (v5) stores what the run chose: `k`, `f_y`, `grad_map_norm` and
 `accepted` in every row, and x_0 in the first row's `x`, which is empty in
 every other row.  x_k for k >= 1, y_k, G_k and F(z_k) are not stored:
-`solvers.Trace.replayed` derives them from x_0 and each row's `accepted` bit
+`solvers.Trace.replay` derives them from x_0 and each row's `accepted` bit
 for bit and checks the stored cells against them.
 
 Each column has a kind, which says once how its values are written as CSV
@@ -250,7 +250,7 @@ def read_trace(path):
     """Parse a v5 trace file (either format); returns (TraceMeta, Trace).
 
     The Trace's `x` holds x_0 alone, a (1, d) array (empty for a file
-    without rows), and it has no `y`, `grad_map` or `f_z`: `Trace.replayed`
+    without rows), and it has no `y`, `grad_map` or `f_z`: `Trace.replay`
     derives every x_k, y_k, G_k and F(z_k).  A file of another version is a
     ConfigurationError naming its version; a first row without x_0, or a
     later row with an `x`, is a data error naming its line."""

@@ -31,7 +31,7 @@ from proxcert import (
     theorem2_envelope,
     theta,
 )
-from proxcert import certificates
+from proxcert import certificates, solvers
 from proxcert.certificates import ineq_tolerance
 from proxcert.problems import prox_gradient
 
@@ -586,7 +586,7 @@ class TestBlockedCertification:
     def test_small_blocks_match_one_record_at_a_time(self, monkeypatch, variant,
                                                      problem, alpha,
                                                      not_applicable):
-        monkeypatch.setattr(certificates, "_BLOCK_BYTES", 8 * problem.dim * 16)
+        monkeypatch.setattr(solvers, "_BLOCK_BYTES", 8 * problem.dim * 16)
         assert certificates._block_rows(problem.dim) == 16
         ctx, records = certified_trace(problem, alpha=alpha, max_iters=52,
                                        variant=variant)

@@ -375,11 +375,12 @@ IDENTITY_PROBLEMS = [
 
 
 class TestRunBitIdentity:
-    @pytest.mark.parametrize("stack_rows", [None, 7])  # 7: rows stacked 7 at a time
+    @pytest.mark.parametrize("block_rows", [None, 7])  # 7: blocks of 7 rows
     @pytest.mark.parametrize("problem", IDENTITY_PROBLEMS, ids=lambda p: p.name)
-    def test_run_equals_the_checked_loop(self, monkeypatch, problem, stack_rows):
-        if stack_rows is not None:
-            monkeypatch.setattr(solvers, "_STACK_ROWS", stack_rows)
+    def test_run_equals_the_checked_loop(self, monkeypatch, problem, block_rows):
+        if block_rows is not None:
+            monkeypatch.setattr(solvers, "_BLOCK_BYTES", 8 * problem.dim * block_rows)
+            assert solvers._block_rows(problem.dim) == block_rows
         variants = [v for v in VARIANTS if v != "strongly_convex_apm"
                     or problem.smooth.strong_convexity > 0.0]
         x0 = np.zeros(problem.dim)
@@ -393,6 +394,41 @@ class TestRunBitIdentity:
                 assert (rec.k, rec.f_y, rec.grad_map_norm, rec.f_z) == (k, f_y, gnorm, f_z)
                 for got, want in ((rec.x, x), (rec.y, y), (rec.grad_map, big_g)):
                     assert np.array_equal(bits(got), bits(want)), (variant, k)
+
+
+class TestBlockStream:
+    """`_blocks` yields blocks that overlap by one row; `run` joins them, and
+    with iterates=False keeps only what a trace file stores."""
+
+    @pytest.mark.parametrize("max_iters", [0, 6, 7, 13, 20])  # blocks of 7 rows
+    def test_blocks_overlap_by_one_row(self, monkeypatch, max_iters):
+        problem = random_quadratic(5, 4, 10)
+        monkeypatch.setattr(solvers, "_BLOCK_BYTES", 8 * problem.dim * 7)
+        config = SolverConfig(variant="mapm", max_iters=max_iters)
+        steps = solvers.iterate(problem, config, np.zeros(problem.dim))
+        blocks = list(solvers._blocks(steps, "mapm", config.stops, 7))
+        whole = run(problem, config, np.zeros(problem.dim))
+        assert [list(b.k) for b in blocks] == [
+            list(range(start, min(start + 8, max_iters + 1)))
+            for start in range(0, max(max_iters, 1), 7)]
+        for block in blocks:
+            rows = whole[block.k[0]:block.k[-1] + 1]
+            for name in ("x", "y", "grad_map", "f_z", "f_y", "grad_map_norm"):
+                assert same_bits(getattr(block, name), getattr(rows, name)), name
+            assert list(block.accepted) == list(rows.accepted)
+
+    @pytest.mark.parametrize("variant", ["mapm", "apm"])
+    def test_run_without_iterates_keeps_the_stored_columns(self, monkeypatch, variant):
+        problem = random_quadratic(5, 4, 10)
+        monkeypatch.setattr(solvers, "_BLOCK_BYTES", 8 * problem.dim * 7)
+        config = SolverConfig(variant=variant, max_iters=30)
+        whole = run(problem, config, np.linspace(-1.0, 1.0, problem.dim))
+        stored = run(problem, config, np.linspace(-1.0, 1.0, problem.dim), iterates=False)
+        for name in ("k", "f_y", "grad_map_norm"):
+            assert same_bits(getattr(stored, name), getattr(whole, name)), name
+        assert list(stored.accepted) == list(whole.accepted)
+        assert same_bits(stored.x, whole.x[:1])
+        assert stored.y is None and stored.grad_map is None and stored.f_z is None
 
 
 def applicable_variants(problem):
