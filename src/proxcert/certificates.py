@@ -15,7 +15,11 @@ the values it gives record by record.  `certify_blocks` is the one engine:
 it consumes a stream of `solvers.Trace` blocks that overlap by one row (a
 replay's, or views of a whole trace that `certify_trace` checks once), so the
 (k, k+1) certificates cross block edges, and evaluates every certificate once
-per block.
+per block.  Each family's hypotheses are stated once, in `_first_ks`, the
+first k of each family that applies to a trace of a given length; the others
+are one "not_applicable" line each.  Knowing the trace's length, the engine
+makes each block's lines final as it certifies the block, and holds nothing
+of a block past its turn.
 
 `certify_trace` returns a `CertificateTable`: one array per column (`k`, the
 certificate name's index, `lhs`, `rhs`, `slack`, `passed`, `applies`), one
@@ -27,7 +31,7 @@ yields one `CertificateReport` per line, built only when asked for.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -117,11 +121,6 @@ class CertificateTable(Columns):
     NAMES = _ORDER
     STATUSES = ("not_applicable", "ok")
     _DTYPES = (np.int64, np.int64, np.float64, np.float64, np.float64, bool, bool)
-
-    def __post_init__(self):
-        for field, dtype in zip(fields(self), self._DTYPES):
-            column = np.asarray(getattr(self, field.name), dtype)
-            object.__setattr__(self, field.name, column)
 
     def _row(self, k, name, lhs, rhs, slack, passed, applies) -> CertificateReport:
         return CertificateReport(k, self.NAMES[name], lhs, rhs, slack, passed,
@@ -288,12 +287,10 @@ def inertial_residual(alpha: float, s: float, k: Index, x_k: Vector, y_k: Vector
 
 class _Lines:
     """One block's certificate lines on a (row, name) grid, read in (k, name)
-    order; `rows`, the rows whose lines are read, is every row until the
-    next block takes the last one over."""
+    order."""
 
     def __init__(self, k):
         self.k = k
-        self.rows = len(k)
         grid = (len(k), len(_ORDER))
         self.lhs = np.full(grid, np.nan)
         self.rhs = np.full(grid, np.nan)
@@ -316,15 +313,37 @@ class _Lines:
         self.present[0, col] = True
         self.applies[0, col] = False
 
-    def columns(self) -> tuple:
-        """The table columns of the present lines of the first `rows` rows,
-        in (k, name) order."""
+    def table(self, own: int) -> CertificateTable:
+        """The present lines of the first `own` rows, in (k, name) order."""
         passed = np.where(self.applies, self.lhs <= self.rhs + self.tol, True)
-        cells = np.flatnonzero(self.present[:self.rows])
+        cells = np.flatnonzero(self.present[:own])
         rows, names = np.divmod(cells, len(_ORDER))
         lhs, rhs = self.lhs.ravel()[cells], self.rhs.ravel()[cells]
-        return (self.k[rows], names, lhs, rhs, rhs - lhs, passed.ravel()[cells],
-                self.applies.ravel()[cells])
+        return CertificateTable(self.k[rows], names, lhs, rhs, rhs - lhs,
+                                passed.ravel()[cells], self.applies.ravel()[cells])
+
+
+def _first_ks(ctx: EnergyContext, variant: str, last: int) -> dict:
+    """{name: first k} of each certificate family whose hypotheses hold on a
+    `variant` trace whose last row is k = `last`: its lines run from that k
+    to the last row, or to the last but one for a family of a row and its
+    successor.  Every variant has the descent lemma; apm and mapm the
+    inertial identity; mapm the energy families, Prop 2 if mu > 0, Theorem 1
+    if also s < 1/L and the trace reaches k_alpha, and Theorem 2 if it
+    reaches k = 1."""
+    first = {"descent_lemma": 0}
+    if variant in ("apm", "mapm"):
+        first["inertial_identity"] = 0
+    if variant == "mapm":
+        first.update(energy_nonincreasing=0, prop1=0)
+        if ctx.mu > 0.0:
+            first["prop2"] = 0
+            ka = k_alpha(ctx.alpha)
+            if ctx.s * ctx.lipschitz < 1.0 - 1e-9 and last >= ka:
+                first["theorem1_envelope"] = ka
+        if last >= 1:
+            first["theorem2_envelope"] = 1
+    return first
 
 
 def certify_trace(ctx: EnergyContext, trace: Trace,
@@ -347,112 +366,86 @@ def certify_trace(ctx: EnergyContext, trace: Trace,
         for start in range(0, max(len(trace) - 1, 1), rows):
             yield trace[start:start + rows + 1]
 
-    return certify_blocks(ctx, blocks() if len(trace) else (), variant)
+    return certify_blocks(ctx, blocks() if len(trace) else (), len(trace), variant)
 
 
-def certify_blocks(ctx: EnergyContext, blocks, variant: str = "mapm") -> CertificateTable:
-    """The certificate lines of a trace given as a stream of checked Trace
-    blocks (rows 0, 1, ... in order, each with x, y, grad_map and f_z) that
-    overlap by one row: each block but the last ends with the first row of
-    the next.  Lines come in (k, name) order.
+def certify_blocks(ctx: EnergyContext, blocks, length: int,
+                   variant: str = "mapm") -> CertificateTable:
+    """The certificate lines of a trace of `length` rows given as a stream of
+    checked Trace blocks (rows 0, 1, ... in order, each with x, y, grad_map
+    and f_z) that overlap by one row: each block but the last ends with the
+    first row of the next.  Lines come in (k, name) order.
 
-    For mapm traces all seven certificates run, gated as proved: prop2 and
-    the linear envelope need mu > 0, the linear envelope also needs s < 1/L
-    and k >= k_alpha, the sublinear envelope starts at k = 1.  apm traces
-    keep the descent and inertial checks; ista / strongly_convex_apm traces
-    keep only the descent check.  Skipped families are reported once, at
-    k = 0, with status "not_applicable".  A variant outside errors.VARIANTS
-    is rejected.
+    The families of `_first_ks` run, each from its first k, as proved; the
+    others are reported once, at k = 0, with status "not_applicable".  A
+    variant outside errors.VARIANTS is rejected, and so is a stream whose
+    rows are not rows 0 to length - 1 in overlapping blocks.
 
-    Each block is certified as it comes, every row, and every row but the
-    last with its successor; the last row's lines are dropped when the next
-    block, which starts with that row, arrives.  No block is copied or held
-    past its turn.  An error of the certificates (a gap below the floor) is
-    raised only after the stream is drained, so an error of the stream itself
-    (a replay's disagreement) comes first.  The table is built at the end.
+    Each block's lines are final when they are made: those of each of its
+    rows that has its successor in the block, and of the trace's last row.
+    No block is copied or held past its turn.  An error of the certificates
+    (a gap below the floor) is raised only after the stream is drained, so
+    an error of the stream itself (a replay's disagreement) comes first.
     """
     check_setting("variant", variant, RejectedInputError)
-    pairs = variant in ("mapm", "apm")
-    mapm = variant == "mapm"
-    linear_ok = ctx.mu > 0.0 and ctx.s * ctx.lipschitz < 1.0 - 1e-9
-    first, previous, later = None, None, []  # _Lines, and the columns of the others
-    start, dist0, error = 0, None, None
+    last, end = length - 1, -1  # the k of the trace's last row, and of the stream's
+    tables, dist0, error = [], None, None
     for block in blocks:
+        k = block.k
+        if not len(k) or k[0] != max(end, 0) or k[-1] > last:
+            rows = f"rows {k[0]} to {k[-1]}" if len(k) else "no rows"
+            raise RejectedInputError(f"a block of {rows} does not go on from row "
+                                     f"{max(end, 0)} of a stream of {length} rows")
+        end = k[-1]
         if dist0 is None:
             dist0 = float(np.linalg.norm(block.x[0] - ctx.x_star))
         if error is None:
             try:
-                lines = _block_lines(ctx, pairs, mapm, linear_ok, start, dist0, block)
+                tables.append(_block_lines(ctx, variant, last, dist0, block))
             except ProxCertError as exc:
                 error = exc  # raised once the stream is drained
-            else:
-                if previous is not None:
-                    previous.rows -= 1  # its last row is this block's first
-                    if previous is not first:
-                        later.append(previous.columns())
-                first, previous = first or lines, lines
-        start += len(block) - 1
         del block  # not held while the next block is made
+    if end != last:
+        raise RejectedInputError(f"the stream ends at row {end} of a trace of {length} rows")
     if error is not None:
         raise error
-    if first is None:
-        return CertificateTable(*[()] * len(CertificateTable._DTYPES))
-    if previous is not first:
-        later.append(previous.columns())
-    skipped = []  # start is now the last row's k
-    if not pairs:
-        skipped.append("inertial_identity")
-    if not mapm:
-        skipped += ["energy_nonincreasing", "prop1", "prop2",
-                    "theorem1_envelope", "theorem2_envelope"]
-    else:
-        if ctx.mu <= 0.0:
-            skipped.append("prop2")
-        if not (linear_ok and start >= k_alpha(ctx.alpha)):
-            skipped.append("theorem1_envelope")
-        if start < 1:
-            skipped.append("theorem2_envelope")
-    for name in skipped:
-        first.not_applicable(name)
-    later.insert(0, first.columns())
-    pieces = [list(column) for column in zip(*later)]
-    del later
-    columns = []
-    while pieces:  # each column's pieces are freed once it is joined
-        columns.append(np.concatenate(pieces.pop(0)))
-    return CertificateTable(*columns)
+    return CertificateTable.concat(tables)
 
 
-def _block_lines(ctx: EnergyContext, pairs: bool, mapm: bool, linear_ok: bool,
-                 start: int, dist0: float, block: Trace) -> _Lines:
-    """The lines of a block of rows start, start+1, ...: every certificate of
-    one row on each row, and of a row and its successor on each row but the
-    last."""
+def _block_lines(ctx: EnergyContext, variant: str, last: int, dist0: float,
+                 block: Trace) -> CertificateTable:
+    """The final lines of a block of rows k_0, k_0+1, ... of a trace whose
+    last row is k = `last`: each family of `_first_ks` on each row from its
+    first k, and, for a family of a row and its successor, on each row but
+    the block's last.  The lines of the block's last row are left to the
+    next block, which starts with it, unless that row is the trace's last; a
+    block that starts at k = 0 also has the not_applicable lines."""
     a, s, mu, L = ctx.alpha, ctx.s, ctx.mu, ctx.lipschitz
     k, f_y, f_z = block.k, block.f_y, block.f_z
     x, y, G = block.x, block.y, block.grad_map
     p = len(k) - 1  # rows that have a successor
+    first = _first_ks(ctx, variant, last)
     lines = _Lines(k)
 
     lines.put("descent_lemma", 0, *descent_lemma_sides(s, L, mu, x, y, G, f_z, f_y))
-    if pairs:
+    if "inertial_identity" in first:
         resid = inertial_residual(a, s, k[:p], x[:p], y[:p], x[1:], y[1:], G[:p])
         tol = IDENTITY_TOL * (1.0 + np.sqrt(np.vecdot(x[:p], x[:p])))
         lines.put("inertial_identity", 0, resid, 0.0, tol)
-    if mapm:
+    if "energy_nonincreasing" in first:
         e = energy(ctx, k, x, y, f_y)
         lines.put("energy_nonincreasing", 0, e[1:], e[:p])
         lines.put("prop1", 0, e[1:] - e[:p],
                   prop1_rhs(ctx, k[:p], x[:p], y[:p], G[:p]))
-        if mu > 0.0:
-            lines.put("prop2", 0, e[1:],
-                      prop2_rhs(ctx, k[:p], x[:p], y[:p], G[:p]))
-        gap = f_y - ctx.f_star
-        if linear_ok:
-            row = max(k_alpha(a) - start, 0)
-            lines.put("theorem1_envelope", row, gap[row:],
-                      theorem1_envelope(ctx, k[row:], dist0))
-        row = max(1 - start, 0)
-        lines.put("theorem2_envelope", row, gap[row:],
-                  theorem2_envelope(ctx, k[row:], dist0))
-    return lines
+    if "prop2" in first:
+        lines.put("prop2", 0, e[1:], prop2_rhs(ctx, k[:p], x[:p], y[:p], G[:p]))
+    for name, envelope in (("theorem1_envelope", theorem1_envelope),
+                           ("theorem2_envelope", theorem2_envelope)):
+        if name in first:
+            row = max(first[name] - k[0], 0)
+            lines.put(name, row, f_y[row:] - ctx.f_star, envelope(ctx, k[row:], dist0))
+    if k[0] == 0:
+        for name in _ORDER:
+            if name not in first:
+                lines.not_applicable(name)
+    return lines.table(len(k) if k[-1] == last else p)

@@ -19,7 +19,8 @@ from dataclasses import asdict
 
 import numpy as np
 
-# certify_trace stays in this namespace for bench/tracer.py, which wraps it
+# certify_trace is not called here; it stays in this namespace because
+# bench/tracer.py wraps `cli.certify_trace` by name
 from .certificates import EnergyContext, certify_blocks, certify_trace  # noqa: F401
 from .errors import (
     PROBLEM_RULES,
@@ -233,7 +234,7 @@ def cmd_certify(args) -> int:
             "trace was produced on a different problem (content hash mismatch)"
         )
     ctx = _reference_context(args, problem, config)
-    table = certify_blocks(ctx, trace.replay(problem, config), variant=config.variant)
+    table = certify_blocks(ctx, trace.replay(problem, config), len(trace), config.variant)
     write_report(args.report, table, args.format)
     print(f"wrote {len(table)} certificate lines to {args.report}")
     violations = np.flatnonzero(table.applies & ~table.passed)

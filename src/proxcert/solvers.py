@@ -18,9 +18,11 @@ own stop rules: `run`, `Trace.replay` and both phases of
 `_blocks` collects iterate's steps into a stream of `Trace` blocks with every
 column, each of `_block_rows(d)` rows, about _BLOCK_BYTES per (rows, d)
 column, plus the first row of the next block: blocks overlap by one row, so
-that a consumer finds row k+1 in the block of row k.  It is the one stream
-that `run` joins into a whole `Trace` (`Trace.joined`), and that
-`Trace.replay` checks and hands to the certificate engine block by block.  A
+that a consumer finds row k+1 in the block of row k.  It is the one stream:
+`run` takes it whole as one block (or keeps each block's stored columns), and
+`Trace.replay` checks it and hands it to the certificate engine block by
+block.  `Columns.concat` is the one join of tables, of blocks' rows or of
+certificate lines.  A
 trace file stores x_0 and mapm's choice `accepted`, but not x_k for k >= 1,
 y_k, G_k or F(z_k): `Trace.replay` runs `iterate` again from x_0 with the
 stored choices, so they equal `run`'s bit for bit.
@@ -32,7 +34,7 @@ The run contract is written once: `errors.SETTING_RULES` (each setting's rule),
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from itertools import starmap
 from typing import Optional
 
@@ -107,11 +109,6 @@ class IterationRecord:
     f_z: Optional[float] = None
 
 
-# Each Trace column, in the order of the IterationRecord fields, with the dtype
-# of its array; `accepted` holds Python values, None where a row has none.
-_DTYPES = {"k": np.int64, "f_y": np.float64, "grad_map_norm": np.float64,
-           "accepted": object, "x": np.float64, "y": np.float64,
-           "grad_map": np.float64, "f_z": np.float64}
 # Relative tolerance of a value that holds exactly in real arithmetic: the
 # inertial identity's residual (certificates) and a stored cell that replay
 # recomputes, each against 1 + its scale.
@@ -120,9 +117,38 @@ IDENTITY_TOL = 1e-10
 
 class Columns:
     """Rows held as columns: a frozen dataclass whose fields are arrays with one
-    entry per row (or None), and whose `_row` makes a row of one value per
-    column.  An int index and iteration give rows of Python values, built a
-    chunk at a time; a slice gives the table of its rows, as views."""
+    entry per row (or None), of the dtypes `_DTYPES` lists in field order (a
+    column given as values is made an array of its dtype), and whose `_row`
+    makes a row of one value per column.  An int index and iteration give rows
+    of Python values, built a chunk at a time; a slice gives the table of its
+    rows, as views."""
+
+    _DTYPES: tuple
+
+    def __post_init__(self):
+        for field, dtype in zip(fields(self), self._DTYPES):
+            column = getattr(self, field.name)
+            if column is not None:
+                object.__setattr__(self, field.name, np.asarray(column, dtype))
+
+    @classmethod
+    def concat(cls, tables: list):
+        """The table of the rows of `tables` in order, emptying the list.  A
+        column is joined from the tables that have it (None if none has), and
+        its pieces are freed once it is joined; one table is returned as it
+        is, and no tables give a table of no rows."""
+        if len(tables) == 1:
+            return tables.pop()
+        if not tables:
+            return cls(*[()] * len(cls._DTYPES))
+        pieces = [[c for c in column if c is not None]
+                  for column in zip(*(vars(table).values() for table in tables))]
+        tables.clear()
+        columns = []
+        while pieces:
+            parts = pieces.pop(0)
+            columns.append(np.concatenate(parts) if parts else None)
+        return cls(*columns)
 
     def __len__(self) -> int:
         return len(self.k)
@@ -181,38 +207,9 @@ class Trace(Columns):
     f_z: Optional[np.ndarray] = None
 
     _row = IterationRecord
-
-    @classmethod
-    def join(cls, pieces: dict) -> "Trace":
-        """The Trace of {column name: its consecutive pieces}, each a list of
-        values or an array of rows; a column without pieces is None.  Each
-        entry is popped, freeing its pieces, as its column is built.
-        """
-        columns = {}
-        for name, dtype in _DTYPES.items():
-            parts = pieces.pop(name, None)
-            columns[name] = None if parts is None else _array(parts, dtype)
-        return cls(**columns)
-
-    @classmethod
-    def joined(cls, blocks) -> "Trace":
-        """The Trace of a stream of blocks that overlap by one row (each block
-        but the last ends with the first row of the next): each block's rows
-        but its last, then the last block's last row.  Each column is joined
-        from the blocks that have it (`join`)."""
-        pieces, previous = {}, None
-
-        def add(rows):
-            for name, column in vars(rows).items():
-                if column is not None:
-                    pieces.setdefault(name, []).append(column)
-
-        for block in blocks:
-            if previous is not None:
-                add(previous[:len(previous) - 1])
-            previous = block
-        add(previous)
-        return cls.join(pieces)
+    # `accepted` holds Python values, None where a row has none.
+    _DTYPES = (np.int64, np.float64, np.float64, object, np.float64, np.float64,
+               np.float64, np.float64)
 
     def stored(self) -> "Trace":
         """The columns of these rows that a trace file stores: the scalars,
@@ -258,11 +255,14 @@ class Trace(Columns):
 
     def replayed(self, problem: CompositeProblem, config: SolverConfig) -> "Trace":
         """The trace with `x`, `y`, `grad_map` and `f_z` of its replay: the
-        blocks of `replay` joined; an empty trace gives empty columns."""
+        blocks of `replay` joined, each without the row the next block starts
+        with; an empty trace gives empty columns."""
         if not len(self):  # no x_0: nothing to replay
             vectors = np.empty((0, problem.dim))
             return replace(self, x=vectors, y=vectors, grad_map=vectors, f_z=np.empty(0))
-        return Trace.joined(self.replay(problem, config))
+        last = len(self) - 1
+        return Trace.concat([block if block.k[-1] == last else block[:len(block) - 1]
+                             for block in self.replay(problem, config)])
 
     def replay(self, problem: CompositeProblem, config: SolverConfig):
         """Yield the trace's rows in blocks that overlap by one row (`_blocks`):
@@ -384,12 +384,6 @@ def _within(distance, scale):
     return np.isfinite(scale) & (distance <= IDENTITY_TOL * (1.0 + scale))
 
 
-def _array(parts: list, dtype) -> np.ndarray:
-    """The array of a column's consecutive pieces."""
-    arrays = [np.asarray(part, dtype) for part in parts] or [np.empty(0, dtype)]
-    return np.concatenate(arrays) if len(arrays) != 1 else arrays[0]
-
-
 def bind_step(lipschitz: float, step: Optional[float], error=ConfigurationError):
     """Resolve the step size against L; `error` unless 0 < s <= 1/L."""
     if step is None:
@@ -492,13 +486,22 @@ def run(problem: CompositeProblem, config: SolverConfig, x0,
     ||G_s(x_k)|| <= grad_map_tol.
     A record is emitted for every visited k including k = 0, so a full run of
     max_iters steps yields max_iters + 1 records.  Beyond iterate's checks, a
-    non-finite ||G_k|| raises RejectedInputError naming k.  With
-    iterates=False the Trace keeps only what a trace file stores (`stored`):
-    its scalar columns and x_0, so the run holds no (n, d) column.
+    non-finite ||G_k|| raises RejectedInputError naming k.  The run is one
+    block, so each vector is stacked once.  With iterates=False the Trace
+    keeps only what a trace file stores (`stored`): its scalar columns and
+    x_0, joined from blocks of `_block_rows(d)` rows, so the run holds no
+    (n, d) column.
     """
-    blocks = _blocks(iterate(problem, config, x0), config.variant, config.stops,
-                     _block_rows(problem.dim))
-    return Trace.joined(blocks if iterates else map(Trace.stored, blocks))
+    steps = iterate(problem, config, x0)
+    if iterates:
+        return next(_blocks(steps, config.variant, config.stops, math.inf))
+
+    def own(block):  # each block but the last ends with the next block's first row
+        last = config.stops(block.k[-1], block.grad_map_norm[-1])
+        return block[:len(block) if last else len(block) - 1].stored()
+
+    blocks = _blocks(steps, config.variant, config.stops, _block_rows(problem.dim))
+    return Trace.concat(list(map(own, blocks)))
 
 
 def _block_rows(dim: int) -> int:
@@ -506,12 +509,13 @@ def _block_rows(dim: int) -> int:
     return max(1, _BLOCK_BYTES // (8 * dim))
 
 
-def _blocks(steps, variant: str, stops, rows: int):
+def _blocks(steps, variant: str, stops, rows):
     """Yield `iterate`'s steps as Trace blocks with every column, each of `rows`
     rows plus the first row of the next block, up to and including the first
-    record k where stops(k, ||G_k||), the last row of the last block; a
-    non-finite ||G_k|| raises RejectedInputError naming k."""
-    block = []  # rows in the order of _DTYPES
+    record k where stops(k, ||G_k||), the last row of the last block (so
+    rows=math.inf yields the whole run as one block); a non-finite ||G_k||
+    raises RejectedInputError naming k."""
+    block = []  # rows in the order of the Trace columns
     for state, _, G, f_z in steps:
         k = state.k
         gnorm = require_finite(k, "||G_k||", norm(G))
@@ -536,8 +540,9 @@ def _blocks(steps, variant: str, stops, rows: int):
 
 
 def _stacked(rows: list) -> Trace:
-    """The Trace of rows given in the order of _DTYPES, emptying the list, so
-    that no row is held while the Trace is used."""
+    """The Trace of rows given in the order of its columns, emptying the list;
+    each column's row values are freed once it is stacked, so that no row is
+    held while the Trace is used."""
     columns = list(zip(*rows))
     rows.clear()
-    return Trace(*starmap(np.asarray, zip(columns, _DTYPES.values())))
+    return Trace(*(np.asarray(columns.pop(0), dtype) for dtype in Trace._DTYPES))

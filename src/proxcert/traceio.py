@@ -262,19 +262,17 @@ def read_trace(path):
                 raise ConfigurationError("malformed trace file header")
             header, first_line = _json_header(meta_line[len("# meta "):], "trace"), 3
         meta = _meta_from_dict(header)
-        x0, pieces = [], {name: [] for name in _TRACE_COLUMNS[:-1]}
+        blocks = []
         for line_no, columns in decode("trace", fh, first_line, _COLUMN_KINDS):
-            x0 += _x0(columns.pop("x"), line_no, first=not pieces["k"])
-            block = Trace.join({name: [values] for name, values in columns.items()})
-            for name, parts in pieces.items():
-                parts.append(getattr(block, name))
-    return meta, Trace.join({**pieces, "x": [x0]})
+            x0 = _x0(columns.pop("x"), line_no, first=not blocks)
+            blocks.append(Trace(**columns, x=x0))
+    return meta, Trace.concat(blocks or [Trace((), (), (), (), ())])
 
 
-def _x0(xs: list, line_no: int, first: bool) -> list:
-    """[x_0] from the first block's `x` values, [] from a later block's, whose
-    first row is on line `line_no`; a data error names the line of a missing
-    x_0 or of an `x` past it."""
+def _x0(xs: list, line_no: int, first: bool):
+    """[x_0] from the first block's `x` values, None from a later block's,
+    whose first row is on line `line_no`; a data error names the line of a
+    missing x_0 or of an `x` past it."""
     start = 1 if first else 0
     if first and xs[0] is None:
         raise DataCorruptionError(f"trace line {line_no}: field 'x' is empty; the "
@@ -284,7 +282,7 @@ def _x0(xs: list, line_no: int, first: bool) -> list:
         raise _bad_field(f"trace line {line_no + stray}", "x",
                          "empty past the first row, which alone stores x_0",
                          np.asarray(xs[stray]).tolist())
-    return xs[:start]
+    return xs[:1] if first else None
 
 
 def _read_header(fh, what: str, version: int):
@@ -444,14 +442,11 @@ def write_report(path, table: CertificateTable, fmt: str = "csv") -> None:
 def read_report(path) -> CertificateTable:
     """Parse a report file back into a CertificateTable; a report of another
     version is a ConfigurationError naming its header."""
-    columns = [[np.empty(0, dtype)] for dtype in CertificateTable._DTYPES]
     with open(path) as fh:
         decode, _, first_line = _read_header(fh, "report", _REPORT_SCHEMA_VERSION)
-        for _, block in decode("report", fh, first_line, _REPORT_KINDS):
-            table = CertificateTable(*block.values())
-            for parts, column in zip(columns, vars(table).values()):
-                parts.append(column)
-    return CertificateTable(*map(np.concatenate, columns))
+        tables = [CertificateTable(*block.values())
+                  for _, block in decode("report", fh, first_line, _REPORT_KINDS)]
+    return CertificateTable.concat(tables)
 
 
 def write_comparison(path, comparison, fmt: str = "csv") -> None:

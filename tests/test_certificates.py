@@ -13,6 +13,7 @@ from proxcert import (
     RejectedInputError,
     SolverConfig,
     attach_reference,
+    certify_blocks,
     certify_trace,
     descent_lemma_sides,
     energy,
@@ -600,6 +601,38 @@ class TestBlockedCertification:
         ctx, records = certified_trace(problem, max_iters=3 * rows + 10)
         assert len(records) > 3 * rows and len(records) % rows != 0
         self.assert_blocked_equals_one_at_a_time(ctx, records, "mapm", set())
+
+    @pytest.mark.parametrize("half_step", [True, False], ids=["s=1/(2L)", "s=1/L"])
+    @pytest.mark.parametrize("alpha", [3.0, 3.3])  # k_alpha = 2 and 3
+    @pytest.mark.parametrize("rows", [1, 2, 3, 4, 7, 8, 9])
+    def test_applicability_at_the_trace_and_block_edges(self, monkeypatch, rows,
+                                                       alpha, half_step):
+        # blocks of 7 rows: 8 rows fill one block, 9 rows start a second
+        problem = random_quadratic(5, 5, 100)
+        monkeypatch.setattr(solvers, "_BLOCK_BYTES", 8 * problem.dim * 7)
+        s = (0.5 if half_step else 1.0) / problem.smooth.lipschitz
+        ctx, records = certified_trace(problem, alpha=alpha, s=s, max_iters=rows - 1)
+        assert len(records) == rows
+        not_applicable = set()
+        if not half_step or rows - 1 < k_alpha(alpha):  # Theorem 1: s < 1/L, k >= k_alpha
+            not_applicable.add("theorem1_envelope")
+        if rows == 1:  # Theorem 2 starts at k = 1
+            not_applicable.add("theorem2_envelope")
+        self.assert_blocked_equals_one_at_a_time(ctx, records, "mapm", not_applicable)
+
+    @pytest.mark.parametrize("length", [0, 8, 10])
+    def test_a_length_the_stream_does_not_have_raises(self, length):
+        ctx, records = certified_trace(random_quadratic(5, 5, 100), max_iters=8)
+        blocks = [records[:5], records[4:]]  # rows 0-4 and 4-8 of 9
+        assert list(certify_blocks(ctx, list(blocks), 9)) == list(
+            certify_trace(ctx, records))
+        with pytest.raises(RejectedInputError, match="of a (stream|trace) of "):
+            certify_blocks(ctx, blocks, length)
+
+    def test_blocks_that_do_not_overlap_raise(self):
+        ctx, records = certified_trace(random_quadratic(5, 5, 100), max_iters=8)
+        with pytest.raises(RejectedInputError, match="does not go on from row 4"):
+            certify_blocks(ctx, [records[:5], records[5:]], 9)
 
     def test_one_record_gives_python_floats(self):
         ctx, records = certified_trace(random_quadratic(5, 5, 100), max_iters=5)

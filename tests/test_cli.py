@@ -212,6 +212,31 @@ class TestCertifyCommand:
         assert ok_names == {"descent_lemma", "inertial_identity"}
         assert "theorem1_envelope" in na_names and "prop1" in na_names
 
+    def test_inverse_l_step_reports_only_theorem1_not_applicable(self, tmp_path):
+        # Theorem 1 needs s < 1/L; every other family applies to a d5 mapm run
+        trace, report = tmp_path / "trace.csv", tmp_path / "report.csv"
+        assert run_cli("run", "--problem", "quadratic", "--dim", "5", "--seed", "3",
+                       "--solver", "mapm", "--step-mode", "inverse-L",
+                       "--max-iters", "40", "--out", str(trace)) == 0
+        assert run_cli("certify", "--trace", str(trace), "--report", str(report)) == 0
+        problem = cli.build_problem_from_spec(read_trace(trace)[0].problem)
+        assert read_trace(trace)[0].step == 1.0 / problem.smooth.lipschitz
+        skipped = [(r.k, r.name) for r in read_report(report)
+                   if r.status == "not_applicable"]
+        assert skipped == [(0, "theorem1_envelope")]
+
+    def test_reference_out_of_budget_exits_3_without_a_report(self, tmp_path, capsys):
+        # a lasso has no closed-form optimum; 1000 steps do not reach the reference
+        trace, report = tmp_path / "trace.csv", tmp_path / "report.csv"
+        assert run_cli("run", "--problem", "lasso", "--rows", "20", "--cols", "40",
+                       "--seed", "1", "--solver", "mapm", "--max-iters", "50",
+                       "--out", str(trace)) == 0
+        capsys.readouterr()
+        assert run_cli("certify", "--trace", str(trace), "--report", str(report),
+                       "--ref-budget", "1000") == 3
+        assert capsys.readouterr().err.startswith("reference error: budget 1000 exhausted")
+        assert not report.exists()
+
     def test_env_seed_leaves_trace_seed_alone(self, tmp_path, monkeypatch):
         trace = tmp_path / "trace.csv"
         assert run_cli(*quadratic_run_args(trace)) == 0
@@ -922,6 +947,19 @@ class TestCompareCommand:
         data = json.loads(summary.read_text())
         assert set(data["rho_hat"]) == {"ista", "apm", "mapm"}
         assert "rho_lower_bound" in data and "sqrt_mu_over_L" in data
+
+    @pytest.mark.parametrize("max_iters, fitted", [("50", True), ("0", False)])
+    def test_problem_without_a_closed_form(self, tmp_path, max_iters, fitted):
+        # the lasso's optimum comes from the reference solve; one gap is no fit
+        summary = tmp_path / "cmp.json"
+        assert run_cli("compare", "--problem", "lasso", "--rows", "20", "--cols", "40",
+                       "--seed", "1", "--solvers", "ista,mapm", "--max-iters", max_iters,
+                       "--table", str(tmp_path / "cmp.csv"),
+                       "--summary", str(summary)) == 0
+        rho_hat = json.loads(summary.read_text())["rho_hat"]
+        assert set(rho_hat) == {"ista", "mapm"}
+        for value in rho_hat.values():
+            assert (type(value) is float and value > 0.0) if fitted else value is None
 
     def test_repeated_variant_gets_numbered_columns(self, tmp_path):
         table = tmp_path / "cmp.csv"

@@ -571,8 +571,7 @@ class TestReplay:
             rows.append((k, state.f_y, solvers.norm(big_g), accepted, state.x))
             state = step(config, beta, state, z, f_z, accepted)
         k, f_y, gnorm, accepted, x = zip(*rows)
-        return solvers.Trace.join({"k": [k], "f_y": [f_y], "grad_map_norm": [gnorm],
-                                   "accepted": [accepted], "x": [x]})
+        return solvers.Trace(k, f_y, gnorm, accepted, x)
 
     @pytest.mark.parametrize("start, judged", [("zeros", True), ("near x*", False)])
     def test_accepted_is_not_judged_where_f_z_ties_f_y(self, start, judged):

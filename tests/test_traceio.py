@@ -822,13 +822,11 @@ def traces(draw):
     d, n = draw(st.integers(1, 6)), draw(st.integers(1, 12))
 
     def column(values):
-        return [draw(st.lists(values, min_size=n, max_size=n))]
+        return draw(st.lists(values, min_size=n, max_size=n))
     vector = st.lists(coordinates, min_size=d, max_size=d)
-    return Trace.join({"k": [range(n)], "f_y": column(coordinates),
-                       "grad_map_norm": column(coordinates),
-                       "accepted": column(st.none() | st.booleans()),
-                       "x": column(vector), "y": column(vector),
-                       "grad_map": column(vector), "f_z": column(coordinates)})
+    return Trace(k=range(n), f_y=column(coordinates), grad_map_norm=column(coordinates),
+                 accepted=column(st.none() | st.booleans()), x=column(vector),
+                 y=column(vector), grad_map=column(vector), f_z=column(coordinates))
 
 
 class TestWriterBytes:
