@@ -24,6 +24,7 @@ import numpy as np
 from .certificates import EnergyContext, certify_blocks, certify_trace  # noqa: F401
 from .errors import (
     PROBLEM_RULES,
+    VARIANTS,
     ConfigurationError,
     DataCorruptionError,
     FitUnavailableError,
@@ -41,7 +42,7 @@ from .problems import as_vector
 from .solvers import SolverConfig, run
 from .traceio import TraceMeta, read_trace, write_comparison, write_report, write_trace
 
-SOLVER_NAMES = ("ista", "apm", "mapm", "strongly-convex-apm")
+SOLVER_NAMES = tuple(variant.replace("_", "-") for variant in VARIANTS)
 # A run spec's keys, all required; `compare --spec` defaults the last four.
 RUN_SPEC_KEYS = ("problem", "solver", "alpha", "step_mode", "max_iters", "grad_map_tol")
 # Each problem family: its generator, and its spec keys (its parameters) with their

@@ -11,21 +11,21 @@ only.  A missing term is left out, not multiplied by 0.0: adding +0.0 would
 turn the prox's -0.0 coordinates into 0.0.  F(y_k) is computed once per
 iteration and cached in the state; the mapm test compares cached values only.
 
-`iterate` is the one loop that applies the rule.  Its consumers bring their
-own stop rules: `run`, `Trace.replay` and both phases of
-`harness.reference_solution`.
+`iterate` is the one loop that applies the rule, and it makes each decision
+of a step once: mapm's test, and the finiteness of F(z_k) and ||G_k||.  It
+yields each step as a trace row.  Its consumers bring their own stop rules:
+`run`, `Trace.replay` and both phases of `harness.reference_solution`.
 
-`_blocks` collects iterate's steps into a stream of `Trace` blocks with every
+`_blocks` collects iterate's rows into a stream of `Trace` blocks with every
 column, each of `_block_rows(d)` rows, about _BLOCK_BYTES per (rows, d)
 column, plus the first row of the next block: blocks overlap by one row, so
 that a consumer finds row k+1 in the block of row k.  It is the one stream:
 `run` takes it whole as one block (or keeps each block's stored columns), and
 `Trace.replay` checks it and hands it to the certificate engine block by
 block.  `Columns.concat` is the one join of tables, of blocks' rows or of
-certificate lines.  A
-trace file stores x_0 and mapm's choice `accepted`, but not x_k for k >= 1,
-y_k, G_k or F(z_k): `Trace.replay` runs `iterate` again from x_0 with the
-stored choices, so they equal `run`'s bit for bit.
+certificate lines.  A trace file stores x_0 and mapm's choice `accepted`,
+but not x_k for k >= 1, y_k, G_k or F(z_k): `Trace.replay` runs `iterate`
+again from x_0 with the stored choices, so they equal `run`'s bit for bit.
 
 The run contract is written once: `errors.SETTING_RULES` (each setting's rule),
 `bind_step` (s <= 1/L) and `SolverConfig.stops` (the stop rule of `run`, `certify`).
@@ -270,8 +270,9 @@ class Trace(Columns):
         the run that `iterate` makes from x_0 (row 0's x) with each row's
         choice as its `choices` (y_{k+1} = z_k, or y_k where a mapm row's
         `accepted` is false), so they are `run`'s bit for bit.
-        Certification thus follows the choices the trace stores, so no
-        decision is taken again; `x` past row 0 is not read.
+        Certification thus follows the choices the trace stores; the replay's
+        own `accepted`, iterate's test, is only compared with them.  `x` past
+        row 0 is not read.
 
         The stored columns are checked first (`check`), and each block is
         checked against the stored cells before it is yielded.  An x_0 that
@@ -284,8 +285,8 @@ class Trace(Columns):
         - `accepted` must be true or false in every mapm row and empty in
           every other variant's;
         - `grad_map_norm` must agree with ||G_k||;
-        - for mapm, `accepted` must be the decision F(z_k) <= F(y_k), which
-          is not judged where the two differ by no more than the tolerance
+        - `accepted` must be the replay's `accepted`, which is not judged
+          where F(z_k) and F(y_k) differ by no more than the tolerance
           (another BLAS build may decide otherwise there);
         - `f_y` must agree with F(y_k) (an infinite F(y_k), an infeasible
           start's, only with itself).
@@ -303,7 +304,7 @@ class Trace(Columns):
             return k == last
 
         steps = iterate(problem, config, self.x[0], self._steps_to_z(config.variant))
-        blocks = _blocks(steps, config.variant, stops, _block_rows(problem.dim))
+        blocks = _blocks(steps, stops, _block_rows(problem.dim))
         start = 0
         while True:
             with np.errstate(over="ignore", invalid="ignore"):
@@ -315,7 +316,7 @@ class Trace(Columns):
                 if block is None:
                     return
                 stored = self[start:start + len(block)]
-                stored._check_against(block, config.variant)
+                stored._check_against(block)
                 block = replace(stored, x=block.x, y=block.y, grad_map=block.grad_map,
                                 f_z=block.f_z)
                 block.check((problem.dim,), start)
@@ -323,22 +324,18 @@ class Trace(Columns):
             yield block
             del block  # not held while the next block is made
 
-    def _check_against(self, replay: "Trace", variant: str) -> None:
+    def _check_against(self, replay: "Trace") -> None:
         """DataCorruptionError (`_require_agreement`) unless the stored cells
         of these rows agree with their replay (see `replay`, which ignores
         the invalid value of inf - inf for an infinite F(y_k))."""
-        f_z, f_y = replay.f_z, replay.f_y
-        gnorm, stored = replay.grad_map_norm, self.grad_map_norm
-        checks = [("grad_map_norm", stored, "its x gives ||G_k||", gnorm,
-                   _within(np.abs(stored - gnorm), gnorm))]
-        if variant == "mapm":
-            accepts = f_z <= f_y
-            tie = _within(np.abs(f_z - f_y), np.abs(f_y))
-            checks.append(("accepted", self.accepted, "its x gives F(z_k) <= F(y_k)",
-                           accepts, (self.accepted == accepts) | tie))
-        stored = self.f_y
-        checks.append(("f_y", stored, "the replay gives F(y_k)", f_y,
-                       (stored == f_y) | _within(np.abs(stored - f_y), np.abs(f_y))))
+        f_y, gnorm, accepted = replay.f_y, replay.grad_map_norm, replay.accepted
+        tie = _within(np.abs(replay.f_z - f_y), np.abs(f_y))
+        checks = [("grad_map_norm", self.grad_map_norm, "its x gives ||G_k||", gnorm,
+                   _within(np.abs(self.grad_map_norm - gnorm), gnorm)),
+                  ("accepted", self.accepted, "its x gives F(z_k) <= F(y_k)", accepted,
+                   (self.accepted == accepted) | tie),
+                  ("f_y", self.f_y, "the replay gives F(y_k)", f_y,
+                   (self.f_y == f_y) | _within(np.abs(self.f_y - f_y), np.abs(f_y)))]
         _require_agreement(self.k, checks)
 
     def _steps_to_z(self, variant: str) -> np.ndarray:
@@ -455,14 +452,17 @@ def step(config: SolverConfig, beta, state: SolverState, z: Vector,
 
 
 def iterate(problem: CompositeProblem, config: SolverConfig, x0, choices=None):
-    """Yield (state_k, z_k, G_k, F(z_k)) for k = 0, 1, ... from x_0 = y_0.
+    """Yield the trace row of each k = 0, 1, ... from x_0 = y_0: a tuple in
+    the order of Trace's columns, (k, F(y_k), ||G_k||, accepted, x_k, y_k,
+    G_k, F(z_k)).
 
-    Steps to state k+1 when resumed; never stops.  y_{k+1} is z_k where
-    choices[k] is true and y_k where it is false; without `choices`, where
-    mapm's test F(z_k) <= F(y_k) holds, and always for the other variants.
-    A run's own choices (a trace's `accepted`) thus give its iterates again
-    bit for bit.  x_0 and the step are checked once; a non-finite F(z_k)
-    raises RejectedInputError naming k.
+    Steps to state k+1 when resumed; never stops.  Each decision of a step is
+    made here once.  `accepted` is mapm's test F(z_k) <= F(y_k), and None
+    for the other variants.  y_{k+1} is z_k where choices[k] is true and y_k
+    where it is false; without `choices`, z_k unless `accepted` is false.  A
+    run's own choices (a trace's `accepted`) thus give its iterates again bit
+    for bit.  x_0 and the step are checked once; a non-finite F(z_k) or
+    ||G_k|| raises RejectedInputError naming k.
     """
     x0 = as_vector(x0, problem.dim)
     s = bind_step(problem.smooth.lipschitz, config.step)
@@ -470,11 +470,13 @@ def iterate(problem: CompositeProblem, config: SolverConfig, x0, choices=None):
     monotone = config.variant == "mapm"
     state = SolverState(k=0, x=x0, y=x0, f_y=problem.value(x0))
     while True:
+        k = state.k
         z, G = prox_gradient(problem, s, state.x)
-        f_z = require_finite(state.k, "F(z_k)", problem.value(z))
-        yield state, z, G, f_z
-        takes_z = (choices[state.k] if choices is not None
-                   else not monotone or f_z <= state.f_y)
+        f_z = require_finite(k, "F(z_k)", problem.value(z))
+        gnorm = require_finite(k, "||G_k||", norm(G))
+        accepted = f_z <= state.f_y if monotone else None
+        yield k, state.f_y, gnorm, accepted, state.x, state.y, G, f_z
+        takes_z = choices[k] if choices is not None else accepted is not False
         state = step(config, beta, state, z, f_z, takes_z)
 
 
@@ -485,22 +487,21 @@ def run(problem: CompositeProblem, config: SolverConfig, x0,
     Stops where config.stops says: after max_iters steps or as soon as
     ||G_s(x_k)|| <= grad_map_tol.
     A record is emitted for every visited k including k = 0, so a full run of
-    max_iters steps yields max_iters + 1 records.  Beyond iterate's checks, a
-    non-finite ||G_k|| raises RejectedInputError naming k.  The run is one
-    block, so each vector is stacked once.  With iterates=False the Trace
-    keeps only what a trace file stores (`stored`): its scalar columns and
-    x_0, joined from blocks of `_block_rows(d)` rows, so the run holds no
-    (n, d) column.
+    max_iters steps yields max_iters + 1 records; `iterate` raises
+    RejectedInputError on a non-finite value.  The run is one block, so each
+    vector is stacked once.  With iterates=False the Trace keeps only what a
+    trace file stores (`stored`): its scalar columns and x_0, joined from
+    blocks of `_block_rows(d)` rows, so the run holds no (n, d) column.
     """
     steps = iterate(problem, config, x0)
     if iterates:
-        return next(_blocks(steps, config.variant, config.stops, math.inf))
+        return next(_blocks(steps, config.stops, math.inf))
 
     def own(block):  # each block but the last ends with the next block's first row
         last = config.stops(block.k[-1], block.grad_map_norm[-1])
         return block[:len(block) if last else len(block) - 1].stored()
 
-    blocks = _blocks(steps, config.variant, config.stops, _block_rows(problem.dim))
+    blocks = _blocks(steps, config.stops, _block_rows(problem.dim))
     return Trace.concat(list(map(own, blocks)))
 
 
@@ -509,34 +510,25 @@ def _block_rows(dim: int) -> int:
     return max(1, _BLOCK_BYTES // (8 * dim))
 
 
-def _blocks(steps, variant: str, stops, rows):
-    """Yield `iterate`'s steps as Trace blocks with every column, each of `rows`
-    rows plus the first row of the next block, up to and including the first
-    record k where stops(k, ||G_k||), the last row of the last block (so
-    rows=math.inf yields the whole run as one block); a non-finite ||G_k||
-    raises RejectedInputError naming k."""
-    block = []  # rows in the order of the Trace columns
-    for state, _, G, f_z in steps:
-        k = state.k
-        gnorm = require_finite(k, "||G_k||", norm(G))
-        block.append((
-            k,
-            state.f_y,
-            gnorm,
-            (f_z <= state.f_y) if variant == "mapm" else None,
-            state.x,
-            state.y,
-            G,
-            f_z,
-        ))
-        stop = stops(k, gnorm)
-        if stop:
+def _blocks(steps, stops, rows):
+    """Yield `iterate`'s rows as Trace blocks, each of `rows` rows plus the
+    first row of the next block, up to and including the first record k where
+    stops(k, ||G_k||), the last row of the last block (so rows=math.inf
+    yields the whole run as one block).
+
+    Blocks overlap by one row because the certificate lines of row k read row
+    k+1.  With disjoint blocks the certificate engine would join the previous
+    block's last row onto each block, a copy of every block: that made
+    certifying the acceptance suite in process 12% slower."""
+    block = []
+    for row in steps:
+        block.append(row)
+        if stops(row[0], row[2]):
             yield _stacked(block)
             return
         if len(block) > rows:
-            last = block[-1]
             yield _stacked(block)
-            block.append(last)  # the first row of the next block
+            block.append(row)  # the first row of the next block
 
 
 def _stacked(rows: list) -> Trace:

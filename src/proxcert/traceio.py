@@ -48,8 +48,9 @@ TRACE_MAGIC = f"# proxcert-trace v{SCHEMA_VERSION}"
 _REPORT_SCHEMA_VERSION = 1
 REPORT_MAGIC = f"# proxcert-report v{_REPORT_SCHEMA_VERSION}"
 
-# Characters of a file read per block.
-_BLOCK_TEXT = 1 << 20
+# Characters of a file read per block, the size of the stream's blocks
+# (`solvers._BLOCK_BYTES`): a block's cells hold about ten times its text.
+_BLOCK_TEXT = 1 << 17
 
 
 @dataclass

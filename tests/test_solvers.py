@@ -406,7 +406,7 @@ class TestBlockStream:
         monkeypatch.setattr(solvers, "_BLOCK_BYTES", 8 * problem.dim * 7)
         config = SolverConfig(variant="mapm", max_iters=max_iters)
         steps = solvers.iterate(problem, config, np.zeros(problem.dim))
-        blocks = list(solvers._blocks(steps, "mapm", config.stops, 7))
+        blocks = list(solvers._blocks(steps, config.stops, 7))
         whole = run(problem, config, np.zeros(problem.dim))
         assert [list(b.k) for b in blocks] == [
             list(range(start, min(start + 8, max_iters + 1)))
@@ -769,27 +769,45 @@ class TestNonFiniteOracleOutput:
             trace.replayed(bad, config)
 
 
+def _named(node, name):
+    return (isinstance(node, ast.Name) and node.id == name
+            or isinstance(node, ast.Attribute) and node.attr == name)
+
+
+def _where_in_package(matches):
+    """(module, dotted name of the enclosing function) of each AST node of
+    the package's modules for which matches(node) holds, in file order."""
+    found = []
+
+    def visit(node, module, scope):
+        if matches(node):
+            found.append((module, scope))
+        if isinstance(node, ast.FunctionDef):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, scope)
+
+    for path in sorted(Path(solvers.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, "")
+    return found
+
+
 def test_step_is_called_from_iterate_alone():
     # Trace.replayed once chained a trace file's rows with a copy of the solver
     # loop; it now runs `iterate` with the stored choices
-    callers = []
+    def calls_step(node):
+        return isinstance(node, ast.Call) and _named(node.func, "step")
 
-    class Calls(ast.NodeVisitor):
-        def __init__(self, module):
-            self.module, self.scope = module, []
+    assert _where_in_package(calls_step) == [("solvers", "iterate")]
 
-        def visit_FunctionDef(self, node):
-            self.scope.append(node.name)
-            self.generic_visit(node)
-            self.scope.pop()
 
-        def visit_Call(self, node):
-            func = node.func
-            if (isinstance(func, ast.Name) and func.id == "step"
-                    or isinstance(func, ast.Attribute) and func.attr == "step"):
-                callers.append((self.module, ".".join(self.scope)))
-            self.generic_visit(node)
+def test_mapm_test_is_written_in_iterate_alone():
+    # the run, its block stream and the replay's check once each wrote
+    # F(z_k) <= F(y_k); iterate now makes the decision and yields it as the
+    # row's `accepted`, so a change of the test is one line
+    def compares_f_z_with_f_y(node):
+        return (isinstance(node, ast.Compare) and _named(node.left, "f_z")
+                and any(isinstance(op, ast.LtE) for op in node.ops)
+                and any(_named(c, "f_y") for c in node.comparators))
 
-    for path in sorted(Path(solvers.__file__).parent.glob("*.py")):
-        Calls(path.stem).visit(ast.parse(path.read_text()))
-    assert callers == [("solvers", "iterate")]
+    assert _where_in_package(compares_f_z_with_f_y) == [("solvers", "iterate")]

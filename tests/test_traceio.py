@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import asdict
 from unittest import mock
 
@@ -768,6 +769,31 @@ def test_jsonl_trace_read_in_blocks(tmp_path, block_text):
         with pytest.raises(DataCorruptionError,
                            match="trace line 21: field 'f_y' must be a number"):
             read_trace(path)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_trace_read_holds_one_block_of_cells(tmp_path, fmt):
+    # Splitting a block of text into cells holds about ten times the text.  A
+    # block of 1M characters held the whole 1-MB CSV (2-MB JSON lines) file
+    # of these 20,000 rows at once: 12.8 MB (4.0 MB) beyond the columns read.
+    n = 20_000
+    rng = np.random.default_rng(0)
+    trace = Trace(np.arange(n), rng.random(n), rng.random(n), rng.random(n) < 0.9,
+                  np.zeros((1, 5)))
+    meta = TraceMeta(variant="mapm", alpha=3.0, step=0.1, max_iters=n - 1,
+                     grad_map_tol=0.0)
+    path = tmp_path / f"trace.{fmt}"
+    write_trace(path, meta, trace, fmt)
+    read_trace(path)  # imports and caches of the first read would count
+    tracemalloc.start()
+    try:
+        _, back = read_trace(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    columns = sum(getattr(back, name).nbytes
+                  for name in ("k", "f_y", "grad_map_norm", "accepted"))
+    assert peak - columns < 3 << 20
 
 
 @pytest.mark.parametrize("key, value", [
