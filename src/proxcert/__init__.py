@@ -62,12 +62,10 @@ from .problems import (
 from .solvers import (
     IterationRecord,
     SolverConfig,
-    SolverState,
     Trace,
     constant_momentum,
     momentum,
     run,
-    step,
 )
 from .traceio import (
     TraceMeta,

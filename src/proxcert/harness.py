@@ -340,7 +340,7 @@ def compare_solvers(problem: CompositeProblem, configs: Sequence[SolverConfig],
     columns, fits = {}, {}
     length = 0
     for label, config in zip(labels, configs):
-        gaps = (run(problem, config, x0).f_y - f_star).tolist()
+        gaps = (run(problem, config, x0, iterates=False).f_y - f_star).tolist()
         columns[label] = gaps
         length = max(length, len(gaps))
         try:

@@ -8,12 +8,13 @@ From the prox point z_k = prox_{sg}(x_k - s grad f(x_k)), every variant steps
 with beta_k = k/(k+a) for apm and mapm, (1-sqrt(mu/L))/(1+sqrt(mu/L)) for
 strongly_convex_apm and none for ista, and gamma_k = (k+a-1)/(k+a) for mapm
 only.  A missing term is left out, not multiplied by 0.0: adding +0.0 would
-turn the prox's -0.0 coordinates into 0.0.  F(y_k) is computed once per
-iteration and cached in the state; the mapm test compares cached values only.
+turn the prox's -0.0 coordinates into 0.0.  F(y_k) is computed once, as
+F(z_{k-1}) or F(x_0), and kept; the mapm test compares kept values only.
 
-`iterate` is the one loop that applies the rule, and it makes each decision
-of a step once: mapm's test, and the finiteness of F(z_k) and ||G_k||.  It
-yields each step as a trace row.  Its consumers bring their own stop rules:
+`iterate` is the one loop, and the rule is written there alone: it keeps k,
+x_k, y_k and F(y_k), makes each decision of a step once (mapm's test, and
+the finiteness of F(z_k) and ||G_k||) and applies the update.  It yields
+each step as a trace row.  Its consumers bring their own stop rules:
 `run`, `Trace.replay` and both phases of `harness.reference_solution`.
 
 `_blocks` collects iterate's rows into a stream of `Trace` blocks with every
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from itertools import starmap
+from itertools import count, starmap
 from typing import Optional
 
 import numpy as np
@@ -83,16 +84,6 @@ class SolverConfig:
     def stops(self, k, grad_map_norm):
         """Whether a run stops at record k; `|` serves scalars and arrays alike."""
         return (k >= self.max_iters) | (grad_map_norm <= self.grad_map_tol)
-
-
-@dataclass
-class SolverState:
-    """Iterates after k steps; x = y at k = 0 by construction."""
-
-    k: int
-    x: Vector
-    y: Vector
-    f_y: float
 
 
 @dataclass
@@ -431,53 +422,41 @@ def momentum(problem: CompositeProblem, config: SolverConfig):
     return lambda k: k / (k + a)
 
 
-def step(config: SolverConfig, beta, state: SolverState, z: Vector,
-         f_z: float, takes_z) -> SolverState:
-    """One iteration of the shared rule from z = z_k and f_z = F(z_k).
-
-    beta is momentum(problem, config).  takes_z is the choice of y_{k+1}
-    that `iterate` makes: z_k if true, else y_k.  mapm ties accept, so its
-    cached F(y_k) never increases; while every step accepts, the gamma term
-    is exactly zero and the (x, y) sequences coincide with apm's.
-    """
-    k = state.k
-    y, f_y = (z, f_z) if takes_z else (state.y, state.f_y)
-    x = y
-    if beta is not None:
-        x = x + beta(k) * (y - state.y)
-    if config.variant == "mapm":
-        a = config.alpha
-        x = x + ((k + a - 1.0) / (k + a)) * (z - y)
-    return SolverState(k=k + 1, x=x, y=y, f_y=f_y)
-
-
 def iterate(problem: CompositeProblem, config: SolverConfig, x0, choices=None):
     """Yield the trace row of each k = 0, 1, ... from x_0 = y_0: a tuple in
     the order of Trace's columns, (k, F(y_k), ||G_k||, accepted, x_k, y_k,
     G_k, F(z_k)).
 
-    Steps to state k+1 when resumed; never stops.  Each decision of a step is
-    made here once.  `accepted` is mapm's test F(z_k) <= F(y_k), and None
-    for the other variants.  y_{k+1} is z_k where choices[k] is true and y_k
-    where it is false; without `choices`, z_k unless `accepted` is false.  A
-    run's own choices (a trace's `accepted`) thus give its iterates again bit
-    for bit.  x_0 and the step are checked once; a non-finite F(z_k) or
-    ||G_k|| raises RejectedInputError naming k.
+    Steps to k+1 when resumed; never stops.  The whole rule is written here,
+    and each decision of a step is made once.  `accepted` is mapm's test
+    F(z_k) <= F(y_k), and None for the other variants.  y_{k+1} is z_k where
+    choices[k] is true and y_k where it is false; without `choices`, z_k
+    unless `accepted` is false.  A run's own choices (a trace's `accepted`)
+    thus give its iterates again bit for bit.  mapm ties accept, so its F(y_k)
+    never increases; while every step accepts, the gamma term is exactly zero
+    and the (x, y) sequences are apm's.  x_0 and the step are checked once; a
+    non-finite F(z_k) or ||G_k|| raises RejectedInputError naming k.
     """
-    x0 = as_vector(x0, problem.dim)
+    x = y = as_vector(x0, problem.dim)
     s = bind_step(problem.smooth.lipschitz, config.step)
     beta = momentum(problem, config)
-    monotone = config.variant == "mapm"
-    state = SolverState(k=0, x=x0, y=x0, f_y=problem.value(x0))
-    while True:
-        k = state.k
-        z, G = prox_gradient(problem, s, state.x)
+    monotone, a = config.variant == "mapm", config.alpha
+    f_y = problem.value(y)
+    for k in count():
+        z, G = prox_gradient(problem, s, x)
         f_z = require_finite(k, "F(z_k)", problem.value(z))
         gnorm = require_finite(k, "||G_k||", norm(G))
-        accepted = f_z <= state.f_y if monotone else None
-        yield k, state.f_y, gnorm, accepted, state.x, state.y, G, f_z
+        accepted = f_z <= f_y if monotone else None
+        yield k, f_y, gnorm, accepted, x, y, G, f_z
         takes_z = choices[k] if choices is not None else accepted is not False
-        state = step(config, beta, state, z, f_z, takes_z)
+        y_k = y
+        if takes_z:
+            y, f_y = z, f_z
+        x = y
+        if beta is not None:
+            x = x + beta(k) * (y - y_k)
+        if monotone:
+            x = x + ((k + a - 1.0) / (k + a)) * (z - y)
 
 
 def run(problem: CompositeProblem, config: SolverConfig, x0,

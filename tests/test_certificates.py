@@ -177,6 +177,11 @@ class TestProp2:
         with pytest.raises(RejectedInputError):
             prop2_rhs(ctx, 1, np.ones(1), np.zeros(1), np.ones(1))
 
+    @pytest.mark.parametrize("free", ["omega", "lam", "sigma"])
+    def test_requires_positive_free_parameters(self, free):
+        with pytest.raises(RejectedInputError, match="omega, lam, sigma must all be > 0"):
+            prop2_rhs(make_ctx(), 1, np.ones(1), np.zeros(1), np.ones(1), **{free: 0.0})
+
     def test_bounds_energy_on_strongly_convex_lasso(self):
         ctx, records = certified_trace(random_lasso(7, 25, 25), max_iters=400)
         energies = [energy(ctx, r.k, r.x, r.y, r.f_y) for r in records]
@@ -413,8 +418,9 @@ class TestCertifyTrace:
         ("f_star", float("inf"), "f_star must be a finite number"),
         ("f_star", float("-inf"), "f_star must be a finite number"),
         ("f_star", 10 ** 400, "f_star must be a finite number"),
+        ("mu", 2.0, "need L >= mu >= 0"),
     ], ids=["alpha-inf", "alpha-nan", "alpha-2.0", "f_star-nan", "f_star-inf",
-            "f_star--inf", "f_star-1e400-int"])
+            "f_star--inf", "f_star-1e400-int", "mu-above-L"])
     def test_rejects_alpha_or_f_star_outside_their_rules(self, field, value, message):
         # alpha = inf passed `alpha >= 3` and certify_trace raised OverflowError;
         # a verdict against a NaN or infinite F* reported violations

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import re
+import runpy
 import subprocess
 import sys
 import tempfile
@@ -18,8 +19,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from proxcert import (EnergyContext, SolverConfig, certify_trace, cli, random_lasso,
-                      random_quadratic, reference_solution, run, solvers, traceio)
+from proxcert import (ConfigurationError, EnergyContext, SolverConfig, certify_trace, cli,
+                      random_lasso, random_quadratic, reference_solution, run, solvers,
+                      traceio)
 from proxcert.cli import SOLVER_NAMES, main
 from proxcert.errors import SETTING_RULES
 from proxcert.traceio import read_report, read_trace
@@ -96,6 +98,32 @@ class TestRunCommand:
         assert [r.k for r in records] == [0]
         assert run_cli("certify", "--trace", str(trace),
                        "--report", str(tmp_path / "r.csv")) == 0
+
+    @pytest.mark.parametrize("seed, flags, message", [
+        ("abc", (), "PROXCERT_SEED must be an integer, got 'abc'"),
+        (None, ("--step-mode", "bogus"), "unknown step-mode 'bogus'; valid: "
+                                         "half-inverse-L, inverse-L, explicit:<value>"),
+        (None, ("--step-mode", "explicit:abc"), "bad explicit step in 'explicit:abc'"),
+    ], ids=["PROXCERT_SEED=abc", "bogus", "explicit:abc"])
+    def test_bad_seed_or_step_mode_exits_2(self, tmp_path, capsys, monkeypatch, seed,
+                                           flags, message):
+        if seed is not None:
+            monkeypatch.setenv("PROXCERT_SEED", seed)
+        out = tmp_path / "t.csv"
+        assert run_cli(*quadratic_run_args(out, flags)) == 2
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert not out.exists()
+
+    def test_l_relative_step_needs_positive_l(self):
+        with pytest.raises(ConfigurationError, match="L-relative step modes need L > 0"):
+            cli.resolve_step("inverse-L", 0.0)
+
+    def test_python_m_proxcert_help_exits_0(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["proxcert", "--help"])
+        with pytest.raises(SystemExit) as info:
+            runpy.run_module("proxcert", run_name="__main__")
+        assert info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: proxcert")
 
     def test_determinism_same_seed_identical_bytes(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -293,15 +321,26 @@ class TestCertifyCommand:
                        "--report", str(tmp_path / "r.csv"))
         assert code == 2
 
-    @pytest.mark.parametrize("text", ["hello world\n", ""], ids=["hello", "empty"])
-    def test_garbage_trace_file_exits_2(self, tmp_path, capsys, text):
+    @pytest.mark.parametrize("text, message", [
+        ("hello world\n", "file is not a proxcert trace: its header 'hello world' is not JSON"),
+        ("", "file is not a proxcert trace: its header '' is not JSON"),
+        ("# proxcert-trace v5\nk,f_y,grad_map_norm,accepted,x\n", "malformed trace file header"),
+    ], ids=["hello", "empty", "no-meta"])
+    def test_garbage_trace_file_exits_2(self, tmp_path, capsys, text, message):
         trace = tmp_path / "garbage.csv"
         trace.write_text(text)
         code = run_cli("certify", "--trace", str(trace),
                        "--report", str(tmp_path / "r.csv"))
         assert code == 2
-        assert ("configuration error: file is not a proxcert trace: its header "
-                f"{text.strip()!r} is not JSON") in capsys.readouterr().err
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_trace_without_a_problem_needs_the_flag(self, tmp_path, capsys, fmt):
+        trace = short_trace(tmp_path, fmt)
+        edit_meta(trace, fmt, lambda meta: {**meta, "problem": None})
+        assert certify_cli(trace, tmp_path) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: trace carries no problem spec; pass --problem\n")
 
 
 # An int that a JSON file can hold and a float cannot.
@@ -1015,6 +1054,11 @@ class TestCompareCommand:
           "max_iters": 2.5}, "max_iters must be an integer >= 0, got 2.5"),
         ({"problem": {"name": "quadratic", "dim": 4}, "solver": "ista",
           "max_iters": "3"}, "max_iters must be an integer >= 0, got '3'"),
+        # an unknown solver, and an unknown problem family
+        ({"problem": {"name": "quadratic", "dim": 4}, "solver": "bfgs"},
+         "unknown solver 'bfgs'; valid options: ista, apm, mapm, strongly-convex-apm"),
+        ({"problem": {"name": "svm", "dim": 4}, "solver": "ista"},
+         "unknown problem 'svm'; valid options: quadratic, lasso, box-quadratic"),
     ])
     def test_spec_missing_key_exits_2(self, tmp_path, capsys, spec, missing):
         other = {"problem": {"name": "quadratic", "dim": 4}, "solver": "mapm"}

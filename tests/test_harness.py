@@ -1,5 +1,7 @@
 """Reference solutions, suite generation, rate fitting, and comparisons."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,8 @@ class TestFitLinearRate:
             fit_linear_rate([0.0, 0.0, 0.0])
         with pytest.raises(FitUnavailableError):
             fit_linear_rate([1.0, 0.5], window=(5, 9))
+        with pytest.raises(FitUnavailableError, match="fewer than two positive gaps"):
+            fit_linear_rate([1.0, 0.5, 0.0, 0.25], window=(1, 4))
 
     def test_noise_floor_exclusion(self):
         # Gaps below 1e2 * 1e-14 * |F*| * k drop out of the default window.
@@ -219,3 +223,17 @@ class TestCompareSolvers:
         assert cmp_.labels == ["mapm", "mapm#2", "mapm#3"]
         columns = [tuple(cmp_.gaps[label]) for label in cmp_.labels]
         assert len(set(columns)) == 3
+
+    def test_holds_no_column(self):
+        # compare reads only F(y_k), but ran each solver with its iterates: at
+        # d = 200 and 1000 steps it peaked at 6.9 MB, each run's x, y and G
+        p = random_quadratic(1, 200, 100)
+        configs = [SolverConfig(variant=v, max_iters=1000) for v in ("ista", "apm", "mapm")]
+        tracemalloc.start()
+        try:
+            cmp_ = compare_solvers(p, configs, np.zeros(p.dim))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cmp_.ks == list(range(1001))
+        assert peak < 1001 * p.dim * 8  # one (n, d) column

@@ -17,6 +17,7 @@ from proxcert import (
     quadratic_problem,
     zero_regularizer,
 )
+from proxcert.problems import as_vector
 
 
 def finite_difference_gradient_check(oracle, x, h):
@@ -69,6 +70,10 @@ class TestQuadraticProblem:
         with pytest.raises(RejectedInputError):
             quadratic_problem(np.array([[1.0, 2.0], [0.0, 1.0]]), np.zeros(2))
 
+    def test_rejects_non_square(self):
+        with pytest.raises(RejectedInputError, match=r"Q must be square, got shape \(2, 3\)"):
+            quadratic_problem(np.ones((2, 3)), np.zeros(2))
+
     def test_rejects_indefinite(self):
         with pytest.raises(RejectedInputError):
             quadratic_problem(np.diag([1.0, -1.0]), np.zeros(2))
@@ -77,6 +82,11 @@ class TestQuadraticProblem:
         p = quadratic_problem(np.eye(2), np.array([1.0, 1.0]))
         with pytest.raises(RejectedInputError):
             p.with_reference(np.array([5.0, 5.0]), 0.0)
+
+    def test_rejects_known_optimum_other_than_f_of_the_minimizer(self):
+        p = quadratic_problem(np.diag([1.0, 0.0]), np.zeros(2))
+        with pytest.raises(RejectedInputError, match="known_optimum is inconsistent"):
+            p.with_reference(np.zeros(2), 1e-6)
 
 
 class TestLassoProblem:
@@ -104,6 +114,10 @@ class TestLassoProblem:
     def test_rejects_nonpositive_lam(self):
         with pytest.raises(RejectedInputError):
             lasso_problem(np.eye(2), np.zeros(2), 0.0)
+
+    def test_rejects_a_vector_as_a(self):
+        with pytest.raises(RejectedInputError, match=r"A must be a matrix, got shape \(2,\)"):
+            lasso_problem(np.ones(2), np.zeros(2), 0.5)
 
     @pytest.mark.parametrize("lam", [float("nan"), float("inf"), "0.5", True])
     def test_rejects_lam_outside_its_rule(self, lam):
@@ -258,6 +272,16 @@ class TestSmoothOracleBounds:
             for _ in range(10):
                 x = rng.standard_normal(dim)
                 assert finite_difference_gradient_check(oracle, x, 1e-5) <= 1e-5
+
+
+class TestAsVector:
+    def test_a_scalar_is_a_1_vector(self):
+        v = as_vector(3.0)
+        assert v.shape == (1,) and v[0] == 3.0
+
+    def test_rejects_a_matrix(self):
+        with pytest.raises(RejectedInputError, match=r"expected a 1-D vector, got shape \(2, 2\)"):
+            as_vector(np.eye(2))
 
 
 class TestSmoothOracleValidation:

@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import itertools
 import math
 import re
 from pathlib import Path
@@ -16,13 +17,11 @@ from proxcert import (
     ReferenceUnavailableError,
     RejectedInputError,
     SolverConfig,
-    SolverState,
     constant_momentum,
     descent_lemma_sides,
     inertial_residual,
     l1_regularizer,
     lasso_problem,
-    momentum,
     quadratic_problem,
     random_box_quadratic,
     random_lasso,
@@ -32,7 +31,6 @@ from proxcert import (
     generate_suite,
     run,
     solvers,
-    step,
 )
 from proxcert.errors import VARIANTS
 from proxcert.problems import prox_gradient
@@ -44,16 +42,32 @@ def scalar_l1_problem():
     return CompositeProblem(smooth=base.smooth, nonsmooth=l1_regularizer(1.0), dim=1)
 
 
-def take_step(problem, config, state):
-    """One step of the shared rule from state, with z_k and F(z_k) as run() has them."""
-    z, _ = prox_gradient(problem, config.step, state.x)
-    f_z = problem.value(z)
-    return step(config, momentum(problem, config), state, z, f_z, takes_z(config, state, f_z))
-
-
-def takes_z(config, state, f_z):
-    """The rule's choice of y_{k+1} = z_k: mapm's test, or always."""
-    return config.variant != "mapm" or f_z <= state.f_y
+def transcription(problem, variant, s, x0, alpha=3.0,
+                  chooses=lambda k, accepted: accepted is not False):
+    """README's variant table transcribed step by step, sharing no code with
+    `solvers`: yield (k, F(y_k), ||G_k||, accepted, x_k, y_k, G_k, F(z_k)) for
+    k = 0, 1, ...  y_{k+1} = z_k if chooses(k, accepted), else y_k; by
+    default, unless mapm's test F(z_k) <= F(y_k) fails."""
+    if variant == "strongly_convex_apm":
+        r = math.sqrt(problem.smooth.strong_convexity / problem.smooth.lipschitz)
+        beta = (1.0 - r) / (1.0 + r)
+    x = y = x0
+    f_y = problem.value(x0)
+    for k in itertools.count():
+        z, big_g = prox_gradient(problem, s, x)
+        f_z = problem.value(z)
+        accepted = f_z <= f_y if variant == "mapm" else None
+        yield k, f_y, float(np.linalg.norm(big_g)), accepted, x, y, big_g, f_z
+        y_k = y
+        if chooses(k, accepted):
+            y, f_y = z, f_z
+        x = y
+        if variant in ("apm", "mapm"):
+            x = x + (k / (k + alpha)) * (y - y_k)
+        elif variant == "strongly_convex_apm":
+            x = x + beta * (y - y_k)
+        if variant == "mapm":
+            x = x + ((k + alpha - 1.0) / (k + alpha)) * (z - y)
 
 
 def random_lasso_matrices(seed, rows, cols):
@@ -87,16 +101,18 @@ class TestGradientMapping:
 class TestIstaStep:
     def test_hand_computed_step(self):
         p = quadratic_problem(np.eye(1), np.zeros(1))
-        state = SolverState(k=0, x=np.array([1.0]), y=np.array([1.0]), f_y=0.5)
-        nxt = take_step(p, SolverConfig(variant="ista", step=1.0), state)
+        nxt = run(p, SolverConfig(variant="ista", step=1.0, max_iters=1), np.array([1.0]))[1]
         assert nxt.x[0] == 0.0 and nxt.y[0] == 0.0 and nxt.k == 1
 
-    def test_fixed_point_at_minimizer(self):
-        p = quadratic_problem(np.diag([2.0, 0.5]), np.array([1.0, 1.0]))
+    @pytest.mark.parametrize("p", [quadratic_problem(np.diag([2.0, 0.5]), np.array([1.0, 1.0])),
+                                   random_quadratic(3, 5, 10)], ids=["diagonal", "random"])
+    def test_fixed_point_at_minimizer(self, p):
+        # from x*, ista stays there until G_k is exactly 0, where the run stops
         x_star = p.known_minimizer
-        state = SolverState(k=3, x=x_star, y=x_star, f_y=p.value(x_star))
-        nxt = take_step(p, SolverConfig(variant="ista", step=0.25), state)
-        assert np.allclose(nxt.x, x_star, atol=1e-10)
+        trace = run(p, SolverConfig(variant="ista", step=0.25, max_iters=50), x_star)
+        assert trace.grad_map_norm[-1] == 0.0
+        assert np.allclose(trace.x, x_star, atol=1e-10)
+        assert np.allclose(trace.y, x_star, atol=1e-10)
 
     def test_monotone_along_lasso_trace(self):
         a, b = random_lasso_matrices(42, 50, 100)
@@ -126,9 +142,7 @@ class TestIstaStep:
 class TestApmStep:
     def test_first_step_has_no_momentum(self):
         p = quadratic_problem(np.diag([1.0, 3.0]), np.array([1.0, 0.0]))
-        x0 = np.array([2.0, 2.0])
-        state = SolverState(k=0, x=x0, y=x0, f_y=p.value(x0))
-        nxt = take_step(p, SolverConfig(variant="apm", step=0.1), state)
+        nxt = run(p, SolverConfig(variant="apm", step=0.1, max_iters=1), np.array([2.0, 2.0]))[1]
         assert np.array_equal(nxt.x, nxt.y)
 
     def test_huge_alpha_matches_ista(self):
@@ -144,8 +158,8 @@ class TestApmStep:
     def test_hand_computed_step(self):
         # Q = I, b = 0, s = 1/2, x0 = y0 = 1: y1 = 1/2 and x1 = 1/2 (no momentum).
         p = quadratic_problem(np.eye(1), np.zeros(1))
-        state = SolverState(k=0, x=np.array([1.0]), y=np.array([1.0]), f_y=0.5)
-        nxt = take_step(p, SolverConfig(variant="apm", alpha=3.0, step=0.5), state)
+        config = SolverConfig(variant="apm", alpha=3.0, step=0.5, max_iters=1)
+        nxt = run(p, config, np.array([1.0]))[1]
         assert nxt.y[0] == 0.5 and nxt.x[0] == 0.5
 
     def test_alpha_below_three_rejected(self):
@@ -182,24 +196,27 @@ class TestMapmStep:
         # x_1 = y_1 + ((alpha-1)/alpha)(z_0 - y_1).
         p = scalar_l1_problem()
         x0 = np.array([3.0])
-        state = SolverState(k=0, x=x0, y=x0, f_y=p.value(x0))
-        cfg = SolverConfig(variant="mapm", alpha=3.0, step=1.0)
+        cfg = SolverConfig(variant="mapm", alpha=3.0, step=1.0, max_iters=1)
         z, _ = prox_gradient(p, 1.0, x0)
-        nxt = take_step(p, cfg, state)
+        nxt = run(p, cfg, x0)[1]
         expected = nxt.y + (2.0 / 3.0) * (z - nxt.y)
         assert np.allclose(nxt.x, expected, atol=1e-15)
 
-    def test_rejection_branch(self):
-        # y at the minimizer, x far away: F(z) > F(y) forces
-        # y_{k+1} = y_k and x_{k+1} = y_k + ((k+a-1)/(k+a))(z_k - y_k).
-        p = quadratic_problem(np.eye(1), np.zeros(1))
-        state = SolverState(k=1, x=np.array([2.0]), y=np.array([0.0]), f_y=0.0)
-        cfg = SolverConfig(variant="mapm", alpha=3.0, step=0.5)
-        z, _ = prox_gradient(p, 0.5, state.x)
-        nxt = take_step(p, cfg, state)
-        assert nxt.f_y == 0.0
-        assert np.array_equal(nxt.y, state.y)
-        assert np.allclose(nxt.x, state.y + (3.0 / 4.0) * (z - state.y), atol=1e-15)
+    @pytest.mark.parametrize("problem", [random_quadratic(1, 4, 100), random_lasso(3, 10, 20),
+                                         random_box_quadratic(2, 4)], ids=lambda p: p.name)
+    def test_rejected_rows(self, problem):
+        # F(z_k) > F(y_k) forces y_{k+1} = y_k and
+        # x_{k+1} = y_k + ((k+a-1)/(k+a))(z_k - y_k): the beta term is zero
+        s = 0.5 / problem.smooth.lipschitz
+        trace = run(problem, SolverConfig(variant="mapm", alpha=3.0, max_iters=200),
+                    np.zeros(problem.dim))
+        rejected = [row for row in trace[:-1] if row.accepted is False]
+        assert len(rejected) >= 40
+        for row in rejected:
+            nxt, k = trace[row.k + 1], row.k
+            z, _ = prox_gradient(problem, s, row.x)
+            assert same_bits(nxt.y, row.y) and nxt.f_y == row.f_y
+            assert np.array_equal(nxt.x, row.y + ((k + 2.0) / (k + 3.0)) * (z - row.y))
 
     def test_monotone_by_construction_everywhere(self):
         a, b = random_lasso_matrices(9, 30, 60)
@@ -231,10 +248,10 @@ class TestStronglyConvexStep:
     def test_mu_equal_l_reduces_to_ista(self):
         p = quadratic_problem(np.eye(2), np.array([1.0, -1.0]))
         x0 = np.array([3.0, 3.0])
-        state = SolverState(k=2, x=x0, y=np.array([2.5, 2.0]), f_y=p.value(x0))
-        sc = take_step(p, SolverConfig(variant="strongly_convex_apm", step=0.5), state)
-        it = take_step(p, SolverConfig(variant="ista", step=0.5), state)
-        assert np.allclose(sc.x, it.x, atol=1e-15)
+        sc = run(p, SolverConfig(variant="strongly_convex_apm", step=0.4, max_iters=20), x0)
+        it = run(p, SolverConfig(variant="ista", step=0.4, max_iters=20), x0)
+        assert len(sc) == len(it) == 21
+        assert np.array_equal(sc.x, it.x) and np.array_equal(sc.y, it.y)
 
     def test_rejects_mu_zero(self):
         p = lasso_problem(np.array([[1.0, 1.0]]), np.array([1.0]), 0.1)
@@ -283,6 +300,11 @@ class TestRunDriver:
         p = quadratic_problem(np.eye(2), np.zeros(2))
         with pytest.raises(ConfigurationError):
             run(p, SolverConfig(variant="mapm", step=2.0, max_iters=5), np.ones(2))
+
+    @pytest.mark.parametrize("error", [ConfigurationError, RejectedInputError])
+    def test_no_default_step_when_l_is_0(self, error):
+        with pytest.raises(error, match="cannot default the step size when L = 0"):
+            solvers.bind_step(0.0, None, error)
 
     @pytest.mark.parametrize("x0", [[np.nan, 0.0], [0.0, np.inf], [0.0, 0.0, 0.0]])
     def test_rejects_a_bad_x0(self, x0):
@@ -345,20 +367,13 @@ class TestTraceIdentities:
 
 
 def checked_run(problem, config, x0):
-    """run() rebuilt row by row from bind_step, prox_gradient, step and
-    np.linalg.norm."""
-    s = solvers.bind_step(problem.smooth.lipschitz, config.step)
-    beta = momentum(problem, config)
-    state = SolverState(k=0, x=x0, y=x0, f_y=problem.value(x0))
+    """run()'s rows rebuilt by the transcription, up to its stop rule."""
     rows = []
-    while True:
-        z, big_g = prox_gradient(problem, s, state.x)
-        f_z = problem.value(z)
-        gnorm = float(np.linalg.norm(big_g))
-        rows.append((state.k, state.f_y, gnorm, f_z, state.x, state.y, big_g))
-        if gnorm <= config.grad_map_tol or state.k >= config.max_iters:
+    for row in transcription(problem, config.variant, config.step, x0, config.alpha):
+        rows.append(row)
+        k, _, gnorm = row[:3]
+        if gnorm <= config.grad_map_tol or k >= config.max_iters:
             return rows
-        state = step(config, beta, state, z, f_z, takes_z(config, state, f_z))
 
 
 def bits(v):
@@ -390,8 +405,9 @@ class TestRunBitIdentity:
             records = run(problem, config, x0)
             expected = checked_run(problem, config, x0)
             assert len(records) == len(expected)
-            for rec, (k, f_y, gnorm, f_z, x, y, big_g) in zip(records, expected):
-                assert (rec.k, rec.f_y, rec.grad_map_norm, rec.f_z) == (k, f_y, gnorm, f_z)
+            for rec, (k, f_y, gnorm, accepted, x, y, big_g, f_z) in zip(records, expected):
+                assert ((rec.k, rec.f_y, rec.grad_map_norm, rec.accepted, rec.f_z)
+                        == (k, f_y, gnorm, accepted, f_z))
                 for got, want in ((rec.x, x), (rec.y, y), (rec.grad_map, big_g)):
                     assert np.array_equal(bits(got), bits(want)), (variant, k)
 
@@ -560,18 +576,13 @@ class TestReplay:
         """The columns a trace file stores of a mapm run that takes the other
         choice of y_{k+1} at k = flip, as another BLAS build may where F(z_k)
         ties F(y_k)."""
-        s = 0.5 / problem.smooth.lipschitz
-        beta = momentum(problem, config)
-        state = SolverState(k=0, x=x0, y=x0, f_y=problem.value(x0))
-        rows = []
-        for k in range(config.max_iters + 1):
-            z, big_g = prox_gradient(problem, s, state.x)
-            f_z = problem.value(z)
-            accepted = bool(f_z <= state.f_y) != (k == flip)
-            rows.append((k, state.f_y, solvers.norm(big_g), accepted, state.x))
-            state = step(config, beta, state, z, f_z, accepted)
-        k, f_y, gnorm, accepted, x = zip(*rows)
-        return solvers.Trace(k, f_y, gnorm, accepted, x)
+        def chooses(k, accepted):
+            return accepted != (k == flip)
+
+        rows = transcription(problem, "mapm", 0.5 / problem.smooth.lipschitz, x0,
+                             config.alpha, chooses)
+        k, f_y, gnorm, accepted, x, *_ = zip(*itertools.islice(rows, config.max_iters + 1))
+        return solvers.Trace(k, f_y, gnorm, list(map(chooses, k, accepted)), x)
 
     @pytest.mark.parametrize("start, judged", [("zeros", True), ("near x*", False)])
     def test_accepted_is_not_judged_where_f_z_ties_f_y(self, start, judged):
@@ -599,6 +610,7 @@ class TestReplay:
 
     def test_empty_trace_replays_to_empty_columns(self):
         problem, config, trace = self.mapm_trace()
+        assert list(trace[:0].replay(problem, config)) == []
         replayed = trace[:0].replayed(problem, config)
         assert len(replayed) == 0 and replayed.f_z.shape == (0,)
         for column in (replayed.x, replayed.y, replayed.grad_map):
@@ -624,53 +636,48 @@ class TestReplay:
 
 
 def checked_reference(problem, budget):
-    """reference_solution's long run rebuilt in chunks of 25 steps from
-    prox_gradient, after its own bind_step, and step.  Returns (x*, F*,
-    residual), or the text of the ReferenceUnavailableError it should raise."""
-    s = solvers.bind_step(problem.smooth.lipschitz, 0.5 / problem.smooth.lipschitz)
+    """reference_solution's long run rebuilt by the transcription, in chunks
+    of 25 steps.  Returns (x*, F*, residual), or the text of the
+    ReferenceUnavailableError it should raise."""
+    s = 0.5 / problem.smooth.lipschitz
 
-    def advance(config, state, steps):
-        beta = momentum(problem, config)
-        for _ in range(steps):
-            z, _ = prox_gradient(problem, s, state.x)
-            f_z = problem.value(z)
-            state = step(config, beta, state, z, f_z, takes_z(config, state, f_z))
-        return state
+    def advance(rows, steps):  # (y_k, F(y_k)) of the last of `steps` more rows
+        *_, (_, f_y, _, _, _, y, _, _) = itertools.islice(rows, steps)
+        return y, f_y
 
-    def y_residual(state):
-        _, big_g = prox_gradient(problem, s, state.y)
+    def y_residual(y):
+        _, big_g = prox_gradient(problem, s, y)
         return float(np.linalg.norm(big_g))
 
-    def met(state, residual, tol=0.5 * 1e-12):
-        return residual <= tol * (1.0 + float(np.linalg.norm(state.y)))
+    def met(y, residual, tol=0.5 * 1e-12):
+        return residual <= tol * (1.0 + float(np.linalg.norm(y)))
 
-    x0 = np.zeros(problem.dim)
-    state = SolverState(k=0, x=x0, y=x0, f_y=problem.value(x0))
-    mapm = SolverConfig(variant="mapm", alpha=3.0, step=s)
+    rows = transcription(problem, "mapm", s, np.zeros(problem.dim))
+    y, f_y = advance(rows, 1)
     best, stalled, spent = np.inf, 0, 0
     while spent < budget and stalled < 80:
         steps = min(25, budget - spent)
-        state, spent = advance(mapm, state, steps), spent + steps
-        residual = y_residual(state)
-        if met(state, residual):
+        (y, f_y), spent = advance(rows, steps), spent + steps
+        residual = y_residual(y)
+        if met(y, residual):
             break
         if residual < 0.98 * best:
             best, stalled = residual, 0
         else:
             stalled += 1
-    if not met(state, residual):
-        ista = SolverConfig(variant="ista", step=s)
-        state = SolverState(k=0, x=state.y, y=state.y, f_y=state.f_y)
+    if not met(y, residual):
+        rows = transcription(problem, "ista", s, y)
+        y, f_y = advance(rows, 1)
         while spent < budget:
             steps = min(25, budget - spent)
-            state, spent = advance(ista, state, steps), spent + steps
-            residual = y_residual(state)
-            if met(state, residual):
+            (y, f_y), spent = advance(rows, steps), spent + steps
+            residual = y_residual(y)
+            if met(y, residual):
                 break
-    if not met(state, residual, tol=1e-12):
+    if not met(y, residual, tol=1e-12):
         return (f"budget {budget} exhausted with residual {residual:.3e}; "
                 "certificates needing F* must be skipped")
-    return state.y, state.f_y, residual
+    return y, f_y, residual
 
 
 def without_reference(problem):
@@ -792,13 +799,19 @@ def _where_in_package(matches):
     return found
 
 
-def test_step_is_called_from_iterate_alone():
-    # Trace.replayed once chained a trace file's rows with a copy of the solver
-    # loop; it now runs `iterate` with the stored choices
-    def calls_step(node):
-        return isinstance(node, ast.Call) and _named(node.func, "step")
+def test_the_update_is_written_in_iterate_alone():
+    # the update once lived in `step`, which `iterate` alone called with its
+    # state; mapm's gamma_k and the beta_k that `momentum` resolves are now
+    # applied where the step's decisions are made
+    def gamma(node):
+        return (isinstance(node, ast.BinOp)
+                and ast.unparse(node) == "(k + a - 1.0) / (k + a)")
 
-    assert _where_in_package(calls_step) == [("solvers", "iterate")]
+    def calls_momentum(node):
+        return isinstance(node, ast.Call) and _named(node.func, "momentum")
+
+    assert _where_in_package(gamma) == [("solvers", "iterate")]
+    assert _where_in_package(calls_momentum) == [("solvers", "iterate")]
 
 
 def test_mapm_test_is_written_in_iterate_alone():
