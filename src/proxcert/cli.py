@@ -377,7 +377,3 @@ def main(argv=None) -> int:
         # unreadable paths, truncated or non-proxcert files, bad numbers
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

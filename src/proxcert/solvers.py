@@ -21,12 +21,15 @@ each step as a trace row.  Its consumers bring their own stop rules:
 column, each of `_block_rows(d)` rows, about _BLOCK_BYTES per (rows, d)
 column, plus the first row of the next block: blocks overlap by one row, so
 that a consumer finds row k+1 in the block of row k.  It is the one stream:
-`run` takes it whole as one block (or keeps each block's stored columns), and
-`Trace.replay` checks it and hands it to the certificate engine block by
-block.  `Columns.concat` is the one join of tables, of blocks' rows or of
-certificate lines.  A trace file stores x_0 and mapm's choice `accepted`,
-but not x_k for k >= 1, y_k, G_k or F(z_k): `Trace.replay` runs `iterate`
-again from x_0 with the stored choices, so they equal `run`'s bit for bit.
+`run` takes it whole as one block, and `Trace.replay` checks it and hands it
+to the certificate engine block by block.  `run(..., iterates=False)` keeps
+only what a trace file stores, straight from `iterate`: each row's k, F(y_k),
+||G_k|| and accepted, and x_0.  `Columns.concat` is the one join of tables,
+of blocks' rows or of certificate lines.  A trace file stores x_0 and mapm's
+choice `accepted`, but not x_k for k >= 1, y_k, G_k or F(z_k):
+`Trace.replay` runs `iterate` again from x_0 with the stored choices, so they
+equal `run`'s bit for bit.  What is certified is the replay alone: the stored
+`f_y` and `grad_map_norm` are checked against it, never certified.
 
 The run contract is written once: `errors.SETTING_RULES` (each setting's rule),
 `bind_step` (s <= 1/L) and `SolverConfig.stops` (the stop rule of `run`, `certify`).
@@ -202,12 +205,6 @@ class Trace(Columns):
     _DTYPES = (np.int64, np.float64, np.float64, object, np.float64, np.float64,
                np.float64, np.float64)
 
-    def stored(self) -> "Trace":
-        """The columns of these rows that a trace file stores: the scalars,
-        and x_0 alone (a copy) if row 0 is among them, else no x."""
-        x0 = self.x[:1].copy() if len(self) and self.k[0] == 0 else None
-        return Trace(self.k, self.f_y, self.grad_map_norm, self.accepted, x0)
-
     def check(self, shape: tuple, start: int = 0) -> None:
         """DataCorruptionError, naming the row, for a k out of sequence (the
         rows are rows start, start+1, ... of their trace), a NaN scalar, a
@@ -245,9 +242,9 @@ class Trace(Columns):
                     f"trace has no {name!r} value in each of its first {rows} rows")
 
     def replayed(self, problem: CompositeProblem, config: SolverConfig) -> "Trace":
-        """The trace with `x`, `y`, `grad_map` and `f_z` of its replay: the
-        blocks of `replay` joined, each without the row the next block starts
-        with; an empty trace gives empty columns."""
+        """The trace's replay: the blocks of `replay` joined, each without the
+        row the next block starts with, so every column but `accepted` is the
+        replay's own; an empty trace gives empty columns."""
         if not len(self):  # no x_0: nothing to replay
             vectors = np.empty((0, problem.dim))
             return replace(self, x=vectors, y=vectors, grad_map=vectors, f_z=np.empty(0))
@@ -256,21 +253,22 @@ class Trace(Columns):
                              for block in self.replay(problem, config)])
 
     def replay(self, problem: CompositeProblem, config: SolverConfig):
-        """Yield the trace's rows in blocks that overlap by one row (`_blocks`):
-        the stored scalar columns, and the `x`, `y`, `grad_map` and `f_z` of
-        the run that `iterate` makes from x_0 (row 0's x) with each row's
-        choice as its `choices` (y_{k+1} = z_k, or y_k where a mapm row's
-        `accepted` is false), so they are `run`'s bit for bit.
-        Certification thus follows the choices the trace stores; the replay's
-        own `accepted`, iterate's test, is only compared with them.  `x` past
-        row 0 is not read.
+        """Yield `iterate`'s own blocks of the run from x_0 (row 0's x) with
+        each row's stored choice as its `choices` (y_{k+1} = z_k, or y_k where
+        a mapm row's `accepted` is false), in blocks that overlap by one row
+        (`_blocks`), so they are `run`'s bit for bit.  Of the stored cells only
+        `accepted` is put into a block, as the choices the replay followed; the
+        replay's own `accepted`, iterate's test, is only compared with them.
+        The stored `f_y` and `grad_map_norm` are checked, never certified, and
+        `x` past row 0 is not read.
 
-        The stored columns are checked first (`check`), and each block is
-        checked against the stored cells before it is yielded.  An x_0 that
+        The stored columns are checked first (`check`), and each block's
+        stored rows against it before it is yielded.  An x_0 that
         `iterate` refuses (record k=0), or a replay whose F(z_k) or ||G_k|| is
         not finite or whose prox refuses its point, is a DataCorruptionError
         naming the record k where the replay stopped.  Each stored cell must
-        agree with the replay, within IDENTITY_TOL relative to 1 + its scale,
+        agree with the replay, within IDENTITY_TOL relative to 1 + its scale
+        (so that a trace written under another BLAS build still replays),
         else a DataCorruptionError names the first row where one does not,
         and the field:
         - `accepted` must be true or false in every mapm row and empty in
@@ -296,7 +294,6 @@ class Trace(Columns):
 
         steps = iterate(problem, config, self.x[0], self._steps_to_z(config.variant))
         blocks = _blocks(steps, stops, _block_rows(problem.dim))
-        start = 0
         while True:
             with np.errstate(over="ignore", invalid="ignore"):
                 try:
@@ -306,12 +303,10 @@ class Trace(Columns):
                                               f"record k={reached}: {exc}") from None
                 if block is None:
                     return
-                stored = self[start:start + len(block)]
+                stored = self[block.k[0]:block.k[-1] + 1]
                 stored._check_against(block)
-                block = replace(stored, x=block.x, y=block.y, grad_map=block.grad_map,
-                                f_z=block.f_z)
-                block.check((problem.dim,), start)
-            start += len(block) - 1  # the next block starts with this one's last row
+                block = replace(block, accepted=stored.accepted)
+                block.check((problem.dim,), block.k[0])
             yield block
             del block  # not held while the next block is made
 
@@ -469,19 +464,18 @@ def run(problem: CompositeProblem, config: SolverConfig, x0,
     max_iters steps yields max_iters + 1 records; `iterate` raises
     RejectedInputError on a non-finite value.  The run is one block, so each
     vector is stacked once.  With iterates=False the Trace keeps only what a
-    trace file stores (`stored`): its scalar columns and x_0, joined from
-    blocks of `_block_rows(d)` rows, so the run holds no (n, d) column.
+    trace file stores: each row's k, F(y_k), ||G_k|| and accepted, and a copy
+    of x_0, so the run holds no (n, d) column.
     """
     steps = iterate(problem, config, x0)
     if iterates:
         return next(_blocks(steps, config.stops, math.inf))
-
-    def own(block):  # each block but the last ends with the next block's first row
-        last = config.stops(block.k[-1], block.grad_map_norm[-1])
-        return block[:len(block) if last else len(block) - 1].stored()
-
-    blocks = _blocks(steps, config.stops, _block_rows(problem.dim))
-    return Trace.concat(list(map(own, blocks)))
+    rows, x_0 = [], None
+    for k, f_y, gnorm, accepted, x, *_ in steps:
+        rows.append((k, f_y, gnorm, accepted))
+        x_0 = np.array([x]) if x_0 is None else x_0
+        if config.stops(k, gnorm):
+            return Trace(*zip(*rows), x_0)
 
 
 def _block_rows(dim: int) -> int:

@@ -13,6 +13,7 @@ import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
+from typing import NamedTuple, Optional
 
 import numpy as np
 import pytest
@@ -909,6 +910,39 @@ class TestStreamedCertify:
                             "--report", str(tmp_path / "r.csv")]) < column
 
 
+class TestToleratedEditsAreNotCertified:
+    """Replay tolerates a stored f_y within 1e-10 (1 + |F(y_k)|) of its own
+    F(y_k), so that a trace written under another BLAS build still replays;
+    the certificates read the replay's F(y_k), so such an edit leaves the
+    verdict and the report as they were."""
+
+    @pytest.fixture(scope="class")
+    def d200_pairs(self, tmp_path_factory):
+        """The `cli-quad-d200` benchmark's trace, certified, per format."""
+        def pair(fmt):
+            trace = tmp_path_factory.mktemp("d200") / f"trace.{fmt}"
+            assert run_cli("run", "--problem", "quadratic", "--dim", "200", "--cond", "100",
+                           "--seed", "101", "--solver", "mapm", "--max-iters", "2000",
+                           "--format", fmt, "--out", str(trace)) == 0
+            return certify_text(trace.read_text(), fmt)
+        return {fmt: pair(fmt) for fmt in ("csv", "jsonl")}
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @pytest.mark.parametrize("k, delta", [(1000, 5e-11), (1000, -5e-11), (1999, 5e-11)])
+    def test_f_y_moved_inside_the_band(self, tmp_path, d200_pairs, fmt, k, delta):
+        # theta_k (F(y_k) - F*) carries the edit into E_k about 2e6 times over:
+        # each edit exited 1 (energy_nonincreasing) when the stored f_y was certified
+        unedited = d200_pairs[fmt]
+        assert unedited.code == 0, unedited.err
+        trace = tmp_path / f"trace.{fmt}"
+        trace.write_text(unedited.text)
+        edit_cell(trace, fmt, k, "f_y", lambda v: v + delta)
+        assert trace.read_text() != unedited.text
+        _, code, report, err = certify_text(trace.read_text(), fmt)
+        assert code == 0, err
+        assert report == unedited.report
+
+
 class TestTraceVersions:
     """Traces are written and read as v5 only: `k, f_y, grad_map_norm,
     accepted, x` in every row, x_0 in the first row's `x` and no other."""
@@ -1416,22 +1450,27 @@ REQUIRED_COLUMNS = ["k", "f_y", "grad_map_norm", "x"]
 
 @st.composite
 def mutated_trace(draw, texts, fmt):
-    """(kind, text): a trace's text with one fault of that kind: a row
-    dropped, duplicated or swapped, the last 1 to n - 1 rows dropped (a run
-    stops only at max_iters or at the grad_map_tol test, so a shorter trace is
-    not valid), cells cut from a row, x_0 made ragged, a coordinate of x_0
-    that is not a number or is nan, a renamed column, a required cell left
-    empty (a JSON null; x's in row 0), x_0 one coordinate short, an x given
-    to a later row, or a cell that replay checks: a grad_map_norm doubled, an
-    accepted flipped or left empty, an f_y lowered by 1e-6, an apm row given
-    an accepted, or a coordinate of x_0 moved by 1e-3 (1 + its size).
-    `texts` holds the valid texts: a mapm and an apm trace."""
+    """(kind, text, valid): a trace's text with one fault of that kind, and
+    the valid trace it was made from.  The faults: a row dropped, duplicated
+    or swapped, the last 1 to n - 1 rows dropped (a run stops only at
+    max_iters or at the grad_map_tol test, so a shorter trace is not valid),
+    cells cut from a row, x_0 made ragged, a coordinate of x_0 that is not a
+    number or is nan, a renamed column, a required cell left empty (a JSON
+    null; x's in row 0), x_0 one coordinate short, an x given to a later row,
+    or a cell that replay checks: a grad_map_norm doubled, an accepted flipped
+    or left empty, an f_y lowered by 1e-6, an apm row given an accepted, or a
+    coordinate of x_0 moved by 1e-3 (1 + its size).  The IN_BAND kinds edit a
+    cell inside the band that replay tolerates: an f_y or a grad_map_norm
+    moved by a relative delta below IDENTITY_TOL, or an accepted flipped where
+    F(z_k) ties F(y_k), in a run started 1e-6 from the minimizer.  `texts`
+    holds the valid traces: a mapm, an apm and that near-minimizer mapm run."""
     kind = draw(st.sampled_from(["drop", "duplicate", "swap", "truncate", "cut",
                                  "ragged", "non_number", "nan", "rename", "blank",
                                  "shrink", "stray_x", "double_gnorm",
                                  "flip_accepted", "empty_accepted", "lower_f_y",
-                                 "apm_accepted", "move_x"]))
-    text = texts["apm" if kind == "apm_accepted" else "mapm"]
+                                 "apm_accepted", "move_x", *IN_BAND]))
+    valid = texts[{"apm_accepted": "apm", "flip_tied_accepted": "near"}.get(kind, "mapm")]
+    text = valid.text
     lines = text.splitlines()
     if fmt == "csv":
         header, columns = lines[:2], lines[2].split(",")
@@ -1480,7 +1519,12 @@ def mutated_trace(draw, texts, fmt):
     elif kind == "lower_f_y":
         col = columns.index("f_y")
         rows[i][col] = scalar(float(rows[i][col]) - 1e-6)
-    elif kind == "flip_accepted":
+    elif kind in ("f_y_in_band", "gnorm_in_band"):
+        col = columns.index("f_y" if kind == "f_y_in_band" else "grad_map_norm")
+        value = float(rows[i][col])
+        delta = draw(st.floats(-0.9, 0.9)) * solvers.IDENTITY_TOL
+        rows[i][col] = scalar(value + delta * (1.0 + abs(value)))
+    elif kind in ("flip_accepted", "flip_tied_accepted"):
         col = columns.index("accepted")
         rows[i][col] = {"true": "false", "false": "true", True: False,
                         False: True}[rows[i][col]]
@@ -1513,34 +1557,85 @@ def mutated_trace(draw, texts, fmt):
         body = [",".join(columns)] + [",".join(row) for row in rows]
     else:
         body = [json.dumps(dict(zip(columns, row))) for row in rows]
-    return kind, "\n".join(header + body) + "\n"
+    return kind, "\n".join(header + body) + "\n", valid
 
 
-@pytest.fixture(scope="module")
-def valid_trace_texts(tmp_path_factory):
-    def text(fmt, **how):
-        return short_trace(tmp_path_factory.mktemp("valid"), fmt, **how).read_text()
-    return {fmt: {"mapm": text(fmt), "apm": text(fmt, solver="apm")}
-            for fmt in ("csv", "jsonl")}
+class Certified(NamedTuple):
+    """A trace's text, and the exit code and report bytes that certify gives it."""
+
+    text: str
+    code: int
+    report: Optional[bytes]
+    err: str
 
 
-def certify_mutated(kind, text, fmt):
-    """certify a mutated trace: exit 3 (corrupt data), or exit 2 for a CSV
-    trace without one of its columns, and no traceback."""
+def certify_text(text, fmt):
+    """What `certify` gives a trace's text."""
     with tempfile.TemporaryDirectory() as work:
-        trace = Path(work) / f"trace.{fmt}"
+        trace, report = Path(work) / f"trace.{fmt}", Path(work) / "r.csv"
         trace.write_text(text)
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(err):
-            code = run_cli("certify", "--trace", str(trace),
-                           "--report", str(Path(work) / "r.csv"))
-    assert code == (2 if kind == "rename" and fmt == "csv" else 3), err.getvalue()
-    assert "Traceback" not in err.getvalue()
+            code = run_cli("certify", "--trace", str(trace), "--report", str(report))
+        return Certified(text, code, report.read_bytes() if report.exists() else None,
+                         err.getvalue())
+
+
+def near_minimizer_trace(tmp_path, fmt):
+    """A 20-iteration d5 mapm trace started 1e-6 off the minimizer, where
+    F(z_k) ties F(y_k) in every row: another BLAS build may take either
+    choice there, so replay does not judge `accepted`."""
+    spec = {"name": "quadratic", "seed": 1, "dim": 5, "cond": 10}
+    problem = cli.build_problem_from_spec(spec)
+    config = SolverConfig(variant="mapm", step=0.5 / problem.smooth.lipschitz,
+                          max_iters=20)
+    trace = run(problem, config, problem.known_minimizer + 1e-6)
+    assert np.all(np.abs(trace.f_z - trace.f_y)
+                  <= solvers.IDENTITY_TOL * (1.0 + np.abs(trace.f_y)))
+    meta = traceio.TraceMeta(**{key: getattr(config, key) for key in SETTING_RULES},
+                             problem_hash=problem.content_hash, problem=spec)
+    path = tmp_path / f"near.{fmt}"
+    traceio.write_trace(path, meta, trace, fmt)
+    return path
+
+
+@pytest.fixture(scope="module")
+def valid_trace_texts(tmp_path_factory):
+    def valid(path):
+        certified = certify_text(path.read_text(), path.suffix[1:])
+        assert certified.code == 0, certified.err
+        return certified
+
+    def texts(fmt):
+        mapm, apm = (tmp_path_factory.mktemp("valid") for _ in range(2))
+        return {"mapm": valid(short_trace(mapm, fmt)),
+                "apm": valid(short_trace(apm, fmt, solver="apm")),
+                "near": valid(near_minimizer_trace(mapm, fmt))}
+    return {fmt: texts(fmt) for fmt in ("csv", "jsonl")}
+
+
+# Edits that replay tolerates: the trace certifies as the valid one it was
+# made from, or exits 2 or 3.
+IN_BAND = ("f_y_in_band", "gnorm_in_band", "flip_tied_accepted")
+
+
+def certify_mutated(kind, text, valid, fmt):
+    """certify a mutated trace: exit 3 (corrupt data), or exit 2 for a CSV
+    trace without one of its columns, and no traceback; an IN_BAND edit may
+    instead give the valid trace's exit code and report bytes."""
+    got = certify_text(text, fmt)
+    assert "Traceback" not in got.err
+    if kind in IN_BAND and got.code not in (2, 3):
+        assert (got.code, got.report) == (valid.code, valid.report), got.err
+        return
+    assert got.code == (2 if kind == "rename" and fmt == "csv" else 3), got.err
 
 
 class TestTraceMutationsExit2Or3:
-    """Structurally broken traces exit 2 or 3, never 0 or 1, and never crash."""
+    """Structurally broken traces exit 2 or 3, never 0 or 1, and never crash;
+    a cell edited inside the band that replay tolerates gives the unedited
+    trace's verdict and report, or exits 2 or 3."""
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())

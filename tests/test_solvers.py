@@ -5,6 +5,7 @@ import dataclasses
 import itertools
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -446,6 +447,23 @@ class TestBlockStream:
         assert same_bits(stored.x, whole.x[:1])
         assert stored.y is None and stored.grad_map is None and stored.f_z is None
 
+    def test_run_without_iterates_holds_no_block_column(self):
+        # it stacked each block's x, y and G and then kept x_0: 614 KB here
+        problem = random_quadratic(1, 1000, 100)
+        config = SolverConfig(variant="mapm", max_iters=200)
+        x0 = np.zeros(problem.dim)
+        run(problem, config, x0, iterates=False)  # what a first run allocates once
+        tracemalloc.start()
+        try:
+            trace = run(problem, config, x0, iterates=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < solvers._BLOCK_BYTES  # one (rows, d) column of a block
+        assert len(trace) == 201 and trace.x.shape == (1, problem.dim)
+        x0 += 1.0  # the caller's x_0 is not the trace's
+        assert not trace.x.any()
+
 
 def applicable_variants(problem):
     return [v for v in VARIANTS if v != "strongly_convex_apm"
@@ -490,6 +508,29 @@ class TestReplay:
         config = SolverConfig(variant="mapm", max_iters=20)
         x0 = problem.known_minimizer + 1e-6 if near_minimizer else np.zeros(5)
         return problem, config, run(problem, config, x0)
+
+    def test_replay_yields_no_stored_cell_but_accepted(self, monkeypatch):
+        # a stored f_y that replay tolerates was certified, and theta_k
+        # (F(y_k) - F*) carried it into the energy; here every f_y and
+        # ||G_k|| is moved inside the band, and the last row, a tie, takes
+        # the other choice
+        problem, config, trace = self.mapm_trace(near_minimizer=True)
+        monkeypatch.setattr(solvers, "_BLOCK_BYTES", 8 * problem.dim * 7)
+        accepted = trace.accepted.copy()
+        accepted[-1] = not accepted[-1]
+        stored = solvers.Trace(trace.k, trace.f_y + 0.5e-10 * (1.0 + np.abs(trace.f_y)),
+                               trace.grad_map_norm * (1.0 + 0.5e-10) + 0.5e-10,
+                               accepted, trace.x[:1])
+        blocks = list(stored.replay(problem, config))
+        assert len(blocks) == 3
+        for block in blocks:
+            rows = slice(block.k[0], block.k[-1] + 1)
+            for name in ("f_y", "grad_map_norm", "x", "y", "grad_map", "f_z"):
+                assert same_bits(getattr(block, name), getattr(trace, name)[rows]), name
+            assert list(block.accepted) == list(accepted[rows])
+        replayed = stored.replayed(problem, config)
+        assert same_bits(replayed.f_y, trace.f_y)
+        assert same_bits(replayed.grad_map_norm, trace.grad_map_norm)
 
     @pytest.mark.parametrize("edit, agrees", [
         ("double", False), (2e-10, False), (-2e-10, False), (0.5e-10, True)])
