@@ -13,16 +13,19 @@ every other row.  x_k for k >= 1, y_k, G_k and F(z_k) are not stored:
 `solvers.Trace.replay` derives them from x_0 and each row's `accepted` bit
 for bit and checks the stored cells against them.
 
-Each column has a kind, which says once how its values are written as CSV
-cells and JSON values and how each is read back and checked.  `_COLUMN_KINDS`
-lists the trace columns in file order with their kinds and `_REPORT_KINDS`
-the report columns; the compare table (only written) is `k` and a gap per
-solver.  `_csv_lines` and `_jsonl_lines` encode columns of values as rows, and
-`_csv_blocks` and `_jsonl_blocks` decode blocks of rows back into columns, for
-all three files.  A CSV cell must be the writer's text for its value and a
-JSON-lines row must have every column as a key; a missing value, one not of
-its column's kind or a row that is not a JSON object is a data error naming
-the line (and the column), which `certify` reports with exit 3.
+Each column has a kind, which writes one value of its type as a CSV cell
+(`text`) or a JSON value (`to_json`) and reads one back (`cell`, `read_json`);
+an optional kind writes None as an empty cell or a null, which reads back as
+the kind's `null`.  `_COLUMN_KINDS` lists the trace columns in file order with
+their kinds and `_REPORT_KINDS` the report columns; the compare table (only
+written) is `k` and a gap per solver.  `_csv_lines` and `_jsonl_lines` encode
+columns of values as rows, for all three files.  `_csv_blocks` and
+`_jsonl_blocks` turn each line into its row's raw values, and `_blocks` reads
+those one row at a time into blocks of columns, so that the first corrupt line
+is the one named in both formats.  A CSV cell must be the writer's text for its
+value and a JSON-lines row must have every column as a key; a missing value,
+one not of its column's kind or a row that is not a JSON object is a data
+error naming the line (and the column), which `certify` reports with exit 3.
 
 No CSV cell ever needs quoting (numbers, `;`-joined numbers, true/false,
 certificate names and statuses), so rows are `,`-joined cells ending in CRLF,
@@ -34,6 +37,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from operator import attrgetter
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -49,7 +53,8 @@ _REPORT_SCHEMA_VERSION = 1
 REPORT_MAGIC = f"# proxcert-report v{_REPORT_SCHEMA_VERSION}"
 
 # Characters of a file read per block, the size of the stream's blocks
-# (`solvers._BLOCK_BYTES`): a block's cells hold about ten times its text.
+# (`solvers._BLOCK_BYTES`).  A block holds its lines and the values read so
+# far; only the row being read is split into cells.
 _BLOCK_TEXT = 1 << 17
 
 
@@ -77,21 +82,9 @@ class TraceMeta:
             raise ConfigurationError(f"trace metadata {exc}") from None
 
 
-def _fmt(value) -> str:
-    """Shortest round-trip text for one CSV cell."""
-    if value is None:
-        return ""
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
-
-
 def _fmt_vector(coordinates) -> str:
-    """The cell of a vector given as its coordinates, Python floats; an empty
-    cell for None."""
-    return "" if coordinates is None else ";".join(map(repr, coordinates))
+    """The cell of a vector given as its coordinates, Python floats."""
+    return ";".join(map(repr, coordinates))
 
 
 def _exact_float(cell: str) -> float:
@@ -109,16 +102,22 @@ def _parse_vector(cell: str) -> np.ndarray:
 
 
 class _Kind(NamedTuple):
-    """How the values of one kind of column are written and read."""
+    """How one value of a kind of column is written and read."""
 
     what: str  # what a value of the kind is, for error messages
-    optional: bool  # may be empty: an empty CSV cell or a JSON null
-    text: Callable  # value -> CSV cell
-    parse: Callable  # a block's CSV cells -> values; ValueError or KeyError
+    text: Callable  # value other than None -> CSV cell
+    cell: Callable  # CSV cell -> value; ValueError or KeyError if not of the kind
     to_json: Callable  # value other than None -> JSON value
-    is_json: Callable  # JSON value other than null -> whether it is of the kind
+    is_json: Callable  # JSON value -> whether it is of the kind
     from_json: Callable = lambda value: value  # JSON value of the kind -> value
-    null: object = None  # what a JSON null of an optional kind reads as
+    optional: bool = False  # None is written as an empty cell or a null
+    null: object = None  # what an empty cell or a null of an optional kind reads as
+
+    def read_json(self, value):
+        """The value of a JSON value of the kind; a ValueError if it is not one."""
+        if not self.is_json(value):
+            raise ValueError(value)
+        return self.from_json(value)
 
 
 def _is_int64(value) -> bool:
@@ -133,24 +132,20 @@ def _parse_int64(cell: str) -> int:
     return value
 
 
-_CSV_BOOLS = {"true": True, "false": False}
-_INT = _Kind("an integer", False, _fmt, lambda cells: list(map(_parse_int64, cells)),
-             int, _is_int64)
+_INT = _Kind("an integer", str, _parse_int64, int, _is_int64)
 # A JSON number is a float, or an int that float() takes (one in the float range).
-_FLOAT = _Kind("a number", False, _fmt, lambda cells: list(map(_exact_float, cells)),
-               float, lambda value: type(value) is float
+_FLOAT = _Kind("a number", repr, _exact_float, float,
+               lambda value: type(value) is float
                or type(value) is int and abs(value) <= _FLOAT_MAX)
-_OPT_FLOAT = _Kind("a number", True, _fmt,
-                   lambda cells: [_exact_float(c) if c else None for c in cells],
-                   float, _FLOAT.is_json)
-_OPT_BOOL = _Kind("true or false", True, _fmt,
-                  lambda cells: [_CSV_BOOLS[c] if c else None for c in cells],
-                  bool, lambda value: type(value) is bool)
-_OPT_VECTOR = _Kind("a list of numbers", True, _fmt_vector,
-                    lambda cells: [_parse_vector(c) if c else None for c in cells],
-                    lambda value: value,
+_BOOL = _Kind("true or false", lambda value: "true" if value else "false",
+              {"true": True, "false": False}.__getitem__, bool,
+              lambda value: type(value) is bool)
+_OPT_FLOAT = _FLOAT._replace(optional=True)
+_OPT_BOOL = _BOOL._replace(optional=True)
+_OPT_VECTOR = _Kind("a list of numbers", _fmt_vector, _parse_vector, lambda value: value,
                     lambda value: (isinstance(value, list)
-                                   and all(map(_FLOAT.is_json, value))))
+                                   and all(map(_FLOAT.is_json, value))),
+                    optional=True)
 
 # Every trace column, in file order, with the kind of its values; each names
 # a Trace column.  Every row has a value for each but `accepted` and `x`; the
@@ -169,27 +164,20 @@ def _json_float(x: float):
 
 def _choice(what: str, choices: tuple) -> _Kind:
     """The kind of an index into `choices`, written as the string it picks."""
-    return _Kind(what, False, choices.__getitem__,
-                 lambda cells: [choices.index(c) for c in cells],
-                 choices.__getitem__, lambda value: value in choices, choices.index)
+    return _Kind(what, choices.__getitem__, choices.index, choices.__getitem__,
+                 lambda value: value in choices, choices.index)
 
 
-_NAN = float("nan")
-_BOOL = _Kind("true or false", False, _fmt,
-              lambda cells: [_CSV_BOOLS[c] for c in cells],
-              bool, lambda value: type(value) is bool)
-_REPORT_FLOAT = _Kind("a number", True, repr,
-                      lambda cells: [_exact_float(c) if c else _NAN for c in cells],
-                      _json_float, _FLOAT.is_json, null=_NAN)
+_REPORT_FLOAT = _FLOAT._replace(optional=True, to_json=_json_float, null=float("nan"))
 _NAME = _choice("a certificate name", CertificateTable.NAMES)
 _STATUS = _choice("ok or not_applicable", CertificateTable.STATUSES)
 
 # Every report column, in file order, with the kind of its values, which are
 # those of the CertificateTable column in the same place: `name` holds an
 # index into NAMES and `status` an index into STATUSES (whether the line
-# applies).  lhs, rhs and slack hold Python floats, which `repr` writes as `_fmt`
-# does; NaN is written as `nan` in CSV and, like an infinity, as null in JSON
-# lines, and an empty cell or a null reads as NaN.
+# applies).  lhs, rhs and slack hold Python floats; NaN is written as `nan`
+# in CSV and, like an infinity, as null in JSON lines, and an empty cell or a
+# null reads as NaN.
 _REPORT_KINDS = {
     "k": _INT, "name": _NAME, "lhs": _REPORT_FLOAT, "rhs": _REPORT_FLOAT,
     "slack": _REPORT_FLOAT, "pass": _BOOL, "status": _STATUS,
@@ -199,9 +187,10 @@ _REPORT_COLUMNS = tuple(_REPORT_KINDS)
 
 def _csv_lines(names, kinds, columns) -> str:
     """CSV rows of columns of values, each cell written by its column's kind
-    and each row ending in CRLF.  `names` is unused: a CSV file names its
-    columns once, in its header."""
-    cells = [list(map(kind.text, column)) for kind, column in zip(kinds, columns)]
+    (empty for None) and each row ending in CRLF.  `names` is unused: a CSV
+    file names its columns once, in its header."""
+    cells = [["" if v is None else kind.text(v) for v in column]
+             for kind, column in zip(kinds, columns)]
     return "".join([",".join(row) + "\r\n" for row in zip(*cells)])
 
 
@@ -220,6 +209,17 @@ def _encoder(what: str, fmt: str) -> Callable:
     return _csv_lines if fmt == "csv" else _jsonl_lines
 
 
+def _header(what: str, version: int, fmt: str, names, meta: Optional[dict] = None) -> str:
+    """The header of a trace or a report (`what`) of this version.  In CSV it
+    is the magic line, a trace's `# meta` line and the column names; in JSON
+    lines one object of the file's format, `meta` and schema_version."""
+    meta = {**(meta or {}), "schema_version": version}
+    if fmt == "jsonl":
+        return json.dumps({"format": f"proxcert-{what}", **meta}) + "\n"
+    meta_line = f"# meta {json.dumps(meta)}\n" if what == "trace" else ""
+    return f"# proxcert-{what} v{version}\n{meta_line}{','.join(names)}\r\n"
+
+
 def write_trace(path, meta: TraceMeta, trace: Trace, fmt: str = "csv") -> None:
     """Write one row per record of a Trace, with its first x as x_0: `run`'s
     Trace, or `read_trace`'s, whose file it writes again byte for byte.  The
@@ -230,14 +230,8 @@ def write_trace(path, meta: TraceMeta, trace: Trace, fmt: str = "csv") -> None:
     meta.config()
     trace.require(_TRACE_COLUMNS[:-1], len(trace))
     trace.require(("x",), min(len(trace), 1))  # x_0
-    header = {**asdict(meta), "schema_version": SCHEMA_VERSION}
-    if fmt == "csv":
-        header = (f"{TRACE_MAGIC}\n# meta {json.dumps(header)}\n"
-                  f"{','.join(_TRACE_COLUMNS)}\r\n")
-    else:
-        header = json.dumps({"format": "proxcert-trace", **header}) + "\n"
     with open(path, "w", newline="") as fh:
-        fh.write(header)
+        fh.write(_header("trace", SCHEMA_VERSION, fmt, _TRACE_COLUMNS, asdict(meta)))
         for i, chunk in enumerate(trace.chunks()):
             # the scalar columns, then x, the last
             columns = [getattr(chunk, name).tolist() for name in _TRACE_COLUMNS[:-1]]
@@ -257,11 +251,6 @@ def read_trace(path):
     later row with an `x`, is a data error naming its line."""
     with open(path, newline="") as fh:
         decode, header, first_line = _read_header(fh, "trace", SCHEMA_VERSION)
-        if header is None:  # a CSV file: the header is its `# meta` line
-            meta_line = fh.readline().rstrip("\n")
-            if not meta_line.startswith("# meta "):
-                raise ConfigurationError("malformed trace file header")
-            header, first_line = _json_header(meta_line[len("# meta "):], "trace"), 3
         meta = _meta_from_dict(header)
         blocks = []
         for line_no, columns in decode("trace", fh, first_line, _COLUMN_KINDS):
@@ -288,17 +277,23 @@ def _x0(xs: list, line_no: int, first: bool):
 
 def _read_header(fh, what: str, version: int):
     """(decoder, JSON header, number of the next line) of a trace or a report
-    (`what`) of this version, from its first line: a CSV file's
-    `# proxcert-<what> v<version>` (its header is then None) or a JSON-lines
-    file's header object.  Another version, or another file, is a
-    ConfigurationError naming what it found."""
+    (`what`) of this version, from its header: a CSV file's
+    `# proxcert-<what> v<version>` line, then a trace's `# meta` line, whose
+    JSON is the header (None for a CSV report), or a JSON-lines file's header
+    object.  Another version, or another file, is a ConfigurationError naming
+    what it found."""
     first = fh.readline().rstrip("\n")
     if first.startswith("#"):
         magic = f"# proxcert-{what} v{version}"
         if first != magic:
             raise ConfigurationError(f"unsupported {what} header {first!r:.80}; "
                                      f"expected {magic!r}")
-        return _csv_blocks, None, 2
+        if what != "trace":
+            return _csv_blocks, None, 2
+        meta_line = fh.readline().rstrip("\n")
+        if not meta_line.startswith("# meta "):
+            raise ConfigurationError("malformed trace file header")
+        return _csv_blocks, _json_header(meta_line[len("# meta "):], what), 3
     header = _json_header(first, what)
     if not isinstance(header, dict) or header.get("format") != f"proxcert-{what}":
         raise ConfigurationError(f"file is not a proxcert {what}")
@@ -337,104 +332,89 @@ def _bad_field(where: str, name: str, what: str, value) -> DataCorruptionError:
     return DataCorruptionError(f"{where}: field {name!r} must be {what}, got {value!r:.80}")
 
 
-def _csv_blocks(what: str, fh, first_line: int, kinds: dict):
-    """(number of its first line, {name: values}) for each block of the CSV
-    rows of a trace or a report (`what`), for each column in `kinds`.
+def _blocks(what: str, fh, first_line: int, kinds: dict, values: Callable,
+            read: Callable, empty):
+    """(number of its first line, {name: values}) for each block of the rows of
+    a trace or a report (`what`) from line `first_line`, read one row at a time.
 
-    fh is at the file's column header, line `first_line`, which must name
-    every column in `kinds`; other columns are not read.  Each column of a
-    block is parsed by one call of its kind.
+    values(line_no, line) is the row's raw values, one per column in `kinds`
+    in its order, and read(kind) the kind's reader of one raw value, which
+    raises ValueError or KeyError on a value not of the kind.  A raw value
+    equal to `empty` of an optional kind reads as the kind's `null`; another
+    value not of its kind is a data error naming its line and column.
     """
-    names = fh.readline().rstrip("\r\n").split(",")
-    missing = [name for name in kinds if name not in names]
-    if missing:
-        raise ConfigurationError(f"{what} has no column(s) {', '.join(missing)}")
-    first_line += 1
+    fields = [(name, kind, read(kind)) for name, kind in kinds.items()]
     for lines in iter(lambda: fh.readlines(_BLOCK_TEXT), []):
-        yield first_line, _csv_block(what, lines, first_line, names, kinds)
+        columns = [[] for _ in fields]
+        for line_no, line in enumerate(lines, start=first_line):
+            for (name, kind, reader), column, value in zip(fields, columns,
+                                                           values(line_no, line)):
+                if kind.optional and value == empty:
+                    column.append(kind.null)
+                    continue
+                try:
+                    column.append(reader(value))
+                except (ValueError, KeyError):
+                    raise _bad_field(f"{what} line {line_no}", name, kind.what,
+                                     value) from None
+        yield first_line, dict(zip(kinds, columns))
         first_line += len(lines)
 
 
-def _csv_block(what: str, lines: list, first_line: int, names: list, kinds: dict):
-    """{name: values} of one block of CSV rows.  A function of its own, so
-    that the block's split cells are freed before the next block is read."""
-    rows = [line.rstrip("\r\n").split(",") for line in lines]
-    for line_no, row in enumerate(rows, start=first_line):
+def _csv_blocks(what: str, fh, first_line: int, kinds: dict):
+    """The `_blocks` of the CSV rows of a trace or a report (`what`).
+
+    fh is at the file's column header, line `first_line`, which must name
+    every column in `kinds`; other columns are not read.  A row must have a
+    cell for each column named, and an empty cell is an optional kind's null.
+    """
+    names = fh.readline().rstrip("\r\n").split(",")
+    position = {name: i for i, name in enumerate(names)}
+    missing = [name for name in kinds if name not in position]
+    if missing:
+        raise ConfigurationError(f"{what} has no column(s) {', '.join(missing)}")
+    at = [position[name] for name in kinds]
+
+    def cells(line_no: int, line: str) -> list:
+        row = line.rstrip("\r\n").split(",")
         if len(row) != len(names):
             where = f"{what} line {line_no} has {len(row)} cells"
             if len(row) < len(names):
                 raise DataCorruptionError(
                     f"{where}; column {names[len(row)]!r} is missing")
             raise DataCorruptionError(f"{where} for {len(names)} columns")
-    cells = dict(zip(names, zip(*rows)))
-    return {name: _csv_column(what, name, kind, cells[name], first_line)
-            for name, kind in kinds.items()}
-
-
-def _csv_column(what: str, name: str, kind: _Kind, cells, first_line: int) -> list:
-    """The values of one column's cells in a block of CSV rows of a trace or a
-    report (`what`); a data error names the line of the first cell that is not
-    of the column's kind."""
-    try:
-        return kind.parse(cells)
-    except (ValueError, KeyError):
-        for line_no, cell in enumerate(cells, start=first_line):
-            try:
-                kind.parse([cell])
-            except (ValueError, KeyError):
-                raise _bad_field(f"{what} line {line_no}", name, kind.what, cell) from None
-        raise
+        return [row[i] for i in at]
+    return _blocks(what, fh, first_line + 1, kinds, cells, attrgetter("cell"), "")
 
 
 def _jsonl_blocks(what: str, fh, first_line: int, kinds: dict):
-    """(number of its first line, {name: values}) for each block of the
-    JSON-lines rows of a trace or a report (`what`), from line `first_line`.
+    """The `_blocks` of the JSON-lines rows of a trace or a report (`what`),
+    from line `first_line`.
 
     Each row must be a JSON object with a key for every column in `kinds`;
-    other keys are not read.  A null of an optional kind reads as its `null`.
+    other keys are not read.  A null is an optional kind's null.
     """
-    for lines in iter(lambda: fh.readlines(_BLOCK_TEXT), []):
-        columns = {name: [] for name in kinds}
-        for line_no, line in enumerate(lines, start=first_line):
-            row = _json_object(what, line_no, line)
-            for name, kind in kinds.items():
-                if name not in row:
-                    raise DataCorruptionError(f"{what} line {line_no} has no {name!r}")
-                value = row[name]
-                if value is None and kind.optional:
-                    value = kind.null
-                elif kind.is_json(value):
-                    value = kind.from_json(value)
-                else:
-                    raise _bad_field(f"{what} line {line_no}", name, kind.what, value)
-                columns[name].append(value)
-        yield first_line, columns
-        first_line += len(lines)
-
-
-def _json_object(what: str, line_no: int, line: str) -> dict:
-    """One JSON-lines row of a trace or a report (`what`) as a dict; a data
-    error names the line of a row that is not a JSON object."""
-    try:
-        row = json.loads(line)
-    except ValueError as exc:
-        raise DataCorruptionError(f"{what} line {line_no} is not JSON: {exc}") from None
-    if not isinstance(row, dict):
-        raise DataCorruptionError(f"{what} line {line_no} is not a JSON object")
-    return row
+    def values(line_no: int, line: str) -> list:
+        try:
+            row = json.loads(line)
+        except ValueError as exc:
+            raise DataCorruptionError(f"{what} line {line_no} is not JSON: {exc}") from None
+        if not isinstance(row, dict):
+            raise DataCorruptionError(f"{what} line {line_no} is not a JSON object")
+        try:
+            return [row[name] for name in kinds]
+        except KeyError as exc:
+            raise DataCorruptionError(f"{what} line {line_no} has no {exc.args[0]!r}") \
+                from None
+    return _blocks(what, fh, first_line, kinds, values, attrgetter("read_json"), None)
 
 
 def write_report(path, table: CertificateTable, fmt: str = "csv") -> None:
     """Write one line per (k, name) certificate result of the table."""
     encode = _encoder("report", fmt)
-    if fmt == "csv":
-        header = f"{REPORT_MAGIC}\n{','.join(_REPORT_COLUMNS)}\r\n"
-    else:
-        header = json.dumps({"format": "proxcert-report",
-                             "schema_version": _REPORT_SCHEMA_VERSION}) + "\n"
     kinds = tuple(_REPORT_KINDS.values())
     with open(path, "w", newline="") as fh:
-        fh.write(header)
+        fh.write(_header("report", _REPORT_SCHEMA_VERSION, fmt, _REPORT_COLUMNS))
         for chunk in table.chunks():
             columns = [column.tolist() for column in vars(chunk).values()]
             fh.write(encode(_REPORT_COLUMNS, kinds, columns))

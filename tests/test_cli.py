@@ -26,6 +26,7 @@ from proxcert import (ConfigurationError, EnergyContext, SolverConfig, certify_t
 from proxcert.cli import SOLVER_NAMES, main
 from proxcert.errors import SETTING_RULES
 from proxcert.traceio import read_report, read_trace
+from test_traceio import cell_text
 
 
 def run_cli(*argv):
@@ -641,6 +642,25 @@ class TestCorruptTraceExits3:
         assert (f"trace line {line}: field {column!r} must be {what}, got"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("fmt, f_y", [("csv", "1_0"), ("jsonl", "abc")])
+    def test_first_corrupt_line_is_named(self, tmp_path, capsys, fmt, f_y):
+        # `accepted` at k = 10 and f_y at k = 20 are not of their kinds.  Rows
+        # are read one at a time, so k = 10 is named; a CSV read column by
+        # column would name f_y's line 24.
+        trace = short_trace(tmp_path, fmt)
+        if fmt == "csv":
+            def corrupt(rows):
+                rows[10]["accepted"], rows[20]["f_y"] = "maybe", f_y
+                return rows
+            edit_csv_rows(trace, corrupt)
+        else:
+            edit_cell(trace, fmt, 10, "accepted", lambda _: "maybe")
+            edit_cell(trace, fmt, 20, "f_y", lambda _: f_y)
+        assert certify_cli(trace, tmp_path) == 3
+        line = 14 if fmt == "csv" else 12  # k = 10
+        assert (f"trace line {line}: field 'accepted' must be true or false, got 'maybe'"
+                in capsys.readouterr().err)
+
     @pytest.mark.parametrize("value", ["maybe", "true", 1, 0.0, [True]])
     def test_jsonl_accepted_not_a_bool(self, tmp_path, capsys, value):
         trace = short_trace(tmp_path, "jsonl")
@@ -809,11 +829,13 @@ def edit_cell(trace, fmt, k, column, edit):
 
     def change(rows):
         cell = rows[k][column]
-        if column == "x":
-            rows[k][column] = traceio._fmt_vector(
-                edit([float(c) for c in cell.split(";")] if cell else None))
+        if not cell:
+            value = None
+        elif column == "x":
+            value = [float(c) for c in cell.split(";")]
         else:
-            rows[k][column] = traceio._fmt(edit(json.loads(cell) if cell else None))
+            value = json.loads(cell)
+        rows[k][column] = cell_text(edit(value))
         return rows
     edit_csv_rows(trace, change)
 
@@ -1486,7 +1508,7 @@ def mutated_trace(draw, texts, fmt):
         return ";".join(values) if fmt == "csv" else values
 
     def scalar(value):
-        return traceio._fmt(value) if fmt == "csv" else value
+        return cell_text(value) if fmt == "csv" else value
     n = len(rows)
     i = draw(st.integers(0, n - 1))
     if kind == "drop":
