@@ -436,11 +436,14 @@ def iterate(problem: CompositeProblem, config: SolverConfig, x0, choices=None):
     s = bind_step(problem.smooth.lipschitz, config.step)
     beta = momentum(problem, config)
     monotone, a = config.variant == "mapm", config.alpha
-    f_y = problem.value(y)
+    value = problem.value
+    f_y = value(y)
     for k in count():
         z, G = prox_gradient(problem, s, x)
-        f_z = require_finite(k, "F(z_k)", problem.value(z))
-        gnorm = require_finite(k, "||G_k||", norm(G))
+        f_z, gnorm = value(z), norm(G)
+        if not (math.isfinite(f_z) and math.isfinite(gnorm)):  # spares two calls a step
+            require_finite(k, "F(z_k)", f_z)
+            require_finite(k, "||G_k||", gnorm)
         accepted = f_z <= f_y if monotone else None
         yield k, f_y, gnorm, accepted, x, y, G, f_z
         takes_z = choices[k] if choices is not None else accepted is not False

@@ -1,12 +1,15 @@
 """Oracle and generator tests for the problems module."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from proxcert import (
     RejectedInputError,
+    problems,
     SmoothOracle,
     box_regularizer,
     l1_regularizer,
@@ -289,3 +292,127 @@ class TestSmoothOracleValidation:
         with pytest.raises(RejectedInputError):
             SmoothOracle(value=lambda x: 0.0, gradient=lambda x: x,
                          lipschitz=1.0, strong_convexity=2.0)
+
+
+# The oracles as they were first written, with `@`, `.sum()` and `np.clip`.
+# The package's oracles call the same BLAS routines and the same pairwise
+# sums, so they must give the same bytes; TestRunBitIdentity cannot see an
+# oracle that changes a bit, because its transcription calls the package's own.
+def transcribed_quadratic(Q, b):
+    return (lambda x: 0.5 * float(x @ (Q @ x)) - float(b @ x),
+            lambda x: Q @ x - b)
+
+
+def transcribed_lasso(A, b):
+    return (lambda x: 0.5 * float(((A @ x - b) ** 2).sum()),
+            lambda x: A.T @ (A @ x - b))
+
+
+def transcribed_l1(lam):
+    return (lambda x: lam * float(np.abs(x).sum()),
+            lambda v, t: np.sign(v) * np.maximum(np.abs(v) - t * lam, 0.0))
+
+
+def transcribed_box(lo, hi):
+    return (lambda x: 0.0 if (x >= lo).all() and (x <= hi).all() else math.inf,
+            lambda v, t: np.clip(v, lo, hi))
+
+
+def same_bytes(got, want):
+    """Same type, shape and bytes, so that -0.0 and 0.0 differ."""
+    return (type(got) is type(want) and np.shape(got) == np.shape(want)
+            and np.asarray(got).tobytes() == np.asarray(want).tobytes())
+
+
+def oracle_points(rng, d):
+    """Points of dimension d: with -0.0 and 0.0 coordinates, a strided view,
+    and large and small coordinates."""
+    x = rng.standard_normal(d)
+    x[rng.random(d) < 0.25] = -0.0
+    x[rng.random(d) < 0.1] = 0.0
+    return [x, rng.standard_normal(2 * d)[::2], 1e3 * rng.standard_normal(d),
+            1e-3 * rng.standard_normal(d), -0.0 * np.ones(d)]
+
+
+def box_bounds(rng, d):
+    """Bounds with some lo == hi coordinates, signed zeros among them."""
+    lo, hi = -np.abs(rng.standard_normal(d)), np.abs(rng.standard_normal(d))
+    equal = rng.random(d) < 0.3
+    lo[equal] = hi[equal] = rng.standard_normal(int(equal.sum()))
+    lo[0], hi[0] = -0.0, 0.0
+    if d > 1:
+        lo[1] = hi[1] = 0.0
+    return lo, hi
+
+
+ORACLE_DIMS = [2, 20, 200]
+
+
+class TestOracleBytes:
+    @pytest.mark.parametrize("d", ORACLE_DIMS)
+    def test_quadratic(self, d):
+        rng = np.random.default_rng(100 + d)
+        m = rng.standard_normal((d, d))
+        Q, b = m.T @ m + d * np.eye(d), rng.standard_normal(d)
+        smooth = quadratic_problem(Q, b).smooth
+        value, gradient = transcribed_quadratic(Q, b)
+        for x in oracle_points(rng, d):
+            assert same_bytes(smooth.value(x), value(x))
+            assert same_bytes(smooth.gradient(x), gradient(x))
+
+    @pytest.mark.parametrize("d", ORACLE_DIMS)
+    @pytest.mark.parametrize("rows", ["square", "fat"])
+    def test_lasso(self, d, rows):
+        rng = np.random.default_rng(200 + d)
+        m = d if rows == "square" else max(1, d // 2)
+        A, b = rng.standard_normal((m, d)), rng.standard_normal(m)
+        smooth = lasso_problem(A, b, 0.3).smooth
+        value, gradient = transcribed_lasso(A, b)
+        for x in oracle_points(rng, d):
+            assert same_bytes(smooth.value(x), value(x))
+            assert same_bytes(smooth.gradient(x), gradient(x))
+
+    @pytest.mark.parametrize("d", ORACLE_DIMS)
+    def test_l1(self, d):
+        rng = np.random.default_rng(300 + d)
+        oracle = l1_regularizer(0.7)
+        value, prox = transcribed_l1(0.7)
+        for x in oracle_points(rng, d):
+            assert same_bytes(oracle.value(x), value(x))
+            for t in (1e-3, 0.5, 4.0):
+                assert same_bytes(oracle.prox(x, t), prox(x, t))
+
+    @pytest.mark.parametrize("d", ORACLE_DIMS)
+    def test_box(self, d):
+        rng = np.random.default_rng(400 + d)
+        lo, hi = box_bounds(rng, d)
+        oracle = box_regularizer(lo, hi)
+        value, prox = transcribed_box(lo, hi)
+        for x in oracle_points(rng, d):
+            assert same_bytes(oracle.prox(x, 0.5), prox(x, 0.5))
+            for point in (x, prox(x, 0.5)):  # outside the box, then inside
+                assert same_bytes(oracle.value(point), value(point))
+
+    @pytest.mark.parametrize("d", ORACLE_DIMS)
+    def test_prox_box_clamps_as_the_box_oracle_does(self, d):
+        rng = np.random.default_rng(500 + d)
+        lo, hi = box_bounds(rng, d)
+        oracle = box_regularizer(lo, hi)
+        for x in oracle_points(rng, d):
+            assert same_bytes(prox_box(x, lo, hi), oracle.prox(x, 0.5))
+
+
+def test_per_iteration_oracles_use_no_matmul_operator():
+    # `Q @ x` and `Q.dot(x)` call the same BLAS routine and give the same
+    # bytes, but matmul's dispatch costs about twice dot's on small vectors,
+    # and these lambdas run on every step
+    tree = ast.parse(Path(problems.__file__).read_text())
+    lambdas = {node.name: [n for n in ast.walk(node) if isinstance(n, ast.Lambda)]
+               for node in tree.body if isinstance(node, ast.FunctionDef)
+               and node.name in ("_quadratic_smooth", "lasso_problem")}
+    assert {name: len(found) for name, found in lambdas.items()} == {
+        "_quadratic_smooth": 2, "lasso_problem": 2}
+    for name, found in lambdas.items():
+        for node in found:
+            assert not any(isinstance(n, ast.MatMult) for n in ast.walk(node)), (
+                name, ast.unparse(node))
